@@ -26,6 +26,7 @@ batched path.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -255,6 +256,15 @@ class SyntacticAnnotator(_ColumnNameAnnotator):
         return resolved
 
 
+#: Ontology label indexes embedded in this process, keyed by the digest of
+#: their artifact fingerprint (see :class:`SemanticAnnotator`). The lock
+#: makes concurrent constructors wait for one embedding instead of each
+#: embedding (and evicting) on their own.
+_LABEL_INDEX_CACHE: dict[str, NearestNeighbourIndex] = {}
+_LABEL_INDEX_CACHE_MAX = 8
+_LABEL_INDEX_LOCK = threading.Lock()
+
+
 class SemanticAnnotator(_ColumnNameAnnotator):
     """Embedding-based annotation using a FastText-style model.
 
@@ -264,6 +274,16 @@ class SemanticAnnotator(_ColumnNameAnnotator):
     a hash of the label list, so an ontology or model change always
     rebuilds. Query results over a loaded index are bit-identical to a
     freshly embedded one.
+
+    An index embedded in memory is also kept in a bounded process-wide
+    memo keyed by the digest of that same artifact fingerprint (encoder,
+    ontology name and labels digest, and the ANN build config when the
+    partitioned tier is active), so every later annotator with the same
+    fingerprint reuses it instead of re-embedding every label. A resolved
+    artifact still wins over the memo, and mmap'd artifacts are never
+    memoised. A partitioned index is handed out as a per-annotator view
+    over the shared arrays, so ``nprobe`` and probe statistics never
+    leak between holders.
     """
 
     method = AnnotationMethod.SEMANTIC
@@ -305,9 +325,8 @@ class SemanticAnnotator(_ColumnNameAnnotator):
     def _build_index(self, artifacts: IndexArtifactStore | None = None) -> NearestNeighbourIndex:
         labels = self.ontology.labels()
         artifact_name = f"ontology-{self.ontology.name}"
-        fingerprint = None
+        fingerprint = self._index_fingerprint(labels)
         if artifacts is not None:
-            fingerprint = self._index_fingerprint(labels)
             resolved = load_index(artifacts, artifact_name, fingerprint)
             if resolved is not None:
                 index, _ = resolved
@@ -315,10 +334,24 @@ class SemanticAnnotator(_ColumnNameAnnotator):
                     if isinstance(index, PartitionedIndex):
                         index.nprobe = self.index_config.nprobe
                     return index
-        vectors = self.model.embed_batch([normalize_label(label) for label in labels])
-        index = build_index(labels, vectors, self.index_config)
-        if fingerprint is not None:
+        index = self._embedded_index(labels, fingerprint)
+        if artifacts is not None:
             try_publish(publish_index, artifacts, artifact_name, fingerprint, index)
+        return index
+
+    def _embedded_index(self, labels: list[str], fingerprint: dict) -> NearestNeighbourIndex:
+        """The in-memory label index for ``fingerprint``, embedded at most once."""
+        key = fingerprint_digest(fingerprint)
+        with _LABEL_INDEX_LOCK:
+            index = _LABEL_INDEX_CACHE.get(key)
+            if index is None:
+                vectors = self.model.embed_batch([normalize_label(label) for label in labels])
+                index = build_index(labels, vectors, self.index_config)
+                if len(_LABEL_INDEX_CACHE) >= _LABEL_INDEX_CACHE_MAX:
+                    _LABEL_INDEX_CACHE.pop(next(iter(_LABEL_INDEX_CACHE)))
+                _LABEL_INDEX_CACHE[key] = index
+        if isinstance(index, PartitionedIndex):
+            index = index.view(self.index_config.nprobe)
         return index
 
     def index_stats(self) -> dict:

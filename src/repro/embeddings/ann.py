@@ -200,6 +200,18 @@ class PartitionedIndex(NearestNeighbourIndex):
         index._stat_probed: dict[int, int] = {}
         return index
 
+    def view(self, nprobe: int) -> "PartitionedIndex":
+        """This index's arrays under its own ``nprobe`` and probe statistics."""
+        return PartitionedIndex._from_parts(
+            self.labels,
+            self._unit_vectors,
+            self._centroids,
+            self._row_ids,
+            self._offsets,
+            nprobe,
+            self._recall,
+        )
+
     # -- knobs and metadata ------------------------------------------------
 
     @property

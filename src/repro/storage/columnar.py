@@ -480,11 +480,13 @@ class ColumnarProjection:
 
     # -- predicate pushdown --------------------------------------------------
 
-    def _code_of(self, vocabulary: tuple[str, ...], value: str) -> int:
-        try:
-            return vocabulary.index(value)
-        except ValueError:
-            return -1  # never matches a stored (non-negative) code
+    @staticmethod
+    def _equals(codes: np.ndarray, vocabulary: tuple[str, ...], value: str) -> np.ndarray:
+        """Mask of ``codes`` encoding ``value``; all-false when it is not in
+        ``vocabulary`` (a code array may store ``-1`` for a missing value)."""
+        if value not in vocabulary:
+            return np.zeros(codes.shape, dtype=bool)
+        return codes == vocabulary.index(value)
 
     def _tables_with(self, row_tables: np.ndarray, row_mask: np.ndarray) -> np.ndarray:
         """Boolean table mask: tables owning at least one masked row."""
@@ -496,11 +498,11 @@ class ColumnarProjection:
         """Boolean mask over tables satisfying ``predicate`` (columns only)."""
         mask = np.ones(self.table_count, dtype=bool)
         if predicate.topic is not None:
-            mask &= self.topic_codes == self._code_of(self.topics, predicate.topic)
+            mask &= self._equals(self.topic_codes, self.topics, predicate.topic)
         if predicate.repository is not None:
-            mask &= self.repo_codes == self._code_of(self.repositories, predicate.repository)
+            mask &= self._equals(self.repo_codes, self.repositories, predicate.repository)
         if predicate.license_key is not None:
-            mask &= self.license_codes == self._code_of(self.licenses, predicate.license_key)
+            mask &= self._equals(self.license_codes, self.licenses, predicate.license_key)
         if predicate.min_rows is not None:
             mask &= self.n_rows >= predicate.min_rows
         if predicate.max_rows is not None:
@@ -511,10 +513,10 @@ class ColumnarProjection:
             mask &= self.n_cols <= predicate.max_columns
         wanted_dtype = predicate._dtype_value()
         if wanted_dtype is not None:
-            code = ATOMIC_TYPES.index(wanted_dtype) if wanted_dtype in ATOMIC_TYPES else -1
-            mask &= self._tables_with(self.col_table, self.col_dtype == code)
+            row_mask = self._equals(self.col_dtype, ATOMIC_TYPES, wanted_dtype)
+            mask &= self._tables_with(self.col_table, row_mask)
         if predicate.annotation_label is not None:
-            row_mask = self.ann_label == self._code_of(self.type_labels, predicate.annotation_label)
+            row_mask = self._equals(self.ann_label, self.type_labels, predicate.annotation_label)
             if predicate.method is not None:
                 row_mask &= self.ann_method == METHODS.index(predicate.method)
             mask &= self._tables_with(self.ann_table, row_mask)

@@ -11,11 +11,21 @@ worker (or the coordinator) at a precise commit point, and
 :func:`run_parallel_build_subprocess` runs a whole parallel build in a
 child process so coordinator-side kills don't take the test runner
 down with them.
+
+It also fixes the Hypothesis policy. The default ``tier1`` profile is
+derandomised and keeps no example database, so every property draws the
+same examples on every run and an unchanged tree cannot turn red by
+drawing a new counter-example; counter-examples that were found are
+pinned with ``@example``. The ``explore`` profile draws fresh random
+examples: ``tests/test_hypothesis_explore.py`` (marked ``slow``) runs
+every property module under it, and ``--hypothesis-profile=explore``
+selects it for any run.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.config import PipelineConfig
 from repro.core.pipeline import CorpusBuilder
@@ -24,6 +34,10 @@ from repro.experiments.context import get_context
 from repro.github.content import GeneratorConfig
 from repro.github.instance import build_instance
 from repro.storage.parallel import FaultSpec, ParallelCorpusBuilder, build_mp_context
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 def kill_at(commit_n: int, worker: int | None = 0, point: str = "before-log-append") -> FaultSpec:

@@ -1,8 +1,13 @@
 """Unit tests for column annotation (repro.core.annotation)."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
-from repro.config import AnnotationConfig
+from repro.config import DEFAULT_INDEX_CONFIG, AnnotationConfig, IndexConfig
+from repro.core import annotation as annotation_module
 from repro.core.annotation import (
     AnnotationMethod,
     AnnotationPipeline,
@@ -13,8 +18,12 @@ from repro.core.annotation import (
     annotate_table,
     preprocess_column_name,
 )
+from repro.embeddings.ann import PartitionedIndex
+from repro.embeddings.fasttext import FastTextModel
 from repro.errors import AnnotationError
 from repro.ontology.dbpedia import load_dbpedia
+from repro.ontology.types import Ontology, SemanticType
+from repro.storage.artifacts import IndexArtifactStore
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +241,157 @@ class TestPipelineCache:
         assert _pipeline_for(strict) is not _pipeline_for(loose)
         assert _pipeline_for(strict) is _pipeline_for(strict)
         assert len(_PIPELINE_CACHE) <= 8
+
+
+_TINY_LABELS = [
+    f"{word} {suffix}"
+    for word in ("order", "status", "city", "price", "email")
+    for suffix in ("id", "code", "name", "date", "type", "value", "count", "total")
+]
+
+
+def _partitioned(**changes) -> IndexConfig:
+    """A partitioned tier for the 40 tiny labels."""
+    return IndexConfig(**{"min_rows": 16, "n_partitions": 4, "nprobe": 1, "holdout_queries": 8, **changes})
+
+
+_PARTITIONED = _partitioned()
+
+
+def _tiny_ontology(name: str = "tiny", labels=tuple(_TINY_LABELS)) -> Ontology:
+    return Ontology(name, [SemanticType(label=label, ontology=name) for label in labels])
+
+
+@pytest.fixture()
+def label_embeds(monkeypatch):
+    """An empty label-index memo for one test, plus every embed_batch call's texts."""
+    monkeypatch.setattr(annotation_module, "_LABEL_INDEX_CACHE", {})
+    calls: list[list[str]] = []
+    original = FastTextModel.embed_batch
+
+    def recording(self, texts):
+        calls.append(list(texts))
+        return original(self, texts)
+
+    monkeypatch.setattr(FastTextModel, "embed_batch", recording)
+    return calls
+
+
+class TestLabelIndexMemo:
+    """The process-wide ontology label-index memo of SemanticAnnotator."""
+
+    def test_same_config_embeds_labels_once_per_process(self, label_embeds):
+        config = AnnotationConfig()
+        first = AnnotationPipeline(config)
+        AnnotationPipeline(config)
+        AnnotationPipeline(AnnotationConfig())
+        assert len(label_embeds) == len(first.semantic)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model": FastTextModel(dim=32)},
+            {"model": FastTextModel(ngram_sizes=(3,))},
+            {"ontology": _tiny_ontology(labels=tuple(_TINY_LABELS) + ("extra label",))},
+            {"ontology": _tiny_ontology(name="other")},
+            {"index_config": _partitioned(n_partitions=3)},
+            {"index_config": _partitioned(kmeans_iters=2)},
+            {"index_config": DEFAULT_INDEX_CONFIG},
+        ],
+        ids=["dim", "ngram_sizes", "labels", "ontology_name", "n_partitions", "kmeans_iters", "flat_tier"],
+    )
+    def test_any_fingerprint_change_embeds_again(self, label_embeds, change):
+        base = {"ontology": _tiny_ontology(), "model": FastTextModel(), "index_config": _PARTITIONED}
+        SemanticAnnotator(**base)
+        SemanticAnnotator(**{**base, **change})
+        assert len(label_embeds) == 2
+
+    def test_memo_hit_is_bit_identical_to_a_fresh_embedding(
+        self, monkeypatch, orders_table, people_table
+    ):
+        monkeypatch.setattr(annotation_module, "_LABEL_INDEX_CACHE", {})
+        config = AnnotationConfig()
+        first = AnnotationPipeline(config)
+        hit = AnnotationPipeline(config)
+        annotation_module._LABEL_INDEX_CACHE.clear()
+        fresh = AnnotationPipeline(config)
+        for name, annotator in hit.semantic.items():
+            assert annotator._index is first.semantic[name]._index
+            assert annotator._index.labels == fresh.semantic[name]._index.labels
+            assert np.array_equal(
+                annotator._index._unit_vectors, fresh.semantic[name]._index._unit_vectors
+            )
+        tables = [orders_table, people_table]
+        assert hit.annotate_batch(tables) == fresh.annotate_batch(tables)
+
+    def test_partitioned_memo_hit_is_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(annotation_module, "_LABEL_INDEX_CACHE", {})
+        names = ["order id", "customer email", "status", "unit price", "town"]
+        SemanticAnnotator(_tiny_ontology(), index_config=_PARTITIONED)
+        hit = SemanticAnnotator(_tiny_ontology(), index_config=_PARTITIONED)
+        annotation_module._LABEL_INDEX_CACHE.clear()
+        fresh = SemanticAnnotator(_tiny_ontology(), index_config=_PARTITIONED)
+        assert isinstance(hit._index, PartitionedIndex)
+        assert hit.resolve_normalized(names) == fresh.resolve_normalized(names)
+
+    def test_memo_hit_still_publishes(self, label_embeds, tmp_path):
+        config = AnnotationConfig()
+        pipeline = AnnotationPipeline(config)
+        embeds = len(label_embeds)
+        artifacts = IndexArtifactStore(tmp_path / "artifacts")
+        AnnotationPipeline(config, artifacts=artifacts)
+        assert len(label_embeds) == embeds
+        assert sorted(artifacts.names()) == sorted(
+            f"ontology-{annotator.ontology.name}" for annotator in pipeline.semantic.values()
+        )
+
+    def test_resolved_artifacts_are_not_memoised(self, label_embeds, tmp_path):
+        config = AnnotationConfig()
+        artifacts = IndexArtifactStore(tmp_path / "artifacts")
+        AnnotationPipeline(config, artifacts=artifacts)
+        annotation_module._LABEL_INDEX_CACHE.clear()
+        embeds = len(label_embeds)
+        AnnotationPipeline(config, artifacts=artifacts)
+        assert len(label_embeds) == embeds
+        assert annotation_module._LABEL_INDEX_CACHE == {}
+
+    def test_nprobe_does_not_leak_between_holders(self, label_embeds):
+        ontology = _tiny_ontology()
+        one = SemanticAnnotator(ontology, index_config=_PARTITIONED)
+        three = SemanticAnnotator(ontology, index_config=_partitioned(nprobe=3))
+        assert len(label_embeds) == 1
+        assert (one._index.nprobe, three._index.nprobe) == (1, 3)
+        one._index.nprobe = 2
+        again = SemanticAnnotator(ontology, index_config=_PARTITIONED)
+        assert (three._index.nprobe, again._index.nprobe) == (3, 1)
+        one.resolve_normalized(["order id"])
+        assert one.index_stats()["queries"] == 1
+        assert three.index_stats()["queries"] == again.index_stats()["queries"] == 0
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(annotation_module, "_LABEL_INDEX_CACHE", {})
+        ontology = _tiny_ontology()
+        for dim in range(4, 4 + annotation_module._LABEL_INDEX_CACHE_MAX + 3):
+            SemanticAnnotator(ontology, model=FastTextModel(dim=dim))
+        assert len(annotation_module._LABEL_INDEX_CACHE) == annotation_module._LABEL_INDEX_CACHE_MAX
+
+    def test_concurrent_constructors_embed_once(self, label_embeds):
+        ontology = _tiny_ontology()
+        built: list[SemanticAnnotator] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: built.append(SemanticAnnotator(ontology)))
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 8
+        assert len(label_embeds) == 1
+        assert all(annotator._index is built[0]._index for annotator in built)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import GitTables
@@ -112,6 +112,23 @@ def predicates(draw) -> TablePredicate:
     )
 
 
+def _one_unlicensed_table() -> GitTablesCorpus:
+    """One table without a licence: the counter-example that once made a
+    predicate on an unseen licence select every unlicensed table."""
+    corpus = GitTablesCorpus(name="unlicensed")
+    corpus.add(
+        AnnotatedTable(
+            table=Table(["id"], [["1"]], table_id="t0"),
+            annotations=TableAnnotations(table_id="t0"),
+            topic="thing",
+            repository="octo/data",
+            source_url="https://github.com/example/t0.csv",
+            license_key=None,
+        )
+    )
+    return corpus
+
+
 def _scan_ids(corpus, predicate: TablePredicate) -> list[str]:
     return [
         annotated.table_id for annotated in corpus if predicate.matches(annotated)
@@ -150,9 +167,25 @@ class TestProjectionEqualsScan:
 
     @given(corpus=corpora(), predicate=predicates())
     @settings(max_examples=40, deadline=None)
+    @example(corpus=_one_unlicensed_table(), predicate=TablePredicate(license_key="mit"))
     def test_predicate_pushdown_identical(self, corpus, predicate):
         projection = ColumnarProjection.from_corpus(corpus)
         assert projection.select_ids(predicate) == _scan_ids(corpus, predicate)
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            TablePredicate(license_key="mit"),
+            TablePredicate(topic="unseen"),
+            TablePredicate(repository="unseen/repo"),
+            TablePredicate(dtype="unseen-dtype"),
+            TablePredicate(annotation_label="unseen"),
+        ],
+    )
+    def test_value_absent_from_vocabulary_selects_nothing(self, predicate):
+        corpus = _one_unlicensed_table()
+        assert _scan_ids(corpus, predicate) == []
+        assert ColumnarProjection.from_corpus(corpus).select_ids(predicate) == []
 
     def test_empty_corpus(self):
         corpus = GitTablesCorpus(name="empty")
