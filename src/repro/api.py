@@ -184,8 +184,8 @@ class GitTables:
 
         The storage format is auto-detected: sharded directories come
         back lazily (only the manifest is read up front; ``cache_shards``
-        bounds resident parsed shards), legacy directories load into
-        memory.
+        bounds resident shards, whose tables are decoded on first
+        access), legacy directories load into memory.
 
         Sharded directories also attach the persistent **index artifact
         store** under ``<directory>/artifacts`` (disable with

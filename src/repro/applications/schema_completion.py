@@ -206,11 +206,17 @@ class NearestCompletion:
         self._slice_attribute_embeddings()
 
     def _slice_attribute_embeddings(self) -> None:
-        """Per-schema views into the flat (mmap'd or in-RAM) matrix."""
+        """Per-schema views into the flat (mmap'd or in-RAM) matrix.
+
+        The views are sliced from a plain ``ndarray`` over the same
+        buffer: no copy, the same bytes, but no ``np.memmap`` subclass
+        dispatch each time :meth:`complete` slices a candidate's rows.
+        """
+        flat = np.asarray(self._flat_matrix)
         self._attribute_embeddings: list[np.ndarray] = []
         offset = 0
         for _, schema in self._schemas:
-            self._attribute_embeddings.append(self._flat_matrix[offset : offset + len(schema)])
+            self._attribute_embeddings.append(flat[offset : offset + len(schema)])
             offset += len(schema)
 
     def publish_artifacts(

@@ -436,8 +436,9 @@ class GitTablesCorpus:
 
         Sharded directories come back *lazily*: only the manifest is read
         here, and shards are loaded on demand (``cache_shards`` bounds
-        how many parsed shards stay resident). Legacy directories are
-        loaded eagerly into memory, as before.
+        how many shards stay resident; their tables are decoded on first
+        access). Legacy directories are loaded eagerly into memory, as
+        before.
         """
         if is_sharded_dir(directory):
             return cls(store=ShardedJsonlStore(directory, cache_shards=cache_shards))

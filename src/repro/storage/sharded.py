@@ -33,10 +33,11 @@ before deleting the log) is skipped wholesale.
 
 Two stores share the layout:
 
-* :class:`ShardedJsonlStore` — the lazy reader. ``get`` touches only the
-  shard holding the requested table; iteration streams shard by shard
-  with a small LRU of parsed shards; corpus statistics are answered
-  straight from the manifest.
+* :class:`ShardedJsonlStore` — the lazy reader. ``get`` reads only the
+  shard holding the requested table and decodes only that table;
+  iteration streams shard by shard through a small LRU of read shards,
+  each table decoded once, on first access; corpus statistics are
+  answered straight from the manifest.
 * :class:`ShardedCorpusWriter` — the append-only writer used as the
   corpus-construction sink. ``add`` buffers tables, ``commit`` appends
   them to shard files and rewrites the manifest, which is the atomic
@@ -146,22 +147,41 @@ def _encode_table(annotated: "AnnotatedTable") -> bytes:
     return payload.encode("utf-8") + b"\n"
 
 
-def _read_shard_tables(path: Path, byte_count: int) -> list:
-    """Decode the committed prefix of one shard file into tables.
+def _read_shard_lines(path: Path, byte_count: int) -> list:
+    """The committed prefix of one shard file, split into undecoded lines.
 
     Reading exactly ``byte_count`` bytes is the single place the
-    committed-bytes truncation rule is applied on the read side; both
-    the lazy reader and the writer's read-back paths go through here.
+    committed-bytes truncation rule is applied on the read side; the
+    lazy reader and the writer's read-back paths all go through here.
     """
-    from ..core.corpus import AnnotatedTable
-
     with open(path, "rb") as handle:
         data = handle.read(byte_count)
-    return [
-        AnnotatedTable.from_dict(json.loads(line.decode("utf-8")))
-        for line in data.splitlines()
-        if line
-    ]
+    return [line for line in data.splitlines() if line]
+
+
+def _decode_line(line: bytes) -> "AnnotatedTable":
+    """Decode one shard line into its table."""
+    from ..core.corpus import AnnotatedTable
+
+    return AnnotatedTable.from_dict(json.loads(line.decode("utf-8")))
+
+
+def _decode_slot(slots: list, index: int) -> "AnnotatedTable":
+    """The table in ``slots[index]``, decoded and memoised on first access.
+
+    A slot holds either a line's raw bytes or its decoded table; the
+    decoded table replaces the bytes, so a slot never holds both. No
+    lock: a racing first access can only decode the same bytes twice.
+    """
+    slot = slots[index]
+    if isinstance(slot, bytes):
+        slot = slots[index] = _decode_line(slot)
+    return slot
+
+
+def _read_shard_tables(path: Path, byte_count: int) -> list:
+    """Decode every committed table of one shard file."""
+    return [_decode_line(line) for line in _read_shard_lines(path, byte_count)]
 
 
 def _write_manifest(directory: Path, manifest: dict) -> None:
@@ -400,11 +420,19 @@ def _replay_manifest_log(directory: Path, manifest: dict) -> tuple[int, int]:
 class ShardedJsonlStore:
     """Read-only lazy view over a sharded corpus directory.
 
-    Only the manifest is loaded up front. ``get`` parses exactly the one
-    shard that holds the requested table; repeated lookups hit an LRU of
-    up to ``cache_shards`` parsed shards. Iteration streams in shard
-    order through the same cache, so at most ``cache_shards`` shards are
-    ever resident.
+    Only the manifest is loaded up front. ``get`` reads the one shard
+    that holds the requested table and decodes only that table; an LRU
+    keeps up to ``cache_shards`` read shards resident, and each of their
+    tables is decoded on first access and memoised, so a repeated
+    lookup returns the same object without decoding. Iteration streams
+    in shard order through the same cache, so at most ``cache_shards``
+    shards are ever resident and every table is decoded once.
+
+    Loading a shard checks its line count against the manifest, so a
+    short or over-long shard raises :class:`~repro.errors.CorpusError`
+    as soon as any of its tables is read. A line whose bytes do not
+    decode raises only when *that* table is decoded; the other tables
+    of its shard stay readable.
     """
 
     def __init__(self, directory: str | os.PathLike[str], cache_shards: int = 2) -> None:
@@ -606,28 +634,28 @@ class ShardedJsonlStore:
         return iter(self._locations)
 
     def _load_shard(self, index: int) -> list:
-        """Parse one shard into AnnotatedTable records (LRU-cached)."""
+        """One shard's slots, raw lines decoded on first access (LRU-cached)."""
         if index in self._cache:
             self._cache.move_to_end(index)
             return self._cache[index]
         entry = self._manifest["shards"][index]
         try:
-            tables = _read_shard_tables(self.directory / entry["file"], entry["bytes"])
+            slots = _read_shard_lines(self.directory / entry["file"], entry["bytes"])
         except FileNotFoundError:
             self._raise_if_relaid(entry)
             raise CorpusError(
                 f"missing shard file {self.directory / entry['file']}"
             ) from None
-        if len(tables) != entry["count"]:
+        if len(slots) != entry["count"]:
             self._raise_if_relaid(entry)
             raise CorpusError(
-                f"shard {entry['file']} holds {len(tables)} tables, "
+                f"shard {entry['file']} holds {len(slots)} tables, "
                 f"manifest says {entry['count']}"
             )
-        self._cache[index] = tables
+        self._cache[index] = slots
         while len(self._cache) > self.cache_shards:
             self._cache.popitem(last=False)
-        return tables
+        return slots
 
     def _raise_if_relaid(self, entry: dict) -> None:
         """Diagnose a missing/short shard caused by an online re-shard.
@@ -656,28 +684,32 @@ class ShardedJsonlStore:
         if location is None:
             return None
         shard_index, line_index = location
-        return self._load_shard(shard_index)[line_index]
+        return _decode_slot(self._load_shard(shard_index), line_index)
 
     def __iter__(self) -> Iterator["AnnotatedTable"]:
-        for shard_index in range(len(self._manifest.get("shards", []))):
-            yield from self._load_shard(shard_index)
+        yield from self._stream(0)
 
     def iter_from(self, start: int) -> Iterator["AnnotatedTable"]:
         """Iterate tables from global index ``start`` in corpus order.
 
         Shards wholly before ``start`` are skipped via their manifest
-        counts without being read or parsed, so streaming the tail of an
+        counts without being read, and lines before ``start`` in the
+        boundary shard are never decoded, so streaming the tail of an
         extended store costs O(tail), not O(corpus) — the delta-refresh
         scan path for incremental artifact builds.
         """
+        yield from self._stream(start)
+
+    def _stream(self, start: int) -> Iterator["AnnotatedTable"]:
         passed = 0
         for shard_index, entry in enumerate(self._manifest.get("shards", [])):
             count = entry["count"]
             if passed + count <= start:
                 passed += count
                 continue
-            tables = self._load_shard(shard_index)
-            yield from tables[max(0, start - passed):]
+            slots = self._load_shard(shard_index)
+            for line_index in range(max(0, start - passed), len(slots)):
+                yield _decode_slot(slots, line_index)
             passed += count
 
     def add(self, annotated: "AnnotatedTable") -> None:
@@ -944,7 +976,8 @@ class ShardedCorpusWriter:
 
     def _read_committed(self, shard_index: int, line_index: int) -> "AnnotatedTable":
         entry = self._shards[shard_index]
-        return _read_shard_tables(self.directory / entry["file"], entry["bytes"])[line_index]
+        lines = _read_shard_lines(self.directory / entry["file"], entry["bytes"])
+        return _decode_line(lines[line_index])
 
     def __iter__(self) -> Iterator["AnnotatedTable"]:
         for entry in self._shards:

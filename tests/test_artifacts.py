@@ -11,6 +11,7 @@ wrong vectors.
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -345,6 +346,22 @@ class TestConsumerUnits:
         assert warm.complete(PREFIX, k=6) == fresh.complete(PREFIX, k=6)
         evaluation = warm.evaluate(PREFIX + ("quantity", "total_price"), prefix_length=3)
         assert evaluation == fresh.evaluate(PREFIX + ("quantity", "total_price"), prefix_length=3)
+
+    def test_completion_views_are_zero_copy_and_bit_identical(self, store_dir):
+        GitTables.load(store_dir).warm()  # publish the completion artifact
+        completer = GitTables.load(store_dir).completer
+        assert isinstance(completer._flat_matrix, np.memmap)
+        for view in completer._attribute_embeddings:
+            assert type(view) is np.ndarray
+            assert np.shares_memory(view, completer._flat_matrix)
+        fresh = NearestCompletion(GitTablesCorpus.load(store_dir), encoder=SentenceEncoder())
+        rng = random.Random(5)
+        schemas = [schema for _, schema in fresh._schemas]
+        prefixes = [PREFIX] + [
+            rng.choice(schemas)[: rng.randint(1, 3)] for _ in range(12)
+        ]
+        for prefix in prefixes:
+            assert completer.complete(prefix, k=6) == fresh.complete(prefix, k=6)
 
     def test_kg_benchmark_roundtrip(self, store_dir):
         corpus = GitTablesCorpus.load(store_dir)

@@ -383,11 +383,14 @@ class TestColdLoadReadsOnlyArrays:
         def _no_json_allowed(path, byte_count):
             raise AssertionError(f"table JSON parsed during columnar stats: {path}")
 
-        monkeypatch.setattr(sharded, "_read_shard_tables", _no_json_allowed)
+        monkeypatch.setattr(sharded, "_read_shard_lines", _no_json_allowed)
         assert session.stats() == reference_stats
         assert session.annotation_stats() == reference_ann
         assert CurationReport.from_corpus(session.corpus) == reference_curation
         assert dimension_cdf(session.corpus, axis="rows") == reference_cdf
+        # The guard is live: reading any table goes through the patched reader.
+        with pytest.raises(AssertionError, match="table JSON parsed"):
+            list(session.corpus)
 
 
 class TestCorpusFilterPushdown:
@@ -405,6 +408,18 @@ class TestCorpusFilterPushdown:
         ]
         assert fast == slow == callable_path
         assert fast  # the predicate selects something
+
+    def test_pushdown_decodes_only_selected_tables(self, tmp_path, monkeypatch):
+        from tests.test_storage import _corpus, _count_decodes
+
+        _corpus(16).save(tmp_path / "corpus", shard_size=4)
+        projection = ColumnarProjection.from_corpus(GitTablesCorpus.load(tmp_path / "corpus"))
+        corpus = GitTablesCorpus.load(tmp_path / "corpus")
+        corpus.attach_projection(projection)
+        decoded = _count_decodes(monkeypatch)
+        result = corpus.filter(TablePredicate(topic="organism"))
+        assert [annotated.table_id for annotated in result] == decoded
+        assert len(decoded) == len(result) == 8
 
     def test_filter_without_projection_builds_none(self):
         from tests.test_storage import _corpus

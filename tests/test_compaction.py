@@ -258,6 +258,21 @@ class TestReaderMidSwap:
         assert reopened.generation == 2
         assert reopened.get(by_shard[1]).table_id == by_shard[1]
 
+    def test_cached_shard_serves_undecoded_lines_after_sweep(self, tmp_path, sealed_store):
+        directory = tmp_path / "store"
+        shutil.copytree(sealed_store, directory)
+        store = ShardedJsonlStore(directory, cache_shards=1)
+        first, second = [
+            table_id for table_id, (shard, _line) in store._locations.items() if shard == 0
+        ][:2]
+        assert store.get(first) is not None  # reads shard 0, decodes one line
+
+        compact_store(directory, shard_size=NEW_SIZE)
+
+        # The sibling line was never decoded, but its bytes are resident.
+        sibling = store.get(second)
+        assert sibling.to_dict() == ShardedJsonlStore(directory).get(second).to_dict()
+
 
 class TestCompactionCrashMatrix:
     @pytest.mark.parametrize("point", CRASH_POINTS)

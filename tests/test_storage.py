@@ -54,6 +54,19 @@ def _dir_bytes(directory) -> dict[str, bytes]:
     return directory_file_bytes(directory)
 
 
+def _count_decodes(monkeypatch) -> list[str]:
+    """Record the id of every table decoded through ``AnnotatedTable.from_dict``."""
+    decoded: list[str] = []
+    original = AnnotatedTable.from_dict.__func__
+
+    def counting(cls, payload):
+        decoded.append(payload["table_id"])
+        return original(cls, payload)
+
+    monkeypatch.setattr(AnnotatedTable, "from_dict", classmethod(counting))
+    return decoded
+
+
 class TestShardedRoundTrip:
     def test_save_load_tables_identical(self, tmp_path):
         corpus = _corpus(11)
@@ -146,6 +159,72 @@ class TestLazyReads:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(CorpusError):
             GitTablesCorpus.load(tmp_path / "does-not-exist")
+
+
+class TestPerTableDecode:
+    """A read decodes only the tables it returns, each at most once per residency."""
+
+    @pytest.fixture
+    def store_dir(self, tmp_path):
+        _corpus(20).save(tmp_path / "corpus", shard_size=8)
+        return tmp_path / "corpus"
+
+    def test_cold_get_decodes_one_table_and_a_repeat_none(self, store_dir, monkeypatch):
+        store = ShardedJsonlStore(store_dir)
+        decoded = _count_decodes(monkeypatch)
+        first = store.get("t009")
+        assert first.table_id == "t009"
+        assert decoded == ["t009"]
+        assert store.get("t009") is first
+        assert decoded == ["t009"]
+
+    def test_sibling_get_in_cached_shard_decodes_one(self, store_dir, monkeypatch):
+        store = ShardedJsonlStore(store_dir)
+        store.get("t009")
+        decoded = _count_decodes(monkeypatch)
+        assert store.get("t010").table_id == "t010"
+        assert decoded == ["t010"]
+
+    def test_full_scan_decodes_each_table_once(self, store_dir, monkeypatch):
+        store = ShardedJsonlStore(store_dir)
+        decoded = _count_decodes(monkeypatch)
+        scanned = [annotated.table_id for annotated in store]
+        assert decoded == scanned == [f"t{index:03d}" for index in range(len(store))]
+
+    def test_iter_from_mid_shard_decodes_only_the_tail(self, store_dir, monkeypatch):
+        store = ShardedJsonlStore(store_dir)
+        decoded = _count_decodes(monkeypatch)
+        tail = [annotated.table_id for annotated in store.iter_from(11)]
+        assert tail == [f"t{index:03d}" for index in range(11, 20)]
+        assert len(decoded) == len(store) - 11
+
+    def test_writer_get_of_committed_table_decodes_one(self, tmp_path, monkeypatch):
+        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=8)
+        writer.extend(_corpus(12))
+        writer.commit()
+        decoded = _count_decodes(monkeypatch)
+        assert writer.get("t002").table_id == "t002"
+        assert decoded == ["t002"]
+
+    def test_undecodable_line_raises_only_for_its_table(self, store_dir):
+        store = ShardedJsonlStore(store_dir)
+        path = store_dir / store.manifest["shards"][0]["file"]
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = b"#" + lines[3][1:]  # same byte length: the manifest still matches
+        path.write_bytes(b"\n".join(lines))
+        assert store.get("t002").table_id == "t002"
+        with pytest.raises(ValueError):
+            store.get("t003")
+        assert store.get("t004").table_id == "t004"
+
+    def test_line_count_mismatch_still_raises_at_shard_load(self, store_dir):
+        store = ShardedJsonlStore(store_dir)
+        path = store_dir / store.manifest["shards"][0]["file"]
+        data = path.read_bytes()
+        first_break = data.index(b"\n")
+        path.write_bytes(data[:first_break] + b" " + data[first_break + 1:])
+        with pytest.raises(CorpusError, match="manifest says 8"):
+            store.get("t005")
 
 
 class TestWriter:
