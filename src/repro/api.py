@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import os
 
-from .applications.data_search import SearchResult, TableSearchEngine
+from .applications.data_search import SEARCH_ARTIFACT, SearchResult, TableSearchEngine
 from .applications.domain_classifier import DomainShiftResult, detect_data_shift
 from .applications.kg_matching import (
     KGMatchingBenchmark,
@@ -44,6 +44,7 @@ from .applications.kg_matching import (
     evaluate_matcher,
 )
 from .applications.schema_completion import (
+    COMPLETION_ARTIFACT,
     CompletionEvaluation,
     NearestCompletion,
     SchemaCompletion,
@@ -54,7 +55,7 @@ from .core.corpus import GitTablesCorpus
 from .core.pipeline import DEFAULT_BATCH_SIZE, CorpusBuilder, PipelineResult
 from .errors import CorpusError
 from .github.content import GeneratorConfig
-from .storage.artifacts import IndexArtifactStore, try_publish
+from .storage.artifacts import IndexArtifactStore
 from .storage.checkpoint import load_build_meta
 from .storage.columnar import ColumnarProjection, ensure_projection, publish_projection
 from .storage.sharded import DEFAULT_SHARD_SIZE, ShardedJsonlStore, is_sharded_dir
@@ -180,14 +181,14 @@ class GitTables:
         use_artifacts: bool = True,
         index_config: IndexConfig | None = None,
     ) -> "GitTables":
-        """Load a corpus previously persisted with :meth:`save`.
+        """Load a sharded corpus store previously persisted with :meth:`save`.
 
-        The storage format is auto-detected: sharded directories come
-        back lazily (only the manifest is read up front; ``cache_shards``
-        bounds resident shards, whose tables are decoded on first
-        access), legacy directories load into memory.
+        The corpus comes back lazily (only the manifest is read up
+        front; ``cache_shards`` bounds resident shards, whose tables are
+        decoded on first access); a directory that is not a sharded
+        store raises :class:`~repro.errors.CorpusError`.
 
-        Sharded directories also attach the persistent **index artifact
+        The session also attaches the persistent **index artifact
         store** under ``<directory>/artifacts`` (disable with
         ``use_artifacts=False``): the search, completion, type-detection
         and KG-benchmark caches warm from fingerprint-guarded mmap'd
@@ -196,9 +197,7 @@ class GitTables:
         Call :meth:`warm` to resolve them eagerly.
         """
         corpus = GitTablesCorpus.load(directory, cache_shards=cache_shards)
-        artifacts = None
-        if use_artifacts and is_sharded_dir(directory):
-            artifacts = IndexArtifactStore.for_corpus_dir(directory)
+        artifacts = IndexArtifactStore.for_corpus_dir(directory) if use_artifacts else None
         return cls(corpus=corpus, artifacts=artifacts, index_config=index_config)
 
     # -- corpus access -----------------------------------------------------
@@ -252,34 +251,40 @@ class GitTables:
         self,
         directory: str | os.PathLike[str],
         shard_size: int = DEFAULT_SHARD_SIZE,
-        format: str = "sharded",
     ) -> None:
-        """Persist the corpus atomically (sharded JSONL by default).
+        """Persist the corpus atomically as a sharded JSONL store.
 
-        Sharded saves carry the index artifacts along: any index already
+        The save carries the index artifacts along: any index already
         built in this session (search engine, completion matrix, KG
-        benchmarks) is published into ``<directory>/artifacts`` under
-        the saved manifest's content fingerprint, so a later
-        :meth:`load` of the directory warms from mmap'd artifacts
+        benchmarks) and the columnar stats projection are published into
+        ``<directory>/artifacts`` under the saved manifest's content
+        fingerprint, through the same encode hooks
+        :func:`~repro.storage.artifacts.resolve` publishes with, so a
+        later :meth:`load` of the directory warms from mmap'd artifacts
         instead of re-embedding the corpus. Indexes built before a
         corpus mutation (tables added since) are *not* published — they
         no longer describe the saved bytes.
         """
-        self._corpus.save(directory, shard_size=shard_size, format=format)
-        if format != "sharded":
-            return
+        self._corpus.save(directory, shard_size=shard_size)
         # Corpora are append-only (duplicate ids rejected, no removal),
         # so a size match means the index still describes the corpus.
         current_size = len(self._corpus)
         artifacts = IndexArtifactStore.for_corpus_dir(directory)
         fingerprint = ShardedJsonlStore(directory).content_fingerprint()
-        if self._search_engine is not None and self._search_engine._corpus_size == current_size:
-            self._search_engine.publish_artifacts(artifacts, corpus_fingerprint=fingerprint)
-        if self._completer is not None and self._completer._corpus_size == current_size:
-            self._completer.publish_artifacts(artifacts, corpus_fingerprint=fingerprint)
+        engines = [
+            (SEARCH_ARTIFACT, self._search_engine),
+            (COMPLETION_ARTIFACT, self._completer),
+        ]
+        for name, engine in engines:
+            if engine is not None and engine._corpus_size == current_size:
+                artifacts.publish(name, engine._fingerprint(fingerprint), **engine._encode())
         for benchmark in self._kg_benchmarks.values():
             if benchmark.corpus_size == current_size:
-                benchmark.publish_artifacts(artifacts, corpus_fingerprint=fingerprint)
+                artifacts.publish(
+                    benchmark.artifact_name,
+                    benchmark._fingerprint(fingerprint),
+                    **benchmark._encode(),
+                )
         # The columnar stats projection rides along too: an attached
         # current projection is republished under the saved manifest's
         # fingerprint, otherwise one is built from the corpus being
@@ -289,7 +294,7 @@ class GitTables:
         if projection is None:
             projection = ColumnarProjection.from_corpus(self._corpus)
             self._corpus.attach_projection(projection)
-        try_publish(publish_projection, artifacts, projection, corpus_fingerprint=fingerprint)
+        publish_projection(artifacts, projection, corpus_fingerprint=fingerprint)
 
     def extend(
         self,

@@ -17,13 +17,13 @@ from ..embeddings.persist import (
     INDEX_LABELS_KEY,
     INDEX_VECTORS_KEY,
     embedder_fingerprint,
+    encode_index,
     extend_unit_vectors,
+    index_from_artifact,
     index_from_unit_rows,
-    load_index,
-    publish_index,
 )
 from ..embeddings.sentence import SentenceEncoder
-from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, try_publish
+from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
 
 __all__ = ["SearchResult", "TableSearchEngine", "SEARCH_ARTIFACT"]
 
@@ -49,13 +49,11 @@ class TableSearchEngine:
     :meth:`search_batch` answers many queries with a single batched index
     query, and :meth:`search` is its single-query wrapper.
 
-    With an ``artifacts`` store attached (and a disk-backed corpus), the
-    index matrix is resolved from a persisted mmap-backed artifact when
-    its fingerprint (encoder config + corpus content hash) matches —
-    cold construction then costs one mmap and zero corpus-wide embedding
-    calls, with query results bit-identical to a freshly embedded index.
-    On a miss the index is built (one batched ``embed_many`` pass over
-    every attribute of every schema) and republished.
+    With an ``artifacts`` store attached, the index is resolved through
+    :func:`~repro.storage.artifacts.resolve` (fingerprint: encoder
+    config + corpus content hash, plus the ANN build section when the
+    tier is active); query results are bit-identical to a freshly
+    embedded index.
     """
 
     def __init__(
@@ -68,23 +66,20 @@ class TableSearchEngine:
         self.encoder = encoder or SentenceEncoder()
         self.artifacts = artifacts
         self.index_config = index_config if index_config is not None else DEFAULT_INDEX_CONFIG
-        self._corpus_fingerprint = (
-            corpus_content_fingerprint(corpus) if artifacts is not None else None
-        )
         self._corpus_size = len(corpus)
-        if not self._load_from_artifacts():
-            extended = self._extend_from_artifacts(corpus)
-            if not extended:
-                self._build(corpus)
-            if self.artifacts is not None and self._corpus_fingerprint is not None:
-                # Publication is an optimisation: a read-only corpus
-                # directory still serves from the in-RAM index. A
-                # delta-refreshed index defers the corpus-keyed prune so
-                # sibling engines can still extend *their* superseded
-                # artifacts (the facade prunes once all are current).
-                try_publish(self.publish_artifacts, self.artifacts, prune=not extended)
+        fingerprint = corpus_content_fingerprint(corpus) if artifacts is not None else None
+        resolve(
+            artifacts,
+            SEARCH_ARTIFACT,
+            self._fingerprint(fingerprint),
+            corpus,
+            decode=self._decode,
+            build=lambda: self._build(corpus),
+            encode=TableSearchEngine._encode,
+            extend=lambda stale, boundary: self._extend(corpus, stale, boundary),
+        )
 
-    # -- construction ------------------------------------------------------
+    # -- artifact hooks ----------------------------------------------------
 
     def _fingerprint(self, corpus_fingerprint: str | None = None) -> dict:
         """The artifact guard: everything that shapes the index matrix.
@@ -96,138 +91,85 @@ class TableSearchEngine:
         fingerprint = {
             "kind": "table-search",
             "encoder": embedder_fingerprint(self.encoder),
-            "corpus": corpus_fingerprint or self._corpus_fingerprint,
+            "corpus": corpus_fingerprint,
         }
         if self.index_config.tier_active(self._corpus_size):
             fingerprint["ann"] = self.index_config.build_fingerprint()
         return fingerprint
 
-    def _load_from_artifacts(self) -> bool:
-        """Resolve the index from a valid persisted artifact, if any."""
-        if self.artifacts is None or self._corpus_fingerprint is None:
-            return False
-        resolved = load_index(self.artifacts, SEARCH_ARTIFACT, self._fingerprint())
-        if resolved is None:
-            return False
-        index, payload = resolved
-        schemas = payload.get("schemas")
-        if schemas is None or len(schemas) != len(index.labels):
-            return False
+    def _use(self, index, schemas: list[tuple[str, ...]]) -> "TableSearchEngine":
+        self._index = index
+        self._table_ids = list(index.labels)
+        self._schemas = schemas
+        return self
+
+    def _decode(self, loaded) -> "TableSearchEngine | None":
+        index = index_from_artifact(loaded)
+        schemas = loaded.payload.get("schemas")
+        if index is None or schemas is None or len(schemas) != len(index.labels):
+            return None
         if isinstance(index, PartitionedIndex):
             # nprobe is a query-time knob: the current config wins over
             # whatever value the artifact was published with.
             index.nprobe = self.index_config.nprobe
-        self._table_ids = list(index.labels)
-        self._schemas = [tuple(schema) for schema in schemas]
-        self._index = index
-        return True
+        return self._use(index, [tuple(schema) for schema in schemas])
 
-    def _extend_from_artifacts(self, corpus: GitTablesCorpus) -> bool:
-        """Delta-refresh the index from a *superseded* artifact, if possible.
+    def _extend(self, corpus: GitTablesCorpus, stale, boundary: int) -> "TableSearchEngine | None":
+        """Append the tail's schemas to a superseded artifact's unit rows.
 
-        After a corpus extension the persisted index misses on its
-        fingerprint, but its unit-vector rows are still exactly the
-        committed prefix of the grown corpus. The store recognizes the
-        artifact's corpus key as the structural fingerprint of one of
-        its own sealed epochs (``sealed_prefix_boundary`` — a manifest
-        hash comparison, no shard reads), which pins the stored rows to
-        that prefix; then only the tail schemas are streamed and
+        Only the tables past the sealed ``boundary`` are streamed and
         embedded (:func:`extend_unit_vectors` keeps the arithmetic
         bit-identical to a from-scratch embed) and the index tier is
         rebuilt over the combined rows — O(new tables), not O(corpus).
         """
-        if self.artifacts is None or self._corpus_fingerprint is None:
-            return False
-        stale = self.artifacts.load_any(SEARCH_ARTIFACT)
-        if stale is None or not isinstance(stale.fingerprint, dict):
-            return False
-        expected = self._fingerprint()
-        if stale.fingerprint.get("kind") != expected["kind"]:
-            return False
-        if stale.fingerprint.get("encoder") != expected["encoder"]:
-            return False
-        if stale.fingerprint.get("corpus") == expected["corpus"]:
-            return False  # current-state artifact: the load path owns it
-        find_boundary = getattr(corpus.store, "sealed_prefix_boundary", None)
-        if find_boundary is None:
-            return False
-        boundary = find_boundary(stale.fingerprint.get("corpus"))
-        if boundary is None:
-            return False  # not a sealed prefix of this store
         old_labels = stale.payload.get(INDEX_LABELS_KEY)
         old_schemas = stale.payload.get("schemas")
         units = stale.arrays.get(INDEX_VECTORS_KEY)
         if old_labels is None or old_schemas is None or units is None:
-            return False
+            return None
         if not (len(old_labels) == len(old_schemas) == len(units)):
-            return False
-        tail_ids: list[str] = []
-        tail: list[tuple[str, ...]] = []
-        for table_id, schema in corpus.iter_schemas(start=boundary):
-            if not schema:
-                continue
-            tail_ids.append(table_id)
-            tail.append(tuple(schema))
-        self._table_ids = list(old_labels) + tail_ids
-        self._schemas = [tuple(schema) for schema in old_schemas] + tail
+            return None
+        tail_ids, tail = self._schemas_of(corpus, start=boundary)
         rows = units
         if tail:
             rows = extend_unit_vectors(units, self.encoder.embed_schemas(tail))
-        self._index = index_from_unit_rows(
-            self._table_ids,
-            rows,
-            self.index_config,
-            n_rows=self._corpus_size,
+        index = index_from_unit_rows(
+            list(old_labels) + tail_ids, rows, self.index_config, n_rows=self._corpus_size
         )
-        return True
+        return self._use(index, [tuple(schema) for schema in old_schemas] + tail)
 
-    def _build(self, corpus: GitTablesCorpus) -> None:
+    def _build(self, corpus: GitTablesCorpus) -> "TableSearchEngine":
         """Embed every schema with one batched pass and build the index."""
-        self._table_ids: list[str] = []
-        self._schemas: list[tuple[str, ...]] = []
-        # Stream schemas so disk-backed corpora never materialize their
-        # full table list; only the (small) schema metadata is retained.
-        for table_id, schema in corpus.iter_schemas():
-            if not schema:
-                continue
-            self._table_ids.append(table_id)
-            self._schemas.append(schema)
+        table_ids, schemas = self._schemas_of(corpus)
         # One batched pass over the whole corpus; each row is
         # bit-identical to embed_schema of that schema alone. The gate
         # between the flat and partitioned tiers uses the *corpus* size —
         # the same count the artifact fingerprint encodes.
-        matrix = self.encoder.embed_schemas(self._schemas)
-        self._index = build_index(
-            self._table_ids, matrix, self.index_config, n_rows=self._corpus_size
-        )
+        matrix = self.encoder.embed_schemas(schemas)
+        index = build_index(table_ids, matrix, self.index_config, n_rows=self._corpus_size)
+        return self._use(index, schemas)
 
-    def publish_artifacts(
-        self,
-        artifacts: IndexArtifactStore,
-        corpus_fingerprint: str | None = None,
-        prune: bool = True,
-    ) -> bool:
-        """Persist the index for future mmap-backed cold starts.
+    @staticmethod
+    def _schemas_of(
+        corpus: GitTablesCorpus, start: int = 0
+    ) -> tuple[list[str], list[tuple[str, ...]]]:
+        """Ids and schemas of the non-empty tables from ``start`` on.
 
-        ``corpus_fingerprint`` overrides the one captured at
-        construction (used when the corpus was just saved elsewhere).
-        ``prune=False`` defers the corpus-keyed artifact sweep (the
-        delta-refresh ordering guarantee). Returns False when no
-        fingerprint is available (in-memory corpus with no durable
-        identity).
+        Streamed, so disk-backed corpora never materialize their table
+        list; only the (small) schema metadata is retained.
         """
-        fingerprint = corpus_fingerprint or self._corpus_fingerprint
-        if fingerprint is None:
-            return False
-        publish_index(
-            artifacts,
-            SEARCH_ARTIFACT,
-            self._fingerprint(fingerprint),
-            self._index,
-            payload={"schemas": [list(schema) for schema in self._schemas]},
-            prune=prune,
+        table_ids: list[str] = []
+        schemas: list[tuple[str, ...]] = []
+        for table_id, schema in corpus.iter_schemas(start=start):
+            if schema:
+                table_ids.append(table_id)
+                schemas.append(tuple(schema))
+        return table_ids, schemas
+
+    def _encode(self) -> dict:
+        return encode_index(
+            self._index, payload={"schemas": [list(schema) for schema in self._schemas]}
         )
-        return True
 
     def __len__(self) -> int:
         return len(self._table_ids)

@@ -28,7 +28,7 @@ from ..core.annotation import AnnotationMethod
 from ..core.corpus import GitTablesCorpus
 from ..dataframe.table import Column
 from ..github.values import ValuePools
-from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, try_publish
+from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
 
 __all__ = [
     "BenchmarkColumn",
@@ -66,12 +66,12 @@ class KGMatchingBenchmark:
     #: republishing a benchmark whose corpus has since grown.
     corpus_size: int = 0
 
-    @staticmethod
-    def _artifact_name(min_columns: int, min_rows: int, max_tables: int | None) -> str:
-        suffix = "" if max_tables is None else f"-t{max_tables}"
-        return f"kg-benchmark-c{min_columns}-r{min_rows}{suffix}"
+    @property
+    def artifact_name(self) -> str:
+        suffix = "" if self.max_tables is None else f"-t{self.max_tables}"
+        return f"kg-benchmark-c{self.min_columns}-r{self.min_rows}{suffix}"
 
-    def _fingerprint(self, corpus_fingerprint: str) -> dict:
+    def _fingerprint(self, corpus_fingerprint: str | None) -> dict:
         return {
             "kind": "kg-benchmark",
             "min_columns": int(self.min_columns),
@@ -80,28 +80,64 @@ class KGMatchingBenchmark:
             "corpus": corpus_fingerprint,
         }
 
-    def publish_artifacts(
-        self, artifacts: IndexArtifactStore, corpus_fingerprint: str
-    ) -> bool:
-        """Persist the curated columns so reloads skip the corpus pass."""
-        artifacts.publish(
-            self._artifact_name(self.min_columns, self.min_rows, self.max_tables),
-            self._fingerprint(corpus_fingerprint),
-            payload={
-                "n_tables": self.n_tables,
-                "columns": [
-                    {
-                        "table_id": column.table_id,
-                        "column_name": column.column_name,
-                        "values": list(column.values),
-                        "ontology": column.ontology,
-                        "gold_type": column.gold_type,
-                    }
-                    for column in self.columns
-                ],
-            },
-        )
-        return True
+    def _encode(self) -> dict:
+        columns = [
+            {
+                "table_id": column.table_id,
+                "column_name": column.column_name,
+                "values": list(column.values),
+                "ontology": column.ontology,
+                "gold_type": column.gold_type,
+            }
+            for column in self.columns
+        ]
+        return {"arrays": None, "payload": {"n_tables": self.n_tables, "columns": columns}}
+
+    def _decode(self, loaded) -> "KGMatchingBenchmark | None":
+        if "columns" not in loaded.payload:
+            return None
+        self.n_tables = int(loaded.payload.get("n_tables", 0))
+        self.columns = [
+            BenchmarkColumn(
+                table_id=entry["table_id"],
+                column_name=entry["column_name"],
+                values=tuple(entry["values"]),
+                ontology=entry["ontology"],
+                gold_type=entry["gold_type"],
+            )
+            for entry in loaded.payload["columns"]
+        ]
+        return self
+
+    def _curate(self, corpus: GitTablesCorpus) -> "KGMatchingBenchmark":
+        for annotated in corpus:
+            table = annotated.table
+            if table.num_columns < self.min_columns or table.num_rows < self.min_rows:
+                continue
+            added = False
+            for ontology in ("dbpedia", "schema_org"):
+                for annotation in annotated.annotations.for_method(
+                    AnnotationMethod.SYNTACTIC, ontology
+                ):
+                    try:
+                        column = table.column(annotation.column)
+                    except KeyError:
+                        continue
+                    self.columns.append(
+                        BenchmarkColumn(
+                            table_id=annotated.table_id,
+                            column_name=annotation.column,
+                            values=column.values,
+                            ontology=ontology,
+                            gold_type=annotation.type_label,
+                        )
+                    )
+                    added = True
+            if added:
+                self.n_tables += 1
+                if self.max_tables is not None and self.n_tables >= self.max_tables:
+                    break
+        return self
 
     @classmethod
     def from_corpus(
@@ -118,64 +154,28 @@ class KGMatchingBenchmark:
         reliable gold labels available, as in the paper. The corpus is
         consumed in one streaming pass (disk-backed stores are never
         materialized); only the curated benchmark columns are retained.
-
-        With ``artifacts`` attached and a disk-backed corpus, the
-        curated columns are resolved from a fingerprint-guarded artifact
-        (and published after a fresh pass), so reloads skip the corpus
-        scan entirely.
+        With ``artifacts`` attached the curated columns are resolved
+        through :func:`~repro.storage.artifacts.resolve`, so reloads skip
+        the corpus scan entirely.
         """
-        benchmark = cls(min_columns=min_columns, min_rows=min_rows, max_tables=max_tables)
-        benchmark.corpus_size = len(corpus)
-        corpus_fingerprint = None
-        if artifacts is not None:
-            corpus_fingerprint = corpus_content_fingerprint(corpus)
-        if corpus_fingerprint is not None:
-            loaded = artifacts.load(
-                cls._artifact_name(min_columns, min_rows, max_tables),
-                benchmark._fingerprint(corpus_fingerprint),
-            )
-            if loaded is not None and "columns" in loaded.payload:
-                benchmark.n_tables = int(loaded.payload.get("n_tables", 0))
-                benchmark.columns = [
-                    BenchmarkColumn(
-                        table_id=entry["table_id"],
-                        column_name=entry["column_name"],
-                        values=tuple(entry["values"]),
-                        ontology=entry["ontology"],
-                        gold_type=entry["gold_type"],
-                    )
-                    for entry in loaded.payload["columns"]
-                ]
-                return benchmark
-        for annotated in corpus:
-            table = annotated.table
-            if table.num_columns < min_columns or table.num_rows < min_rows:
-                continue
-            added = False
-            for ontology in ("dbpedia", "schema_org"):
-                for annotation in annotated.annotations.for_method(
-                    AnnotationMethod.SYNTACTIC, ontology
-                ):
-                    try:
-                        column = table.column(annotation.column)
-                    except KeyError:
-                        continue
-                    benchmark.columns.append(
-                        BenchmarkColumn(
-                            table_id=annotated.table_id,
-                            column_name=annotation.column,
-                            values=column.values,
-                            ontology=ontology,
-                            gold_type=annotation.type_label,
-                        )
-                    )
-                    added = True
-            if added:
-                benchmark.n_tables += 1
-                if max_tables is not None and benchmark.n_tables >= max_tables:
-                    break
-        if corpus_fingerprint is not None:
-            try_publish(benchmark.publish_artifacts, artifacts, corpus_fingerprint)
+        benchmark = cls(
+            min_columns=min_columns,
+            min_rows=min_rows,
+            max_tables=max_tables,
+            corpus_size=len(corpus),
+        )
+        corpus_fingerprint = (
+            corpus_content_fingerprint(corpus) if artifacts is not None else None
+        )
+        resolve(
+            artifacts,
+            benchmark.artifact_name,
+            benchmark._fingerprint(corpus_fingerprint),
+            corpus,
+            decode=benchmark._decode,
+            build=lambda: benchmark._curate(corpus),
+            encode=KGMatchingBenchmark._encode,
+        )
         return benchmark
 
     def columns_for(self, ontology: str) -> list[BenchmarkColumn]:

@@ -21,7 +21,7 @@ from ..embeddings.ann import PartitionedIndex
 from ..embeddings.persist import embedder_fingerprint
 from ..embeddings.sentence import SentenceEncoder
 from ..embeddings.similarity import cosine_similarity
-from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, try_publish
+from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
 
 __all__ = ["SchemaCompletion", "NearestCompletion", "CompletionEvaluation", "COMPLETION_ARTIFACT"]
 
@@ -59,13 +59,11 @@ class CompletionEvaluation:
 class NearestCompletion:
     """Algorithm 1: k-nearest schema completions by prefix embedding distance.
 
-    With an ``artifacts`` store attached (and a disk-backed corpus), the
-    per-attribute embedding matrix is resolved from a persisted
-    mmap-backed artifact when its fingerprint (encoder config +
-    ``min_schema_length`` + corpus content hash) matches, so
-    construction costs one mmap and zero corpus-wide embedding calls;
-    completions are bit-identical to a freshly embedded index. On a miss
-    the matrix is built and republished.
+    With an ``artifacts`` store attached, the per-attribute embedding
+    matrix is resolved through :func:`~repro.storage.artifacts.resolve`
+    (fingerprint: encoder config + ``min_schema_length`` + corpus
+    content hash); completions are bit-identical to a freshly embedded
+    index.
     """
 
     def __init__(
@@ -82,128 +80,98 @@ class NearestCompletion:
         self.index_config = index_config if index_config is not None else DEFAULT_INDEX_CONFIG
         self._coarse: PartitionedIndex | None = None
         self._coarse_built = False
-        self._corpus_fingerprint = (
-            corpus_content_fingerprint(corpus) if artifacts is not None else None
-        )
         self._corpus_size = len(corpus)
-        if not self._load_from_artifacts():
-            extended = self._extend_from_artifacts(corpus)
-            if not extended:
-                self._build(corpus)
-            if self.artifacts is not None and self._corpus_fingerprint is not None:
-                # Publication is an optimisation: a read-only corpus
-                # directory still serves from the in-RAM matrix. A
-                # delta-refreshed matrix defers the corpus-keyed prune so
-                # sibling engines can still extend *their* superseded
-                # artifacts (the facade prunes once all are current).
-                try_publish(self.publish_artifacts, self.artifacts, prune=not extended)
+        fingerprint = corpus_content_fingerprint(corpus) if artifacts is not None else None
+        resolve(
+            artifacts,
+            COMPLETION_ARTIFACT,
+            self._fingerprint(fingerprint),
+            corpus,
+            decode=self._decode,
+            build=lambda: self._build(corpus),
+            encode=NearestCompletion._encode,
+            extend=lambda stale, boundary: self._extend(corpus, stale, boundary),
+        )
 
-    # -- construction ------------------------------------------------------
+    # -- artifact hooks ----------------------------------------------------
 
     def _fingerprint(self, corpus_fingerprint: str | None = None) -> dict:
         return {
             "kind": "schema-completion",
             "encoder": embedder_fingerprint(self.encoder),
             "min_schema_length": int(self.min_schema_length),
-            "corpus": corpus_fingerprint or self._corpus_fingerprint,
+            "corpus": corpus_fingerprint,
         }
 
-    def _load_from_artifacts(self) -> bool:
-        """Resolve the flat attribute matrix from a valid artifact."""
-        if self.artifacts is None or self._corpus_fingerprint is None:
-            return False
-        loaded = self.artifacts.load(COMPLETION_ARTIFACT, self._fingerprint())
-        if loaded is None:
-            return False
+    @staticmethod
+    def _stored_schemas(loaded) -> list[tuple[str, tuple[str, ...]]] | None:
+        """An artifact's (table id, schema) rows, if they cover its matrix."""
         table_ids = loaded.payload.get("table_ids")
         schemas = loaded.payload.get("schemas")
         matrix = loaded.arrays.get("attributes")
         if table_ids is None or schemas is None or matrix is None:
-            return False
+            return None
         if len(table_ids) != len(schemas) or matrix.shape[0] != sum(map(len, schemas)):
-            return False
-        self._schemas = [
-            (table_id, tuple(schema)) for table_id, schema in zip(table_ids, schemas)
-        ]
+            return None
+        return [(table_id, tuple(schema)) for table_id, schema in zip(table_ids, schemas)]
+
+    def _use(self, schemas: list[tuple[str, tuple[str, ...]]], matrix) -> "NearestCompletion":
+        self._schemas = schemas
         self._flat_matrix = matrix
         self._slice_attribute_embeddings()
-        return True
+        return self
 
-    def _extend_from_artifacts(self, corpus: GitTablesCorpus) -> bool:
-        """Delta-refresh the matrix from a *superseded* artifact, if possible.
+    def _decode(self, loaded) -> "NearestCompletion | None":
+        schemas = self._stored_schemas(loaded)
+        if schemas is None:
+            return None
+        return self._use(schemas, loaded.arrays["attributes"])
 
-        After a corpus extension the persisted attribute matrix misses on
-        its fingerprint, but its rows still cover exactly the qualifying
-        schemas of the committed prefix. The store recognizes the
-        artifact's corpus key as the structural fingerprint of one of
-        its own sealed epochs (``sealed_prefix_boundary`` — a manifest
-        hash comparison, no shard reads), which pins the stored rows to
-        that prefix; then only the tail attributes are streamed and
-        embedded. The raw ``embed_many`` matrices concatenate
-        bit-identically to a from-scratch embed because each row depends
-        only on its own attribute string — O(new tables), not O(corpus).
+    def _extend(self, corpus: GitTablesCorpus, stale, boundary: int) -> "NearestCompletion | None":
+        """Append the tail's attribute rows to a superseded artifact's matrix.
+
+        Only the qualifying schemas past the sealed ``boundary`` are
+        streamed and embedded; the raw ``embed_many`` matrices
+        concatenate bit-identically to a from-scratch embed because each
+        row depends only on its own attribute string — O(new tables),
+        not O(corpus).
         """
-        if self.artifacts is None or self._corpus_fingerprint is None:
-            return False
-        stale = self.artifacts.load_any(COMPLETION_ARTIFACT)
-        if stale is None or not isinstance(stale.fingerprint, dict):
-            return False
-        expected = self._fingerprint()
-        if stale.fingerprint.get("kind") != expected["kind"]:
-            return False
-        if stale.fingerprint.get("encoder") != expected["encoder"]:
-            return False
-        if stale.fingerprint.get("min_schema_length") != expected["min_schema_length"]:
-            return False
-        if stale.fingerprint.get("corpus") == expected["corpus"]:
-            return False  # current-state artifact: the load path owns it
-        find_boundary = getattr(corpus.store, "sealed_prefix_boundary", None)
-        if find_boundary is None:
-            return False
-        boundary = find_boundary(stale.fingerprint.get("corpus"))
-        if boundary is None:
-            return False  # not a sealed prefix of this store
-        old_table_ids = stale.payload.get("table_ids")
-        old_schemas = stale.payload.get("schemas")
-        matrix = stale.arrays.get("attributes")
-        if old_table_ids is None or old_schemas is None or matrix is None:
-            return False
-        if len(old_table_ids) != len(old_schemas):
-            return False
-        if matrix.shape[0] != sum(map(len, old_schemas)):
-            return False
-        tail: list[tuple[str, tuple[str, ...]]] = []
-        for table_id, schema in corpus.iter_schemas(start=boundary):
-            if len(schema) < self.min_schema_length:
-                continue
-            tail.append((table_id, tuple(schema)))
-        self._schemas = [
-            (table_id, tuple(schema))
-            for table_id, schema in zip(old_table_ids, old_schemas)
-        ] + tail
-        self._flat_matrix = np.asarray(matrix)
+        schemas = self._stored_schemas(stale)
+        if schemas is None:
+            return None
+        tail = self._qualifying(corpus, start=boundary)
+        matrix = np.asarray(stale.arrays["attributes"])
         if tail:
             tail_attributes = [attr for _, schema in tail for attr in schema]
-            self._flat_matrix = np.concatenate(
-                [self._flat_matrix, self.encoder.embed_many(tail_attributes)]
-            )
-        self._slice_attribute_embeddings()
-        return True
+            matrix = np.concatenate([matrix, self.encoder.embed_many(tail_attributes)])
+        return self._use(schemas + tail, matrix)
 
-    def _build(self, corpus: GitTablesCorpus) -> None:
-        # Stream schemas (disk-backed corpora stay on disk); only the
-        # qualifying schema tuples are kept.
-        self._schemas: list[tuple[str, tuple[str, ...]]] = [
-            (table_id, schema)
-            for table_id, schema in corpus.iter_schemas()
-            if len(schema) >= self.min_schema_length
-        ]
+    def _build(self, corpus: GitTablesCorpus) -> "NearestCompletion":
         # Pre-embed every attribute of every schema in one batched pass
         # (the encoder deduplicates repeated attribute names across the
         # whole corpus), then split the matrix back per schema.
-        flat_attributes = [attr for _, schema in self._schemas for attr in schema]
-        self._flat_matrix = self.encoder.embed_many(flat_attributes)
-        self._slice_attribute_embeddings()
+        schemas = self._qualifying(corpus)
+        flat_attributes = [attr for _, schema in schemas for attr in schema]
+        return self._use(schemas, self.encoder.embed_many(flat_attributes))
+
+    def _qualifying(
+        self, corpus: GitTablesCorpus, start: int = 0
+    ) -> list[tuple[str, tuple[str, ...]]]:
+        """Streamed (table id, schema) pairs long enough to complete from."""
+        return [
+            (table_id, tuple(schema))
+            for table_id, schema in corpus.iter_schemas(start=start)
+            if len(schema) >= self.min_schema_length
+        ]
+
+    def _encode(self) -> dict:
+        return {
+            "arrays": {"attributes": self._flat_matrix},
+            "payload": {
+                "table_ids": [table_id for table_id, _ in self._schemas],
+                "schemas": [list(schema) for _, schema in self._schemas],
+            },
+        }
 
     def _slice_attribute_embeddings(self) -> None:
         """Per-schema views into the flat (mmap'd or in-RAM) matrix.
@@ -218,32 +186,6 @@ class NearestCompletion:
         for _, schema in self._schemas:
             self._attribute_embeddings.append(flat[offset : offset + len(schema)])
             offset += len(schema)
-
-    def publish_artifacts(
-        self,
-        artifacts: IndexArtifactStore,
-        corpus_fingerprint: str | None = None,
-        prune: bool = True,
-    ) -> bool:
-        """Persist the attribute matrix for mmap-backed cold starts.
-
-        ``prune=False`` defers the corpus-keyed artifact sweep (the
-        delta-refresh ordering guarantee).
-        """
-        fingerprint = corpus_fingerprint or self._corpus_fingerprint
-        if fingerprint is None:
-            return False
-        artifacts.publish(
-            COMPLETION_ARTIFACT,
-            self._fingerprint(fingerprint),
-            arrays={"attributes": self._flat_matrix},
-            payload={
-                "table_ids": [table_id for table_id, _ in self._schemas],
-                "schemas": [list(schema) for _, schema in self._schemas],
-            },
-            prune=prune,
-        )
-        return True
 
     def __len__(self) -> int:
         return len(self._schemas)

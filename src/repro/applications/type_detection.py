@@ -23,7 +23,7 @@ from ..ml.crossval import StratifiedKFold
 from ..ml.features import ColumnFeaturizer
 from ..ml.metrics import f1_score_macro
 from ..ml.neural import MLPClassifier
-from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, try_publish
+from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
 
 __all__ = ["TypeDetectionResult", "TypeDetectionExperiment", "DEFAULT_TARGET_TYPES"]
 
@@ -71,6 +71,23 @@ class _LabelledColumns:
         self.n_samples = len(self.labels)
 
 
+def _encode_features(data: _LabelledColumns) -> dict:
+    return {
+        "arrays": {"features": data.features},
+        "payload": {"labels": data.labels.tolist(), "corpus_name": data.corpus_name},
+    }
+
+
+def _decode_features(loaded, corpus_name: str) -> _LabelledColumns | None:
+    if "features" not in loaded.arrays:
+        return None
+    return _LabelledColumns(
+        corpus_name=loaded.payload.get("corpus_name", corpus_name),
+        labels=np.array(loaded.payload.get("labels", [])),
+        features=loaded.arrays["features"],
+    )
+
+
 class TypeDetectionExperiment:
     """Runs the Table 7 experiment for arbitrary corpora."""
 
@@ -105,7 +122,7 @@ class TypeDetectionExperiment:
                     return annotation.type_label
         return None
 
-    def _sampling_fingerprint(self, corpus_fingerprint: str, corpus_name: str) -> dict:
+    def _sampling_fingerprint(self, corpus_fingerprint: str | None, corpus_name: str) -> dict:
         """Everything that shapes the sampled feature matrix."""
         return {
             "kind": "type-features",
@@ -123,28 +140,29 @@ class TypeDetectionExperiment:
 
         One streaming pass over the corpus: works unchanged over lazy
         disk-backed stores, holding only the sampled column values. With
-        an artifact store attached and a disk-backed corpus, the sampled
-        feature matrix is mmap'd back from a fingerprint-guarded
-        artifact (and published after a fresh extraction), so repeated
-        experiments over the same store skip the corpus pass entirely.
+        an artifact store attached the sampled feature matrix is
+        resolved through :func:`~repro.storage.artifacts.resolve`, so
+        repeated experiments over the same store skip the corpus pass.
+        The artifact is keyed per corpus, so the train and eval corpora
+        of a transfer experiment coexist in one store: publishing one
+        never prunes the other (or the store's own indexes).
         """
-        artifact_name = None
-        fingerprint = None
-        if self.artifacts is not None:
-            corpus_fingerprint = corpus_content_fingerprint(corpus)
-            if corpus_fingerprint is not None:
-                # Keyed per corpus so train/eval corpora of a transfer
-                # experiment can coexist in one store.
-                artifact_name = f"type-features-{corpus_fingerprint[:12]}"
-                fingerprint = self._sampling_fingerprint(corpus_fingerprint, corpus.name)
-                loaded = self.artifacts.load(artifact_name, fingerprint)
-                if loaded is not None and "features" in loaded.arrays:
-                    return _LabelledColumns(
-                        corpus_name=loaded.payload.get("corpus_name", corpus.name),
-                        labels=np.array(loaded.payload.get("labels", [])),
-                        features=loaded.arrays["features"],
-                    )
+        corpus_fingerprint = (
+            corpus_content_fingerprint(corpus) if self.artifacts is not None else None
+        )
+        data, _ = resolve(
+            self.artifacts,
+            f"type-features-{(corpus_fingerprint or '')[:12]}",
+            self._sampling_fingerprint(corpus_fingerprint, corpus.name),
+            corpus,
+            decode=lambda loaded: _decode_features(loaded, corpus.name),
+            build=lambda: self._sample(corpus),
+            encode=_encode_features,
+            prune=False,
+        )
+        return data
 
+    def _sample(self, corpus: GitTablesCorpus) -> _LabelledColumns:
         per_type: dict[str, list[tuple]] = {label: [] for label in self.target_types}
         seen: set[tuple] = set()
         for annotated in corpus:
@@ -171,17 +189,10 @@ class TypeDetectionExperiment:
             values_list.extend(pool)
             labels.extend([label] * len(pool))
 
-        features = self.featurizer.featurize_many(values_list)
-        if artifact_name is not None:
-            try_publish(
-                self.artifacts.publish,
-                artifact_name,
-                fingerprint,
-                arrays={"features": features},
-                payload={"labels": labels, "corpus_name": corpus.name},
-            )
         return _LabelledColumns(
-            corpus_name=corpus.name, labels=np.array(labels), features=features
+            corpus_name=corpus.name,
+            labels=np.array(labels),
+            features=self.featurizer.featurize_many(values_list),
         )
 
     # -- experiments ----------------------------------------------------------

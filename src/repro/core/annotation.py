@@ -35,12 +35,12 @@ from ..config import DEFAULT_INDEX_CONFIG, AnnotationConfig, IndexConfig
 from ..dataframe.table import Table
 from ..embeddings.ann import PartitionedIndex, build_index
 from ..embeddings.fasttext import FastTextModel
-from ..embeddings.persist import embedder_fingerprint, load_index, publish_index
+from ..embeddings.persist import embedder_fingerprint, encode_index, index_from_artifact
 from ..embeddings.similarity import NearestNeighbourIndex
 from ..errors import AnnotationError
 from ..ontology.registry import load_ontologies
 from ..ontology.types import Ontology, normalize_label
-from ..storage.artifacts import IndexArtifactStore, fingerprint_digest, try_publish
+from ..storage.artifacts import IndexArtifactStore, fingerprint_digest, resolve
 
 __all__ = [
     "AnnotationMethod",
@@ -304,7 +304,7 @@ class SemanticAnnotator(_ColumnNameAnnotator):
         self.similarity_threshold = similarity_threshold
         self.skip_numeric_column_names = skip_numeric_column_names
         self.index_config = index_config if index_config is not None else DEFAULT_INDEX_CONFIG
-        self._index = self._build_index(artifacts)
+        self._index = self._resolve_index(artifacts)
 
     def _index_fingerprint(self, labels: list[str]) -> dict:
         fingerprint = {
@@ -322,21 +322,33 @@ class SemanticAnnotator(_ColumnNameAnnotator):
             fingerprint["ann"] = self.index_config.build_fingerprint()
         return fingerprint
 
-    def _build_index(self, artifacts: IndexArtifactStore | None = None) -> NearestNeighbourIndex:
+    def _resolve_index(
+        self, artifacts: IndexArtifactStore | None = None, build=None
+    ) -> NearestNeighbourIndex:
+        """Resolve this ontology's label index through ``artifacts``.
+
+        ``build`` overrides how a miss is filled (default: the memoised
+        embedding, :meth:`_embedded_index`).
+        """
         labels = self.ontology.labels()
-        artifact_name = f"ontology-{self.ontology.name}"
         fingerprint = self._index_fingerprint(labels)
-        if artifacts is not None:
-            resolved = load_index(artifacts, artifact_name, fingerprint)
-            if resolved is not None:
-                index, _ = resolved
-                if index.labels == list(labels):
-                    if isinstance(index, PartitionedIndex):
-                        index.nprobe = self.index_config.nprobe
-                    return index
-        index = self._embedded_index(labels, fingerprint)
-        if artifacts is not None:
-            try_publish(publish_index, artifacts, artifact_name, fingerprint, index)
+        index, _ = resolve(
+            artifacts,
+            f"ontology-{self.ontology.name}",
+            fingerprint,
+            None,
+            decode=lambda loaded: self._decode_index(loaded, labels),
+            build=build or (lambda: self._embedded_index(labels, fingerprint)),
+            encode=encode_index,
+        )
+        return index
+
+    def _decode_index(self, loaded, labels: list[str]) -> NearestNeighbourIndex | None:
+        index = index_from_artifact(loaded)
+        if index is None or index.labels != list(labels):
+            return None
+        if isinstance(index, PartitionedIndex):
+            index.nprobe = self.index_config.nprobe
         return index
 
     def _embedded_index(self, labels: list[str], fingerprint: dict) -> NearestNeighbourIndex:
@@ -357,22 +369,6 @@ class SemanticAnnotator(_ColumnNameAnnotator):
     def index_stats(self) -> dict:
         """The ontology index's instrumentation snapshot."""
         return self._index.stats()
-
-    def publish_artifact(self, artifacts: IndexArtifactStore) -> bool:
-        """Persist this annotator's ontology label index (no-op if current).
-
-        Used by store-targeted builds to publish the coordinator's
-        already-built index before worker processes spawn, so every
-        worker resolves it with one mmap. Returns whether a valid
-        artifact exists afterwards (publishing is best-effort: a
-        read-only directory degrades to per-process builds).
-        """
-        labels = self.ontology.labels()
-        fingerprint = self._index_fingerprint(labels)
-        artifact_name = f"ontology-{self.ontology.name}"
-        if load_index(artifacts, artifact_name, fingerprint) is not None:
-            return True
-        return try_publish(publish_index, artifacts, artifact_name, fingerprint, self._index)
 
     def resolve_normalized(
         self, names: Sequence[str]
@@ -435,12 +431,15 @@ class AnnotationPipeline:
             for name, ontology in self._ontologies.items()
         }
 
-    def publish_artifacts(self, artifacts: IndexArtifactStore | None) -> None:
-        """Persist every semantic annotator's ontology index (best-effort)."""
-        if artifacts is None:
-            return
+    def publish_artifacts(self, artifacts: IndexArtifactStore) -> None:
+        """Persist every semantic annotator's ontology index (no-op if current).
+
+        Store-targeted builds call this before worker processes spawn, so
+        every worker resolves the indexes with one mmap (publishing is
+        best-effort: a read-only directory degrades to per-process builds).
+        """
         for annotator in self.semantic.values():
-            annotator.publish_artifact(artifacts)
+            annotator._resolve_index(artifacts, build=lambda: annotator._index)
 
     def annotate(self, table: Table) -> TableAnnotations:
         """Annotate ``table`` with both methods against every ontology."""

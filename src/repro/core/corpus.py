@@ -13,9 +13,8 @@ the derived views are backend-aware and streaming, so code written as
 
 Persistence: :meth:`GitTablesCorpus.save` writes the sharded JSONL
 layout (atomically — the target directory appears only once fully
-written) and :meth:`GitTablesCorpus.load` auto-detects the format,
-returning a *lazy* disk-backed corpus for sharded directories and an
-in-memory corpus for the legacy one-JSON-file-per-table layout.
+written) and :meth:`GitTablesCorpus.load` returns a *lazy* disk-backed
+corpus over it.
 
 Sub-corpus name provenance: derived corpora record how they were carved
 out of their parent in the corpus name — ``topic_subset("cars")`` of a
@@ -25,7 +24,6 @@ corpus named ``gittables`` is named ``gittables/topic=cars``, and
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from dataclasses import dataclass
@@ -301,9 +299,8 @@ class GitTablesCorpus:
         self,
         directory: str | os.PathLike[str],
         shard_size: int = DEFAULT_SHARD_SIZE,
-        format: str = "sharded",
     ) -> None:
-        """Persist the corpus to ``directory`` atomically.
+        """Persist the corpus to ``directory`` atomically (sharded JSONL).
 
         The corpus is first written to a temporary sibling directory and
         only renamed into place once complete, so a half-written corpus
@@ -314,18 +311,12 @@ class GitTablesCorpus:
         leaves the old corpus intact under the sibling recovery name
         ``.<name>.replaced-<pid>`` rather than corrupting anything.
 
-        ``format="sharded"`` (default) writes the sharded JSONL layout of
-        :mod:`repro.storage.sharded`; ``format="legacy"`` writes the
-        original one-JSON-file-per-table layout.
-
         The target directory is replaced *wholesale*: anything else
         living in it is discarded with the old corpus. One exception —
         when the corpus being saved is backed by this very directory,
         its ``build.json`` provenance (which keeps the store reusable by
         ``build(store_dir=...)``) is carried over.
         """
-        if format not in ("sharded", "legacy"):
-            raise ValueError(f"unknown corpus format {format!r}")
         directory = Path(directory)
         directory.parent.mkdir(parents=True, exist_ok=True)
         self._clean_stale_save_dirs(directory)
@@ -333,19 +324,16 @@ class GitTablesCorpus:
         if staging.exists():
             shutil.rmtree(staging)
         try:
-            if format == "sharded":
-                writer = ShardedCorpusWriter(staging, shard_size=shard_size, name=self.name)
-                # Commit shard-sized chunks so saving a lazy disk-backed
-                # corpus never materializes it (commit boundaries do not
-                # change the output bytes; finalize compacts the
-                # manifest delta log away).
-                for annotated in self._store:
-                    writer.add(annotated)
-                    if writer.pending_count >= shard_size:
-                        writer.commit()
-                writer.finalize()
-            else:
-                self._save_legacy(staging)
+            writer = ShardedCorpusWriter(staging, shard_size=shard_size, name=self.name)
+            # Commit shard-sized chunks so saving a lazy disk-backed
+            # corpus never materializes it (commit boundaries do not
+            # change the output bytes; finalize compacts the manifest
+            # delta log away).
+            for annotated in self._store:
+                writer.add(annotated)
+                if writer.pending_count >= shard_size:
+                    writer.commit()
+            writer.finalize()
             # Re-saving a store's own corpus onto its directory keeps the
             # build provenance valid — carry it (and the derived index
             # artifacts, still valid since the content is unchanged)
@@ -416,39 +404,18 @@ class GitTablesCorpus:
             if cls._is_dead_sibling(path):
                 shutil.rmtree(path, ignore_errors=True)
 
-    def _save_legacy(self, directory: Path) -> None:
-        """The original layout: one JSON file per table plus an index."""
-        os.makedirs(directory, exist_ok=True)
-        index = []
-        for position, annotated in enumerate(self._store):
-            filename = f"table_{position:06d}.json"
-            with open(directory / filename, "w", encoding="utf-8") as handle:
-                json.dump(annotated.to_dict(), handle)
-            index.append({"file": filename, "table_id": annotated.table_id, "topic": annotated.topic})
-        with open(directory / "index.json", "w", encoding="utf-8") as handle:
-            json.dump({"name": self.name, "tables": index}, handle)
-
     @classmethod
     def load(
         cls, directory: str | os.PathLike[str], cache_shards: int = 2
     ) -> "GitTablesCorpus":
         """Load a corpus previously written by :meth:`save`.
 
-        Sharded directories come back *lazily*: only the manifest is read
-        here, and shards are loaded on demand (``cache_shards`` bounds
-        how many shards stay resident; their tables are decoded on first
-        access). Legacy directories are loaded eagerly into memory, as
-        before.
+        The corpus comes back *lazily*: only the manifest is read here,
+        and shards are loaded on demand (``cache_shards`` bounds how
+        many shards stay resident; their tables are decoded on first
+        access). A directory that is not a sharded store raises
+        :class:`~repro.errors.CorpusError`.
         """
-        if is_sharded_dir(directory):
-            return cls(store=ShardedJsonlStore(directory, cache_shards=cache_shards))
-        index_path = os.path.join(directory, "index.json")
-        if not os.path.exists(index_path):
-            raise CorpusError(f"no corpus index found at {index_path}")
-        with open(index_path, "r", encoding="utf-8") as handle:
-            index = json.load(handle)
-        corpus = cls(name=index.get("name", "gittables"))
-        for entry in index.get("tables", []):
-            with open(os.path.join(directory, entry["file"]), "r", encoding="utf-8") as handle:
-                corpus.add(AnnotatedTable.from_dict(json.load(handle)))
-        return corpus
+        if not is_sharded_dir(directory):
+            raise CorpusError(f"no sharded corpus store found at {directory}")
+        return cls(store=ShardedJsonlStore(directory, cache_shards=cache_shards))

@@ -30,27 +30,14 @@ change on small corpora); larger ones get the partitioned tier.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
-from pathlib import Path
 
 import numpy as np
 
 from ..config import DEFAULT_INDEX_CONFIG, IndexConfig
-from ..storage._io import atomic_replace, atomic_write_json
 from .similarity import NearestNeighbourIndex, top_k_ids_scores
 
 __all__ = ["PartitionedIndex", "build_index"]
-
-#: On-disk layout of a persisted partitioned index (see save/mmap).
-_ANN_META_FILENAME = "index.json"
-_ANN_VECTORS_FILENAME = "unit_vectors.npy"
-_ANN_CENTROIDS_FILENAME = "centroids.npy"
-_ANN_ROW_IDS_FILENAME = "partition_row_ids.npy"
-_ANN_OFFSETS_FILENAME = "partition_offsets.npy"
-_ANN_FORMAT = "nn-index-ivf"
-
 
 def _normalize_queries(matrix: np.ndarray) -> np.ndarray:
     """Unit query rows, zero rows kept zero — the flat index's convention."""
@@ -148,7 +135,8 @@ class PartitionedIndex(NearestNeighbourIndex):
 
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError(
-            "use PartitionedIndex.build(...) / .from_flat(...) / .mmap(...)"
+            "use PartitionedIndex.build(...) / .from_flat(...), or load a "
+            "published index with repro.embeddings.persist.load_index(...)"
         )
 
     # -- construction ------------------------------------------------------
@@ -373,89 +361,11 @@ class PartitionedIndex(NearestNeighbourIndex):
             "nprobe": effective,
         }
 
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path: str | os.PathLike[str]) -> None:
-        """Persist to a directory for later :meth:`mmap`.
-
-        Same crash-safety scheme as the flat index: every array goes
-        through temp-file + rename + fsync, and the metadata commit
-        point is written last. The unit-vector matrix is stored
-        verbatim, so a reopened index reranks bit-identically.
-        """
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        vectors = np.asarray(self._unit_vectors)
-        arrays = [
-            (_ANN_VECTORS_FILENAME, vectors),
-            (_ANN_CENTROIDS_FILENAME, self._centroids),
-            (_ANN_ROW_IDS_FILENAME, self._row_ids),
-            (_ANN_OFFSETS_FILENAME, self._offsets),
-        ]
-        for filename, array in arrays:
-            with atomic_replace(path / filename) as handle:
-                np.save(handle, array)
-        meta = {
-            "format": _ANN_FORMAT,
-            "version": 1,
-            "labels": self.labels,
-            "dtype": str(vectors.dtype),
-            "shape": list(vectors.shape),
-            "centroids_dtype": str(self._centroids.dtype),
-            "centroids_shape": list(self._centroids.shape),
-            "n_row_ids": int(len(self._row_ids)),
-            "nprobe": self._nprobe,
-            "recall": self._recall,
-        }
-        atomic_write_json(path / _ANN_META_FILENAME, meta)
-
-    @classmethod
-    def mmap(cls, path: str | os.PathLike[str]) -> "PartitionedIndex":
-        """Open a :meth:`save`'d partitioned index read-only.
-
-        The unit-vector matrix is mapped (O(mmap) open cost); the small
-        centroid/partition tables are read eagerly. Raises ``ValueError``
-        when the directory's contents do not match their metadata.
-        """
-        path = Path(path)
-        with open(path / _ANN_META_FILENAME, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        if meta.get("format") != _ANN_FORMAT:
-            raise ValueError(f"not a persisted partitioned index: {path}")
-        expected_shape = tuple(meta.get("shape", ()))
-        mmap_mode = None if 0 in expected_shape else "r"
-        vectors = np.load(
-            path / _ANN_VECTORS_FILENAME, mmap_mode=mmap_mode, allow_pickle=False
-        )
-        if vectors.shape != expected_shape or str(vectors.dtype) != meta.get("dtype"):
-            raise ValueError(f"persisted index at {path} does not match its metadata")
-        if mmap_mode is None:
-            vectors.setflags(write=False)
-        centroids = np.load(path / _ANN_CENTROIDS_FILENAME, allow_pickle=False)
-        row_ids = np.load(path / _ANN_ROW_IDS_FILENAME, allow_pickle=False)
-        offsets = np.load(path / _ANN_OFFSETS_FILENAME, allow_pickle=False)
-        if (
-            centroids.shape != tuple(meta.get("centroids_shape", ()))
-            or str(centroids.dtype) != meta.get("centroids_dtype")
-            or len(row_ids) != meta.get("n_row_ids")
-        ):
-            raise ValueError(f"persisted index at {path} does not match its metadata")
-        _validate_partition_tables(row_ids, offsets, len(centroids), len(meta["labels"]))
-        return cls._from_parts(
-            meta["labels"],
-            vectors,
-            centroids,
-            row_ids,
-            offsets,
-            meta.get("nprobe", DEFAULT_INDEX_CONFIG.nprobe),
-            recall=meta.get("recall"),
-        )
-
 
 def _validate_partition_tables(
     row_ids: np.ndarray, offsets: np.ndarray, n_partitions: int, n_rows: int
 ) -> None:
-    """Structural checks shared by mmap and the artifact loader."""
+    """Structural checks on a loaded index artifact's partition tables."""
     if (
         offsets.ndim != 1
         or len(offsets) != n_partitions + 1

@@ -8,16 +8,20 @@ of it:
   model (class, dim, seed, n-gram sizes, weights). Two models with equal
   fingerprints embed every string bit-identically, so the fingerprint
   stands in for "same encoder" in artifact guards.
-* :func:`publish_index` / :func:`load_index` — persist a
+* :func:`encode_index` / :func:`index_from_artifact` — the format hooks
+  that persist a
   :class:`~repro.embeddings.similarity.NearestNeighbourIndex` as one
   artifact (its unit-vector matrix as an mmap-able array, its labels in
   the payload) and resolve it back, bypassing re-normalisation so a
-  loaded index answers queries bit-identically to the published one.
+  loaded index answers queries bit-identically to the published one;
+  :func:`publish_index` / :func:`load_index` wrap them around one
+  artifact store call.
 
-Consumers (search, completion, annotation) assemble their full
-fingerprints from :func:`embedder_fingerprint` plus the corpus content
-hash (:func:`repro.storage.artifacts.corpus_content_fingerprint`) and
-any of their own parameters that shape the matrix.
+Consumers (search, annotation) pass these hooks to
+:func:`repro.storage.artifacts.resolve` with fingerprints assembled from
+:func:`embedder_fingerprint`, the corpus content hash
+(:func:`repro.storage.artifacts.corpus_content_fingerprint`) and any of
+their own parameters that shape the matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .similarity import NearestNeighbourIndex
 
 __all__ = [
     "embedder_fingerprint",
+    "encode_index",
     "extend_unit_vectors",
     "publish_index",
     "load_index",
@@ -111,20 +116,15 @@ def index_from_unit_rows(
     return PartitionedIndex.from_flat(flat, config)
 
 
-def publish_index(
-    artifacts: IndexArtifactStore,
-    name: str,
-    fingerprint: dict,
-    index: NearestNeighbourIndex,
-    payload: dict | None = None,
-    prune: bool = True,
-) -> None:
-    """Publish an index (plus optional extra payload) as one artifact.
+def encode_index(index: NearestNeighbourIndex, payload: dict | None = None) -> dict:
+    """The artifact arrays and payload of an index (plus extra payload).
 
-    A partitioned index additionally publishes its centroid matrix and
+    A partitioned index additionally carries its centroid matrix and
     partition tables (under the ``ann_*`` array keys) plus an ``ann``
     payload section, so :func:`index_from_artifact` can reopen it as the
-    same tier without re-running k-means.
+    same tier without re-running k-means. Returns the ``arrays`` /
+    ``payload`` keyword arguments of
+    :meth:`~repro.storage.artifacts.IndexArtifactStore.publish`.
     """
     full_payload = dict(payload or {})
     full_payload[INDEX_LABELS_KEY] = list(index.labels)
@@ -138,35 +138,52 @@ def publish_index(
             "nprobe": index.nprobe,
             "recall": index.recall,
         }
-    artifacts.publish(name, fingerprint, arrays=arrays, payload=full_payload, prune=prune)
+    return {"arrays": arrays, "payload": full_payload}
 
 
-def index_from_artifact(loaded: LoadedArtifact) -> NearestNeighbourIndex:
+def publish_index(
+    artifacts: IndexArtifactStore,
+    name: str,
+    fingerprint: dict,
+    index: NearestNeighbourIndex,
+    payload: dict | None = None,
+    prune: bool = True,
+) -> None:
+    """Publish an index (plus optional extra payload) as one artifact."""
+    artifacts.publish(name, fingerprint, prune=prune, **encode_index(index, payload))
+
+
+def index_from_artifact(loaded: LoadedArtifact) -> NearestNeighbourIndex | None:
     """Rebuild the index held by a loaded artifact (mmap-backed).
 
     Artifacts carrying the ``ann_*`` arrays come back as a
     :class:`PartitionedIndex` (same tier they were published as);
     everything else comes back flat. Either way the unit-vector matrix
     stays mmap'd and queries are bit-identical to the published index.
+    Returns ``None`` when the labels, vectors or partition tables are
+    missing or inconsistent.
     """
-    labels = loaded.payload[INDEX_LABELS_KEY]
-    vectors = loaded.arrays[INDEX_VECTORS_KEY]
-    ann_meta = loaded.payload.get(ANN_PAYLOAD_KEY)
-    if ann_meta is None or ANN_CENTROIDS_KEY not in loaded.arrays:
-        return NearestNeighbourIndex._from_unit_vectors(labels, vectors)
-    centroids = loaded.arrays[ANN_CENTROIDS_KEY]
-    row_ids = loaded.arrays[ANN_ROW_IDS_KEY]
-    offsets = loaded.arrays[ANN_OFFSETS_KEY]
-    _validate_partition_tables(row_ids, offsets, len(centroids), len(labels))
-    return PartitionedIndex._from_parts(
-        labels,
-        vectors,
-        centroids,
-        row_ids,
-        offsets,
-        ann_meta.get("nprobe", 1),
-        recall=ann_meta.get("recall"),
-    )
+    try:
+        labels = loaded.payload[INDEX_LABELS_KEY]
+        vectors = loaded.arrays[INDEX_VECTORS_KEY]
+        ann_meta = loaded.payload.get(ANN_PAYLOAD_KEY)
+        if ann_meta is None or ANN_CENTROIDS_KEY not in loaded.arrays:
+            return NearestNeighbourIndex._from_unit_vectors(labels, vectors)
+        centroids = loaded.arrays[ANN_CENTROIDS_KEY]
+        row_ids = loaded.arrays[ANN_ROW_IDS_KEY]
+        offsets = loaded.arrays[ANN_OFFSETS_KEY]
+        _validate_partition_tables(row_ids, offsets, len(centroids), len(labels))
+        return PartitionedIndex._from_parts(
+            labels,
+            vectors,
+            centroids,
+            row_ids,
+            offsets,
+            ann_meta.get("nprobe", 1),
+            recall=ann_meta.get("recall"),
+        )
+    except (KeyError, ValueError):
+        return None
 
 
 def load_index(
@@ -178,10 +195,7 @@ def load_index(
     mmap'd, so this is O(open) regardless of corpus size.
     """
     loaded = artifacts.load(name, fingerprint)
-    if loaded is None:
-        return None
-    try:
-        index = index_from_artifact(loaded)
-    except (KeyError, ValueError):
+    index = index_from_artifact(loaded) if loaded is not None else None
+    if index is None:
         return None
     return index, loaded.payload

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import numpy as np
-
-from ..storage._io import atomic_replace, atomic_write_json
 
 __all__ = [
     "cosine_similarity",
@@ -16,11 +10,6 @@ __all__ = [
     "top_k_ids_scores",
     "NearestNeighbourIndex",
 ]
-
-#: On-disk layout of a persisted index (see NearestNeighbourIndex.save).
-_INDEX_META_FILENAME = "index.json"
-_INDEX_VECTORS_FILENAME = "unit_vectors.npy"
-_INDEX_FORMAT = "nn-index"
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -118,8 +107,8 @@ class NearestNeighbourIndex:
         The normalising division in ``__init__`` is skipped entirely —
         re-dividing already-normalised rows by their (not exactly 1.0)
         norms would perturb the last ulp and break the bit-identity
-        guarantee between a persisted index and the one it was saved
-        from. Internal: used by :meth:`mmap` and the artifact loaders.
+        guarantee between a persisted index and the one it was published
+        from. Internal: used by the artifact loaders.
         """
         if len(labels) != unit_vectors.shape[0]:
             raise ValueError("labels and vectors must have the same length")
@@ -134,61 +123,6 @@ class NearestNeighbourIndex:
     def stats(self) -> dict:
         """Instrumentation snapshot; the exact tier has nothing to tune."""
         return {"tier": "flat", "rows": len(self.labels)}
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path: str | os.PathLike[str]) -> None:
-        """Persist the index to a directory for later :meth:`mmap`.
-
-        The (already normalised) unit-vector matrix is written verbatim
-        as ``unit_vectors.npy`` next to a JSON metadata file holding the
-        labels and the expected dtype/shape, so an ``mmap`` of the saved
-        index answers queries bit-identically to this in-RAM one.
-
-        Every file goes through the storage layer's temp-file + rename +
-        fsync helper, and the metadata (the commit point :meth:`mmap`
-        validates against) is written last — a save killed at any point
-        leaves either the previous index or no readable index, never
-        valid metadata next to a half-written matrix.
-        """
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        vectors = np.asarray(self._unit_vectors)
-        with atomic_replace(path / _INDEX_VECTORS_FILENAME) as handle:
-            np.save(handle, vectors)
-        meta = {
-            "format": _INDEX_FORMAT,
-            "version": 1,
-            "labels": self.labels,
-            "dtype": str(vectors.dtype),
-            "shape": list(vectors.shape),
-        }
-        atomic_write_json(path / _INDEX_META_FILENAME, meta)
-
-    @classmethod
-    def mmap(cls, path: str | os.PathLike[str]) -> "NearestNeighbourIndex":
-        """Open a :meth:`save`'d index read-only via ``np.memmap``.
-
-        Only the labels are read eagerly; the vector matrix is mapped,
-        so opening costs O(mmap) regardless of index size. Queries are
-        bit-identical to the index that was saved. Raises ``ValueError``
-        when the directory's contents do not match their metadata
-        (truncated or tampered files).
-        """
-        path = Path(path)
-        with open(path / _INDEX_META_FILENAME, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        if meta.get("format") != _INDEX_FORMAT:
-            raise ValueError(f"not a persisted index: {path}")
-        expected_shape = tuple(meta.get("shape", ()))
-        # Zero-size matrices cannot be mmap'd; they are read eagerly.
-        mmap_mode = None if 0 in expected_shape else "r"
-        vectors = np.load(path / _INDEX_VECTORS_FILENAME, mmap_mode=mmap_mode, allow_pickle=False)
-        if vectors.shape != expected_shape or str(vectors.dtype) != meta.get("dtype"):
-            raise ValueError(f"persisted index at {path} does not match its metadata")
-        if mmap_mode is None:
-            vectors.setflags(write=False)
-        return cls._from_unit_vectors(meta["labels"], vectors)
 
     def top_k_batch(self, matrix: np.ndarray, top_k: int = 1) -> list[list[tuple[int, float]]]:
         """Per query row: the ``top_k`` (index, similarity) pairs.

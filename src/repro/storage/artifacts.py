@@ -35,6 +35,11 @@ Arrays are stored as plain ``.npy`` files and opened with
 ``np.load(mmap_mode="r")``, so loading an index costs one mmap instead
 of re-embedding the corpus, and the page cache is shared across
 processes serving the same store.
+
+:func:`resolve` is the one lifecycle every consumer goes through —
+adopt on a fingerprint match, delta-refresh a sealed-prefix artifact
+over the corpus tail, otherwise build, then publish; consumers supply
+only their format hooks.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ __all__ = [
     "LoadedArtifact",
     "corpus_content_fingerprint",
     "fingerprint_digest",
+    "resolve",
     "try_publish",
 ]
 
@@ -160,14 +166,18 @@ class IndexArtifactStore:
 
     # -- read side ---------------------------------------------------------
 
-    def load(self, name: str, fingerprint: dict) -> LoadedArtifact | None:
+    def load(self, name: str, fingerprint: dict | None = None) -> LoadedArtifact | None:
         """The named artifact, or ``None`` on any miss.
 
         A miss is indistinguishable by design: absent artifact, stale
         fingerprint (different encoder config or mutated corpus),
         unreadable metadata, missing/truncated/mis-shaped array files —
         all return ``None`` so the caller rebuilds and republishes.
-        Arrays come back read-only (``np.memmap`` with mode ``"r"``).
+        With ``fingerprint=None`` the artifact comes back *whatever its
+        fingerprint* (the delta-refresh read in :func:`resolve`, which
+        compares fingerprints itself); format and array-spec integrity
+        are enforced either way. Arrays come back read-only
+        (``np.memmap`` with mode ``"r"``).
         """
         artifact_dir = self.path(name)
         meta_path = artifact_dir / META_FILENAME
@@ -178,41 +188,7 @@ class IndexArtifactStore:
             return None
         if meta.get("format") != ARTIFACT_FORMAT:
             return None
-        if meta.get("fingerprint") != _normalize(fingerprint):
-            return None
-        arrays: dict = {}
-        for key, spec in meta.get("arrays", {}).items():
-            array = self._open_array(artifact_dir / spec["file"], spec)
-            if array is None:
-                return None
-            arrays[key] = array
-        return LoadedArtifact(
-            name=name,
-            fingerprint=meta["fingerprint"],
-            arrays=arrays,
-            payload=meta.get("payload", {}),
-        )
-
-    def load_any(self, name: str) -> LoadedArtifact | None:
-        """The named artifact *whatever its fingerprint*, or ``None``.
-
-        The delta-refresh read path: an extended corpus has a new
-        content fingerprint, so :meth:`load` misses by design — but the
-        superseded artifact's arrays are still the exact committed
-        prefix of the new ones. Callers get the artifact together with
-        its stored fingerprint and must validate compatibility (encoder
-        config, prefix identity) themselves; format and array-spec
-        integrity are still enforced here, so a truncated or corrupt
-        artifact reads as a miss exactly like :meth:`load`.
-        """
-        artifact_dir = self.path(name)
-        meta_path = artifact_dir / META_FILENAME
-        try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if meta.get("format") != ARTIFACT_FORMAT:
+        if fingerprint is not None and meta.get("fingerprint") != _normalize(fingerprint):
             return None
         arrays: dict = {}
         for key, spec in meta.get("arrays", {}).items():
@@ -391,13 +367,93 @@ def try_publish(publish, *args, **kwargs) -> bool:
     """Run a publish callable, treating filesystem failure as a cache miss.
 
     Artifact publication is an *optimisation*, never a correctness
-    requirement: consumers that just built an index call this so a
-    read-only corpus directory (or a lost concurrent-publish race)
-    degrades to serving the freshly built in-RAM index instead of
-    crashing the query. Returns whether the publish succeeded.
+    requirement: :func:`resolve` publishes through this so a read-only
+    corpus directory (or a lost concurrent-publish race) degrades to
+    serving the freshly built in-RAM index instead of crashing the
+    query. Returns whether the publish succeeded.
     """
     try:
         publish(*args, **kwargs)
         return True
     except OSError:
         return False
+
+
+#: Fingerprint keys a delta refresh may change: the corpus state the
+#: artifact describes, and the ANN tier section, which is re-derived
+#: from the extended rows.
+_REFRESHED_KEYS = ("corpus", "ann")
+
+
+def _refreshable(stale: object, expected: dict) -> bool:
+    """Whether ``stale`` differs from ``expected`` only in refreshed keys."""
+    if not isinstance(stale, dict):
+        return False
+
+    def fixed(fingerprint: dict) -> dict:
+        return {key: value for key, value in fingerprint.items() if key not in _REFRESHED_KEYS}
+
+    return fixed(stale) == fixed(expected)
+
+
+def resolve(
+    artifacts: IndexArtifactStore | None,
+    name: str,
+    fingerprint: dict,
+    corpus,
+    *,
+    decode,
+    build,
+    encode,
+    extend=None,
+    prune: bool = True,
+):
+    """Adopt, delta-refresh or build one derived artifact, then publish it.
+
+    The single lifecycle every artifact-backed index follows:
+
+    1. ``meta.json`` is read once (:meth:`IndexArtifactStore.load`);
+    2. on an exact fingerprint match the artifact is **adopted**:
+       ``decode(loaded)``;
+    3. otherwise, when the stored fingerprint equals ``fingerprint`` on
+       every key except ``corpus`` and ``ann`` and its ``corpus`` key is
+       the fingerprint of a sealed prefix of ``corpus``'s store, the
+       artifact is **extended** over the tail: ``extend(loaded,
+       boundary)`` with ``boundary`` the prefix's table count;
+    4. otherwise the value is **built**: ``build()``;
+    5. a built or extended value is published from ``encode(value)`` (a
+       dict of :meth:`IndexArtifactStore.publish` keyword arguments,
+       ``arrays`` and ``payload``) through :func:`try_publish`. An
+       extension defers the corpus-keyed prune, so sibling indexes can
+       still extend from *their* superseded artifacts; whoever drives
+       the extension prunes once all are current.
+
+    ``decode`` and ``extend`` return ``None`` to reject an artifact that
+    fails a per-kind check; that reads as a miss. Without an artifact
+    store, or when ``fingerprint["corpus"]`` is ``None`` (an in-memory
+    corpus has no durable identity to key on), the value is only built.
+    Returns ``(value, outcome)``, the outcome being ``"adopted"``,
+    ``"extended"`` or ``"built"``.
+    """
+    if artifacts is None or fingerprint.get("corpus", "") is None:
+        return build(), "built"
+    expected = _normalize(fingerprint)
+    loaded = artifacts.load(name)
+    value = None
+    if loaded is not None and loaded.fingerprint == expected:
+        value = decode(loaded)
+        if value is not None:
+            return value, "adopted"
+    elif loaded is not None and extend is not None and _refreshable(loaded.fingerprint, expected):
+        # Only sharded stores have a content fingerprint to key on.
+        boundary = corpus.store.sealed_prefix_boundary(loaded.fingerprint.get("corpus"))
+        if boundary is not None:
+            value = extend(loaded, boundary)
+    outcome = "built" if value is None else "extended"
+    if value is None:
+        value = build()
+    try_publish(
+        artifacts.publish, name, fingerprint, **encode(value),
+        prune=prune and outcome != "extended",
+    )
+    return value, outcome

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dataframe.dtypes import AtomicType
-from .artifacts import IndexArtifactStore, corpus_content_fingerprint, try_publish
+from .artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
 
 __all__ = [
     "ATOMIC_TYPES",
@@ -50,11 +50,9 @@ __all__ = [
     "TablePredicate",
     "count_by",
     "ensure_projection",
-    "extend_projection",
     "first_seen_counts",
     "histogram",
     "load_projection",
-    "load_stale_projection",
     "masked",
     "projection_fingerprint",
     "publish_projection",
@@ -418,12 +416,8 @@ class ColumnarProjection:
         order. Returns ``None`` when ``corpus`` is not an extension.
         """
         start = len(self.table_ids)
-        store = getattr(corpus, "store", None)
-        ids = getattr(store, "table_ids", None)
-        prefix_ids = tuple(islice(ids(), start)) if ids is not None else tuple(
-            annotated.table_id for annotated in islice(iter(corpus), start)
-        )
-        if prefix_ids != tuple(self.table_ids):
+        store = corpus.store
+        if tuple(islice(store.table_ids(), start)) != tuple(self.table_ids):
             return None
         iter_from = getattr(store, "iter_from", None)
         tail = iter_from(start) if iter_from is not None else islice(iter(corpus), start, None)
@@ -621,7 +615,7 @@ _VOCAB_FIELDS = (
 )
 
 
-def projection_fingerprint(corpus_fingerprint: str) -> dict:
+def projection_fingerprint(corpus_fingerprint: str | None) -> dict:
     """The artifact guard: layout version plus corpus content hash."""
     return {
         "kind": "columnar-projection",
@@ -630,42 +624,16 @@ def projection_fingerprint(corpus_fingerprint: str) -> dict:
     }
 
 
-def publish_projection(
-    artifacts: IndexArtifactStore,
-    projection: ColumnarProjection,
-    corpus_fingerprint: str | None = None,
-    prune: bool = True,
-) -> None:
-    """Persist ``projection`` as the ``stats_*`` artifact arrays.
-
-    ``corpus_fingerprint`` overrides the projection's recorded
-    fingerprint — used when publishing an in-memory corpus' projection
-    into a directory it was just saved to. ``prune=False`` defers the
-    corpus-keyed artifact sweep (the delta-refresh ordering guarantee —
-    see :meth:`~repro.storage.artifacts.IndexArtifactStore.publish`).
-    """
-    fingerprint = corpus_fingerprint or projection.corpus_fingerprint
-    if fingerprint is None:
-        raise ValueError("cannot publish a projection without a corpus fingerprint")
-    arrays = {f"stats_{name}": getattr(projection, name) for name in _ARRAY_FIELDS}
+def _encode_projection(projection: ColumnarProjection) -> dict:
     payload = {name: list(getattr(projection, name)) for name in _VOCAB_FIELDS}
     payload["version"] = PROJECTION_VERSION
-    artifacts.publish(
-        PROJECTION_ARTIFACT,
-        projection_fingerprint(fingerprint),
-        arrays=arrays,
-        payload=payload,
-        prune=prune,
-    )
+    return {
+        "arrays": {f"stats_{name}": getattr(projection, name) for name in _ARRAY_FIELDS},
+        "payload": payload,
+    }
 
 
-def load_projection(
-    artifacts: IndexArtifactStore, corpus_fingerprint: str
-) -> ColumnarProjection | None:
-    """The persisted projection for this corpus state, or None on any miss."""
-    loaded = artifacts.load(PROJECTION_ARTIFACT, projection_fingerprint(corpus_fingerprint))
-    if loaded is None:
-        return None
+def _decode_projection(loaded, corpus_fingerprint) -> ColumnarProjection | None:
     arrays = {}
     for name in _ARRAY_FIELDS:
         array = loaded.arrays.get(f"stats_{name}")
@@ -678,99 +646,73 @@ def load_projection(
     )
 
 
-def load_stale_projection(artifacts: IndexArtifactStore) -> ColumnarProjection | None:
-    """The persisted projection *whatever corpus state it describes*.
+def _extend_projection(corpus, stale, boundary: int) -> ColumnarProjection | None:
+    """A superseded projection grown by ``corpus``'s tail past ``boundary``.
 
-    The delta-refresh read path: after a corpus extension the stored
-    projection's fingerprint no longer matches, but its arrays are still
-    the exact committed prefix of the grown corpus. The projection comes
-    back carrying the corpus fingerprint it was built for; callers must
-    prove prefix compatibility (:meth:`ColumnarProjection.extended`
-    does) before reusing any of it.
+    :meth:`ColumnarProjection.extended` re-checks the table-id prefix and
+    scans only the tail tables — O(new tables).
     """
-    loaded = artifacts.load_any(PROJECTION_ARTIFACT)
-    if loaded is None or not isinstance(loaded.fingerprint, dict):
+    projection = _decode_projection(stale, stale.fingerprint["corpus"])
+    if projection is None or len(projection.table_ids) != boundary:
         return None
-    if loaded.fingerprint.get("kind") != "columnar-projection":
-        return None
-    if loaded.fingerprint.get("version") != PROJECTION_VERSION:
-        return None
-    corpus_key = loaded.fingerprint.get("corpus")
-    if not isinstance(corpus_key, str):
-        return None
-    arrays = {}
-    for name in _ARRAY_FIELDS:
-        array = loaded.arrays.get(f"stats_{name}")
-        if array is None:
-            return None
-        arrays[name] = array
-    vocabularies = {name: tuple(loaded.payload.get(name, ())) for name in _VOCAB_FIELDS}
-    return ColumnarProjection(corpus_fingerprint=corpus_key, **arrays, **vocabularies)
+    return projection.extended(corpus)
 
 
-def extend_projection(
-    corpus, artifacts: IndexArtifactStore
+def publish_projection(
+    artifacts: IndexArtifactStore,
+    projection: ColumnarProjection,
+    corpus_fingerprint: str | None = None,
+) -> None:
+    """Persist ``projection`` as the ``stats_*`` artifact arrays.
+
+    ``corpus_fingerprint`` overrides the projection's recorded
+    fingerprint — used when publishing an in-memory corpus' projection
+    into a directory it was just saved to.
+    """
+    fingerprint = corpus_fingerprint or projection.corpus_fingerprint
+    if fingerprint is None:
+        raise ValueError("cannot publish a projection without a corpus fingerprint")
+    artifacts.publish(
+        PROJECTION_ARTIFACT, projection_fingerprint(fingerprint), **_encode_projection(projection)
+    )
+
+
+def load_projection(
+    artifacts: IndexArtifactStore, corpus_fingerprint: str
 ) -> ColumnarProjection | None:
-    """Grow the persisted projection by ``corpus``'s tail, or ``None``.
-
-    Loads whatever projection the store holds and extends it when it is
-    a committed prefix of ``corpus`` — scanning only the tail tables —
-    so refreshing corpus statistics after an extension costs O(new
-    tables). Returns ``None`` when there is nothing extendable (no
-    stored projection, or the corpus changed in a non-append way).
-    """
-    stale = load_stale_projection(artifacts)
-    if stale is None:
-        return None
-    fingerprint = corpus_content_fingerprint(corpus)
-    if fingerprint is None or stale.corpus_fingerprint == fingerprint:
-        return None
-    if len(stale.table_ids) >= _corpus_size(corpus):
-        return None
-    return stale.extended(corpus)
-
-
-def _corpus_size(corpus) -> int:
-    try:
-        return len(corpus)
-    except TypeError:  # pragma: no cover - exotic corpus views
-        return sum(1 for _ in iter(corpus))
+    """The persisted projection for this corpus state, or None on any miss."""
+    loaded = artifacts.load(PROJECTION_ARTIFACT, projection_fingerprint(corpus_fingerprint))
+    return None if loaded is None else _decode_projection(loaded, corpus_fingerprint)
 
 
 def ensure_projection(
     corpus, artifacts: IndexArtifactStore | None = None, prune: bool = True
 ) -> ColumnarProjection:
-    """Resolve a current projection for ``corpus``: attach, load, or build.
+    """Resolve a current projection for ``corpus`` and attach it.
 
-    Resolution order: a projection already attached to the corpus (and
-    still matching its size) wins; otherwise a persisted artifact
-    matching the store's content fingerprint is mmap'd back; otherwise a
-    *superseded* artifact that is a committed prefix of the corpus (the
-    store was extended) is grown by scanning only the tail; otherwise
-    the projection is built with one full corpus scan. Freshly built or
-    extended projections are published (best-effort) for the next
-    session — with ``prune=False`` the publish leaves other superseded
-    corpus-keyed artifacts in place for their own delta refreshes. The
-    result is attached to the corpus so subsequent statistics and filter
-    calls stay engine-side.
+    A projection already attached to the corpus wins; otherwise it is
+    resolved through :func:`~repro.storage.artifacts.resolve` — adopted
+    from the artifact, extended over the tail of a superseded one, or
+    built with one full corpus scan (``prune`` as there). The result is
+    attached to the corpus so subsequent statistics and filter calls
+    stay engine-side.
     """
     attached = getattr(corpus, "projection", None)
     if attached is not None:
         return attached
-    fingerprint = corpus_content_fingerprint(corpus)
+    fingerprint = corpus_content_fingerprint(corpus) if artifacts is not None else None
+    projection, _ = resolve(
+        artifacts,
+        PROJECTION_ARTIFACT,
+        projection_fingerprint(fingerprint),
+        corpus,
+        decode=lambda loaded: _decode_projection(loaded, fingerprint),
+        build=lambda: ColumnarProjection.from_corpus(corpus),
+        encode=_encode_projection,
+        extend=lambda stale, boundary: _extend_projection(corpus, stale, boundary),
+        prune=prune,
+    )
     attach = getattr(corpus, "attach_projection", None)
-    projection = None
-    if artifacts is not None and fingerprint is not None:
-        loaded = load_projection(artifacts, fingerprint)
-        if loaded is not None:
-            if attach is not None:
-                attach(loaded)
-            return loaded
-        projection = extend_projection(corpus, artifacts)
-    if projection is None:
-        projection = ColumnarProjection.from_corpus(corpus)
-    if artifacts is not None and fingerprint is not None:
-        try_publish(publish_projection, artifacts, projection, prune=prune)
     if attach is not None:
         attach(projection)
     return projection

@@ -3,8 +3,8 @@
 The contract under test: k-means builds are deterministic byte-for-byte,
 an effective ``nprobe >= n_partitions`` reproduces the flat index's
 output exactly (argpartition boundary ties included), every hit the two
-tiers share carries a bit-identical score at any nprobe, persisted and
-mmap'd copies answer identically, and the :func:`build_index` scale
+tiers share carries a bit-identical score at any nprobe, published and
+mmap'd index artifacts answer identically, and the :func:`build_index` scale
 gate keeps small corpora on the flat tier so existing results never
 silently change.
 """
@@ -255,10 +255,25 @@ class TestStats:
         assert recall["holdout_queries"] <= 64
 
 
+def _publish(index, tmp_path) -> IndexArtifactStore:
+    store = IndexArtifactStore(tmp_path / "artifacts")
+    publish_index(store, "ivf", {"v": 1}, index)
+    return store
+
+
+def _rewrite_meta(store: IndexArtifactStore, edit) -> None:
+    meta_path = store.path("ivf") / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+
+
 class TestPersistence:
+    """The partitioned tier round-trips through the index artifact format."""
+
     def test_save_mmap_round_trip_is_identical(self, ann, tmp_path):
-        ann.save(tmp_path / "ivf")
-        mapped = PartitionedIndex.mmap(tmp_path / "ivf")
+        mapped, _ = load_index(_publish(ann, tmp_path), "ivf", {"v": 1})
+        assert isinstance(mapped, PartitionedIndex)
         assert mapped.labels == ann.labels
         assert mapped.n_partitions == ann.n_partitions
         assert mapped.nprobe == ann.nprobe
@@ -272,40 +287,43 @@ class TestPersistence:
         assert full == ann.top_k_batch(queries, top_k=5, nprobe=ann.n_partitions)
 
     def test_mmap_vectors_stay_memory_mapped(self, ann, tmp_path):
-        ann.save(tmp_path / "ivf")
-        mapped = PartitionedIndex.mmap(tmp_path / "ivf")
+        mapped, _ = load_index(_publish(ann, tmp_path), "ivf", {"v": 1})
         assert isinstance(mapped._unit_vectors, np.memmap)
 
     def test_tampered_metadata_rejected(self, ann, tmp_path):
-        ann.save(tmp_path / "ivf")
-        meta_path = tmp_path / "ivf" / "index.json"
-        meta = json.loads(meta_path.read_text())
-        meta["centroids_shape"][0] += 1
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError):
-            PartitionedIndex.mmap(tmp_path / "ivf")
+        store = _publish(ann, tmp_path)
+
+        def grow_centroids(meta):
+            meta["arrays"]["ann_centroids"]["shape"][0] += 1
+
+        _rewrite_meta(store, grow_centroids)
+        assert load_index(store, "ivf", {"v": 1}) is None
 
     def test_truncated_partition_table_rejected(self, ann, tmp_path):
-        ann.save(tmp_path / "ivf")
-        target = tmp_path / "ivf" / "partition_row_ids.npy"
+        store = _publish(ann, tmp_path)
         truncated = ann._row_ids[:-3]
-        meta_path = tmp_path / "ivf" / "index.json"
-        meta = json.loads(meta_path.read_text())
-        meta["n_row_ids"] = len(truncated)
-        meta_path.write_text(json.dumps(meta))
-        np.save(target, truncated)
-        with pytest.raises(ValueError):
-            PartitionedIndex.mmap(tmp_path / "ivf")
+        np.save(store.path("ivf") / "ann_partition_row_ids.npy", truncated)
+
+        def match_truncated(meta):
+            meta["arrays"]["ann_partition_row_ids"]["shape"] = [len(truncated)]
+
+        # The array spec agrees with the file, so only the partition
+        # table check can catch the missing rows.
+        _rewrite_meta(store, match_truncated)
+        assert load_index(store, "ivf", {"v": 1}) is None
 
     def test_wrong_format_rejected(self, flat, tmp_path):
-        flat.save(tmp_path / "flat")
-        with pytest.raises(ValueError):
-            PartitionedIndex.mmap(tmp_path / "flat")
+        store = _publish(flat, tmp_path)
+
+        def foreign_format(meta):
+            meta["format"] = "nn-index-ivf"
+
+        _rewrite_meta(store, foreign_format)
+        assert load_index(store, "ivf", {"v": 1}) is None
 
     def test_empty_index_round_trip(self, tmp_path):
         ann = PartitionedIndex.build([], np.zeros((0, 8)), IndexConfig(min_rows=1))
-        ann.save(tmp_path / "ivf")
-        mapped = PartitionedIndex.mmap(tmp_path / "ivf")
+        mapped, _ = load_index(_publish(ann, tmp_path), "ivf", {"v": 1})
         assert mapped.labels == []
         assert mapped.top_k_batch(np.ones((1, 8))) == [[]]
 

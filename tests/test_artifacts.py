@@ -1,7 +1,7 @@
 """Tests for persistent mmap-backed index artifacts.
 
 Covers the artifact store itself (publish/load/invalidate, fingerprint
-guards, corruption handling), ``NearestNeighbourIndex.save``/``mmap``
+guards, corruption handling), ``publish_index``/``load_index``
 bit-identity, and the consumer integrations: cold ``GitTables.load``
 must answer queries from mmap'd artifacts with **zero corpus-wide
 embedding calls** and results bit-identical to the artifact-free path,
@@ -141,15 +141,16 @@ class TestIndexArtifactStore:
 
 
 class TestIndexPersistence:
-    """NearestNeighbourIndex.save/mmap bit-identity."""
+    """publish_index/load_index bit-identity and integrity."""
 
     def test_mmap_queries_bit_identical(self, tmp_path):
         rng = np.random.default_rng(5)
         vectors = rng.normal(size=(40, 16))
         vectors[7] = 0.0  # zero vector row
         index = NearestNeighbourIndex([f"l{i}" for i in range(40)], vectors)
-        index.save(tmp_path / "index")
-        mapped = NearestNeighbourIndex.mmap(tmp_path / "index")
+        store = IndexArtifactStore(tmp_path / "artifacts")
+        publish_index(store, "index", {"v": 1}, index)
+        mapped, _ = load_index(store, "index", {"v": 1})
         assert isinstance(mapped._unit_vectors, np.memmap)
         queries = rng.normal(size=(9, 16))
         queries[2] = 0.0
@@ -160,21 +161,20 @@ class TestIndexPersistence:
         assert index.query(queries[0], top_k=5) == mapped.query(queries[0], top_k=5)
 
     def test_empty_index_round_trip(self, tmp_path):
-        index = NearestNeighbourIndex([], np.zeros((0, 8)))
-        index.save(tmp_path / "index")
-        mapped = NearestNeighbourIndex.mmap(tmp_path / "index")
+        store = IndexArtifactStore(tmp_path / "artifacts")
+        publish_index(store, "index", {"v": 1}, NearestNeighbourIndex([], np.zeros((0, 8))))
+        mapped, _ = load_index(store, "index", {"v": 1})
         assert len(mapped) == 0
         assert mapped.query(np.zeros(8)) == []
 
     def test_tampered_vectors_rejected(self, tmp_path):
-        index = NearestNeighbourIndex(["a"], np.ones((1, 4)))
-        index.save(tmp_path / "index")
-        meta_path = tmp_path / "index" / "index.json"
+        store = IndexArtifactStore(tmp_path / "artifacts")
+        publish_index(store, "index", {"v": 1}, NearestNeighbourIndex(["a"], np.ones((1, 4))))
+        meta_path = store.path("index") / "meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["shape"] = [2, 4]
+        meta["arrays"]["unit_vectors"]["shape"] = [2, 4]
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError):
-            NearestNeighbourIndex.mmap(tmp_path / "index")
+        assert load_index(store, "index", {"v": 1}) is None
 
     def test_publish_load_index_helpers(self, tmp_path):
         store = IndexArtifactStore(tmp_path / "artifacts")
@@ -462,3 +462,304 @@ class TestConsumerUnits:
         assert [a for a in second.annotate(table).all()] == [
             a for a in first.annotate(table).all()
         ]
+
+
+# -- one lifecycle for every artifact kind -----------------------------------
+
+#: The consumer modules that resolve artifacts, each through ``resolve``.
+_RESOLVING_MODULES = (
+    "repro.applications.data_search",
+    "repro.applications.schema_completion",
+    "repro.applications.kg_matching",
+    "repro.applications.type_detection",
+    "repro.storage.columnar",
+    "repro.core.annotation",
+)
+LIFECYCLE_BASE = 24
+LIFECYCLE_GROWN = 30
+TYPE_OPTIONS = {"columns_per_type": 10, "seed": 3}
+
+
+def _type_features(session, **options):
+    experiment = TypeDetectionExperiment(artifacts=session.artifacts, **{**TYPE_OPTIONS, **options})
+    return experiment.sample_labelled_columns(session.corpus)
+
+
+def _projection(session):
+    from repro.storage.columnar import ensure_projection
+
+    return ensure_projection(session.corpus, session.artifacts)
+
+
+def _ontologies(session, **config):
+    return AnnotationPipeline(AnnotationConfig(**config), artifacts=session.artifacts)
+
+
+#: kind -> (artifact-name prefix, resolve it in a session, resolve it with
+#: one non-corpus fingerprint key changed, file to truncate).
+LIFECYCLE_KINDS = {
+    "search": (
+        SEARCH_ARTIFACT,
+        lambda s: TableSearchEngine(s.corpus, artifacts=s.artifacts),
+        lambda s, mp: TableSearchEngine(
+            s.corpus, encoder=SentenceEncoder(seed=2), artifacts=s.artifacts
+        ),
+        "unit_vectors.npy",
+    ),
+    "completion": (
+        COMPLETION_ARTIFACT,
+        lambda s: NearestCompletion(s.corpus, artifacts=s.artifacts),
+        lambda s, mp: NearestCompletion(s.corpus, min_schema_length=3, artifacts=s.artifacts),
+        "attributes.npy",
+    ),
+    "kg-benchmark": (
+        "kg-benchmark-c3-r5",
+        lambda s: KGMatchingBenchmark.from_corpus(s.corpus, artifacts=s.artifacts),
+        # Every non-corpus key is also part of the artifact name.
+        lambda s, mp: KGMatchingBenchmark.from_corpus(
+            s.corpus, max_tables=10**6, artifacts=s.artifacts
+        ),
+        # The benchmark has no arrays: its payload is the whole artifact.
+        "meta.json",
+    ),
+    "type-features": (
+        "type-features-",
+        _type_features,
+        lambda s, mp: _type_features(s, seed=4),
+        "features.npy",
+    ),
+    "projection": (
+        "stats-projection",
+        _projection,
+        lambda s, mp: (
+            mp.setattr("repro.storage.columnar.PROJECTION_VERSION", 2),
+            _projection(s),
+        ),
+        "stats_n_rows.npy",
+    ),
+    "ontology": (
+        "ontology-",
+        _ontologies,
+        lambda s, mp: _ontologies(s, embedding_dim=32),
+        "unit_vectors.npy",
+    ),
+}
+
+
+class _Ledger:
+    """Every resolution with the texts embedded and tables decoded inside it."""
+
+    def __init__(self, monkeypatch):
+        import importlib
+
+        from repro.core.corpus import AnnotatedTable
+        from repro.embeddings.fasttext import FastTextModel
+        from repro.storage import artifacts as artifacts_module
+
+        self.texts = 0
+        self.decodes = 0
+        self.entries: list[tuple[str, str, int, int]] = []
+        self._spy(monkeypatch, SentenceEncoder, "embed_many", "texts")
+        self._spy(monkeypatch, FastTextModel, "embed_batch", "texts")
+        decode = AnnotatedTable.from_dict.__func__
+
+        def counting_decode(cls, payload):
+            self.decodes += 1
+            return decode(cls, payload)
+
+        monkeypatch.setattr(AnnotatedTable, "from_dict", classmethod(counting_decode))
+
+        def recording(artifacts, name, *args, **kwargs):
+            texts, decodes = self.texts, self.decodes
+            value, outcome = artifacts_module.resolve(artifacts, name, *args, **kwargs)
+            if artifacts is not None:  # storeless resolutions only build
+                self.entries.append((name, outcome, self.texts - texts, self.decodes - decodes))
+            return value, outcome
+
+        for module in _RESOLVING_MODULES:
+            monkeypatch.setattr(importlib.import_module(module), "resolve", recording)
+
+    def _spy(self, monkeypatch, cls, method, counter):
+        original = getattr(cls, method)
+
+        def spying(model, texts):
+            setattr(self, counter, getattr(self, counter) + len(texts))
+            return original(model, texts)
+
+        monkeypatch.setattr(cls, method, spying)
+
+    def of(self, prefix: str) -> list[tuple[str, int, int]]:
+        return [entry[1:] for entry in self.entries if entry[0].startswith(prefix)]
+
+
+@pytest.fixture(scope="module")
+def lifecycle_store(tmp_path_factory):
+    """A seeded, extendable store with every artifact kind published."""
+    directory = tmp_path_factory.mktemp("lifecycle") / "store"
+    GitTables.build(
+        PipelineConfig(target_tables=LIFECYCLE_BASE, seed=11),
+        generator_config=GeneratorConfig(n_repositories=100, mean_rows=25, seed=11),
+        store_dir=directory,
+        shard_size=8,
+        processes=1,
+    )
+    session = GitTables.load(directory)
+    for _, resolve_kind, _, _ in LIFECYCLE_KINDS.values():
+        resolve_kind(session)
+    return directory
+
+
+@pytest.fixture
+def lifecycle_copy(lifecycle_store, tmp_path):
+    import shutil
+
+    directory = tmp_path / "store"
+    shutil.copytree(lifecycle_store, directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def extension_ledger(lifecycle_store, tmp_path_factory):
+    """Resolutions during ``GitTables.extend`` and in a fresh session after it."""
+    import shutil
+
+    directory = tmp_path_factory.mktemp("lifecycle-extend") / "store"
+    shutil.copytree(lifecycle_store, directory)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ledger = _Ledger(monkeypatch)
+        GitTables.load(directory).extend(target_tables=LIFECYCLE_GROWN)
+        session = GitTables.load(directory)
+        for _, resolve_kind, _, _ in LIFECYCLE_KINDS.values():
+            resolve_kind(session)
+    tail = [schema for _, schema in session.corpus.iter_schemas(start=LIFECYCLE_BASE)]
+    assert len(tail) == LIFECYCLE_GROWN - LIFECYCLE_BASE
+    return ledger, tail
+
+
+@pytest.mark.parametrize("kind", sorted(LIFECYCLE_KINDS))
+class TestArtifactLifecycle:
+    """Each artifact kind follows the one resolver's lifecycle."""
+
+    def test_first_resolution_publishes(self, kind, lifecycle_copy, monkeypatch):
+        prefix, resolve_kind, _, _ = LIFECYCLE_KINDS[kind]
+        session = GitTables.load(lifecycle_copy)
+        session.artifacts.invalidate()
+        ledger = _Ledger(monkeypatch)
+        resolve_kind(session)
+        assert ledger.of(prefix) and {outcome for outcome, _, _ in ledger.of(prefix)} == {"built"}
+        assert any(name.startswith(prefix) for name in session.artifacts.names())
+
+    def test_fresh_session_adopts_without_work(self, kind, lifecycle_store, monkeypatch):
+        prefix, resolve_kind, _, _ = LIFECYCLE_KINDS[kind]
+        ledger = _Ledger(monkeypatch)
+        resolve_kind(GitTables.load(lifecycle_store))
+        assert ledger.of(prefix)
+        assert ledger.texts == 0 and ledger.decodes == 0
+        assert {outcome for outcome, _, _ in ledger.of(prefix)} == {"adopted"}
+
+    def test_extension_refreshes_tail_or_rebuilds(self, kind, extension_ledger):
+        prefix = LIFECYCLE_KINDS[kind][0]
+        ledger, tail = extension_ledger
+        first_outcome, texts, decodes = ledger.of(prefix)[0]
+        if kind == "search":
+            assert first_outcome == "extended"
+            assert texts == sum(len(schema) for schema in tail if schema)
+        elif kind == "completion":
+            assert first_outcome == "extended"
+            assert texts == sum(len(schema) for schema in tail if len(schema) >= 4)
+        elif kind == "projection":
+            assert first_outcome == "extended"
+            assert texts == 0 and decodes == len(tail)
+        elif kind == "ontology":
+            # Keyed on the model and the label list, not the corpus.
+            assert {outcome for outcome, _, _ in ledger.of(prefix)} == {"adopted"}
+        else:
+            assert first_outcome == "built"
+
+    def test_changed_fingerprint_key_rebuilds(self, kind, lifecycle_copy, monkeypatch):
+        prefix, _, resolve_changed, _ = LIFECYCLE_KINDS[kind]
+        ledger = _Ledger(monkeypatch)
+        resolve_changed(GitTables.load(lifecycle_copy), monkeypatch)
+        assert ledger.of(prefix)
+        assert {outcome for outcome, _, _ in ledger.of(prefix)} == {"built"}
+
+    def test_truncated_file_reads_as_miss(self, kind, lifecycle_copy, monkeypatch):
+        prefix, resolve_kind, _, filename = LIFECYCLE_KINDS[kind]
+        artifacts = IndexArtifactStore.for_corpus_dir(lifecycle_copy)
+        for name in artifacts.names():
+            if name.startswith(prefix):
+                path = artifacts.path(name) / filename
+                path.write_bytes(path.read_bytes()[:64])
+        ledger = _Ledger(monkeypatch)
+        resolve_kind(GitTables.load(lifecycle_copy))
+        assert ledger.of(prefix)
+        assert {outcome for outcome, _, _ in ledger.of(prefix)} == {"built"}
+
+
+class TestCrossCorpusTypeDetection:
+    def test_eval_corpus_features_keep_the_session_artifacts(self, tmp_path, monkeypatch):
+        """Publishing the eval corpus' features must not prune the
+        training store's own artifacts (they are keyed per corpus)."""
+        stores = []
+        for seed in (1, 2):
+            directory = tmp_path / f"store-{seed}"
+            build_corpus(
+                PipelineConfig(target_tables=40, seed=seed),
+                generator_config=GeneratorConfig(n_repositories=100, mean_rows=25, seed=seed),
+                store_dir=directory,
+                shard_size=8,
+            )
+            stores.append(directory)
+        session = GitTables.load(stores[0]).warm()
+        before = set(session.artifacts.names())
+        session.detect_types(
+            GitTables.load(stores[1]), columns_per_type=5, epochs=2, n_splits=2
+        )
+        after = set(session.artifacts.names())
+        assert before <= after
+        assert len([name for name in after if name.startswith("type-features-")]) == 2
+        calls = _spy_embed_many(monkeypatch)
+        GitTables.load(stores[0]).warm()
+        assert sum(calls) == 0
+
+
+class TestSingleLifecycle:
+    """The adopt/extend/build/publish policy lives only in ``resolve``."""
+
+    def test_lifecycle_primitives_are_used_only_by_the_resolver(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        allowed = {
+            "sealed_prefix_boundary": {"storage/artifacts.py", "storage/sharded.py"},
+            "try_publish": {"storage/artifacts.py"},
+        }
+        offenders: list[str] = []
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.asname or node.name
+                elif isinstance(node, ast.FunctionDef):
+                    name = node.name
+                else:
+                    continue
+                if name == "load_any" or relative not in allowed.get(name, {relative}):
+                    offenders.append(f"{relative}:{getattr(node, 'lineno', '?')} {name}")
+        assert offenders == []
+        assert not hasattr(IndexArtifactStore, "load_any")
+        sharded = (root / "storage" / "sharded.py").read_text(encoding="utf-8")
+        references = [
+            node
+            for node in ast.walk(ast.parse(sharded))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and "sealed_prefix_boundary" in (getattr(node, "id", None), getattr(node, "attr", None))
+        ]
+        assert references == [], "sharded.py only defines sealed_prefix_boundary"

@@ -192,9 +192,9 @@ class TestCompactionRewrite:
         # The load path (mmap of fingerprint-guarded artifacts) must be
         # the only way the engines come back after the re-shard.
         monkeypatch.setattr(TableSearchEngine, "_build", forbid)
-        monkeypatch.setattr(TableSearchEngine, "_extend_from_artifacts", forbid)
+        monkeypatch.setattr(TableSearchEngine, "_extend", forbid)
         monkeypatch.setattr(NearestCompletion, "_build", forbid)
-        monkeypatch.setattr(NearestCompletion, "_extend_from_artifacts", forbid)
+        monkeypatch.setattr(NearestCompletion, "_extend", forbid)
 
         report = session.compact(shard_size=NEW_SIZE)
         assert report["rewritten"]

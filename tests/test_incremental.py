@@ -491,10 +491,10 @@ class TestPruneOrderingWindow:
         # yet the superseded engine artifacts are still on disk — a
         # session starting here can still delta-refresh.
         for name in (SEARCH_ARTIFACT, COMPLETION_ARTIFACT):
-            stale = artifacts.load_any(name)
+            stale = artifacts.load(name)
             assert stale is not None, name
             assert stale.fingerprint["corpus"] == old_fingerprint, name
-        projection = artifacts.load_any(PROJECTION_ARTIFACT)
+        projection = artifacts.load(PROJECTION_ARTIFACT)
         assert projection is not None
         assert projection.fingerprint["corpus"] == new_fingerprint
 
@@ -502,7 +502,7 @@ class TestPruneOrderingWindow:
         _ = session.search_engine
         _ = session.completer
         for name in (SEARCH_ARTIFACT, COMPLETION_ARTIFACT):
-            refreshed = artifacts.load_any(name)
+            refreshed = artifacts.load(name)
             assert refreshed.fingerprint["corpus"] == new_fingerprint, name
         # Everything now keys to the grown corpus: nothing left to prune.
         assert artifacts.prune(new_fingerprint) == []

@@ -21,10 +21,8 @@ from repro.github.content import GeneratorConfig
 from repro.pipeline import Pipeline, PipelineReport, ResumeSkipStage, combine_counters
 from repro.storage import (
     BuildCheckpoint,
-    InMemoryStore,
     ShardedCorpusWriter,
     ShardedJsonlStore,
-    is_sharded_dir,
 )
 from repro.storage._io import directory_file_bytes
 
@@ -100,19 +98,6 @@ class TestShardedRoundTrip:
         assert loaded.store.shard_files() == ["shard_00000.jsonl"]
         assert [a.table_id for a in loaded] == [a.table_id for a in corpus]
 
-    def test_legacy_format_round_trip(self, tmp_path):
-        corpus = _corpus(4)
-        corpus.save(tmp_path / "corpus", format="legacy")
-        assert not is_sharded_dir(tmp_path / "corpus")
-        assert (tmp_path / "corpus" / "index.json").exists()
-        loaded = GitTablesCorpus.load(tmp_path / "corpus")
-        assert isinstance(loaded.store, InMemoryStore)
-        assert [a.to_dict() for a in loaded] == [a.to_dict() for a in corpus]
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            _corpus(1).save(tmp_path / "corpus", format="parquet")
-
 
 class TestLazyReads:
     def test_get_reads_only_its_own_shard(self, tmp_path):
@@ -159,6 +144,15 @@ class TestLazyReads:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(CorpusError):
             GitTablesCorpus.load(tmp_path / "does-not-exist")
+
+    def test_non_sharded_directory_raises(self, tmp_path):
+        """A directory without a shard manifest (e.g. the retired
+        one-JSON-file-per-table layout) is not a corpus store."""
+        directory = tmp_path / "corpus"
+        directory.mkdir()
+        (directory / "index.json").write_text('{"name": "old", "tables": []}')
+        with pytest.raises(CorpusError):
+            GitTablesCorpus.load(directory)
 
 
 class TestPerTableDecode:
