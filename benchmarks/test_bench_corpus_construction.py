@@ -8,7 +8,7 @@ paper quotes (parse success rate, filter rate, PII fraction).
 from __future__ import annotations
 
 from repro.config import PipelineConfig
-from repro.core.pipeline import build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.github.content import GeneratorConfig
 
 
@@ -17,7 +17,7 @@ def test_bench_pipeline_build(benchmark):
     generator = GeneratorConfig(n_repositories=200, mean_rows=60, mean_cols=10, seed=123)
 
     result = benchmark.pedantic(
-        build_corpus, kwargs={"config": config, "generator_config": generator}, rounds=1, iterations=1
+        lambda: CorpusBuilder(config, generator_config=generator).build(), rounds=1, iterations=1
     )
 
     print(f"\ntables built: {len(result.corpus)}")

@@ -29,7 +29,7 @@ import pytest
 
 from repro.config import PipelineConfig
 from repro.core.corpus import GitTablesCorpus
-from repro.core.pipeline import build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.github.content import GeneratorConfig
 
 N_TABLES = 300
@@ -51,8 +51,8 @@ def run_corpus_io_benchmark(
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(tmp) / "store"
         started = perf_counter()
-        result = build_corpus(
-            config, generator_config=generator, store_dir=store_dir, shard_size=shard_size
+        result = CorpusBuilder(config, generator_config=generator).build(
+            store_dir=store_dir, shard_size=shard_size
         )
         build_seconds = perf_counter() - started
         n_built = len(result.corpus)

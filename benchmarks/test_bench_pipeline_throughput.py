@@ -10,7 +10,7 @@ streaming guarantee a list-materializing pipeline would break).
 from __future__ import annotations
 
 from repro.config import PipelineConfig
-from repro.core.pipeline import build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.github.content import GeneratorConfig
 
 SCALE = "default"
@@ -24,8 +24,7 @@ def test_bench_pipeline_throughput(benchmark):
     generator = GeneratorConfig(n_repositories=260, mean_rows=50, mean_cols=9, seed=321)
 
     result = benchmark.pedantic(
-        build_corpus,
-        kwargs={"config": config, "generator_config": generator, "batch_size": BATCH_SIZE},
+        lambda: CorpusBuilder(config, generator_config=generator, batch_size=BATCH_SIZE).build(),
         rounds=1,
         iterations=1,
     )

@@ -43,7 +43,7 @@ import pytest
 
 from repro.api import GitTables
 from repro.config import PipelineConfig
-from repro.core.pipeline import build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.github.content import GeneratorConfig
 
 N_TABLES = 300
@@ -94,8 +94,8 @@ def run_serving_benchmark(
 
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(tmp) / "store"
-        build_corpus(
-            config, generator_config=generator, store_dir=store_dir, shard_size=shard_size
+        CorpusBuilder(config, generator_config=generator).build(
+            store_dir=store_dir, shard_size=shard_size
         )
         session = GitTables.load(store_dir)
         # Single-shot ground truth (also warms + publishes the artifacts

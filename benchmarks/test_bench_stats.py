@@ -5,10 +5,10 @@ annotations and PII metadata — no pipeline, no RNG), then times the full
 statistics surface twice:
 
 * **scan** — cold ``GitTablesCorpus.load()`` followed by the streaming
-  references (``CorpusStatistics.from_scan``,
-  ``AnnotationStatistics.from_scan``, ``CurationReport.from_scan``,
-  ``dimension_cdf`` on both axes, ``top_types``), which parse every
-  table's JSON out of the shards;
+  references of the test oracle :mod:`tests.stats_oracle`
+  (``corpus_statistics``, ``annotation_statistics``,
+  ``curation_report``, ``dimension_cdf`` on both axes) and
+  ``top_types``, which parse every table's JSON out of the shards;
 * **columnar** — cold ``GitTables.load()`` followed by the same surface
   through the materialized projection (``stats()``,
   ``annotation_stats()``, ``CurationReport.from_corpus`` with the
@@ -36,10 +36,11 @@ from repro.api import GitTables
 from repro.core.annotation import AnnotationMethod, ColumnAnnotation, TableAnnotations
 from repro.core.corpus import AnnotatedTable, GitTablesCorpus
 from repro.core.curation import CurationReport
-from repro.core.stats import AnnotationStatistics, CorpusStatistics, dimension_cdf, top_types
+from repro.core.stats import dimension_cdf, top_types
 from repro.dataframe.table import Table
 from repro.storage.columnar import ColumnarProjection, publish_projection
 from repro.storage.artifacts import IndexArtifactStore, corpus_content_fingerprint
+from tests import stats_oracle as oracle
 
 N_TABLES = 5000
 SHARD_SIZE = 256
@@ -105,10 +106,10 @@ def _synthetic_table(index: int) -> AnnotatedTable:
 
 def _full_surface_scan(corpus) -> tuple:
     """The whole statistics surface through the streaming references."""
-    corpus_stats = CorpusStatistics.from_scan(corpus)
-    annotation_stats = AnnotationStatistics.from_scan(corpus)
-    curation = CurationReport.from_scan(corpus)
-    cdfs = tuple(dimension_cdf(corpus, axis=axis) for axis in ("rows", "columns"))
+    corpus_stats = oracle.corpus_statistics(corpus)
+    annotation_stats = oracle.annotation_statistics(corpus)
+    curation = oracle.curation_report(corpus)
+    cdfs = tuple(oracle.dimension_cdf(corpus, axis=axis) for axis in ("rows", "columns"))
     tops = tuple(
         tuple(top_types(annotation_stats, method, ontology, k=25))
         for method in ("syntactic", "semantic")

@@ -24,9 +24,10 @@ Quickstart::
     gt.detect_types(columns_per_type=30, epochs=10)         # type detection §5.1
     gt.match_kg(ontology="dbpedia")                         # KG matching §5.3
 
-The legacy entry points (:func:`build_corpus`, :class:`CorpusBuilder`)
-remain as thin wrappers over the streaming pipeline and return the same
-:class:`PipelineResult` as before.
+:class:`CorpusBuilder` is the builder behind the facade: its ``build``
+runs the streaming pipeline and returns a :class:`PipelineResult` (the
+corpus plus the per-stage reports). ``processes=N`` is the one way to
+parallelise a build: it fans a store build out across worker processes.
 
 Corpus storage is pluggable (:mod:`repro.storage`): the corpus container
 delegates to an in-memory dict, a lazy sharded-JSONL reader, or the
@@ -51,7 +52,7 @@ from .config import (
     ServingConfig,
 )
 from .core.corpus import AnnotatedTable, GitTablesCorpus
-from .core.pipeline import CorpusBuilder, PipelineResult, build_corpus
+from .core.pipeline import CorpusBuilder, PipelineResult
 from .core.stats import AnnotationStatistics, CorpusStatistics
 from .dataframe import Table, parse_csv
 from .pipeline import Pipeline, PipelineReport, Stage, StageContext
@@ -81,7 +82,6 @@ __all__ = [
     "Stage",
     "StageContext",
     "Table",
-    "build_corpus",
     "parse_csv",
 ]
 

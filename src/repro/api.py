@@ -111,7 +111,7 @@ class GitTables:
         batch_size: int = DEFAULT_BATCH_SIZE,
         store_dir: str | os.PathLike[str] | None = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        processes: int | None = None,
+        processes: int = 1,
         index_config: IndexConfig | None = None,
     ) -> "GitTables":
         """Run the streaming construction pipeline and wrap the result.
@@ -120,12 +120,11 @@ class GitTables:
         store and is resumable: re-running after an interruption picks
         up from the store's manifest instead of starting over, and the
         session's corpus is backed by the lazy sharded reader rather
-        than held in memory. ``processes`` (default:
-        ``config.processes``) fans a store build out across worker
-        processes — the finalized directory is byte-identical to a
-        serial build, and a killed build may be resumed under any
-        process count. See :meth:`CorpusBuilder.build
-        <repro.core.pipeline.CorpusBuilder.build>`.
+        than held in memory. ``processes`` (default ``1``, must be
+        ``>= 1``) fans a store build out across worker processes — the
+        finalized directory is byte-identical to a serial build, and a
+        killed build may be resumed under any process count. See
+        :meth:`CorpusBuilder.build <repro.core.pipeline.CorpusBuilder.build>`.
         """
         builder = CorpusBuilder(
             config=config,
@@ -300,7 +299,7 @@ class GitTables:
         self,
         target_tables: int | None = None,
         topics: int | None = None,
-        processes: int | None = None,
+        processes: int = 1,
         batch_size: int = DEFAULT_BATCH_SIZE,
         shard_size: int = DEFAULT_SHARD_SIZE,
     ) -> "GitTables":
@@ -325,6 +324,10 @@ class GitTables:
         are pruned only *after* every engine has republished, so a crash
         mid-refresh leaves the next session able to delta-refresh from
         the same prior-epoch artifacts.
+
+        ``processes`` (default ``1``, must be ``>= 1``) is the extension's
+        worker process count, as for :meth:`build`; the extended
+        directory's bytes do not depend on it.
 
         Requires a store-backed session whose build metadata carries a
         verifiable generator fingerprint (corpora built from a custom

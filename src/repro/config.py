@@ -276,7 +276,12 @@ class ServingConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Bundle of all stage configurations plus global determinism settings."""
+    """Bundle of all stage configurations plus global determinism settings.
+
+    Every field shapes corpus contents and is recorded in the build
+    fingerprint. Execution settings that do not (the worker process
+    count) are arguments of :meth:`repro.core.pipeline.CorpusBuilder.build`.
+    """
 
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     curation: CurationConfig = field(default_factory=CurationConfig)
@@ -285,20 +290,6 @@ class PipelineConfig:
     seed: int = 20230530
     #: Target number of tables for corpus construction runs.
     target_tables: int = 400
-    #: Worker threads for batch-capable map stages (parsing, annotation).
-    #: 1 (the default) keeps the strictly serial pull-driven execution;
-    #: higher values let :class:`repro.pipeline.MapStage` process chunks
-    #: in parallel, which prefetches work and may pull up to
-    #: ``workers + 1`` chunks past an early-stop limit.
-    workers: int = 1
-    #: Worker *processes* for store-targeted corpus builds. 1 (the
-    #: default) keeps the single-process streaming build; higher values
-    #: fan the extract→parse→annotate→curate work out across OS
-    #: processes with per-worker shard files and manifest logs, merged
-    #: on commit boundaries (see :mod:`repro.storage.parallel`). Like
-    #: ``workers``, this is proven not to change corpus contents, so it
-    #: is excluded from the build's config fingerprint.
-    processes: int = 1
 
     def __post_init__(self) -> None:
         self.validate()
@@ -310,10 +301,6 @@ class PipelineConfig:
         self.annotation.validate()
         if self.target_tables < 1:
             raise PipelineConfigError("target_tables must be >= 1")
-        if self.workers < 1:
-            raise PipelineConfigError("workers must be >= 1")
-        if self.processes < 1:
-            raise PipelineConfigError("processes must be >= 1")
 
     def replace(self, **overrides: object) -> "PipelineConfig":
         """A copy with the given fields replaced (and re-validated).
@@ -333,9 +320,7 @@ class PipelineConfig:
         :func:`~repro.storage.checkpoint.config_fingerprint`), used to
         re-materialize the configuration a stored corpus was built with.
         JSON round-trips turn tuples into lists, so sequence-valued
-        fields are coerced back; ``workers``/``processes`` are absent
-        from fingerprints (they do not shape corpus contents) and fall
-        back to their defaults. Unknown keys raise — a fingerprint from
+        fields are coerced back. Unknown keys raise — a fingerprint from
         a newer layout must not be silently reinterpreted.
         """
         payload = dict(payload)

@@ -30,7 +30,7 @@ from .extraction import CSVExtractor, ExtractedFile, build_topic_query, segment_
 from .filtering import FilterDecision, TableFilter
 from .parsing import ParsedFile, ParsingStage
 from .curation import ContentCurator, CurationResult
-from .pipeline import CorpusBuilder, PipelineResult, build_corpus
+from .pipeline import CorpusBuilder, PipelineResult
 from .stats import AnnotationStatistics, CorpusStatistics
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "TableFilter",
     "annotate_table",
     "annotate_tables",
-    "build_corpus",
     "build_topic_query",
     "segment_query",
 ]

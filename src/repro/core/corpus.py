@@ -156,8 +156,9 @@ class GitTablesCorpus:
 
         Corpora are append-only (duplicate ids rejected, no removal),
         so a table-count mismatch is exactly "tables were added since
-        the projection was built" — the stale projection is ignored and
-        consumers fall back to iteration (or rebuild).
+        the projection was built" — the stale projection is ignored:
+        statistics rebuild it through :func:`~repro.storage.columnar.
+        ensure_projection`, :meth:`filter` falls back to iteration.
         """
         projection = self._projection
         if projection is not None and projection.table_count == len(self._store):

@@ -63,14 +63,13 @@ class CurationReport:
         Every scrubbed table records its scrubbed columns and their PII
         types in table metadata, so the full report is derivable without
         the original build session — this is what store-reusing builds
-        return instead of an empty report. Dispatches to the columnar
-        engine when the corpus has a current projection attached (no
-        table parsing); one streaming pass otherwise.
+        return instead of an empty report. Computed on the columnar
+        projection :func:`~repro.storage.columnar.ensure_projection`
+        resolves for ``corpus`` (no table parsing once it is current).
         """
-        projection = getattr(corpus, "projection", None)
-        if projection is not None:
-            return cls.from_projection(projection)
-        return cls.from_scan(corpus)
+        from ..storage.columnar import ensure_projection
+
+        return cls.from_projection(ensure_projection(corpus))
 
     @classmethod
     def from_projection(cls, projection) -> "CurationReport":
@@ -89,22 +88,6 @@ class CurationReport:
             projection.pii_labels[code]: int(count)
             for code, count in zip(codes.tolist(), counts.tolist())
         }
-        return report
-
-    @classmethod
-    def from_scan(cls, corpus) -> "CurationReport":
-        """The streaming iteration reference over table metadata."""
-        report = cls()
-        for annotated in corpus:
-            table = annotated.table
-            report.tables_processed += 1
-            report.columns_total += table.num_columns
-            scrubbed_types = table.metadata.get("pii_scrubbed_types") or {}
-            if scrubbed_types:
-                report.tables_scrubbed += 1
-                report.columns_scrubbed += len(scrubbed_types)
-                for label in scrubbed_types.values():
-                    report.scrubbed_by_type[label] = report.scrubbed_by_type.get(label, 0) + 1
         return report
 
 

@@ -14,7 +14,10 @@ on-disk store (:mod:`repro.storage.sharded`) and are resumable: the
 manifest is the commit log, a resume skips every already-annotated
 table via the resume-skip stage, and the final
 :class:`~repro.pipeline.report.PipelineReport` merges the counters of
-every session that contributed.
+every session that contributed. ``CorpusBuilder.build(processes=N)`` is
+the one way to parallelise a build: it fans a store build out across
+worker processes (:mod:`repro.storage.parallel`) that finalize the same
+bytes as the serial graph.
 Every stage still produces its legacy report — all are bundled in the
 returned :class:`PipelineResult` together with the unified
 :class:`~repro.pipeline.report.PipelineReport` — so experiments can
@@ -58,7 +61,7 @@ from .extraction import CSVExtractor, ExtractionReport
 from .filtering import FilterReport
 from .parsing import ParsingReport
 
-__all__ = ["PipelineResult", "CorpusBuilder", "build_corpus"]
+__all__ = ["PipelineResult", "CorpusBuilder"]
 
 #: Default number of tables streamed per runner batch.
 DEFAULT_BATCH_SIZE = 32
@@ -149,10 +152,7 @@ class CorpusBuilder:
         """The Figure-1 stage graph over this builder's components.
 
         A fresh graph (with fresh stage reports) per call; callers may
-        insert, replace or reorder stages before running it. With
-        ``config.workers > 1`` the parsing and annotation stages run as
-        chunked thread-pool map stages (order-preserving; may prefetch
-        up to ``workers + 1`` chunks past the early-stop limit).
+        insert, replace or reorder stages before running it.
         ``skip_source_urls`` inserts the resume-skip stage used by
         store-targeted builds; ``fast_forward_past`` is the sealed
         store's stream high-water mark for epoch extensions (see
@@ -165,8 +165,6 @@ class CorpusBuilder:
                 self.table_filter,
                 self.annotator,
                 self.curator,
-                workers=self.config.workers,
-                chunk_size=self.batch_size,
                 skip_source_urls=skip_source_urls,
                 fast_forward_past=fast_forward_past,
             ),
@@ -178,7 +176,7 @@ class CorpusBuilder:
         self,
         store_dir: str | os.PathLike[str] | None = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        processes: int | None = None,
+        processes: int = 1,
         extend: bool = False,
     ) -> PipelineResult:
         """Run the full streaming pipeline and return corpus plus reports.
@@ -193,15 +191,17 @@ class CorpusBuilder:
         uninterrupted run. The returned corpus is backed by the lazy
         sharded reader, not resident in memory.
 
-        ``processes`` (default: ``config.processes``) fans a store
-        build out across worker processes, each searching, downloading
-        and annotating a disjoint slice of the source-URL stream into
-        its own shard files, merged on commit boundaries and finalized
-        byte-identically to a serial build — see
+        ``processes`` (default ``1``, the single-process streaming build)
+        is the number of worker processes; it must be ``>= 1`` for every
+        build, and ``CorpusError`` is raised otherwise. A store build with
+        ``processes > 1`` fans out across worker processes, each
+        searching, downloading and annotating a disjoint slice of the
+        source-URL stream into its own shard files, merged on commit
+        boundaries and finalized byte-identically to a serial build — see
         :class:`repro.storage.parallel.ParallelCorpusBuilder`. A build
         may be killed under one process count and resumed under another
-        (the count is excluded from the config fingerprint). In-memory
-        builds ignore ``processes``.
+        (the count is not part of the config fingerprint). An in-memory
+        build always runs in the calling process.
 
         ``extend=True`` reopens a *completed* store under a grown
         configuration (larger ``target_tables`` and/or
@@ -215,8 +215,6 @@ class CorpusBuilder:
         from-scratch build of the larger target with the same explicit
         ``generator_config``.
         """
-        if processes is None:
-            processes = self.config.processes
         if processes < 1:
             raise CorpusError("processes must be >= 1")
         if store_dir is not None:
@@ -450,28 +448,3 @@ class CorpusBuilder:
             # pure-reuse path does.
             report.stage_reports["curation"] = CurationReport.from_corpus(corpus)
         return self._result(corpus, report, topic_selection.topics)
-
-
-def build_corpus(
-    config: PipelineConfig | None = None,
-    instance: GitHubInstance | None = None,
-    generator_config: GeneratorConfig | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    store_dir: str | os.PathLike[str] | None = None,
-    shard_size: int = DEFAULT_SHARD_SIZE,
-    processes: int | None = None,
-    extend: bool = False,
-) -> PipelineResult:
-    """Convenience wrapper: construct a corpus with one call.
-
-    With ``store_dir`` the build streams into a resumable sharded
-    on-disk store; ``processes`` > 1 additionally fans the work out
-    across worker processes; ``extend=True`` grows a completed store
-    incrementally under a larger target (see :meth:`CorpusBuilder.build`).
-    """
-    return CorpusBuilder(
-        config=config,
-        instance=instance,
-        generator_config=generator_config,
-        batch_size=batch_size,
-    ).build(store_dir=store_dir, shard_size=shard_size, processes=processes, extend=extend)

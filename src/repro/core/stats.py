@@ -21,10 +21,10 @@ from ..storage.columnar import (
     METHODS,
     ColumnarProjection,
     count_by,
+    ensure_projection,
     first_seen_counts,
     masked,
 )
-from .annotation import AnnotationMethod
 from .corpus import GitTablesCorpus
 
 __all__ = ["CorpusStatistics", "AnnotationStatistics", "dimension_cdf", "top_types"]
@@ -52,17 +52,13 @@ class CorpusStatistics:
 
     @classmethod
     def from_corpus(cls, corpus: GitTablesCorpus) -> "CorpusStatistics":
-        """Compute statistics for ``corpus``.
+        """Compute statistics for ``corpus`` on its columnar projection.
 
-        Dispatches to the columnar engine when the corpus has a current
-        :class:`~repro.storage.columnar.ColumnarProjection` attached
-        (results are identical to the iteration path, property-tested);
-        falls back to the streaming Python scan otherwise.
+        The projection is resolved (and attached) through
+        :func:`~repro.storage.columnar.ensure_projection`, so a current
+        one is reused and a missing or stale one is rebuilt.
         """
-        projection = getattr(corpus, "projection", None)
-        if projection is not None:
-            return cls.from_projection(projection)
-        return cls.from_scan(corpus)
+        return cls.from_projection(ensure_projection(corpus))
 
     @classmethod
     def from_projection(cls, projection: ColumnarProjection) -> "CorpusStatistics":
@@ -105,55 +101,6 @@ class CorpusStatistics:
             atomic_type_fractions=fractions,
             atomic_type_counts=atomic_counts,
             tables_per_repository_mean=float(repo_values.mean()) if has_repos else 0.0,
-            repositories_with_at_most_5_tables_fraction=at_most_5,
-        )
-
-    @classmethod
-    def from_scan(cls, corpus: GitTablesCorpus) -> "CorpusStatistics":
-        """The streaming Python iteration reference (one pass, parses tables)."""
-        row_counts = []
-        col_counts = []
-        atomic_counts: Counter[str] = Counter()
-        for annotated in corpus:
-            table = annotated.table
-            row_counts.append(table.num_rows)
-            col_counts.append(table.num_columns)
-            for column in table.columns:
-                atomic_counts[column.atomic_type.value] += 1
-
-        table_count = len(corpus)
-        total_rows = int(sum(row_counts))
-        total_columns = int(sum(col_counts))
-        total_columns_nonzero = max(total_columns, 1)
-
-        coarse: Counter[str] = Counter()
-        for type_value, count in atomic_counts.items():
-            coarse[AtomicType(type_value).coarse] += count
-        fractions = {
-            bucket: coarse.get(bucket, 0) / total_columns_nonzero
-            for bucket in ("numeric", "string", "other")
-        }
-
-        repo_counts = corpus.repositories()
-        repo_values = np.array(list(repo_counts.values())) if repo_counts else np.array([0])
-        at_most_5 = float(np.mean(repo_values <= 5)) if repo_counts else 0.0
-
-        return cls(
-            table_count=table_count,
-            total_rows=total_rows,
-            total_columns=total_columns,
-            avg_rows=total_rows / table_count if table_count else 0.0,
-            avg_cols=total_columns / table_count if table_count else 0.0,
-            avg_cells=(
-                sum(r * c for r, c in zip(row_counts, col_counts)) / table_count
-                if table_count
-                else 0.0
-            ),
-            median_rows=float(np.median(row_counts)) if row_counts else 0.0,
-            median_cols=float(np.median(col_counts)) if col_counts else 0.0,
-            atomic_type_fractions=fractions,
-            atomic_type_counts=dict(atomic_counts),
-            tables_per_repository_mean=float(repo_values.mean()) if repo_counts else 0.0,
             repositories_with_at_most_5_tables_fraction=at_most_5,
         )
 
@@ -222,16 +169,12 @@ class AnnotationStatistics:
 
         ``popular_type_column_threshold`` plays the role of the paper's
         "# types (#columns > 1K)" row, scaled down for smaller corpora.
-        Dispatches to the columnar engine when the corpus has a current
-        projection attached; falls back to the streaming scan otherwise.
+        Computed on the projection :func:`~repro.storage.columnar.
+        ensure_projection` resolves for ``corpus``.
         """
-        projection = getattr(corpus, "projection", None)
-        if projection is not None:
-            return cls.from_projection(
-                projection, popular_type_column_threshold=popular_type_column_threshold
-            )
-        return cls.from_scan(
-            corpus, popular_type_column_threshold=popular_type_column_threshold
+        return cls.from_projection(
+            ensure_projection(corpus),
+            popular_type_column_threshold=popular_type_column_threshold,
         )
 
     @classmethod
@@ -244,7 +187,7 @@ class AnnotationStatistics:
 
         Annotation rows are stored in reference iteration order, so the
         reconstructed ``Counter`` insertion order — and with it
-        ``most_common`` tie-breaking — matches the scan path exactly.
+        ``most_common`` tie-breaking — matches a per-table scan exactly.
         """
         ontologies = ("dbpedia", "schema_org")
         table_count = projection.table_count
@@ -332,72 +275,6 @@ class AnnotationStatistics:
             type_counts=type_counts,
         )
 
-    @classmethod
-    def from_scan(
-        cls,
-        corpus: GitTablesCorpus,
-        popular_type_column_threshold: int = 5,
-    ) -> "AnnotationStatistics":
-        """The streaming Python iteration reference (one pass, parses tables)."""
-        methods = (AnnotationMethod.SYNTACTIC, AnnotationMethod.SEMANTIC)
-        ontologies = ("dbpedia", "schema_org")
-
-        annotated_tables: Counter[tuple[str, str]] = Counter()
-        annotated_columns: Counter[tuple[str, str]] = Counter()
-        type_counts: dict[tuple[str, str], Counter] = {
-            (method.value, ontology): Counter() for method in methods for ontology in ontologies
-        }
-        coverage_per_table: dict[str, list[float]] = {method.value: [] for method in methods}
-        similarity_scores: dict[str, list[float]] = {ontology: [] for ontology in ontologies}
-
-        for annotated in corpus:
-            n_columns = annotated.table.num_columns
-            for method in methods:
-                coverage_per_table[method.value].append(
-                    annotated.annotations.annotated_column_fraction(method, n_columns)
-                )
-                for ontology in ontologies:
-                    annotations = annotated.annotations.for_method(method, ontology)
-                    if annotations:
-                        annotated_tables[(method.value, ontology)] += 1
-                        annotated_columns[(method.value, ontology)] += len(annotations)
-                        for annotation in annotations:
-                            type_counts[(method.value, ontology)][annotation.type_label] += 1
-                            if method is AnnotationMethod.SEMANTIC:
-                                similarity_scores[ontology].append(annotation.confidence)
-
-        per_method_ontology = []
-        for method in methods:
-            for ontology in ontologies:
-                key = (method.value, ontology)
-                counts = type_counts[key]
-                per_method_ontology.append(
-                    MethodOntologyStats(
-                        method=method.value,
-                        ontology=ontology,
-                        annotated_tables=annotated_tables[key],
-                        annotated_columns=annotated_columns[key],
-                        unique_types=len(counts),
-                        types_above_threshold=sum(
-                            1 for count in counts.values() if count > popular_type_column_threshold
-                        ),
-                    )
-                )
-
-        mean_coverage = {
-            method: float(np.mean(values)) if values else 0.0
-            for method, values in coverage_per_table.items()
-        }
-
-        return cls(
-            table_count=len(corpus),
-            per_method_ontology=tuple(per_method_ontology),
-            mean_coverage=mean_coverage,
-            coverage_per_table=coverage_per_table,
-            similarity_scores=similarity_scores,
-            type_counts=type_counts,
-        )
-
     def stats_for(self, method: str, ontology: str) -> MethodOntologyStats:
         """Statistics of one (method, ontology) pair."""
         for stats in self.per_method_ontology:
@@ -426,16 +303,8 @@ def dimension_cdf(corpus: GitTablesCorpus, axis: str = "rows", points: int = 40)
     """
     if axis not in ("rows", "columns"):
         raise ValueError("axis must be 'rows' or 'columns'")
-    projection = getattr(corpus, "projection", None)
-    if projection is not None:
-        values = np.asarray(projection.n_rows if axis == "rows" else projection.n_cols)
-    else:
-        values = np.array(
-            [
-                annotated.table.num_rows if axis == "rows" else annotated.table.num_columns
-                for annotated in corpus
-            ]
-        )
+    projection = ensure_projection(corpus)
+    values = np.asarray(projection.n_rows if axis == "rows" else projection.n_cols)
     if values.size == 0:
         return []
     grid = np.unique(np.logspace(0, np.log10(max(values.max(), 2)), points).astype(int))

@@ -19,7 +19,7 @@ from ..benchdata.t2dv2 import T2Dv2Benchmark, build_t2dv2
 from ..benchdata.webtables import WebTableConfig, build_webtables_corpus
 from ..config import PipelineConfig
 from ..core.corpus import GitTablesCorpus
-from ..core.pipeline import PipelineResult, build_corpus
+from ..core.pipeline import CorpusBuilder, PipelineResult
 from ..github.content import GeneratorConfig
 
 __all__ = ["ExperimentContext", "get_context", "clear_context_cache"]
@@ -43,7 +43,9 @@ class ExperimentContext:
     seed: int = 20230530
     #: Optional directory for persistent, resumable corpus storage.
     store_dir: str | None = None
-    #: Worker processes for the store-backed corpus build (1 = serial).
+    #: Worker processes for the corpus build (default 1, must be >= 1;
+    #: see :meth:`~repro.core.pipeline.CorpusBuilder.build`). Only a
+    #: store-backed build fans out; an in-memory build runs in-process.
     #: Content-neutral: any process count yields byte-identical stores,
     #: so cached/shared store directories stay interchangeable.
     processes: int = 1
@@ -106,12 +108,9 @@ class ExperimentContext:
     def pipeline_result(self) -> PipelineResult:
         """The GitTables construction run (corpus + stage reports)."""
         if self._pipeline_result is None:
-            self._pipeline_result = build_corpus(
-                self.pipeline_config(),
-                generator_config=self.generator_config(),
-                store_dir=self.corpus_store_dir(),
-                processes=self.processes if self.store_dir is not None else None,
-            )
+            self._pipeline_result = CorpusBuilder(
+                self.pipeline_config(), generator_config=self.generator_config()
+            ).build(store_dir=self.corpus_store_dir(), processes=self.processes)
         return self._pipeline_result
 
     @property
@@ -144,9 +143,9 @@ class ExperimentContext:
         Resolved through :func:`~repro.storage.columnar.ensure_projection`:
         an already-attached projection wins, store-backed contexts mmap
         the artifact published at build finalize, and only a cache miss
-        (or an in-memory corpus) triggers a full scan. The projection is
-        attached to the corpus, so every later ``from_corpus`` dispatch
-        in this process takes the columnar path too.
+        (or an in-memory corpus) triggers a full scan. Every statistic
+        is computed on this projection; the per-table scan it is tested
+        against lives in ``tests/stats_oracle.py``.
         """
         from ..storage.columnar import ensure_projection
 

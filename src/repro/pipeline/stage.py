@@ -14,14 +14,12 @@ other (and to the caller).
 Batch-capable stages implement the :class:`BatchStage` protocol
 (``process_batch(batch, ctx) -> list``) and are adapted into the
 streaming graph by :class:`MapStage`, which chunks the upstream stream
-and — opt-in via ``workers`` (or ``PipelineConfig.workers``) — executes
-chunks on a thread pool while preserving output order.
+and hands each chunk to the stage in order. Builds parallelise across
+worker processes (:mod:`repro.storage.parallel`), not inside a stage.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
@@ -111,9 +109,7 @@ class BatchStage(Protocol):
     returns the downstream items (dropping is expressed by returning
     fewer). An optional ``begin(ctx)`` hook, when present, is called once
     per run before the first chunk (stages use it to register fresh
-    legacy reports). Implementations that mutate shared state in
-    ``process_batch`` must be thread-safe: :class:`MapStage` may invoke
-    it concurrently when workers are enabled.
+    legacy reports).
     """
 
     name: str
@@ -127,66 +123,27 @@ class MapStage:
     """Adapt a :class:`BatchStage` into the streaming :class:`Stage` protocol.
 
     The upstream iterator is consumed in chunks of ``chunk_size``, each
-    handed to the wrapped stage's ``process_batch``. With ``workers > 1``
-    — explicit, or inherited from ``PipelineConfig.workers`` — up to
-    ``workers`` chunks are in flight on a thread pool at once, and
-    results are yielded strictly in input order.
+    handed to the wrapped stage's ``process_batch`` in input order.
 
     Trade-off versus a plain per-item stage: chunking pulls up to
     ``chunk_size`` items from upstream even when the run's limit needs
-    fewer, and the parallel mode keeps up to ``workers + 1`` chunks in
-    flight, so opt in where throughput matters more than strict zero
+    fewer, so opt in where batching matters more than strict zero
     over-pull (the default construction graph stays per-item).
     """
 
-    def __init__(
-        self,
-        stage: BatchStage,
-        chunk_size: int = 32,
-        workers: int | None = None,
-    ) -> None:
+    def __init__(self, stage: BatchStage, chunk_size: int = 32) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
         self.stage = stage
         self.name = stage.name
         self.chunk_size = chunk_size
-        self.workers = workers
-
-    def _resolve_workers(self, ctx: StageContext) -> int:
-        if self.workers is not None:
-            return self.workers
-        workers = getattr(ctx.config, "workers", 1) if ctx.config is not None else 1
-        return max(1, int(workers))
 
     def process(self, items: Iterator, ctx: StageContext) -> Iterator:
         begin = getattr(self.stage, "begin", None)
         if begin is not None:
             begin(ctx)
-        chunks = iter_chunks(items, self.chunk_size)
-        workers = self._resolve_workers(ctx)
-        if workers == 1:
-            for chunk in chunks:
-                yield from self.stage.process_batch(chunk, ctx)
-            return
-        yield from self._process_parallel(chunks, ctx, workers)
-
-    def _process_parallel(
-        self, chunks: Iterable[list], ctx: StageContext, workers: int
-    ) -> Iterator:
-        pending: deque = deque()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            try:
-                for chunk in chunks:
-                    pending.append(pool.submit(self.stage.process_batch, chunk, ctx))
-                    while len(pending) > workers:
-                        yield from pending.popleft().result()
-                while pending:
-                    yield from pending.popleft().result()
-            finally:
-                for future in pending:
-                    future.cancel()
+        for chunk in iter_chunks(items, self.chunk_size):
+            yield from self.stage.process_batch(chunk, ctx)
 
 
 def stage_from(obj: Stage | Callable, name: str | None = None) -> Stage:

@@ -20,13 +20,11 @@ Stage graph item types::
 :class:`~repro.pipeline.stage.BatchStage` protocol (``process_batch``),
 so they can be wrapped in a :class:`~repro.pipeline.stage.MapStage` to
 receive whole chunks — annotation then resolves all column names of a
-chunk with one batched index query per ontology — and, opt-in via
-``PipelineConfig.workers``, to run chunks on a thread pool.
+chunk with one batched index query per ontology.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -38,7 +36,7 @@ from ..core.extraction import CSVExtractor, ExtractionReport
 from ..core.filtering import FilterReport, TableFilter
 from ..core.parsing import ParsedFile, ParsingReport, ParsingStage
 from ..errors import CSVParseError
-from .stage import MapStage, StageContext
+from .stage import StageContext
 
 __all__ = [
     "AnnotatedCandidate",
@@ -194,7 +192,6 @@ class ParseStage:
     def __init__(self, parser: ParsingStage | None = None) -> None:
         self.parser = parser or ParsingStage()
         self.report = ParsingReport()
-        self._report_lock = threading.Lock()
 
     def begin(self, ctx: StageContext) -> None:
         # Fresh report per run so a reused stage never mixes run counts.
@@ -207,26 +204,18 @@ class ParseStage:
             yield from self.process_batch([extracted], ctx)
 
     def process_batch(self, batch: list, ctx: StageContext) -> list:
-        """Parse a chunk of extracted files, dropping parse failures.
-
-        Counts are accumulated locally and merged into the run report
-        under a lock, so chunks may be parsed concurrently.
-        """
+        """Parse a chunk of extracted files, dropping parse failures."""
+        report = self.report
         parsed_files: list[ParsedFile] = []
-        failures: dict[str, int] = {}
         for extracted in batch:
             try:
                 parsed_files.append(self.parser.parse_file(extracted))
             except CSVParseError as error:
                 reason = str(error).split(":")[0]
-                failures[reason] = failures.get(reason, 0) + 1
-        with self._report_lock:
-            report = self.report
-            report.attempted += len(batch)
-            report.parsed += len(parsed_files)
-            report.failed += len(batch) - len(parsed_files)
-            for reason, count in failures.items():
-                report.failures_by_reason[reason] = report.failures_by_reason.get(reason, 0) + count
+                report.failures_by_reason[reason] = report.failures_by_reason.get(reason, 0) + 1
+        report.attempted += len(batch)
+        report.parsed += len(parsed_files)
+        report.failed += len(batch) - len(parsed_files)
         return parsed_files
 
 
@@ -316,20 +305,13 @@ def default_stages(
     table_filter: TableFilter,
     annotator: AnnotationPipeline,
     curator: ContentCurator,
-    workers: int = 1,
-    chunk_size: int = 32,
     skip_source_urls: set[str] | None = None,
     fast_forward_past: str | None = None,
 ) -> list:
     """The paper's Figure-1 stage order, from existing components.
 
-    With ``workers > 1`` the batch-capable stages (parsing, annotation)
-    are wrapped in :class:`~repro.pipeline.stage.MapStage` so chunks of
-    ``chunk_size`` items run on a thread pool. The default ``workers=1``
-    keeps the strictly serial per-item graph (zero over-pull past an
-    early-stop limit).
-
-    ``skip_source_urls`` (store-targeted builds only) inserts a
+    A strictly serial per-item graph (zero over-pull past an early-stop
+    limit). ``skip_source_urls`` (store-targeted builds only) inserts a
     :class:`ResumeSkipStage` after extraction so tables already committed
     by an interrupted session are never re-annotated;
     ``fast_forward_past`` additionally skips everything up to the sealed
@@ -345,35 +327,22 @@ def default_stages(
                 table_filter=table_filter,
                 annotator=annotator,
                 curator=curator,
-            ),
-            workers=workers,
-            chunk_size=chunk_size,
+            )
         )
     )
     return stages
 
 
-def processing_stages(
-    components: PipelineComponents,
-    workers: int = 1,
-    chunk_size: int = 32,
-) -> list:
+def processing_stages(components: PipelineComponents) -> list:
     """The post-extraction stage graph: parse → filter → annotate → curate.
 
-    This is the per-file work a build fans out — thread-parallel via
-    ``workers`` (chunked :class:`~repro.pipeline.stage.MapStage`), and
-    process-parallel by running one such graph per worker process over a
-    disjoint slice of the extracted-file stream
-    (:mod:`repro.storage.parallel`).
+    This is the per-file work a build fans out: process-parallel builds
+    run one such graph per worker process over a disjoint slice of the
+    extracted-file stream (:mod:`repro.storage.parallel`).
     """
-    parse = ParseStage(components.parser)
-    annotate = AnnotateStage(components.annotator)
-    if workers > 1:
-        parse = MapStage(parse, chunk_size=chunk_size, workers=workers)
-        annotate = MapStage(annotate, chunk_size=chunk_size, workers=workers)
     return [
-        parse,
+        ParseStage(components.parser),
         FilterStage(components.table_filter),
-        annotate,
+        AnnotateStage(components.annotator),
         CurateStage(components.curator),
     ]

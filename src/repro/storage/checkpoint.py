@@ -95,20 +95,17 @@ def _normalize(value):
 def config_fingerprint(config, generator_config=None) -> dict:
     """A JSON-comparable fingerprint of everything that shapes the stream.
 
-    Covers the full :class:`~repro.config.PipelineConfig` (minus
-    ``workers`` and ``processes``, which are proven not to change corpus
-    contents — parallel builds finalize byte-identical directories, so a
-    build may be resumed with a different thread or process count) and
-    the synthetic-instance generator configuration. A custom pre-built
-    ``instance`` object cannot be fingerprinted — ``generator`` is
-    recorded as ``None`` then, which the builder treats as
-    *unverifiable*: stores carrying such a fingerprint are never resumed
-    or reused, because two different instances would compare equal.
+    Covers the full :class:`~repro.config.PipelineConfig` — every field
+    of it shapes the stream; the worker process count is a build
+    argument, not a field, so a build may be resumed under a different
+    count — and the synthetic-instance generator configuration. A
+    custom pre-built ``instance`` object cannot be fingerprinted —
+    ``generator`` is recorded as ``None`` then, which the builder treats
+    as *unverifiable*: stores carrying such a fingerprint are never
+    resumed or reused, because two different instances would compare
+    equal.
     """
-    payload = dataclasses.asdict(config)
-    payload.pop("workers", None)
-    payload.pop("processes", None)
-    fingerprint = {"config": payload, "generator": None}
+    fingerprint = {"config": dataclasses.asdict(config), "generator": None}
     if generator_config is not None:
         if dataclasses.is_dataclass(generator_config):
             fingerprint["generator"] = dataclasses.asdict(generator_config)

@@ -562,17 +562,8 @@ def _worker_main(spec: _WorkerSpec, task_queue, result_queue) -> None:
                 download_started = time.perf_counter()
                 files = [_download_unit(client, unit) for unit in batch]
                 download_seconds = time.perf_counter() - download_started
-                # config.workers composes with processes: each worker
-                # process honours the thread-pool setting for its
-                # batch-capable stages, exactly like the serial graph
-                # (chunks sized so one batch spreads across the pool).
-                threads = max(1, int(spec.config.workers))
                 outcome = Pipeline(
-                    processing_stages(
-                        components,
-                        workers=threads,
-                        chunk_size=max(1, -(-spec.batch_size // threads)),
-                    ),
+                    processing_stages(components),
                     batch_size=spec.batch_size,
                     name="gittables-build-worker",
                 ).run(files, config=spec.config)

@@ -24,7 +24,7 @@ from repro.applications.type_detection import TypeDetectionExperiment
 from repro.config import AnnotationConfig, PipelineConfig
 from repro.core.annotation import AnnotationPipeline
 from repro.core.corpus import GitTablesCorpus
-from repro.core.pipeline import build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.embeddings.persist import embedder_fingerprint, load_index, publish_index
 from repro.embeddings.sentence import SentenceEncoder
 from repro.embeddings.similarity import NearestNeighbourIndex
@@ -40,12 +40,10 @@ from repro.storage import (
 def store_dir(tmp_path_factory):
     """A small sharded corpus store shared by the integration tests."""
     directory = tmp_path_factory.mktemp("artifact-corpus") / "store"
-    build_corpus(
+    CorpusBuilder(
         PipelineConfig(target_tables=24, seed=7),
         generator_config=GeneratorConfig(n_repositories=100, mean_rows=25, seed=7),
-        store_dir=directory,
-        shard_size=8,
-    )
+    ).build(store_dir=directory, shard_size=8)
     return directory
 
 
@@ -268,12 +266,10 @@ class TestArtifactInvalidation:
 
     def test_mutated_corpus_rebuilds(self, tmp_path, monkeypatch):
         corpus_dir = tmp_path / "store"
-        build_corpus(
+        CorpusBuilder(
             PipelineConfig(target_tables=10, seed=5),
             generator_config=GeneratorConfig(n_repositories=60, mean_rows=20, seed=5),
-            store_dir=corpus_dir,
-            shard_size=4,
-        )
+        ).build(store_dir=corpus_dir, shard_size=4)
         GitTables.load(corpus_dir).warm()
         # Mutate the stored corpus out-of-band: append one more table.
         from tests.test_storage import _annotated
@@ -291,12 +287,10 @@ class TestArtifactInvalidation:
 
     def test_truncated_artifact_rebuilds(self, tmp_path, monkeypatch):
         corpus_dir = tmp_path / "store"
-        build_corpus(
+        CorpusBuilder(
             PipelineConfig(target_tables=10, seed=6),
             generator_config=GeneratorConfig(n_repositories=60, mean_rows=20, seed=6),
-            store_dir=corpus_dir,
-            shard_size=4,
-        )
+        ).build(store_dir=corpus_dir, shard_size=4)
         baseline = GitTables.load(corpus_dir).warm().search(QUERY, k=3)
         artifacts = IndexArtifactStore.for_corpus_dir(corpus_dir)
         vectors = artifacts.path(SEARCH_ARTIFACT) / "unit_vectors.npy"
@@ -308,12 +302,10 @@ class TestArtifactInvalidation:
 
     def test_reset_caches_invalidates_artifacts(self, tmp_path):
         corpus_dir = tmp_path / "store"
-        build_corpus(
+        CorpusBuilder(
             PipelineConfig(target_tables=10, seed=8),
             generator_config=GeneratorConfig(n_repositories=60, mean_rows=20, seed=8),
-            store_dir=corpus_dir,
-            shard_size=4,
-        )
+        ).build(store_dir=corpus_dir, shard_size=4)
         session = GitTables.load(corpus_dir).warm()
         assert session.artifacts.names()
         session.reset_caches()
@@ -703,12 +695,10 @@ class TestCrossCorpusTypeDetection:
         stores = []
         for seed in (1, 2):
             directory = tmp_path / f"store-{seed}"
-            build_corpus(
+            CorpusBuilder(
                 PipelineConfig(target_tables=40, seed=seed),
                 generator_config=GeneratorConfig(n_repositories=100, mean_rows=25, seed=seed),
-                store_dir=directory,
-                shard_size=8,
-            )
+            ).build(store_dir=directory, shard_size=8)
             stores.append(directory)
         session = GitTables.load(stores[0]).warm()
         before = set(session.artifacts.names())

@@ -3,11 +3,14 @@
 The contract under test is exact equality: every statistic computed from
 the materialized :class:`~repro.storage.columnar.ColumnarProjection`
 must be *identical* — including Counter insertion order, float bit
-patterns and tie-breaking — to the streaming per-table reference
-(``from_scan``). Property tests drive randomized corpora (empty corpora
-and all-null columns included) through both paths; deterministic tests
-cover artifact persistence, fingerprint staleness, prune-on-publish,
-predicate pushdown and the no-JSON-parsed cold-load guarantee.
+patterns and tie-breaking — to the streaming per-table reference kept
+as the test oracle in :mod:`tests.stats_oracle`. Property tests drive
+randomized corpora (empty corpora and all-null columns included)
+through the projection, the public ``from_corpus`` entry points (which
+resolve a missing or stale projection themselves) and the oracle;
+deterministic tests cover artifact persistence, fingerprint staleness,
+prune-on-publish, predicate pushdown and the no-JSON-parsed cold-load
+guarantee.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.storage.columnar import (
     quantiles,
     sum_by,
 )
+from tests import stats_oracle as oracle
 
 _TOPICS = ("thing", "organism", "order", "event")
 _REPOS = ("octo/data", "acme/tables", "lab/sets")
@@ -135,35 +139,53 @@ def _scan_ids(corpus, predicate: TablePredicate) -> list[str]:
     ]
 
 
+def _assert_resolved_statistics_equal_oracle(corpus) -> None:
+    """The public entry points resolve a current projection and ≡ the oracle."""
+    assert CorpusStatistics.from_corpus(corpus) == oracle.corpus_statistics(corpus)
+    assert corpus.projection is not None
+    assert AnnotationStatistics.from_corpus(corpus) == oracle.annotation_statistics(corpus)
+    assert CurationReport.from_corpus(corpus) == oracle.curation_report(corpus)
+    for axis in ("rows", "columns"):
+        assert dimension_cdf(corpus, axis=axis) == oracle.dimension_cdf(corpus, axis=axis)
+
+
 class TestProjectionEqualsScan:
     """Property: every aggregate off the arrays ≡ the streaming reference."""
 
-    @given(corpus=corpora())
+    @given(corpus=corpora(), late=annotated_table(99))
     @settings(max_examples=40, deadline=None)
-    def test_statistics_identical(self, corpus):
+    def test_statistics_identical(self, corpus, late):
         projection = ColumnarProjection.from_corpus(corpus)
-        assert CorpusStatistics.from_projection(projection) == CorpusStatistics.from_scan(corpus)
-        assert AnnotationStatistics.from_projection(projection) == AnnotationStatistics.from_scan(
+        assert CorpusStatistics.from_projection(projection) == oracle.corpus_statistics(corpus)
+        assert AnnotationStatistics.from_projection(projection) == oracle.annotation_statistics(
             corpus
         )
-        assert CurationReport.from_projection(projection) == CurationReport.from_scan(corpus)
+        assert CurationReport.from_projection(projection) == oracle.curation_report(corpus)
+        # An in-memory corpus with no projection: from_corpus attaches one.
+        assert corpus.projection is None
+        _assert_resolved_statistics_equal_oracle(corpus)
+        # Growing the corpus makes the attached projection stale; the same
+        # calls must rebuild it and match the oracle of the grown corpus.
+        stale = corpus.projection
+        corpus.add(late)
+        assert corpus.projection is None
+        _assert_resolved_statistics_equal_oracle(corpus)
+        assert corpus.projection is not stale
 
     @given(corpus=corpora())
     @settings(max_examples=25, deadline=None)
     def test_cdf_and_top_types_identical(self, corpus):
         projection = ColumnarProjection.from_corpus(corpus)
-        scan_stats = AnnotationStatistics.from_scan(corpus)
+        scan_stats = oracle.annotation_statistics(corpus)
         proj_stats = AnnotationStatistics.from_projection(projection)
         for method in ("syntactic", "semantic"):
             for ontology in ("dbpedia", "schema_org"):
                 assert top_types(proj_stats, method, ontology, k=25) == top_types(
                     scan_stats, method, ontology, k=25
                 )
+        corpus.attach_projection(projection)
         for axis in ("rows", "columns"):
-            reference = dimension_cdf(corpus, axis=axis)
-            corpus.attach_projection(projection)
-            assert dimension_cdf(corpus, axis=axis) == reference
-            corpus._projection = None
+            assert dimension_cdf(corpus, axis=axis) == oracle.dimension_cdf(corpus, axis=axis)
 
     @given(corpus=corpora(), predicate=predicates())
     @settings(max_examples=40, deadline=None)
@@ -191,11 +213,11 @@ class TestProjectionEqualsScan:
         corpus = GitTablesCorpus(name="empty")
         projection = ColumnarProjection.from_corpus(corpus)
         assert projection.table_count == 0
-        assert CorpusStatistics.from_projection(projection) == CorpusStatistics.from_scan(corpus)
-        assert AnnotationStatistics.from_projection(projection) == AnnotationStatistics.from_scan(
+        assert CorpusStatistics.from_projection(projection) == oracle.corpus_statistics(corpus)
+        assert AnnotationStatistics.from_projection(projection) == oracle.annotation_statistics(
             corpus
         )
-        assert CurationReport.from_projection(projection) == CurationReport.from_scan(corpus)
+        assert CurationReport.from_projection(projection) == oracle.curation_report(corpus)
         assert projection.select_ids(TablePredicate(min_rows=1)) == []
 
     def test_all_null_columns(self):
@@ -216,7 +238,7 @@ class TestProjectionEqualsScan:
             )
         )
         projection = ColumnarProjection.from_corpus(corpus)
-        scan = CorpusStatistics.from_scan(corpus)
+        scan = oracle.corpus_statistics(corpus)
         assert CorpusStatistics.from_projection(projection) == scan
         assert scan.atomic_type_counts.get("empty") == 2
         assert projection.select_ids(TablePredicate(dtype="empty")) == ["all-null"]
@@ -310,7 +332,7 @@ class TestPersistenceAndStaleness:
         assert corpus.projection is projection
         corpus.add(_annotated("late-arrival"))
         assert corpus.projection is None
-        # Dispatch falls back to the scan and sees the new table.
+        # The stale projection is rebuilt and sees the new table.
         assert CorpusStatistics.from_corpus(corpus).table_count == 6
 
     def test_out_of_band_mutation_misses_then_rebuilds(self, tmp_path):
@@ -332,7 +354,7 @@ class TestPersistenceAndStaleness:
         assert load_projection(artifacts, new_fingerprint) is None
         rebuilt = ensure_projection(mutated, artifacts)
         assert rebuilt.table_count == len(mutated)
-        assert CorpusStatistics.from_projection(rebuilt) == CorpusStatistics.from_scan(mutated)
+        assert CorpusStatistics.from_projection(rebuilt) == oracle.corpus_statistics(mutated)
 
     def test_prune_removes_corpus_keyed_artifacts_only(self, tmp_path):
         import json
@@ -373,10 +395,10 @@ class TestColdLoadReadsOnlyArrays:
         GitTables.from_corpus(corpus).save(store_dir, shard_size=4)
 
         reference_corpus = GitTablesCorpus.load(store_dir)
-        reference_stats = CorpusStatistics.from_scan(reference_corpus)
-        reference_ann = AnnotationStatistics.from_scan(reference_corpus)
-        reference_curation = CurationReport.from_scan(reference_corpus)
-        reference_cdf = dimension_cdf(reference_corpus, axis="rows")
+        reference_stats = oracle.corpus_statistics(reference_corpus)
+        reference_ann = oracle.annotation_statistics(reference_corpus)
+        reference_curation = oracle.curation_report(reference_corpus)
+        reference_cdf = oracle.dimension_cdf(reference_corpus, axis="rows")
 
         session = GitTables.load(store_dir)
 

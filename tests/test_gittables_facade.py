@@ -32,14 +32,15 @@ class TestConstruction:
         assert "GitTables(8 tables" in repr(gt)
 
     def test_build_matches_legacy_build_corpus(self):
-        from repro import build_corpus
+        """The facade builds what the bare builder below it builds."""
+        from repro import CorpusBuilder
 
         config = PipelineConfig(target_tables=9, seed=21)
         generator = GeneratorConfig(n_repositories=60, mean_rows=30, seed=21)
         gt = GitTables.build(config, generator_config=generator)
-        legacy = build_corpus(config, generator_config=generator)
-        assert [a.table_id for a in gt.corpus] == [a.table_id for a in legacy.corpus]
-        for ours, theirs in zip(gt.corpus, legacy.corpus):
+        built = CorpusBuilder(config, generator_config=generator).build()
+        assert [a.table_id for a in gt.corpus] == [a.table_id for a in built.corpus]
+        for ours, theirs in zip(gt.corpus, built.corpus):
             assert ours.table.rows == theirs.table.rows
 
     def test_from_corpus_and_len_topics(self, gittables_corpus):

@@ -29,7 +29,6 @@ from repro.applications.schema_completion import COMPLETION_ARTIFACT
 from repro.config import PipelineConfig
 from repro.core.annotation import ColumnAnnotation, TableAnnotations
 from repro.core.corpus import AnnotatedTable
-from repro.core.pipeline import build_corpus
 from repro.core.annotation import AnnotationMethod
 from repro.dataframe.table import Table
 from repro.errors import CorpusError
@@ -189,20 +188,19 @@ class TestEpochGrowthEquality:
         the one-shot delta is files the base *rejected* under an earlier
         (now skipped) topic resurfacing under a later one — bounded by
         the one-shot run's duplicate-URL count."""
-        base_run = build_corpus(base_config, generator_config=grow_generator, batch_size=BATCH)
-        grown_run = build_corpus(grown_config, generator_config=grow_generator, batch_size=BATCH)
+        base_run = CorpusBuilder(
+            base_config, generator_config=grow_generator, batch_size=BATCH
+        ).build()
+        grown_run = CorpusBuilder(
+            grown_config, generator_config=grow_generator, batch_size=BATCH
+        ).build()
         base_parses = base_run.parsing_report.attempted
         grown_parses = grown_run.parsing_report.attempted
         directory = tmp_path / "store"
         shutil.copytree(base_store, directory)
-        extension = build_corpus(
-            grown_config,
-            generator_config=grow_generator,
-            batch_size=BATCH,
-            store_dir=directory,
-            shard_size=SHARDS,
-            extend=True,
-        )
+        extension = CorpusBuilder(
+            grown_config, generator_config=grow_generator, batch_size=BATCH
+        ).build(store_dir=directory, shard_size=SHARDS, extend=True)
         delta = grown_parses - base_parses
         assert delta <= extension.parsing_report.attempted
         assert (
@@ -266,13 +264,8 @@ class TestSerialExtensionCrash:
 
         monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
         with pytest.raises(KeyboardInterrupt):
-            build_corpus(
-                grown_config,
-                generator_config=grow_generator,
-                batch_size=BATCH,
-                store_dir=directory,
-                shard_size=SHARDS,
-                extend=True,
+            CorpusBuilder(grown_config, generator_config=grow_generator, batch_size=BATCH).build(
+                store_dir=directory, shard_size=SHARDS, extend=True
             )
         monkeypatch.undo()
 
@@ -282,13 +275,8 @@ class TestSerialExtensionCrash:
         partial = len(ShardedJsonlStore(directory))
         assert BASE_TABLES <= partial < GROWN_TABLES
 
-        build_corpus(
-            grown_config,
-            generator_config=grow_generator,
-            batch_size=BATCH,
-            store_dir=directory,
-            shard_size=SHARDS,
-            extend=True,
+        CorpusBuilder(grown_config, generator_config=grow_generator, batch_size=BATCH).build(
+            store_dir=directory, shard_size=SHARDS, extend=True
         )
         assert read_store_epoch(directory) == (2, True)
         assert directory_file_bytes(directory) == directory_file_bytes(extended_reference)
@@ -420,12 +408,12 @@ class TestParallelFastForward:
     @pytest.fixture()
     def parse_budget(self, base_config, grown_config, grow_generator):
         """(tail delta, duplicate-URL slack) of the one-shot serial runs."""
-        base_run = build_corpus(
+        base_run = CorpusBuilder(
             base_config, generator_config=grow_generator, batch_size=BATCH
-        )
-        grown_run = build_corpus(
+        ).build()
+        grown_run = CorpusBuilder(
             grown_config, generator_config=grow_generator, batch_size=BATCH
-        )
+        ).build()
         delta = grown_run.parsing_report.attempted - base_run.parsing_report.attempted
         return delta, grown_run.extraction_report.duplicate_urls
 
@@ -475,13 +463,8 @@ class TestPruneOrderingWindow:
         shutil.copytree(base_store, directory)
         old_fingerprint = ShardedJsonlStore(directory).content_fingerprint()
 
-        build_corpus(
-            grown_config,
-            generator_config=grow_generator,
-            batch_size=BATCH,
-            store_dir=directory,
-            shard_size=SHARDS,
-            extend=True,
+        CorpusBuilder(grown_config, generator_config=grow_generator, batch_size=BATCH).build(
+            store_dir=directory, shard_size=SHARDS, extend=True
         )
         new_fingerprint = ShardedJsonlStore(directory).content_fingerprint()
         assert new_fingerprint != old_fingerprint

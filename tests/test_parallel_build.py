@@ -24,9 +24,9 @@ import pytest
 from repro.api import GitTables
 from repro.config import ExtractionConfig, PipelineConfig
 from repro.core.corpus import AnnotatedTable, GitTablesCorpus
-from repro.core.pipeline import CorpusBuilder, build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.dataframe.table import Table
-from repro.errors import CorpusError, PipelineConfigError
+from repro.errors import CorpusError
 from repro.github.content import GeneratorConfig
 from repro.storage import BuildCheckpoint, ShardedJsonlStore
 from repro.storage._io import directory_file_bytes as _dir_bytes
@@ -60,12 +60,8 @@ def par_generator():
 def serial_reference(tmp_path_factory, par_config, par_generator):
     """A one-shot single-process build: the byte-level ground truth."""
     store = tmp_path_factory.mktemp("serial-ref") / "store"
-    result = build_corpus(
-        par_config,
-        generator_config=par_generator,
-        batch_size=BATCH,
-        store_dir=store,
-        shard_size=SHARDS,
+    result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+        store_dir=store, shard_size=SHARDS
     )
     return store, result
 
@@ -86,13 +82,8 @@ class TestByteIdentity:
         """The headline acceptance: 4 processes, same bytes as serial."""
         reference_dir, reference = serial_reference
         store = tmp_path / "store"
-        result = build_corpus(
-            par_config,
-            generator_config=par_generator,
-            batch_size=BATCH,
-            store_dir=store,
-            shard_size=SHARDS,
-            processes=4,
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=4
         )
         assert result.table_count == par_config.target_tables
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
@@ -109,13 +100,8 @@ class TestByteIdentity:
         self, tmp_path, par_config, par_generator
     ):
         store = tmp_path / "store"
-        result = build_corpus(
-            par_config,
-            generator_config=par_generator,
-            batch_size=BATCH,
-            store_dir=store,
-            shard_size=SHARDS,
-            processes=3,
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=3
         )
         report = result.pipeline_report
         assert report.sessions == 1
@@ -132,22 +118,29 @@ class TestByteIdentity:
     def test_processes_config_field_is_honoured(
         self, tmp_path, par_generator, par_config, serial_reference
     ):
+        """The process count is the build argument of the facade too (it is
+        not a config field), and a facade build at 2 processes finalizes the
+        serial bytes."""
         reference_dir, _ = serial_reference
-        config = par_config.replace(processes=2)
         store = tmp_path / "store"
-        build_corpus(
-            config,
+        GitTables.build(
+            par_config,
             generator_config=par_generator,
             batch_size=BATCH,
             store_dir=store,
             shard_size=SHARDS,
+            processes=2,
         )
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
 
-    def test_invalid_process_counts_rejected(self):
-        with pytest.raises(PipelineConfigError):
-            PipelineConfig(processes=0)
-        builder = CorpusBuilder(config=PipelineConfig.small())
+    def test_invalid_process_counts_rejected(self, tmp_path):
+        builder = CorpusBuilder(config=PipelineConfig(target_tables=5))
+        # Rejected for every build, in-memory ones included.
+        for store_dir in (None, tmp_path / "store"):
+            with pytest.raises(CorpusError, match="processes must be >= 1"):
+                builder.build(store_dir=store_dir, processes=0)
+        with pytest.raises(CorpusError, match="processes must be >= 1"):
+            GitTables.build(PipelineConfig(target_tables=5), processes=0)
         with pytest.raises(CorpusError):
             ParallelCorpusBuilder(builder, processes=0)
         with pytest.raises(CorpusError):
@@ -241,13 +234,8 @@ class TestCoordinatorCrashInjection:
             fault=fault_injector(commit_n=1, worker=None, point=point),
         )
         assert process.exitcode == -signal.SIGKILL
-        result = build_corpus(
-            par_config,
-            generator_config=par_generator,
-            batch_size=BATCH,
-            store_dir=store,
-            shard_size=SHARDS,
-            processes=2,
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=2
         )
         assert result.table_count == par_config.target_tables
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
@@ -280,13 +268,8 @@ class TestCoordinatorCrashInjection:
         # resumed session from touching their files); give them a
         # moment so the resume below does not have to wait on locks.
         time.sleep(3.0)
-        result = build_corpus(
-            par_config,
-            generator_config=par_generator,
-            batch_size=BATCH,
-            store_dir=store,
-            shard_size=SHARDS,
-            processes=3,
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=3
         )
         assert result.table_count == par_config.target_tables
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
@@ -310,13 +293,8 @@ class TestCrossModeResume:
             )
         # processes=1 on a parallel-state directory routes through the
         # coordinator and still finalizes the canonical layout.
-        result = build_corpus(
-            par_config,
-            generator_config=par_generator,
-            batch_size=BATCH,
-            store_dir=store,
-            shard_size=SHARDS,
-            processes=1,
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=1
         )
         assert result.table_count == par_config.target_tables
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
@@ -339,24 +317,15 @@ class TestCrossModeResume:
 
         monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
         with pytest.raises(KeyboardInterrupt):
-            build_corpus(
-                par_config,
-                generator_config=par_generator,
-                batch_size=BATCH,
-                store_dir=store,
-                shard_size=SHARDS,
+            CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+                store_dir=store, shard_size=SHARDS
             )
         monkeypatch.undo()
         partial = GitTablesCorpus.load(store)
         assert 0 < len(partial) < par_config.target_tables
 
-        result = build_corpus(
-            par_config,
-            generator_config=par_generator,
-            batch_size=BATCH,
-            store_dir=store,
-            shard_size=SHARDS,
-            processes=3,
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=3
         )
         assert result.table_count == par_config.target_tables
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
@@ -365,22 +334,12 @@ class TestCrossModeResume:
         self, tmp_path, par_config, par_generator
     ):
         store = tmp_path / "store"
-        build_corpus(
-            par_config,
-            generator_config=par_generator,
-            batch_size=BATCH,
-            store_dir=store,
-            shard_size=SHARDS,
-            processes=2,
+        CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=2
         )
         manifest_mtime = (store / "manifest.json").stat().st_mtime_ns
-        again = build_corpus(
-            par_config,
-            generator_config=par_generator,
-            batch_size=BATCH,
-            store_dir=store,
-            shard_size=SHARDS,
-            processes=4,
+        again = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=4
         )
         assert again.table_count == par_config.target_tables
         assert (store / "manifest.json").stat().st_mtime_ns == manifest_mtime
@@ -400,13 +359,8 @@ class TestCrossModeResume:
             )
         drifted = par_config.replace(seed=par_config.seed + 1)
         with pytest.raises(CorpusError, match="different pipeline"):
-            build_corpus(
-                drifted,
-                generator_config=par_generator,
-                batch_size=BATCH,
-                store_dir=store,
-                shard_size=SHARDS,
-                processes=2,
+            CorpusBuilder(drifted, generator_config=par_generator, batch_size=BATCH).build(
+                store_dir=store, shard_size=SHARDS, processes=2
             )
 
 

@@ -1,10 +1,15 @@
 """Integration tests for the full pipeline and corpus statistics."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import AnnotationConfig, ExtractionConfig, PipelineConfig
 from repro.core.annotation import AnnotationMethod
-from repro.core.pipeline import CorpusBuilder, build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.core.stats import AnnotationStatistics, CorpusStatistics, dimension_cdf, top_types
 from repro.errors import PipelineConfigError
 from repro.github.content import GeneratorConfig
@@ -78,7 +83,7 @@ class TestPipelineEndToEnd:
 
     def test_target_table_count_is_respected(self):
         config = PipelineConfig(target_tables=10)
-        result = build_corpus(config, generator_config=GeneratorConfig.small(seed=5))
+        result = CorpusBuilder(config, generator_config=GeneratorConfig.small(seed=5)).build()
         assert len(result.corpus) <= 10
 
     def test_builder_accepts_existing_instance(self, github_instance):
@@ -89,8 +94,8 @@ class TestPipelineEndToEnd:
     def test_pipeline_is_deterministic(self):
         config = PipelineConfig(target_tables=12, seed=77)
         generator = GeneratorConfig(n_repositories=60, mean_rows=30, seed=77)
-        first = build_corpus(config, generator_config=generator)
-        second = build_corpus(config, generator_config=generator)
+        first = CorpusBuilder(config, generator_config=generator).build()
+        second = CorpusBuilder(config, generator_config=generator).build()
         assert [a.table_id for a in first.corpus] == [a.table_id for a in second.corpus]
 
 
@@ -164,3 +169,34 @@ class TestAnnotationStatistics:
         stats = AnnotationStatistics.from_corpus(gittables_corpus)
         with pytest.raises(KeyError):
             stats.stats_for("semantic", "freebase")
+
+
+
+class TestSingleBuildAndStatsPath:
+    """One way to parallelise a build, one way to compute a statistic."""
+
+    def test_no_scan_fork_of_any_statistic_in_src(self):
+        root = Path(repro.__file__).parent
+        forks = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "from_scan"
+        ]
+        assert forks == []
+
+    def test_no_thread_pool_in_the_pipeline(self):
+        root = Path(repro.__file__).parent / "pipeline"
+        users = [
+            path.name
+            for path in sorted(root.rglob("*.py"))
+            if "ThreadPoolExecutor" in path.read_text(encoding="utf-8")
+        ]
+        assert users == []
+
+    def test_process_count_is_a_build_argument_only(self):
+        fields = {field.name for field in dataclasses.fields(PipelineConfig)}
+        assert not fields & {"workers", "processes"}
+        assert not hasattr(repro, "build_corpus")
+        assert "build_corpus" not in repro.__all__

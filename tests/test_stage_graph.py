@@ -6,7 +6,7 @@ from repro.config import PipelineConfig
 from repro.core.annotation import AnnotationPipeline
 from repro.core.curation import ContentCurator
 from repro.core.filtering import TableFilter
-from repro.core.pipeline import CorpusBuilder, build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.github.content import GeneratorConfig
 from repro.pipeline import (
     AnnotateStage,
@@ -132,7 +132,7 @@ class TestStreaming:
     def test_no_wasted_annotation_past_target(self):
         """Satellite fix: annotation pulls exactly target_tables items."""
         config = PipelineConfig(target_tables=10)
-        result = build_corpus(config, generator_config=GeneratorConfig.small(seed=5))
+        result = CorpusBuilder(config, generator_config=GeneratorConfig.small(seed=5)).build()
         report = result.pipeline_report
         assert len(result.corpus) == 10
         assert report.stage("annotation").items_in == 10
@@ -215,18 +215,11 @@ class _DoublingBatchStage:
 
     name = "double"
 
-    def __init__(self, delay_by_item: dict | None = None):
+    def __init__(self):
         self.chunks: list[int] = []
-        self.delay_by_item = delay_by_item or {}
 
     def process_batch(self, batch, ctx):
-        import time
-
         self.chunks.append(len(batch))
-        for item in batch:
-            delay = self.delay_by_item.get(item)
-            if delay:
-                time.sleep(delay)
         return [item * 2 for item in batch]
 
 
@@ -243,35 +236,6 @@ class TestMapStage:
         assert outcome.items == [i * 2 for i in range(10)]
         assert stage.chunks == [4, 4, 2]
 
-    def test_parallel_preserves_order(self):
-        # The first chunk is the slowest; its results must still lead.
-        stage = _DoublingBatchStage(delay_by_item={0: 0.05, 8: 0.01})
-        outcome = Pipeline([MapStage(stage, chunk_size=2, workers=4)]).run(range(12))
-        assert outcome.items == [i * 2 for i in range(12)]
-
-    def test_parallel_equals_sequential(self):
-        serial = Pipeline([MapStage(_DoublingBatchStage(), chunk_size=3)]).run(range(50))
-        parallel = Pipeline(
-            [MapStage(_DoublingBatchStage(), chunk_size=3, workers=4)]
-        ).run(range(50))
-        assert serial.items == parallel.items
-
-    def test_workers_inherited_from_pipeline_config(self):
-        recorded = []
-
-        class Recorder:
-            name = "recorder"
-
-            def process_batch(self, batch, ctx):
-                import threading
-
-                recorded.append(threading.current_thread().name)
-                return batch
-
-        config = PipelineConfig(workers=3)
-        Pipeline([MapStage(Recorder(), chunk_size=1)]).run(range(6), config=config)
-        assert any("ThreadPoolExecutor" in name for name in recorded)
-
     def test_counters_reconcile_with_per_item_stage(self):
         outcome = Pipeline([MapStage(_DoublingBatchStage(), chunk_size=4)]).run(range(10))
         metrics = outcome.report.stage("double")
@@ -281,8 +245,6 @@ class TestMapStage:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             MapStage(_DoublingBatchStage(), chunk_size=0)
-        with pytest.raises(ValueError):
-            MapStage(_DoublingBatchStage(), workers=0)
 
     def test_map_wrapped_parse_stage_resets_reports(self, small_config):
         builder = CorpusBuilder(
@@ -292,7 +254,7 @@ class TestMapStage:
 
         topics = select_topics(2, seed=23).topics
         files, _ = builder.extractor.extract(list(topics))
-        pipeline = Pipeline([MapStage(ParseStage(), chunk_size=8, workers=2)])
+        pipeline = Pipeline([MapStage(ParseStage(), chunk_size=8)])
         first = pipeline.run(files, config=small_config)
         second = pipeline.run(files, config=small_config)
         for outcome in (first, second):
@@ -316,27 +278,6 @@ class TestMapStage:
         assert [candidate.annotations for candidate in batched] == [
             candidate.annotations for candidate in per_item
         ]
-
-
-class TestParallelBuild:
-    def test_workers_build_identical_corpus(self):
-        config = PipelineConfig(target_tables=15, seed=13)
-        generator = GeneratorConfig(n_repositories=80, mean_rows=25, seed=13)
-        serial = build_corpus(config, generator_config=generator)
-        parallel = build_corpus(config.replace(workers=4), generator_config=generator)
-        assert len(parallel.corpus) == 15
-        assert [t.table_id for t in serial.corpus] == [t.table_id for t in parallel.corpus]
-        for one, two in zip(serial.corpus, parallel.corpus):
-            assert one.table.rows == two.table.rows
-            assert one.annotations == two.annotations
-        report = parallel.pipeline_report
-        assert report.stage("parsing").items_in == parallel.parsing_report.attempted
-
-    def test_invalid_workers_rejected(self):
-        from repro.errors import PipelineConfigError
-
-        with pytest.raises(PipelineConfigError):
-            PipelineConfig(workers=0)
 
 
 class TestBuilderOverGraph:
@@ -366,8 +307,8 @@ class TestBuilderOverGraph:
         """Same seed → identical corpus contents via facade and legacy paths."""
         config = PipelineConfig(target_tables=12, seed=77)
         generator = GeneratorConfig(n_repositories=60, mean_rows=30, seed=77)
-        first = build_corpus(config, generator_config=generator)
-        second = build_corpus(config, generator_config=generator, batch_size=3)
+        first = CorpusBuilder(config, generator_config=generator).build()
+        second = CorpusBuilder(config, generator_config=generator, batch_size=3).build()
         assert [a.table_id for a in first.corpus] == [a.table_id for a in second.corpus]
         for one, two in zip(first.corpus, second.corpus):
             assert one.table.header == two.table.header

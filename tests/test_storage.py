@@ -14,7 +14,7 @@ import pytest
 from repro.config import PipelineConfig
 from repro.core.annotation import AnnotationMethod, ColumnAnnotation, TableAnnotations
 from repro.core.corpus import AnnotatedTable, GitTablesCorpus
-from repro.core.pipeline import CorpusBuilder, build_corpus
+from repro.core.pipeline import CorpusBuilder
 from repro.dataframe.table import Table
 from repro.errors import CorpusError
 from repro.github.content import GeneratorConfig
@@ -413,12 +413,8 @@ class TestResumableBuild:
         account for every table exactly once."""
         one_shot = tmp_path / "one-shot"
         interrupted = tmp_path / "interrupted"
-        build_corpus(
-            resume_config,
-            generator_config=resume_generator,
-            batch_size=4,
-            store_dir=one_shot,
-            shard_size=8,
+        CorpusBuilder(resume_config, generator_config=resume_generator, batch_size=4).build(
+            store_dir=one_shot, shard_size=8
         )
 
         original_commit = ShardedCorpusWriter.commit
@@ -432,12 +428,8 @@ class TestResumableBuild:
 
         monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
         with pytest.raises(KeyboardInterrupt):
-            build_corpus(
-                resume_config,
-                generator_config=resume_generator,
-                batch_size=4,
-                store_dir=interrupted,
-                shard_size=8,
+            CorpusBuilder(resume_config, generator_config=resume_generator, batch_size=4).build(
+                store_dir=interrupted, shard_size=8
             )
         monkeypatch.undo()
 
@@ -462,12 +454,8 @@ class TestResumableBuild:
         assert any(position < len(partial) for position in scrubbed)
         assert any(position >= len(partial) for position in scrubbed)
 
-        result = build_corpus(
-            resume_config,
-            generator_config=resume_generator,
-            batch_size=4,
-            store_dir=interrupted,
-            shard_size=8,
+        result = CorpusBuilder(resume_config, generator_config=resume_generator, batch_size=4).build(
+            store_dir=interrupted, shard_size=8
         )
         report = result.pipeline_report
         assert len(result.corpus) == resume_config.target_tables
@@ -485,12 +473,9 @@ class TestResumableBuild:
     def test_sharded_build_equals_in_memory_build(
         self, tmp_path, resume_config, resume_generator
     ):
-        memory = build_corpus(resume_config, generator_config=resume_generator)
-        sharded = build_corpus(
-            resume_config,
-            generator_config=resume_generator,
-            store_dir=tmp_path / "store",
-            shard_size=8,
+        memory = CorpusBuilder(resume_config, generator_config=resume_generator).build()
+        sharded = CorpusBuilder(resume_config, generator_config=resume_generator).build(
+            store_dir=tmp_path / "store", shard_size=8
         )
         assert isinstance(sharded.corpus.store, ShardedJsonlStore)
         assert [a.to_dict() for a in sharded.corpus] == [a.to_dict() for a in memory.corpus]
@@ -506,12 +491,12 @@ class TestResumableBuild:
         self, tmp_path, resume_config, resume_generator
     ):
         store = tmp_path / "store"
-        first = build_corpus(
-            resume_config, generator_config=resume_generator, store_dir=store, shard_size=8
+        first = CorpusBuilder(resume_config, generator_config=resume_generator).build(
+            store_dir=store, shard_size=8
         )
         manifest_mtime = (store / "manifest.json").stat().st_mtime_ns
-        again = build_corpus(
-            resume_config, generator_config=resume_generator, store_dir=store, shard_size=8
+        again = CorpusBuilder(resume_config, generator_config=resume_generator).build(
+            store_dir=store, shard_size=8
         )
         assert len(again.corpus) == len(first.corpus)
         # Nothing was rebuilt or rewritten.
@@ -538,18 +523,14 @@ class TestResumableBuild:
 
         monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
         with pytest.raises(KeyboardInterrupt):
-            build_corpus(
-                resume_config,
-                generator_config=resume_generator,
-                batch_size=4,
-                store_dir=store,
-                shard_size=8,
+            CorpusBuilder(resume_config, generator_config=resume_generator, batch_size=4).build(
+                store_dir=store, shard_size=8
             )
         monkeypatch.undo()
 
         different = PipelineConfig(target_tables=30, seed=14)
         with pytest.raises(CorpusError):
-            build_corpus(different, generator_config=resume_generator, store_dir=store)
+            CorpusBuilder(different, generator_config=resume_generator).build(store_dir=store)
 
     def test_completed_store_with_different_config_rejected(
         self, tmp_path, resume_config, resume_generator
@@ -557,19 +538,19 @@ class TestResumableBuild:
         """build.json outlives the checkpoint: even a *finished* store is
         validated, never silently returned for a different config."""
         store = tmp_path / "store"
-        build_corpus(
-            resume_config, generator_config=resume_generator, store_dir=store, shard_size=8
+        CorpusBuilder(resume_config, generator_config=resume_generator).build(
+            store_dir=store, shard_size=8
         )
         with pytest.raises(CorpusError):
-            build_corpus(
-                resume_config.replace(seed=99), generator_config=resume_generator, store_dir=store
+            CorpusBuilder(resume_config.replace(seed=99), generator_config=resume_generator).build(
+                store_dir=store
             )
 
     def test_store_without_build_metadata_rejected(self, tmp_path, resume_config):
         """A plain save()'d directory has no provenance to verify against."""
         _corpus(5).save(tmp_path / "store")
         with pytest.raises(CorpusError):
-            build_corpus(resume_config, store_dir=tmp_path / "store")
+            CorpusBuilder(resume_config).build(store_dir=tmp_path / "store")
 
     def test_prebuilt_instance_store_never_reused(
         self, tmp_path, resume_config, resume_generator
@@ -581,9 +562,9 @@ class TestResumableBuild:
 
         instance = build_instance(resume_generator)
         store = tmp_path / "store"
-        build_corpus(resume_config, instance=instance, store_dir=store, shard_size=8)
+        CorpusBuilder(resume_config, instance=instance).build(store_dir=store, shard_size=8)
         with pytest.raises(CorpusError):
-            build_corpus(resume_config, instance=instance, store_dir=store)
+            CorpusBuilder(resume_config, instance=instance).build(store_dir=store)
 
     def test_self_save_preserves_build_provenance(
         self, tmp_path, resume_config, resume_generator
@@ -591,14 +572,14 @@ class TestResumableBuild:
         """Re-saving a store's own corpus onto its directory must not
         brick the store for later build(store_dir=...) reuse."""
         store = tmp_path / "store"
-        build_corpus(
-            resume_config, generator_config=resume_generator, store_dir=store, shard_size=8
+        CorpusBuilder(resume_config, generator_config=resume_generator).build(
+            store_dir=store, shard_size=8
         )
         corpus = GitTablesCorpus.load(store)
         corpus.save(store, shard_size=8)
         assert (store / "build.json").exists()
-        reused = build_corpus(
-            resume_config, generator_config=resume_generator, store_dir=store, shard_size=8
+        reused = CorpusBuilder(resume_config, generator_config=resume_generator).build(
+            store_dir=store, shard_size=8
         )
         assert len(reused.corpus) == resume_config.target_tables
 
@@ -608,8 +589,8 @@ class TestResumableBuild:
         """Killed between the final commit and checkpoint clear: the next
         build does no work but must still report real curation stats."""
         store = tmp_path / "store"
-        first = build_corpus(
-            resume_config, generator_config=resume_generator, store_dir=store, shard_size=8
+        first = CorpusBuilder(resume_config, generator_config=resume_generator).build(
+            store_dir=store, shard_size=8
         )
         # Reinstate a checkpoint as if the clear never happened.
         BuildCheckpoint(
@@ -617,8 +598,8 @@ class TestResumableBuild:
             sessions=1,
             counters=first.pipeline_report.counters(),
         ).save(store)
-        completed = build_corpus(
-            resume_config, generator_config=resume_generator, store_dir=store, shard_size=8
+        completed = CorpusBuilder(resume_config, generator_config=resume_generator).build(
+            store_dir=store, shard_size=8
         )
         assert completed.curation_report.tables_processed == len(first.corpus)
         assert completed.curation_report.scrubbed_by_type == (
@@ -776,27 +757,51 @@ class TestCheckpointUnit:
         assert BuildCheckpoint.load(tmp_path) is None
 
     def test_fingerprint_ignores_workers(self):
+        """The thread-count knob is gone: it cannot be set, so it cannot
+        reach the fingerprint, while real config drift still changes it."""
         from repro.storage import config_fingerprint
 
         base = PipelineConfig(target_tables=10, seed=5)
-        assert config_fingerprint(base) == config_fingerprint(base.replace(workers=4))
+        with pytest.raises(TypeError):
+            base.replace(workers=4)
+        assert "workers" not in config_fingerprint(base)["config"]
         assert config_fingerprint(base) != config_fingerprint(base.replace(seed=6))
 
-    def test_fingerprint_ignores_processes(self):
-        """Regression: ``processes`` is content-neutral, exactly like
-        ``workers`` — a build killed under one process count must be
-        resumable under another, while real config drift still raises."""
+    def test_fingerprint_ignores_processes(self, tmp_path):
+        """Regression: the ``processes=`` build argument is content-neutral —
+        a store built under one process count records the fingerprint of
+        its config alone, so it resumes under another, while real config
+        drift still raises."""
+        from repro.storage import config_fingerprint, load_build_meta
+
+        config = PipelineConfig(target_tables=6, seed=5)
+        generator = GeneratorConfig(n_repositories=40, mean_rows=20, seed=5)
+        store = tmp_path / "store"
+        CorpusBuilder(config, generator_config=generator).build(store_dir=store, processes=2)
+        recorded = load_build_meta(store)
+        assert recorded == config_fingerprint(config, generator)
+        assert "processes" not in recorded["config"]
+        again = CorpusBuilder(config, generator_config=generator).build(
+            store_dir=store, processes=1
+        )
+        assert len(again.corpus) == config.target_tables
+        with pytest.raises(CorpusError):
+            CorpusBuilder(config.replace(seed=6), generator_config=generator).build(
+                store_dir=store, processes=2
+            )
+
+    def test_fingerprint_config_is_exactly_the_pipeline_config(self):
+        """Guard: every ``PipelineConfig`` field enters the fingerprint.
+
+        The fingerprint's ``config`` section is ``dataclasses.asdict`` of
+        the config, so an execution-only field added later fails here
+        instead of silently breaking resume, reuse and extension.
+        """
+        import dataclasses
+
         from repro.storage import config_fingerprint
 
-        base = PipelineConfig(target_tables=10, seed=5)
-        assert config_fingerprint(base) == config_fingerprint(base.replace(processes=4))
-        assert config_fingerprint(base.replace(processes=2)) == config_fingerprint(
-            base.replace(processes=8, workers=3)
-        )
-        assert config_fingerprint(base.replace(processes=2)) != config_fingerprint(
-            base.replace(processes=2, target_tables=11)
-        )
-        # The excluded knobs never leak into the stored payload.
-        payload = config_fingerprint(base)["config"]
-        assert "processes" not in payload
-        assert "workers" not in payload
+        config = PipelineConfig.small()
+        payload = config_fingerprint(config)["config"]
+        assert set(payload) == {"extraction", "curation", "annotation", "seed", "target_tables"}
+        assert payload == json.loads(json.dumps(dataclasses.asdict(config)))
