@@ -34,7 +34,7 @@ import pytest
 from repro.api import GitTables
 from repro.config import PipelineConfig
 from repro.github.content import GeneratorConfig
-from repro.storage.sharded import ShardedJsonlStore, read_store_epoch
+from repro.storage.sharded import ShardedJsonlStore, read_store_version
 
 N_TABLES = 5000
 GROWTH = 0.10
@@ -107,7 +107,7 @@ def run_incremental_benchmark(
             ShardedJsonlStore(base_dir).content_fingerprint()
             == ShardedJsonlStore(rebuild_dir).content_fingerprint()
         )
-        epoch, sealed = read_store_epoch(base_dir)
+        epoch, sealed = read_store_version(base_dir)[:2]
 
     new_tables = grown_tables - n_tables
     return {

@@ -523,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "regression gate: run against a temporary output and fail "
             f"(exit nonzero) when any throughput key falls more than "
-            f"{REGRESSION_TOLERANCE:.0%} below the committed baseline"
+            f"{REGRESSION_TOLERANCE * 100:.0f}%% below the committed baseline"
         ),
     )
     args = parser.parse_args(argv)

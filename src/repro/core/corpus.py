@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 from ..dataframe.table import Table
 from ..errors import CorpusError
 from ..storage.base import CorpusStore
-from ..storage.columnar import ColumnarProjection, TablePredicate
+from ..storage.columnar import ColumnarProjection, TablePredicate, ensure_projection
 from ..storage.memory import InMemoryStore
 from ..storage.sharded import (
     DEFAULT_SHARD_SIZE,
@@ -156,9 +156,10 @@ class GitTablesCorpus:
 
         Corpora are append-only (duplicate ids rejected, no removal),
         so a table-count mismatch is exactly "tables were added since
-        the projection was built" — the stale projection is ignored:
-        statistics rebuild it through :func:`~repro.storage.columnar.
-        ensure_projection`, :meth:`filter` falls back to iteration.
+        the projection was built" — the stale projection is ignored, and
+        statistics and :class:`~repro.storage.columnar.TablePredicate`
+        filters rebuild it through :func:`~repro.storage.columnar.
+        ensure_projection`.
         """
         projection = self._projection
         if projection is not None and projection.table_count == len(self._store):
@@ -229,25 +230,19 @@ class GitTablesCorpus:
         """A sub-corpus of the tables satisfying ``predicate``.
 
         ``predicate`` is either a plain callable (evaluated by streaming
-        iteration, as before) or a declarative
-        :class:`~repro.storage.columnar.TablePredicate`. With a current
-        columnar projection attached, declarative predicates are pushed
-        down to the projection arrays: matching table ids are computed
-        engine-side and only those tables' shards are read. Both paths
-        select identical table ids. The result is in-memory and named
-        ``<parent>/filtered`` unless an explicit ``name`` records more
-        specific provenance.
+        iteration) or a declarative
+        :class:`~repro.storage.columnar.TablePredicate`, which is pushed
+        down to the columnar projection (resolved by
+        :func:`~repro.storage.columnar.ensure_projection`): matching table
+        ids are computed engine-side and only those tables are read. The
+        result is in-memory and named ``<parent>/filtered`` unless an
+        explicit ``name`` records more specific provenance.
         """
         subset = GitTablesCorpus(name=name or f"{self.name}/filtered")
         if isinstance(predicate, TablePredicate):
-            projection = self.projection
-            if projection is not None:
-                for table_id in projection.select_ids(predicate):
-                    annotated = self._store.get(table_id)
-                    if annotated is not None:
-                        subset.add(annotated)
-                return subset
-            predicate = predicate.matches
+            for table_id in ensure_projection(self).select_ids(predicate):
+                subset.add(self._store.get(table_id))
+            return subset
         for annotated in self._store:
             if predicate(annotated):
                 subset.add(annotated)

@@ -18,11 +18,11 @@ every session that contributed. ``CorpusBuilder.build(processes=N)`` is
 the one way to parallelise a build: it fans a store build out across
 worker processes (:mod:`repro.storage.parallel`) that finalize the same
 bytes as the serial graph.
-Every stage still produces its legacy report — all are bundled in the
-returned :class:`PipelineResult` together with the unified
-:class:`~repro.pipeline.report.PipelineReport` — so experiments can
-reproduce the paper's per-stage statistics (parse success rate, filter
-rate, PII fraction, …).
+Every stage still produces its own report; the unified
+:class:`~repro.pipeline.report.PipelineReport` of the returned
+:class:`PipelineResult` carries them, so experiments can reproduce the
+paper's per-stage statistics (parse success rate, filter rate, PII
+fraction, …).
 
 New code should prefer the :class:`repro.api.GitTables` facade, which
 wraps a built corpus with the paper's applications.
@@ -71,10 +71,13 @@ DEFAULT_BATCH_SIZE = 32
 class PipelineResult:
     """The corpus plus per-stage reports.
 
-    The legacy stage reports are *session-scoped*: they describe the work
-    the returning process actually performed. For store-backed builds
-    that resumed (or reused) a directory, the cross-session truth lives
-    in ``pipeline_report`` (counters merged over every session); the
+    ``pipeline_report`` holds the unified per-stage counters and, in its
+    ``stage_reports``, the per-stage report objects that the four
+    ``*_report`` properties read (a stage that did not run reads as an
+    empty report). Those reports are *session-scoped*: they describe the
+    work the returning process actually performed. For store-backed
+    builds that resumed (or reused) a directory, the cross-session truth
+    lives in the report's counters (merged over every session); the
     curation report is additionally rebuilt from corpus metadata on pure
     reuse, since Table-3 statistics are derivable from the tables
     themselves, while extraction/parsing/filter reports describe dropped
@@ -82,13 +85,24 @@ class PipelineResult:
     """
 
     corpus: GitTablesCorpus
-    extraction_report: ExtractionReport
-    parsing_report: ParsingReport
-    filter_report: FilterReport
-    curation_report: CurationReport
     topics: tuple[str, ...]
-    #: Unified per-stage counters/timings of the streaming run.
-    pipeline_report: PipelineReport | None = None
+    pipeline_report: PipelineReport
+
+    @property
+    def extraction_report(self) -> ExtractionReport:
+        return self.pipeline_report.stage_reports.get("extraction", ExtractionReport())
+
+    @property
+    def parsing_report(self) -> ParsingReport:
+        return self.pipeline_report.stage_reports.get("parsing", ParsingReport())
+
+    @property
+    def filter_report(self) -> FilterReport:
+        return self.pipeline_report.stage_reports.get("filtering", FilterReport())
+
+    @property
+    def curation_report(self) -> CurationReport:
+        return self.pipeline_report.stage_reports.get("curation", CurationReport())
 
     @property
     def table_count(self) -> int:
@@ -246,21 +260,7 @@ class CorpusBuilder:
             limit=self.config.target_tables,
             sink=collect,
         )
-        return self._result(corpus, outcome.report, topic_selection.topics)
-
-    def _result(
-        self, corpus: GitTablesCorpus, report: PipelineReport, topics: tuple[str, ...]
-    ) -> PipelineResult:
-        reports = report.stage_reports
-        return PipelineResult(
-            corpus=corpus,
-            extraction_report=reports.get("extraction", ExtractionReport()),
-            parsing_report=reports.get("parsing", ParsingReport()),
-            filter_report=reports.get("filtering", FilterReport()),
-            curation_report=reports.get("curation", CurationReport()),
-            topics=topics,
-            pipeline_report=report,
-        )
+        return PipelineResult(corpus, topic_selection.topics, outcome.report)
 
     def ensure_build_meta(
         self,
@@ -322,15 +322,35 @@ class CorpusBuilder:
         legacy stage reports describe dropped/raw items and only exist
         in the session that did the work (see :class:`PipelineResult`).
         """
+        result = self.store_result(store_dir, PipelineReport(pipeline_name="gittables-build"), topics)
+        result.pipeline_report.items_collected = result.table_count
+        return result
+
+    def store_result(
+        self,
+        store_dir: str | os.PathLike[str],
+        report: PipelineReport,
+        topics: tuple[str, ...],
+        extend: bool = False,
+    ) -> PipelineResult:
+        """The result of a finished store build: every store build ends here.
+
+        Opens the lazy corpus and resolves (or builds and publishes) its
+        columnar stats projection, so the curation report — and every
+        later statistic on this corpus — reads metadata arrays instead of
+        parsing shards. Artifacts live outside the byte-identity of the
+        corpus files. Extensions defer pruning: the superseded
+        search/completion artifacts must survive until their engines have
+        delta-refreshed from them (the facade prunes once every artifact
+        is republished). A session that ran no curation stage (reuse, or
+        a resume whose target was already met) gets its curation report
+        rebuilt from corpus metadata.
+        """
         corpus = GitTablesCorpus(store=ShardedJsonlStore(store_dir))
-        # Resolve (or build-and-publish) the columnar stats projection:
-        # the curation report below — and every later stats call on this
-        # corpus — then reads metadata arrays instead of parsing shards.
-        ensure_projection(corpus, IndexArtifactStore.for_corpus_dir(store_dir))
-        report = PipelineReport(pipeline_name="gittables-build")
-        report.items_collected = len(corpus)
-        report.stage_reports["curation"] = CurationReport.from_corpus(corpus)
-        return self._result(corpus, report, topics)
+        ensure_projection(corpus, IndexArtifactStore.for_corpus_dir(store_dir), prune=not extend)
+        if "curation" not in report.stage_reports:
+            report.stage_reports["curation"] = CurationReport.from_corpus(corpus)
+        return PipelineResult(corpus, topics, report)
 
     def _build_to_store(
         self, store_dir: str | os.PathLike[str], shard_size: int, extend: bool = False
@@ -430,21 +450,4 @@ class CorpusBuilder:
         # removing it makes a resumed directory byte-identical to a
         # one-shot one.
         BuildCheckpoint.clear(store_dir)
-        corpus = GitTablesCorpus(store=ShardedJsonlStore(store_dir))
-        # Publish the columnar stats projection at finalize: later
-        # sessions (and the curation fallback below) resolve corpus
-        # statistics from mmap'd metadata arrays, never re-parsing
-        # shards. Best-effort like every artifact publish. Extensions
-        # defer pruning: the superseded search/completion artifacts must
-        # survive until their engines have delta-refreshed from them
-        # (the facade prunes once every artifact is republished).
-        ensure_projection(
-            corpus, IndexArtifactStore.for_corpus_dir(store_dir), prune=not extend
-        )
-        if "curation" not in report.stage_reports:
-            # The no-work path (target already met, e.g. killed between
-            # the last commit and checkpoint clear) ran no curation
-            # stage; rebuild its report from corpus metadata like the
-            # pure-reuse path does.
-            report.stage_reports["curation"] = CurationReport.from_corpus(corpus)
-        return self._result(corpus, report, topic_selection.topics)
+        return self.store_result(store_dir, report, topic_selection.topics, extend=extend)

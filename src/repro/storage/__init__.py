@@ -53,10 +53,10 @@ from .checkpoint import (
     save_build_meta,
     worker_checkpoint_ids,
 )
+from ._io import FaultSpec
 from .compaction import CompactionReport, compact_store
 from .memory import InMemoryStore
 from .parallel import (
-    FaultSpec,
     ParallelCorpusBuilder,
     WorkerShardWriter,
     has_parallel_state,
@@ -74,7 +74,6 @@ from .sharded import (
     build_manifest,
     is_sharded_dir,
     manifest_generation,
-    read_store_epoch,
     read_store_version,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "ParallelCorpusBuilder",
     "compact_store",
     "manifest_generation",
-    "read_store_epoch",
     "read_store_version",
     "WorkerShardWriter",
     "build_manifest",

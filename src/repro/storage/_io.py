@@ -1,14 +1,86 @@
-"""Shared durability helpers for the storage package."""
+"""Shared durability helpers for the storage package, and its one fault hook."""
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
-__all__ = ["atomic_replace", "atomic_write_json", "directory_file_bytes", "fsync_dir"]
+__all__ = [
+    "FaultSpec",
+    "atomic_replace",
+    "atomic_write_json",
+    "directory_file_bytes",
+    "fault_point",
+    "fsync_dir",
+]
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """Deterministic crash injection for the test harness.
+
+    ``worker`` selects which build worker process self-SIGKILLs (``None``
+    targets the process that publishes a layout: the parallel build's
+    coordinator, or :func:`~repro.storage.compaction.compact_store`),
+    ``commit_n`` the 1-based commit ordinal *within the faulted session*,
+    and ``point`` when exactly to die. Every point fires through
+    :func:`fault_point`.
+
+    Writer points, once per commit:
+
+    * ``"before-shard-append"`` — commit started, nothing written yet;
+    * ``"before-log-append"`` — shard bytes flushed, no commit record;
+    * ``"torn-log-append"`` — half the commit record's bytes written
+      (a torn log tail that resume must truncate away);
+    * ``"after-log-append"`` — commit durable, checkpoint not yet saved.
+
+    Layout-publish points, fired by
+    :func:`~repro.storage.sharded.publish_layout` for the parallel
+    finalize and for compaction (``commit_n`` ignored):
+
+    * ``"before-shard-publish"`` — new shards staged as ``.tmp`` files
+      only;
+    * ``"before-manifest-publish"`` — staged shards renamed into place,
+      the old manifest still authoritative;
+    * ``"before-sweep"`` — the new manifest published, files it does not
+      list not yet deleted.
+
+    Only the crash/concurrency tests construct these; production builds
+    never pass one.
+    """
+
+    worker: int | None
+    commit_n: int = 1
+    point: str = "before-log-append"
+
+    def fire(self) -> None:
+        """Die exactly like a SIGKILLed process (no cleanup, no atexit)."""
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def fault_point(fault, point: str, commit_n: int | None = None, torn=None) -> None:
+    """Fire ``fault`` when it is armed for ``point`` (no-op when ``None``).
+
+    Writer points pass their ``commit_n``, which must match the spec's;
+    layout-publish points pass none. ``torn`` is a ``(handle, payload)``
+    pair: half of ``payload`` is written and fsynced before the process
+    dies, leaving a torn record on disk.
+    """
+    if fault is None or fault.point != point:
+        return
+    if commit_n is not None and fault.commit_n != commit_n:
+        return
+    if torn is not None:
+        handle, payload = torn
+        handle.write(payload[: max(1, len(payload) // 2)])
+        handle.flush()
+        os.fsync(handle.fileno())
+    fault.fire()
 
 
 def directory_file_bytes(directory: str | os.PathLike[str]) -> dict[str, bytes]:

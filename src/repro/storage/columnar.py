@@ -246,12 +246,12 @@ def _scan_tables(tables, start_index: int, vocabs: dict) -> tuple[list, dict]:
 
 @dataclass(frozen=True)
 class TablePredicate:
-    """A declarative table filter evaluable on columns *or* by iteration.
+    """A declarative table filter, evaluated on the columnar projection.
 
-    Unset fields (``None``) do not constrain. :meth:`matches` is the
-    pure-Python reference; :meth:`ColumnarProjection.select` evaluates
-    the same predicate over the projection arrays without touching any
-    table JSON — both select identical table ids (property-tested).
+    Unset fields (``None``) do not constrain.
+    :meth:`ColumnarProjection.select` evaluates it over the projection
+    arrays without touching any table JSON; the per-table reference it
+    must equal is a test oracle (property-tested).
     """
 
     topic: str | None = None
@@ -274,45 +274,6 @@ class TablePredicate:
         if self.dtype is None:
             return None
         return self.dtype.value if isinstance(self.dtype, AtomicType) else str(self.dtype)
-
-    def matches(self, annotated) -> bool:
-        """Pure-Python reference evaluation against one ``AnnotatedTable``."""
-        from ..core.annotation import AnnotationMethod
-
-        if self.topic is not None and annotated.topic != self.topic:
-            return False
-        if self.repository is not None and annotated.repository != self.repository:
-            return False
-        if self.license_key is not None and annotated.license_key != self.license_key:
-            return False
-        table = annotated.table
-        if self.min_rows is not None and table.num_rows < self.min_rows:
-            return False
-        if self.max_rows is not None and table.num_rows > self.max_rows:
-            return False
-        if self.min_columns is not None and table.num_columns < self.min_columns:
-            return False
-        if self.max_columns is not None and table.num_columns > self.max_columns:
-            return False
-        wanted_dtype = self._dtype_value()
-        if wanted_dtype is not None and not any(
-            column.atomic_type.value == wanted_dtype for column in table.columns
-        ):
-            return False
-        if self.annotation_label is not None:
-            if self.method is None:
-                annotations = annotated.annotations.all()
-            else:
-                annotations = annotated.annotations.for_method(AnnotationMethod(self.method))
-            if not any(
-                annotation.type_label == self.annotation_label for annotation in annotations
-            ):
-                return False
-        if self.pii is not None:
-            scrubbed = bool(table.metadata.get("pii_scrubbed_types"))
-            if scrubbed is not self.pii:
-                return False
-        return True
 
 
 # -- the projection ----------------------------------------------------------

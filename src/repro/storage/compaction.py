@@ -5,24 +5,9 @@ size without changing a single table: every committed line is streamed
 in corpus order into freshly packed shard files and the result is
 published as a new manifest **generation**. It is safe to run while a
 :class:`~repro.serving.service.QueryService` keeps serving the same
-directory — the swap reuses the canonical-rewrite discipline of the
-parallel coordinator's finalize:
-
-1. **Stage** — new-generation shards are written as ``*.jsonl.tmp``
-   siblings and fsynced. The live manifest still describes the old
-   layout; readers are untouched.
-2. **Rename** — staged files move to their generation-scoped names
-   (``shard_g00002_00000.jsonl``). Old and new generations never share
-   a filename, so the old manifest still resolves only old files.
-3. **Publish** — the new manifest (generation bumped, ``compacted_from``
-   pinning the pre-compaction content fingerprint) atomically replaces
-   ``manifest.json``. This is the commit point: a crash strictly before
-   it leaves the old layout authoritative; at or after it, the new one.
-4. **Sweep** — old-generation shard files are deleted. A reader that
-   opened the old manifest just before publish may now find one of its
-   files missing; :class:`~repro.storage.sharded.ShardedJsonlStore`
-   diagnoses that as a generation bump and asks to be reopened rather
-   than ever mixing the two layouts.
+directory: the rewrite is :func:`~repro.storage.sharded.publish_layout`,
+the stage → rename → publish → sweep routine the parallel build's
+finalize also runs, and its docstring states the protocol.
 
 Because the tables (and their order) are unchanged, the compacted
 manifest pins the old content fingerprint: search/completion artifacts,
@@ -32,16 +17,15 @@ same way they follow epoch bumps.
 
 Crash recovery is idempotent through re-invocation: a fresh
 :func:`compact_store` first sweeps any staged/renamed leftovers of a
-crashed attempt (restoring the authoritative layout byte-exactly) and
-then redoes the rewrite, which is deterministic — so every resume
-converges to either the old or the new layout, never a mixture.
+crashed attempt (:func:`~repro.storage.sharded.sweep_layout`, restoring
+the authoritative layout byte-exactly) and then redoes the rewrite,
+which is deterministic — so every resume converges to either the old or
+the new layout, never a mixture.
 
-``fault`` arms deterministic crash injection for the test harness
-(any object with ``point`` and ``fire()``, e.g.
-:class:`~repro.storage.parallel.FaultSpec`; ``commit_n`` is ignored —
-compaction is a single logical commit). Points:
-``"before-shard-publish"``, ``"before-manifest-publish"``,
-``"before-sweep"``.
+``fault`` arms deterministic crash injection for the test harness (a
+:class:`~repro.storage.FaultSpec` with a layout-publish point;
+``worker`` and ``commit_n`` are ignored — compaction is a single
+logical commit).
 """
 
 from __future__ import annotations
@@ -51,17 +35,17 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import CorpusError
-from ._io import fsync_dir
 from .parallel import has_parallel_state
 from .sharded import (
     MANIFEST_LOG_FILENAME,
     ShardedJsonlStore,
     _read_manifest,
-    _shard_filename,
-    _write_manifest,
-    build_manifest,
+    _shard_lines,
     manifest_generation,
+    manifest_header,
     manifest_is_sealed,
+    publish_layout,
+    sweep_layout,
 )
 
 __all__ = ["CompactionReport", "compact_store"]
@@ -90,34 +74,6 @@ class CompactionReport:
         return asdict(self)
 
 
-def _fire(fault, point: str) -> None:
-    """Crash-injection hook (armed only when ``fault`` was passed)."""
-    if fault is not None and getattr(fault, "point", None) == point:
-        fault.fire()
-
-
-def _sweep_stale_files(directory: Path, manifest: dict) -> int:
-    """Delete shard files the authoritative manifest does not list.
-
-    A crashed compaction leaves behind either staged ``*.jsonl.tmp``
-    files or renamed shards of a generation that never published; both
-    are invisible to every reader (no manifest references them) and are
-    removed here so the directory is byte-exactly one layout again.
-    """
-    listed = {entry["file"] for entry in manifest.get("shards", [])}
-    swept = 0
-    for path in list(directory.glob("shard_*.jsonl.tmp")):
-        path.unlink()
-        swept += 1
-    for path in list(directory.glob("shard_*.jsonl")):
-        if path.name not in listed:
-            path.unlink()
-            swept += 1
-    if swept:
-        fsync_dir(directory)
-    return swept
-
-
 def _is_packed(shards: list[dict], shard_size: int) -> bool:
     """Whether a shard list is already optimally packed at ``shard_size``."""
     for position, entry in enumerate(shards):
@@ -128,19 +84,6 @@ def _is_packed(shards: list[dict], shard_size: int) -> bool:
         elif not 0 < count <= shard_size:
             return False
     return True
-
-
-def _committed_lines(directory: Path, entry: dict):
-    """The committed lines of one shard file, bytes preserved exactly."""
-    with open(directory / entry["file"], "rb") as handle:
-        data = handle.read(int(entry["bytes"]))
-    lines = data.splitlines(keepends=True)
-    if len(lines) != int(entry["count"]):
-        raise CorpusError(
-            f"shard {entry['file']} holds {len(lines)} committed lines, "
-            f"manifest says {entry['count']}; the corpus is corrupt"
-        )
-    return lines
 
 
 def compact_store(
@@ -175,116 +118,52 @@ def compact_store(
             f"cannot compact {directory}: the current epoch is not sealed; "
             f"finalize the build first"
         )
+    header = manifest_header(manifest)
     old_shards = manifest.get("shards", [])
-    old_size = int(manifest["shard_size"])
+    old_size = header["shard_size"]
     new_size = old_size if shard_size is None else int(shard_size)
     if new_size < 1:
         raise ValueError("shard_size must be >= 1")
 
     # Restore the directory to byte-exactly the authoritative layout
     # before touching anything (heals crashed-attempt leftovers).
-    swept = _sweep_stale_files(directory, manifest)
-
-    generation = manifest_generation(manifest)
+    swept = sweep_layout(directory, manifest)
     # The pin must be computed from the *pre-rewrite* view so repeated
     # compactions keep reporting the original content fingerprint.
     fingerprint = ShardedJsonlStore(directory).content_fingerprint()
-    tables = manifest.get("tables", {})
-
-    if new_size == old_size and _is_packed(old_shards, old_size):
-        return CompactionReport(
-            directory=str(directory),
-            generation=generation,
-            shard_size=old_size,
-            table_count=len(tables),
-            shards_before=len(old_shards),
-            shards_after=len(old_shards),
-            fingerprint=fingerprint,
-            rewritten=False,
-            swept_files=swept,
+    rewritten = new_size != old_size or not _is_packed(old_shards, old_size)
+    if rewritten:
+        # Remap table locations by global position; the manifest lists
+        # tables in corpus order, and order is preserved exactly.
+        prefix = [0]
+        for entry in old_shards:
+            prefix.append(prefix[-1] + int(entry["count"]))
+        tables: dict[str, dict] = {}
+        for table_id, entry in manifest.get("tables", {}).items():
+            position = prefix[int(entry["shard"])] + int(entry["line"])
+            tables[table_id] = {**entry, "shard": position // new_size, "line": position % new_size}
+        header.update(
+            shard_size=new_size,
+            generation=header["generation"] + 1,
+            compacted_from={"fingerprint": fingerprint, "table_count": len(tables)},
         )
-
-    new_generation = generation + 1
-
-    # Stage: pack every committed line, in corpus order, into
-    # new-generation shards written as fsynced .tmp siblings.
-    new_entries: list[dict] = []
-    staged: list[tuple[Path, str]] = []
-    group: list[bytes] = []
-
-    def flush_group() -> None:
-        filename = _shard_filename(len(new_entries), new_generation)
-        tmp_path = directory / (filename + ".tmp")
-        payload = b"".join(group)
-        with open(tmp_path, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        staged.append((tmp_path, filename))
-        new_entries.append({"file": filename, "count": len(group), "bytes": len(payload)})
-        group.clear()
-
-    for entry in old_shards:
-        for line in _committed_lines(directory, entry):
-            group.append(line)
-            if len(group) >= new_size:
-                flush_group()
-    if group:
-        flush_group()
-    fsync_dir(directory)
-
-    # Remap table locations by global position; the manifest lists
-    # tables in corpus order, and order is preserved exactly.
-    prefix = [0]
-    for entry in old_shards:
-        prefix.append(prefix[-1] + int(entry["count"]))
-    new_tables: dict[str, dict] = {}
-    for table_id, entry in tables.items():
-        position = prefix[int(entry["shard"])] + int(entry["line"])
-        location = dict(entry)
-        location["shard"] = position // new_size
-        location["line"] = position % new_size
-        new_tables[table_id] = location
-
-    _fire(fault, "before-shard-publish")
-    for tmp_path, filename in staged:
-        os.replace(tmp_path, directory / filename)
-    fsync_dir(directory)
-
-    _fire(fault, "before-manifest-publish")
-    # The commit point: one atomic manifest replace flips every reader
-    # that opens from here on to the new layout.
-    _write_manifest(
-        directory,
-        build_manifest(
-            manifest.get("name", "gittables"),
-            new_size,
-            new_entries,
-            new_tables,
+        manifest, swept_after = publish_layout(
+            directory,
+            (line for entry in old_shards for line in _shard_lines(directory, entry)),
+            header,
+            tables,
             manifest.get("stats", {}),
-            epoch=manifest.get("epoch", 1),
-            epochs=manifest.get("epochs", []),
-            generation=new_generation,
-            compacted_from={"fingerprint": fingerprint, "table_count": len(new_tables)},
-        ),
-    )
-
-    _fire(fault, "before-sweep")
-    keep = {entry["file"] for entry in new_entries}
-    for path in list(directory.glob("shard_*.jsonl")):
-        if path.name not in keep:
-            path.unlink()
-            swept += 1
-    fsync_dir(directory)
-
+            fault=fault,
+        )
+        swept += swept_after
     return CompactionReport(
         directory=str(directory),
-        generation=new_generation,
-        shard_size=new_size,
-        table_count=len(new_tables),
+        generation=manifest_generation(manifest),
+        shard_size=int(manifest["shard_size"]),
+        table_count=len(manifest.get("tables", {})),
         shards_before=len(old_shards),
-        shards_after=len(new_entries),
+        shards_after=len(manifest.get("shards", [])),
         fingerprint=fingerprint,
-        rewritten=True,
+        rewritten=rewritten,
         swept_files=swept,
     )

@@ -21,11 +21,12 @@ invariant:
 * **Byte-identical finalize.** When the in-order curated prefix of the
   source-URL stream covers ``target_tables``, the coordinator rewrites
   the worker shards into canonical serial-order ``shard_00000.jsonl``…
-  files (staged as ``*.tmp`` siblings, renamed into place), publishes
-  the canonical manifest atomically, and deletes all worker-scoped
-  files. The finished directory is **byte-identical** to a serial build
-  of the same configuration — regardless of process count, commit
-  cadence, or how many times the build was killed and resumed.
+  files, publishes the canonical manifest atomically, and sweeps all
+  worker-scoped files — the stage → rename → publish → sweep routine
+  compaction also runs (:func:`~repro.storage.sharded.publish_layout`).
+  The finished directory is **byte-identical** to a serial build of the
+  same configuration — regardless of process count, commit cadence, or
+  how many times the build was killed and resumed.
 * **Crash resume.** Killing any subset of workers (or the coordinator)
   at any point loses at most the uncommitted buffers: each worker log's
   torn tail is truncated on reopen and its shard tails healed exactly
@@ -60,15 +61,14 @@ from __future__ import annotations
 import json
 import os
 import queue as queue_module
-import signal
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import CorpusError
-from ._io import fsync_dir
+from ._io import FaultSpec, fault_point, fsync_dir
 from .artifacts import IndexArtifactStore
 from .checkpoint import (
     BuildCheckpoint,
@@ -77,22 +77,24 @@ from .checkpoint import (
     worker_checkpoint_ids,
 )
 from .sharded import (
-    MANIFEST_LOG_FILENAME,
+    WORKER_LOG_GLOB,
     ShardedCorpusWriter,
-    ShardedJsonlStore,
     _accumulate_stats,
     _apply_delta,
     _empty_stats,
     _iter_log_records,
     _read_manifest,
     _replay_manifest_log,
-    _shard_filename,
+    _shard_lines,
     _write_manifest,
     build_manifest,
     heal_shard_files,
     is_sharded_dir,
-    manifest_epoch,
-    manifest_generation,
+    manifest_header,
+    manifest_is_sealed,
+    publish_layout,
+    seal_epochs,
+    sweep_layout,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,11 +125,6 @@ def build_mp_context():
 
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-#: Fallback glob matching any worker's shard file.
-WORKER_SHARD_GLOB = "shard-??-*.jsonl"
-#: Glob matching any worker's manifest delta log.
-WORKER_LOG_GLOB = "manifest-??.log"
 
 
 def worker_shard_filename(worker: int, seq: int) -> str:
@@ -201,50 +198,6 @@ def has_parallel_state(directory: str | os.PathLike[str]) -> bool:
         except CorpusError:
             return False
     return False
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Deterministic crash injection for the test harness.
-
-    ``worker`` selects which worker process self-SIGKILLs (``None``
-    targets the coordinator), ``commit_n`` the 1-based commit ordinal
-    *within the faulted session*, and ``point`` when exactly to die:
-
-    * ``"before-shard-append"`` — commit started, nothing written yet;
-    * ``"before-log-append"`` — shard bytes flushed, no commit record;
-    * ``"torn-log-append"`` — half the commit record's bytes written
-      (a torn log tail that resume must truncate away);
-    * ``"after-log-append"`` — commit durable, checkpoint not yet saved.
-
-    Coordinator points (``worker=None``, ``commit_n`` ignored):
-
-    * ``"before-manifest-publish"`` — canonical shards rewritten and
-      renamed, canonical manifest not yet published (mid-compaction);
-    * ``"before-cleanup"`` — canonical manifest published, worker-scoped
-      files not yet deleted.
-
-    :func:`~repro.storage.compaction.compact_store` points (``worker``
-    and ``commit_n`` ignored — one logical commit):
-
-    * ``"before-shard-publish"`` — new-generation shards staged as
-      ``.tmp`` files only;
-    * ``"before-manifest-publish"`` — staged shards renamed into place,
-      old manifest still authoritative;
-    * ``"before-sweep"`` — new manifest published, old-generation shard
-      files not yet deleted.
-
-    Only the crash/concurrency tests construct these; production builds
-    never pass one.
-    """
-
-    worker: int | None
-    commit_n: int = 1
-    point: str = "before-log-append"
-
-    def fire(self) -> None:
-        """Die exactly like a SIGKILLed process (no cleanup, no atexit)."""
-        os.kill(os.getpid(), signal.SIGKILL)
 
 
 class WorkerShardWriter(ShardedCorpusWriter):
@@ -370,9 +323,9 @@ class WorkerShardWriter(ShardedCorpusWriter):
         # A batch whose tables were all dropped still advances the
         # resume frontier: record the resolved indices, nothing else.
         if self._pending_done:
-            self._fault_point("before-log-append")
+            fault_point(self.fault, "before-log-append", self._commit_index)
             self._append_delta({}, {}, _empty_stats())
-            self._fault_point("after-log-append")
+            fault_point(self.fault, "after-log-append", self._commit_index)
 
     def _record_commit(self, touched: dict, new_tables: dict, stats_delta: dict) -> None:
         # Workers only ever append; manifest.json belongs to the
@@ -620,22 +573,9 @@ class _StoreState:
     worker_log_offsets: dict = field(default_factory=dict)
     #: Whether manifest.json exists without the mid-build marker.
     manifest_is_canonical: bool = False
-    #: The canonical manifest's table count (0 when absent).
-    manifest_table_count: int = 0
-    #: The shard size recorded by an existing manifest (None when absent).
-    manifest_shard_size: int | None = None
-    #: The build epoch the manifest describes (1 when absent).
-    epoch: int = 1
-    #: Table counts at which earlier epochs were sealed.
-    epochs: list = field(default_factory=list)
-    #: Shard-layout generation the manifest describes (1 when absent).
-    generation: int = 1
-    #: Fingerprint pin left by online compaction (None if never compacted).
-    compacted_from: dict | None = None
-
-    @property
-    def epoch_is_sealed(self) -> bool:
-        return len(self.epochs) >= self.epoch
+    #: The manifest's :func:`~repro.storage.sharded.manifest_header`
+    #: (``shard_size`` is ``None`` when there is no manifest yet).
+    header: dict = field(default_factory=lambda: manifest_header({}))
 
     @property
     def committed_count(self) -> int:
@@ -665,13 +605,7 @@ def _read_store_state(directory: Path) -> _StoreState:
         manifest = _read_manifest(directory)
         _replay_manifest_log(directory, manifest)
         state.manifest_is_canonical = "parallel" not in manifest
-        state.manifest_table_count = len(manifest.get("tables", {}))
-        state.manifest_shard_size = int(manifest.get("shard_size", 0)) or None
-        state.epoch = manifest_epoch(manifest)
-        state.epochs = [int(count) for count in manifest.get("epochs", [])]
-        state.generation = manifest_generation(manifest)
-        compacted = manifest.get("compacted_from")
-        state.compacted_from = dict(compacted) if compacted is not None else None
+        state.header = manifest_header(manifest)
         if state.manifest_is_canonical:
             # A serial-era manifest's stats describe exactly the
             # canonical tables being adopted.
@@ -729,10 +663,7 @@ def _fold_stats(into: dict, source: dict) -> None:
 
 
 def merge_worker_manifests(
-    state: _StoreState,
-    name: str = "gittables",
-    shard_size: int = 0,
-    processes: int | None = None,
+    state: _StoreState, shard_size: int = 0, processes: int | None = None
 ) -> dict:
     """The merged mid-build manifest of a store's committed state.
 
@@ -760,59 +691,13 @@ def merge_worker_manifests(
             moved["shard"] = base + entry["shard"]
             tables[table_id] = moved
         _fold_stats(stats, worker_state["stats"])
-    manifest = build_manifest(
-        name,
-        shard_size,
-        shards,
-        tables,
-        stats,
-        epoch=state.epoch,
-        epochs=state.epochs,
-        generation=state.generation,
-        compacted_from=state.compacted_from,
-    )
+    header = {**state.header, "shard_size": shard_size}
+    manifest = build_manifest(shards=shards, tables=tables, stats=stats, **header)
     manifest["parallel"] = {
         "processes": processes,
         "canonical_stats": state.canonical_stats,
     }
     return manifest
-
-
-def _heal_canonical_shards(directory: Path, state: _StoreState) -> None:
-    """Truncate torn canonical shard tails left by a crashed serial session.
-
-    Applies :func:`~repro.storage.sharded.heal_shard_files` to the
-    canonical portion a parallel resume adopts — the same routine (and
-    therefore exactly the same semantics) as the single-writer resume
-    path, scoped to canonical-named ``shard_*.jsonl`` files. Worker
-    shards are healed by their own writers.
-    """
-    heal_shard_files(
-        directory, state.canonical_shards, directory.glob("shard_*.jsonl")
-    )
-
-
-class _ShardLineCache:
-    """Committed line bytes of build shards, a few parsed files at a time."""
-
-    def __init__(self, directory: Path, capacity: int = 4) -> None:
-        self.directory = directory
-        self.capacity = capacity
-        self._cache: OrderedDict[str, list[bytes]] = OrderedDict()
-
-    def line(self, entry: dict, line_index: int) -> bytes:
-        filename = entry["file"]
-        lines = self._cache.get(filename)
-        if lines is None:
-            with open(self.directory / filename, "rb") as handle:
-                data = handle.read(entry["bytes"])
-            lines = data.splitlines(keepends=True)
-            self._cache[filename] = lines
-            while len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(filename)
-        return lines[line_index]
 
 
 class ParallelCorpusBuilder:
@@ -872,40 +757,43 @@ class ParallelCorpusBuilder:
         if checkpoint is not None:
             checkpoint.require_compatible(fingerprint, store_dir)
 
-        if state.manifest_is_canonical and state.manifest_table_count >= config.target_tables:
+        finished = state.manifest_is_canonical and manifest_is_sealed(state.header)
+        if finished and len(state.canonical_tables) >= config.target_tables:
             # A completed build (possibly killed between publishing the
-            # canonical manifest and sweeping worker files): reuse it.
-            # Cleaning the leftovers makes the directory byte-identical
-            # to one whose finalize ran uninterrupted.
-            self._cleanup_worker_files(directory)
+            # canonical manifest and its sweep): reuse it. The same sweep
+            # makes the directory byte-identical to one whose finalize
+            # ran uninterrupted.
+            sweep_layout(directory, _read_manifest(directory))
+            BuildCheckpoint.clear_workers(directory)
             BuildCheckpoint.clear(directory)
             return builder.reuse_result(store_dir, topic_selection.topics)
 
-        if extend and state.manifest_is_canonical and state.epoch_is_sealed:
+        header = state.header
+        if extend and finished:
             # Growing a finalized store: open the next epoch. The seed
             # merge below publishes the bumped manifest (as a mid-build
             # view) before any work is dispatched, so a crashed
             # extension resumes — now unsealed — without bumping again.
-            state.epoch = len(state.epochs) + 1
+            header["epoch"] = len(header["epochs"]) + 1
 
         # Resumes keep the shard size the directory was started with
         # (same behaviour as the single-writer resume path).
-        if state.manifest_shard_size is not None:
-            shard_size = state.manifest_shard_size
+        header["shard_size"] = header["shard_size"] or shard_size
         if checkpoint is None:
             checkpoint = BuildCheckpoint(fingerprint=fingerprint)
         base_counters = dict(checkpoint.counters)
         checkpoint.sessions += 1
         checkpoint.save(directory)
-        _heal_canonical_shards(directory, state)
+        # Truncate torn canonical shard tails a crashed serial session
+        # left, with the single-writer resume's own routine (worker
+        # shards are healed by their own writers).
+        heal_shard_files(directory, state.canonical_shards, directory.glob("shard_*.jsonl"))
         # Publish the coordinator's (eagerly built) ontology label
         # indexes before any worker spawns: every worker then resolves
         # them with one mmap instead of re-embedding per process.
         builder.annotator.publish_artifacts(IndexArtifactStore.for_corpus_dir(directory))
 
-        run = _CoordinatorRun(
-            self, directory, shard_size, topic_selection.topics, fingerprint, state
-        )
+        run = _CoordinatorRun(self, directory, topic_selection.topics, fingerprint, state)
         # Seed the merged manifest before any work is dispatched: like
         # the serial writer's first-commit manifest, it pins the
         # directory's shard_size (and marks it parallel) so a build
@@ -916,15 +804,13 @@ class ParallelCorpusBuilder:
             run.execute()
         finally:
             run.shutdown_workers()
-        run.finalize()
         worker_counters = [
             BuildCheckpoint.load(directory, worker=worker).counters
             for worker in worker_checkpoint_ids(directory)
         ]
-        self._fault_point("before-cleanup")
-        self._cleanup_worker_files(directory)
+        table_count = run.finalize()
+        BuildCheckpoint.clear_workers(directory)
         BuildCheckpoint.clear(directory)
-        fsync_dir(directory)
         return self._assemble_result(
             store_dir,
             topic_selection.topics,
@@ -932,21 +818,9 @@ class ParallelCorpusBuilder:
             checkpoint.sessions,
             run,
             worker_counters,
+            table_count,
             extend=extend,
         )
-
-    def _fault_point(self, point: str) -> None:
-        fault = self.fault
-        if fault is not None and fault.worker is None and fault.point == point:
-            fault.fire()
-
-    @staticmethod
-    def _cleanup_worker_files(directory: Path) -> None:
-        """Delete every worker-scoped file plus finalize staging leftovers."""
-        BuildCheckpoint.clear_workers(directory)
-        for pattern in (WORKER_SHARD_GLOB, WORKER_LOG_GLOB, "*.jsonl.tmp"):
-            for path in directory.glob(pattern):
-                path.unlink()
 
     def _assemble_result(
         self,
@@ -956,6 +830,7 @@ class ParallelCorpusBuilder:
         sessions: int,
         run: "_CoordinatorRun",
         worker_counters: list[dict],
+        table_count: int,
         extend: bool = False,
     ) -> "PipelineResult":
         """Merge worker counters into one cross-process PipelineReport.
@@ -966,10 +841,7 @@ class ParallelCorpusBuilder:
         including any serial sessions the directory saw before going
         parallel, whose counters arrive through ``base_counters``.
         """
-        from ..core.corpus import GitTablesCorpus
-        from ..core.curation import CurationReport
         from ..pipeline.report import PipelineReport, combine_counters
-        from .columnar import ensure_projection
 
         merged = dict(base_counters)
         merged["sessions"] = 0
@@ -980,21 +852,10 @@ class ParallelCorpusBuilder:
         report = PipelineReport(pipeline_name="gittables-build")
         report.merge_counters(merged)
         report.sessions = sessions
-        corpus = GitTablesCorpus(store=ShardedJsonlStore(store_dir))
-        # Publish the columnar stats projection at parallel finalize too
-        # (artifacts live outside the byte-identity of the corpus files),
-        # so the curation report below reads arrays, not shards.
-        # Extensions defer the corpus-keyed prune until every engine has
-        # delta-refreshed from its superseded artifact (same ordering
-        # guarantee as the serial path).
-        ensure_projection(
-            corpus, IndexArtifactStore.for_corpus_dir(store_dir), prune=not extend
-        )
-        report.items_collected = len(corpus)
-        report.stopped_early = len(corpus) >= self.builder.config.target_tables
+        report.items_collected = table_count
+        report.stopped_early = table_count >= self.builder.config.target_tables
         report.stage_reports["extraction"] = run.extraction_report()
-        report.stage_reports["curation"] = CurationReport.from_corpus(corpus)
-        return self.builder._result(corpus, report, topics)
+        return self.builder.store_result(store_dir, report, topics, extend=extend)
 
 
 class _CoordinatorRun:
@@ -1004,7 +865,6 @@ class _CoordinatorRun:
         self,
         parent: ParallelCorpusBuilder,
         directory: Path,
-        shard_size: int,
         topics: tuple[str, ...],
         fingerprint: dict,
         state: _StoreState,
@@ -1013,7 +873,7 @@ class _CoordinatorRun:
         self.builder = parent.builder
         self.config = self.builder.config
         self.directory = directory
-        self.shard_size = shard_size
+        self.shard_size = state.header["shard_size"]
         self.topics = list(topics)
         self.fingerprint = fingerprint
         self.state = state
@@ -1070,7 +930,8 @@ class _CoordinatorRun:
         #: or serial commits past the seal) gets no marker: rejected
         #: URLs are then tracked by worker ``done`` records instead.
         self.fast_forward_past: str | None = None
-        if state.epochs and len(state.canonical_tables) == state.epochs[-1]:
+        epochs = state.header["epochs"]
+        if epochs and len(state.canonical_tables) == epochs[-1]:
             last_entry = max(
                 state.canonical_tables.values(),
                 key=lambda entry: (entry["shard"], entry["line"]),
@@ -1290,15 +1151,9 @@ class _CoordinatorRun:
             return
         self._harvests_since_merge = 0
         manifest = merge_worker_manifests(
-            self.state,
-            name=self.builder_name(),
-            shard_size=self.shard_size,
-            processes=self.parent.processes,
+            self.state, shard_size=self.shard_size, processes=self.parent.processes
         )
         _write_manifest(self.directory, manifest)
-
-    def builder_name(self) -> str:
-        return "gittables"
 
     # -- dispatch loop ------------------------------------------------------
 
@@ -1483,45 +1338,45 @@ class _CoordinatorRun:
             adopt_tables += entry["count"]
         return adopt_shards, adopt_tables
 
-    def finalize(self) -> dict:
+    def finalize(self) -> int:
         """Rewrite worker shards into the canonical serial-order layout.
 
-        Canonical shard files are staged as ``.tmp`` siblings (so the
-        worker shards — the data source — are never touched), renamed
-        into place once all are written and fsynced, and then the
-        canonical manifest is published atomically: *that* rename is the
-        commit point. A crash anywhere before it leaves the worker logs
-        authoritative; a crash after it leaves only idempotent cleanup.
-        Every byte written here is a deterministic function of the
-        final table sequence, so re-running finalize after a crash
-        (possibly with a different process count) produces the same
-        files. A final sequence that extends the existing canonical
-        layout — the epoch-extension case — adopts the full canonical
-        shards without rewriting them (see
-        :meth:`_adopted_canonical_prefix`).
+        The final table sequence is published through
+        :func:`~repro.storage.sharded.publish_layout`: canonical shards
+        are staged as ``.tmp`` siblings (the worker shards — the data
+        source — are never touched), renamed into place, the canonical
+        manifest is published atomically (the commit point), and
+        worker-scoped files, stale canonical shards and any serial-era
+        ``manifest.log`` are swept. A crash before the publish leaves the
+        worker logs authoritative; a crash after it leaves only the
+        sweep, which a resumed build reuses. Every byte written is a
+        deterministic function of the final table sequence, so
+        re-running finalize after a crash (possibly with a different
+        process count) produces the same files. A final sequence that
+        extends the existing canonical layout — the epoch-extension case
+        — keeps the full canonical shards without rewriting them (see
+        :meth:`_adopted_canonical_prefix`). Returns the table count.
         """
-        sources: dict = {"canonical": self.state.canonical_shards}
-        for worker, worker_state in self.state.worker_states.items():
+        state = self.state
+        sources: dict = {"canonical": state.canonical_shards}
+        for worker, worker_state in state.worker_states.items():
             sources[worker] = worker_state["shards"]
         sequence = list(self.final_sequence())
         adopt_shards, adopt_tables = self._adopted_canonical_prefix(sequence)
-        cache = _ShardLineCache(self.directory)
-        shards: list = []
         tables: dict = {}
         stats = _empty_stats()
         #: Sequence positions whose stats are already in ``stats``.
         counted = 0
         if adopt_shards:
-            shards = [dict(entry) for entry in self.state.canonical_shards[:adopt_shards]]
             # The canonical stats cover *all* canonical tables —
             # including the re-emitted partial-shard ones — so seed them
             # wholesale and skip re-accumulating those positions below.
-            counted = len(self.state.canonical_tables)
-            _fold_stats(stats, self.state.canonical_stats)
+            counted = len(state.canonical_tables)
+            _fold_stats(stats, state.canonical_stats)
             # Insert in (shard, line) order — the sequence order — so the
             # manifest's table map is byte-identical to a full rewrite's.
             for table_id, entry in sorted(
-                self.state.canonical_tables.items(),
+                state.canonical_tables.items(),
                 key=lambda item: (item[1]["shard"], item[1]["line"]),
             ):
                 if entry["shard"] < adopt_shards:
@@ -1530,84 +1385,44 @@ class _CoordinatorRun:
                         "line": entry["line"],
                         "source_url": entry["source_url"],
                     }
-        current_lines: list[bytes] = []
-        staged: list[tuple[Path, Path]] = []
+        shard_lines = lru_cache(maxsize=4)(
+            lambda source, shard: _shard_lines(self.directory, sources[source][shard])
+        )
 
-        def flush_shard() -> None:
-            if not current_lines:
-                return
-            filename = _shard_filename(len(shards), self.state.generation)
-            payload = b"".join(current_lines)
-            tmp_path = self.directory / (filename + ".tmp")
-            with open(tmp_path, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            staged.append((tmp_path, self.directory / filename))
-            shards.append(
-                {"file": filename, "count": len(current_lines), "bytes": len(payload)}
-            )
-            current_lines.clear()
+        def lines():
+            # Adopted shards are full, so position // shard_size is the
+            # shard every later table lands in.
+            for position in range(adopt_tables, len(sequence)):
+                source, shard_index, line_index = sequence[position]
+                line = shard_lines(source, shard_index)[line_index]
+                payload = json.loads(line)
+                tables[payload["table_id"]] = {
+                    "shard": position // self.shard_size,
+                    "line": position % self.shard_size,
+                    "source_url": payload["source_url"],
+                }
+                if position >= counted:
+                    _accumulate_stats(
+                        stats,
+                        len(payload["rows"]),
+                        len(payload["header"]),
+                        payload["topic"],
+                        payload["repository"],
+                    )
+                yield line
 
-        for position in range(adopt_tables, len(sequence)):
-            source, shard_index, line_index = sequence[position]
-            line = cache.line(sources[source][shard_index], line_index)
-            payload = json.loads(line.decode("utf-8"))
-            table_id = payload["table_id"]
-            tables[table_id] = {
-                "shard": len(shards),
-                "line": len(current_lines),
-                "source_url": payload["source_url"],
-            }
-            if position >= counted:
-                _accumulate_stats(
-                    stats,
-                    len(payload["rows"]),
-                    len(payload["header"]),
-                    payload["topic"],
-                    payload["repository"],
-                )
-            current_lines.append(line)
-            if len(current_lines) >= self.shard_size:
-                flush_shard()
-        flush_shard()
-
-        for tmp_path, final_path in staged:
-            os.replace(tmp_path, final_path)
-        fsync_dir(self.directory)
-        # The genuinely delicate compaction window: canonical shards
-        # are in place (over the top of any adopted serial-era prefix —
-        # identical bytes there, since the final sequence extends it),
-        # but the manifest still describes the merged worker view.
-        self.parent._fault_point("before-manifest-publish")
-        # Stale canonical shards beyond the final count (earlier crashed
-        # finalize, or a serial-era layout) must go before the manifest
-        # stops referencing them.
-        keep = {entry["file"] for entry in shards}
-        for path in self.directory.glob("shard_*.jsonl"):
-            if path.name not in keep:
-                path.unlink()
-        epochs = list(self.state.epochs)
-        if len(epochs) < self.state.epoch:
-            epochs.append(len(tables))
-        elif epochs[-1] != len(tables):
-            epochs[-1] = len(tables)
-        manifest = build_manifest(
-            self.builder_name(),
-            self.shard_size,
-            shards,
+        fault = self.parent.fault
+        header = state.header
+        publish_layout(
+            self.directory,
+            lines(),
+            {**header, "epochs": seal_epochs(header["epochs"], header["epoch"], len(sequence))},
             tables,
             stats,
-            epoch=self.state.epoch,
-            epochs=epochs,
-            generation=self.state.generation,
-            compacted_from=self.state.compacted_from,
+            shards=state.canonical_shards[:adopt_shards],
+            fault=fault if fault is not None and fault.worker is None else None,
         )
-        _write_manifest(self.directory, manifest)
-        log_path = self.directory / MANIFEST_LOG_FILENAME
-        if log_path.exists():  # serial-era delta log, now folded in
-            log_path.unlink()
-        return manifest
+        return len(sequence)
 
     # -- reporting ----------------------------------------------------------
 

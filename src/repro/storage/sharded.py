@@ -57,7 +57,7 @@ directory can be reopened for append by constructing the writer with
 shard appends) belong to the new epoch, a crashed extension resumes
 under the same epoch instead of bumping again, and derived-artifact
 consumers can detect growth with one O(1) probe
-(:func:`read_store_epoch`) instead of re-hashing the manifest. Epochs
+(:func:`read_store_version`) instead of re-hashing the manifest. Epochs
 are bookkeeping *about* the corpus, not part of its content: the
 content fingerprint covers shards and tables only, so an extended store
 and a from-scratch build of the same table set share a fingerprint (and
@@ -86,11 +86,12 @@ import json
 import os
 import re
 from collections import OrderedDict, deque
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import CorpusError
-from ._io import atomic_write_json, fsync_dir
+from ._io import atomic_write_json, fault_point, fsync_dir
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.corpus import AnnotatedTable
@@ -106,9 +107,12 @@ __all__ = [
     "is_sharded_dir",
     "manifest_epoch",
     "manifest_generation",
+    "manifest_header",
     "manifest_is_sealed",
-    "read_store_epoch",
+    "publish_layout",
     "read_store_version",
+    "seal_epochs",
+    "sweep_layout",
     "ShardedJsonlStore",
     "ShardedCorpusWriter",
 ]
@@ -121,6 +125,9 @@ DEFAULT_SHARD_SIZE = 256
 #: Uncompacted delta records tolerated before the writer folds the log
 #: back into manifest.json (bounds both log size and reader replay cost).
 DEFAULT_COMPACT_EVERY = 16
+#: Any parallel build worker's shard files and manifest delta logs.
+WORKER_SHARD_GLOB = "shard-??-*.jsonl"
+WORKER_LOG_GLOB = "manifest-??.log"
 
 
 def is_sharded_dir(directory: str | os.PathLike[str]) -> bool:
@@ -152,11 +159,30 @@ def _read_shard_lines(path: Path, byte_count: int) -> list:
 
     Reading exactly ``byte_count`` bytes is the single place the
     committed-bytes truncation rule is applied on the read side; the
-    lazy reader and the writer's read-back paths all go through here.
+    lazy reader, the writer's read-back paths and every layout rewrite
+    (through :func:`_shard_lines`) all go through here.
     """
     with open(path, "rb") as handle:
         data = handle.read(byte_count)
     return [line for line in data.splitlines() if line]
+
+
+def _shard_lines(directory: Path, entry: dict) -> list:
+    """The committed lines of one shard entry, checked against its count.
+
+    A missing file or a line count other than the entry's raises
+    :class:`~repro.errors.CorpusError`: the corpus is corrupt.
+    """
+    path = directory / entry["file"]
+    try:
+        lines = _read_shard_lines(path, entry["bytes"])
+    except FileNotFoundError:
+        raise CorpusError(f"missing shard file {path}") from None
+    if len(lines) != entry["count"]:
+        raise CorpusError(
+            f"shard {entry['file']} holds {len(lines)} tables, manifest says {entry['count']}"
+        )
+    return lines
 
 
 def _decode_line(line: bytes) -> "AnnotatedTable":
@@ -244,13 +270,45 @@ def manifest_epoch(manifest: dict) -> int:
 
 
 def manifest_is_sealed(manifest: dict) -> bool:
-    """Whether the manifest's current epoch has been finalized."""
+    """Whether the current epoch of a manifest (or a header) is finalized."""
     return len(manifest.get("epochs", [])) >= manifest_epoch(manifest)
 
 
 def manifest_generation(manifest: dict) -> int:
     """The shard-layout generation (pre-generation manifests are 1)."""
     return int(manifest.get("generation", 1))
+
+
+def manifest_header(manifest: dict) -> dict:
+    """The fields every manifest rewrite carries over from ``manifest``.
+
+    ``name``, ``shard_size``, ``epoch``, ``epochs``, ``generation`` and
+    ``compacted_from``: the keyword arguments of :func:`build_manifest`
+    besides the layout itself (``shard_size`` is ``None`` when absent).
+    """
+    compacted = manifest.get("compacted_from")
+    return {
+        "name": manifest.get("name", "gittables"),
+        "shard_size": manifest.get("shard_size"),
+        "epoch": manifest_epoch(manifest),
+        "epochs": [int(count) for count in manifest.get("epochs", [])],
+        "generation": manifest_generation(manifest),
+        "compacted_from": None if compacted is None else dict(compacted),
+    }
+
+
+def seal_epochs(epochs: list[int], epoch: int, count: int) -> list[int]:
+    """``epochs`` with epoch ``epoch`` sealed at ``count`` tables.
+
+    Re-finalizing an epoch that grew after its first seal (legal, if
+    unusual) moves the seal to the final count.
+    """
+    sealed = list(epochs)
+    if len(sealed) < epoch:
+        sealed.append(count)
+    else:
+        sealed[-1] = count
+    return sealed
 
 
 #: Bytes of manifest prefix read by :func:`read_store_version`. The
@@ -294,16 +352,6 @@ def read_store_version(directory: str | os.PathLike[str]) -> tuple[int, bool, in
         manifest_is_sealed(manifest),
         manifest_generation(manifest),
     )
-
-
-def read_store_epoch(directory: str | os.PathLike[str]) -> tuple[int, bool]:
-    """``(epoch, sealed)`` of a sharded directory, via one bounded read.
-
-    The epoch-only view of :func:`read_store_version`, kept for callers
-    that do not care about the shard layout generation.
-    """
-    epoch, sealed, _ = read_store_version(directory)
-    return epoch, sealed
 
 
 def _read_manifest(directory: Path) -> dict:
@@ -640,18 +688,10 @@ class ShardedJsonlStore:
             return self._cache[index]
         entry = self._manifest["shards"][index]
         try:
-            slots = _read_shard_lines(self.directory / entry["file"], entry["bytes"])
-        except FileNotFoundError:
+            slots = _shard_lines(self.directory, entry)
+        except CorpusError:
             self._raise_if_relaid(entry)
-            raise CorpusError(
-                f"missing shard file {self.directory / entry['file']}"
-            ) from None
-        if len(slots) != entry["count"]:
-            self._raise_if_relaid(entry)
-            raise CorpusError(
-                f"shard {entry['file']} holds {len(slots)} tables, "
-                f"manifest says {entry['count']}"
-            )
+            raise
         self._cache[index] = slots
         while len(self._cache) > self.cache_shards:
             self._cache.popitem(last=False)
@@ -754,6 +794,99 @@ def heal_shard_files(directory: Path, entries: list[dict], owned_paths) -> None:
                 handle.truncate(entry["bytes"])
 
 
+def publish_layout(
+    directory: Path,
+    lines,
+    header: dict,
+    tables: dict,
+    stats: dict,
+    shards: list | tuple = (),
+    fault=None,
+) -> tuple[dict, int]:
+    """Rewrite a store's shard layout: the one stage → rename → publish → sweep.
+
+    The parallel build's finalize and
+    :func:`~repro.storage.compaction.compact_store` both lay a store out
+    anew through here, in four steps:
+
+    1. **Stage** — ``lines`` (committed table lines without their
+       newlines, in corpus order) are packed ``header["shard_size"]`` to
+       a file, numbered after the kept ``shards`` and named under
+       ``header["generation"]``, and written as fsynced ``*.jsonl.tmp``
+       siblings. The live manifest still describes the old layout;
+       readers are untouched.
+    2. **Rename** — the staged files move to their shard names. A
+       compaction bumps the generation, so the two layouts never share a
+       filename and the old manifest still resolves only old files.
+    3. **Publish** — the :func:`build_manifest` payload of ``header``,
+       the shard list, ``tables`` and ``stats`` atomically replaces
+       ``manifest.json``. This is the commit point: a crash strictly
+       before it leaves the old layout authoritative; at or after it, the
+       new one. ``lines`` is consumed before ``tables`` and ``stats`` are
+       read, so a generator may fill them as it yields.
+    4. **Sweep** — :func:`sweep_layout` deletes every file the new
+       manifest does not list. A reader that opened the old manifest
+       just before the publish may then find one of its files missing;
+       :class:`ShardedJsonlStore` diagnoses that as a generation bump and
+       asks to be reopened rather than ever mixing two layouts.
+
+    ``fault`` fires ``"before-shard-publish"``,
+    ``"before-manifest-publish"`` and ``"before-sweep"`` ahead of steps
+    2–4. Every byte is a deterministic function of the arguments, so a
+    crashed rewrite is redone by re-running it after the same sweep.
+    Returns the published manifest and the number of files swept.
+    """
+    shards = list(shards)
+    staged: list[str] = []
+    lines = iter(lines)
+    while group := list(islice(lines, header["shard_size"])):
+        filename = _shard_filename(len(shards), header["generation"])
+        payload = b"\n".join(group) + b"\n"
+        with open(directory / (filename + ".tmp"), "wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        staged.append(filename)
+        shards.append({"file": filename, "count": len(group), "bytes": len(payload)})
+    fault_point(fault, "before-shard-publish")
+    for filename in staged:
+        os.replace(directory / (filename + ".tmp"), directory / filename)
+    fsync_dir(directory)
+    fault_point(fault, "before-manifest-publish")
+    manifest = build_manifest(shards=shards, tables=tables, stats=stats, **header)
+    _write_manifest(directory, manifest)
+    fault_point(fault, "before-sweep")
+    return manifest, sweep_layout(directory, manifest)
+
+
+def sweep_layout(directory: Path, manifest: dict) -> int:
+    """Delete every layout file ``manifest`` does not list; the count.
+
+    The files are shard files of other layouts, staged ``*.jsonl.tmp``
+    shards, parallel-build worker shards and logs, and ``manifest.log``.
+    ``manifest`` must be a finished canonical one. The sweep is
+    idempotent: it ends :func:`publish_layout`, and a rewrite killed
+    before or during it is completed by running it again (the entry of
+    compaction and the reuse of a finished parallel build do).
+    """
+    listed = {entry["file"] for entry in manifest.get("shards", [])}
+    swept = 0
+    for pattern in (
+        "shard_*.jsonl",
+        "*.jsonl.tmp",
+        WORKER_SHARD_GLOB,
+        WORKER_LOG_GLOB,
+        MANIFEST_LOG_FILENAME,
+    ):
+        for path in list(directory.glob(pattern)):
+            if path.name not in listed:
+                path.unlink()
+                swept += 1
+    if swept:
+        fsync_dir(directory)
+    return swept
+
+
 class ShardedCorpusWriter:
     """Append-only sharded store used as the corpus-construction sink.
 
@@ -780,7 +913,7 @@ class ShardedCorpusWriter:
     append, so every commit of the extension is attributable to the new
     epoch and a crashed extension resumes (with ``extend=True`` again)
     without bumping twice. ``fault`` arms deterministic crash injection
-    for the test harness (see :class:`~repro.storage.parallel.FaultSpec`);
+    for the test harness (see :class:`~repro.storage.FaultSpec`);
     production builds never pass one.
     """
 
@@ -856,13 +989,9 @@ class ShardedCorpusWriter:
         manifest = _read_manifest(self.directory)
         self._log_records, valid_bytes = _replay_manifest_log(self.directory, manifest)
         self._truncate_log(valid_bytes)
-        self.name = manifest.get("name", self.name)
-        self.shard_size = int(manifest.get("shard_size", self.shard_size))
-        self.epoch = manifest_epoch(manifest)
-        self.epochs = [int(count) for count in manifest.get("epochs", [])]
-        self.generation = manifest_generation(manifest)
-        compacted = manifest.get("compacted_from")
-        self.compacted_from = dict(compacted) if compacted is not None else None
+        # The writer's header attributes (name, shard_size, epoch, epochs,
+        # generation, compacted_from) are the manifest header's fields.
+        vars(self).update(manifest_header(manifest))
         self._shards = [dict(entry) for entry in manifest.get("shards", [])]
         self._tables = {
             table_id: dict(entry) for table_id, entry in manifest.get("tables", {}).items()
@@ -880,16 +1009,13 @@ class ShardedCorpusWriter:
         already met) should defer this until they know appends follow,
         so a degenerate extension does not leave the store unsealed.
         """
-        if self._is_sealed():
+        if self.is_sealed:
             self._begin_epoch()
-
-    def _is_sealed(self) -> bool:
-        return len(self.epochs) >= self.epoch
 
     @property
     def is_sealed(self) -> bool:
         """True when every opened epoch has been sealed by a finalize."""
-        return self._is_sealed()
+        return manifest_is_sealed(vars(self))
 
     def _begin_epoch(self) -> None:
         """Durably open the next epoch on a sealed directory.
@@ -904,24 +1030,11 @@ class ShardedCorpusWriter:
 
     def _seal_epoch(self) -> bool:
         """Record the current epoch's final table count; True if changed."""
-        count = len(self._tables)
-        if len(self.epochs) < self.epoch:
-            self.epochs.append(count)
-            return True
-        if self.epochs[-1] != count:
-            # Re-finalizing an epoch that grew after its first seal
-            # (legal, if unusual): the seal tracks the final count.
-            self.epochs[-1] = count
-            return True
-        return False
-
-    # -- crash injection ----------------------------------------------------
-
-    def _fault_point(self, point: str) -> None:
-        """Crash-injection hook (armed only when ``fault`` was passed)."""
-        fault = self.fault
-        if fault is not None and fault.commit_n == self._commit_index and fault.point == point:
-            fault.fire()
+        sealed = seal_epochs(self.epochs, self.epoch, len(self._tables))
+        if sealed == self.epochs:
+            return False
+        self.epochs = sealed
+        return True
 
     def _truncate_log(self, valid_bytes: int) -> None:
         """Drop a torn tail record left in the log by a crashed append."""
@@ -1049,7 +1162,7 @@ class ShardedCorpusWriter:
         the base manifest if the directory has none yet).
         """
         self._commit_index += 1
-        self._fault_point("before-shard-append")
+        fault_point(self.fault, "before-shard-append", self._commit_index)
         if not self._pending:
             self._record_empty_commit()
             return 0
@@ -1075,9 +1188,9 @@ class ShardedCorpusWriter:
             self._append_group(entry, group, new_tables, stats_delta)
             touched[len(self._shards) - 1] = entry
         self._pending_ids.clear()
-        self._fault_point("before-log-append")
+        fault_point(self.fault, "before-log-append", self._commit_index)
         self._record_commit(touched, new_tables, stats_delta)
-        self._fault_point("after-log-append")
+        fault_point(self.fault, "after-log-append", self._commit_index)
         return committed
 
     def _record_empty_commit(self) -> None:
@@ -1142,30 +1255,17 @@ class ShardedCorpusWriter:
     def _append_delta(self, touched: dict, new_tables: dict, stats_delta: dict) -> None:
         """Durably append one commit's delta record to the manifest log."""
         record = self._delta_record(touched, new_tables, stats_delta)
-        line = json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        payload = json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n"
         path = self._log_path()
         existed = path.exists()
         with open(path, "ab") as handle:
-            self._write_record_bytes(handle, line + b"\n")
+            fault_point(self.fault, "torn-log-append", self._commit_index, torn=(handle, payload))
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
         if not existed:
             fsync_dir(self.directory)
         self._log_records += 1
-
-    def _write_record_bytes(self, handle, payload: bytes) -> None:
-        """Write one record's bytes (with torn-write crash injection)."""
-        fault = self.fault
-        if (
-            fault is not None
-            and fault.commit_n == self._commit_index
-            and fault.point == "torn-log-append"
-        ):
-            handle.write(payload[: max(1, len(payload) // 2)])
-            handle.flush()
-            os.fsync(handle.fileno())
-            fault.fire()
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
 
     def _compact(self) -> None:
         """Fold all committed state into manifest.json and drop the log.
@@ -1199,19 +1299,10 @@ class ShardedCorpusWriter:
         return committed
 
     def _write_manifest(self) -> None:
+        header = {key: getattr(self, key) for key in manifest_header({})}
         _write_manifest(
             self.directory,
-            build_manifest(
-                self.name,
-                self.shard_size,
-                self._shards,
-                self._tables,
-                self._stats,
-                epoch=self.epoch,
-                epochs=self.epochs,
-                generation=self.generation,
-                compacted_from=self.compacted_from,
-            ),
+            build_manifest(shards=self._shards, tables=self._tables, stats=self._stats, **header),
         )
 
     def as_reader(self, cache_shards: int = 2) -> ShardedJsonlStore:

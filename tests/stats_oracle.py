@@ -1,9 +1,10 @@
 """The streaming-scan reference for every corpus statistic.
 
-``src/`` computes Tables 1-5 and Figure 4a one way: on the columnar
-projection (:func:`~repro.storage.columnar.ensure_projection` resolves
-one for any corpus). This module keeps the per-table iteration those
-statistics were first written as, so tests can hold the columnar path
+``src/`` computes Tables 1-5 and Figure 4a, and evaluates
+:class:`~repro.storage.columnar.TablePredicate` filters, one way: on
+the columnar projection (:func:`~repro.storage.columnar.ensure_projection`
+resolves one for any corpus). This module keeps the per-table iteration
+those were first written as, so tests can hold the columnar path
 to *exact* equality with it — Counter insertion order, float bit
 patterns and ``most_common`` tie-breaking included — and the stats
 benchmark can time it as its scan baseline. Every function makes one
@@ -21,8 +22,15 @@ from repro.core.corpus import GitTablesCorpus
 from repro.core.curation import CurationReport
 from repro.core.stats import AnnotationStatistics, CorpusStatistics, MethodOntologyStats
 from repro.dataframe.dtypes import AtomicType
+from repro.storage.columnar import TablePredicate
 
-__all__ = ["annotation_statistics", "corpus_statistics", "curation_report", "dimension_cdf"]
+__all__ = [
+    "annotation_statistics",
+    "corpus_statistics",
+    "curation_report",
+    "dimension_cdf",
+    "predicate_matches",
+]
 
 
 def corpus_statistics(corpus: GitTablesCorpus) -> CorpusStatistics:
@@ -174,3 +182,41 @@ def dimension_cdf(
         grid = np.append(grid, values.max())
     ordered = np.sort(values)
     return [(float(point), int(np.searchsorted(ordered, point, side="right"))) for point in grid]
+
+
+def predicate_matches(predicate: TablePredicate, annotated) -> bool:
+    """Pure-Python reference evaluation of ``predicate`` against one ``AnnotatedTable``."""
+    if predicate.topic is not None and annotated.topic != predicate.topic:
+        return False
+    if predicate.repository is not None and annotated.repository != predicate.repository:
+        return False
+    if predicate.license_key is not None and annotated.license_key != predicate.license_key:
+        return False
+    table = annotated.table
+    if predicate.min_rows is not None and table.num_rows < predicate.min_rows:
+        return False
+    if predicate.max_rows is not None and table.num_rows > predicate.max_rows:
+        return False
+    if predicate.min_columns is not None and table.num_columns < predicate.min_columns:
+        return False
+    if predicate.max_columns is not None and table.num_columns > predicate.max_columns:
+        return False
+    wanted_dtype = predicate._dtype_value()
+    if wanted_dtype is not None and not any(
+        column.atomic_type.value == wanted_dtype for column in table.columns
+    ):
+        return False
+    if predicate.annotation_label is not None:
+        if predicate.method is None:
+            annotations = annotated.annotations.all()
+        else:
+            annotations = annotated.annotations.for_method(AnnotationMethod(predicate.method))
+        if not any(
+            annotation.type_label == predicate.annotation_label for annotation in annotations
+        ):
+            return False
+    if predicate.pii is not None:
+        scrubbed = bool(table.metadata.get("pii_scrubbed_types"))
+        if scrubbed is not predicate.pii:
+            return False
+    return True

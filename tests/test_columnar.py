@@ -15,6 +15,8 @@ guarantee.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -135,7 +137,7 @@ def _one_unlicensed_table() -> GitTablesCorpus:
 
 def _scan_ids(corpus, predicate: TablePredicate) -> list[str]:
     return [
-        annotated.table_id for annotated in corpus if predicate.matches(annotated)
+        annotated.table_id for annotated in corpus if oracle.predicate_matches(predicate, annotated)
     ]
 
 
@@ -425,8 +427,10 @@ class TestCorpusFilterPushdown:
         fast = [annotated.table_id for annotated in corpus.filter(predicate)]
         corpus._projection = None
         slow = [annotated.table_id for annotated in corpus.filter(predicate)]
+        assert corpus.projection is not None  # the filter resolved a projection
         callable_path = [
-            annotated.table_id for annotated in corpus.filter(predicate.matches)
+            annotated.table_id
+            for annotated in corpus.filter(partial(oracle.predicate_matches, predicate))
         ]
         assert fast == slow == callable_path
         assert fast  # the predicate selects something

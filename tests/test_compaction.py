@@ -402,3 +402,58 @@ class TestMetricsGenerationSurface:
         # A worker that predates generations reports the default layout.
         assert workers["generations"] == {"worker-00": 2, "worker-01": 1}
         assert workers["artifact_reloads"] == {"worker-00": 1, "worker-01": 0}
+
+
+class TestSingleLayoutPublish:
+    """Finalize and compaction share one publish routine and one fault hook."""
+
+    def test_layout_rewrite_lives_in_one_routine(self):
+        import ast
+        from pathlib import Path
+
+        import repro.storage
+        import repro.storage.parallel
+
+        root = Path(repro.storage.__file__).parent
+        replaces: list[tuple[str, str]] = []
+        names: set[str] = set()
+        for path in sorted(root.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and node.attr == "replace"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "os"
+                    ):
+                        replaces.append((path.name, function.name))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name)
+        assert sorted(set(replaces)) == [
+            ("_io.py", "atomic_replace"),
+            ("sharded.py", "publish_layout"),
+        ]
+        gone = {
+            "_ShardLineCache",
+            "_committed_lines",
+            "_sweep_stale_files",
+            "_fire",
+            "_cleanup_worker_files",
+            "_fault_point",
+            "read_store_epoch",
+        }
+        assert names & gone == set()
+        assert not hasattr(repro.storage, "read_store_epoch")
+        # One FaultSpec, defined next to the one hook and re-exported.
+        assert repro.storage.FaultSpec is repro.storage.parallel.FaultSpec
+        assert repro.storage.FaultSpec.__module__ == "repro.storage._io"

@@ -43,7 +43,7 @@ from repro.core.pipeline import CorpusBuilder
 from repro.storage.sharded import (
     ShardedCorpusWriter,
     ShardedJsonlStore,
-    read_store_epoch,
+    read_store_version,
 )
 
 BASE_TABLES = 24
@@ -149,8 +149,8 @@ def _annotated(table_id: str) -> AnnotatedTable:
 
 class TestEpochGrowthEquality:
     def test_extend_matches_one_shot_build(self, extended_reference, grown_reference):
-        assert read_store_epoch(extended_reference) == (2, True)
-        assert read_store_epoch(grown_reference) == (1, True)
+        assert read_store_version(extended_reference)[:2] == (2, True)
+        assert read_store_version(grown_reference)[:2] == (1, True)
         assert (
             ShardedJsonlStore(extended_reference).content_fingerprint()
             == ShardedJsonlStore(grown_reference).content_fingerprint()
@@ -219,7 +219,7 @@ class TestEpochGrowthEquality:
         shutil.copytree(base_store, directory)
         before = directory_file_bytes(directory)
         session = GitTables.load(directory).extend(target_tables=BASE_TABLES)
-        assert read_store_epoch(directory) == (1, True)
+        assert read_store_version(directory)[:2] == (1, True)
         assert directory_file_bytes(directory) == before
         assert len(session.corpus) == BASE_TABLES
 
@@ -271,14 +271,14 @@ class TestSerialExtensionCrash:
 
         # The wreckage: epoch 2 is open but unsealed, with a partial
         # batch of new tables committed.
-        assert read_store_epoch(directory) == (2, False)
+        assert read_store_version(directory)[:2] == (2, False)
         partial = len(ShardedJsonlStore(directory))
         assert BASE_TABLES <= partial < GROWN_TABLES
 
         CorpusBuilder(grown_config, generator_config=grow_generator, batch_size=BATCH).build(
             store_dir=directory, shard_size=SHARDS, extend=True
         )
-        assert read_store_epoch(directory) == (2, True)
+        assert read_store_version(directory)[:2] == (2, True)
         assert directory_file_bytes(directory) == directory_file_bytes(extended_reference)
 
 
@@ -324,7 +324,7 @@ class TestParallelExtensionCrash:
         shutil.copytree(base_store, directory)
         result = self._extend_parallel(directory, grown_config, grow_generator)
         assert result.table_count == GROWN_TABLES
-        assert read_store_epoch(directory) == (2, True)
+        assert read_store_version(directory)[:2] == (2, True)
         assert directory_file_bytes(directory) == directory_file_bytes(extended_reference)
 
     @pytest.mark.parametrize(
@@ -348,7 +348,7 @@ class TestParallelExtensionCrash:
         # uninterrupted extension.
         result = self._extend_parallel(directory, grown_config, grow_generator)
         assert result.table_count == GROWN_TABLES
-        assert read_store_epoch(directory) == (2, True)
+        assert read_store_version(directory)[:2] == (2, True)
         assert directory_file_bytes(directory) == directory_file_bytes(extended_reference)
 
     def test_coordinator_killed_before_manifest_publish_then_resume(
@@ -385,7 +385,7 @@ class TestParallelExtensionCrash:
             extend=True,
         )
         assert resumed.exitcode == 0
-        assert read_store_epoch(directory) == (2, True)
+        assert read_store_version(directory)[:2] == (2, True)
         assert directory_file_bytes(directory) == directory_file_bytes(extended_reference)
 
 

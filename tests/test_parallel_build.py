@@ -213,7 +213,9 @@ class TestWorkerCrashInjection:
 class TestCoordinatorCrashInjection:
     """Kill the build during finalize (compaction) and mid-dispatch."""
 
-    @pytest.mark.parametrize("point", ["before-manifest-publish", "before-cleanup"])
+    @pytest.mark.parametrize(
+        "point", ["before-shard-publish", "before-manifest-publish", "before-sweep"]
+    )
     def test_kill_during_finalize_then_resume(
         self,
         tmp_path,
@@ -326,6 +328,35 @@ class TestCrossModeResume:
 
         result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
             store_dir=store, shard_size=SHARDS, processes=3
+        )
+        assert result.table_count == par_config.target_tables
+        assert _dir_bytes(store) == _dir_bytes(reference_dir)
+
+    def test_unfinalized_serial_store_is_finalized_not_reused(
+        self, tmp_path, monkeypatch, par_config, par_generator, serial_reference
+    ):
+        """A serial build killed between its last commit and its finalize
+        holds every table but is unsealed and keeps its ``manifest.log``:
+        a parallel call must finalize it, not reuse and sweep it."""
+        from repro.storage import ShardedCorpusWriter
+
+        reference_dir, _ = serial_reference
+        store = tmp_path / "store"
+
+        def killed_finalize(self):
+            raise KeyboardInterrupt("simulated kill")
+
+        monkeypatch.setattr(ShardedCorpusWriter, "finalize", killed_finalize)
+        with pytest.raises(KeyboardInterrupt):
+            CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+                store_dir=store, shard_size=SHARDS
+            )
+        monkeypatch.undo()
+        assert (store / "manifest.log").exists()
+        assert len(GitTablesCorpus.load(store)) == par_config.target_tables
+
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=2
         )
         assert result.table_count == par_config.target_tables
         assert _dir_bytes(store) == _dir_bytes(reference_dir)

@@ -86,3 +86,18 @@ class TestCLI:
         exit_code = cli_main(["--scale", "small", "--output", str(path)])
         assert exit_code == 0
         assert path.exists()
+
+
+class TestBenchScript:
+    def test_help_exits_cleanly(self, capsys):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+        spec = importlib.util.spec_from_file_location("bench_script", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        with pytest.raises(SystemExit) as exit_info:
+            bench.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "% below the committed baseline" in " ".join(capsys.readouterr().out.split())
