@@ -220,8 +220,12 @@ class ServingConfig:
     workers: int = 2
     #: Most requests one dispatched batch may carry.
     max_batch: int = 64
-    #: How long the batcher holds a window open for more requests after
-    #: the first arrives (milliseconds; 0 = dispatch whatever is queued).
+    #: Upper bound of a busy window (milliseconds): when no worker has
+    #: room, how long the batcher keeps accumulating requests after the
+    #: first arrives. While a worker has room a window dispatches at once
+    #: with whatever is already queued; in-process serving
+    #: (``workers=0``) always holds the window this long. 0 = dispatch
+    #: whatever is queued.
     max_wait_ms: float = 2.0
     #: Admission limit: requests in flight (admitted, unresolved) beyond
     #: this are rejected with :class:`~repro.errors.ServiceOverloaded`.

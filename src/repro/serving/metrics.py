@@ -10,6 +10,7 @@ percentiles — without stopping the service.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -24,7 +25,7 @@ def _percentile(ordered: list[float], q: int) -> float:
     """The ``q``-th percentile of a sorted sample (nearest-rank)."""
     if not ordered:
         return 0.0
-    index = max(0, min(len(ordered) - 1, round(q / 100.0 * len(ordered)) - 1))
+    index = max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))
     return ordered[index]
 
 
@@ -66,9 +67,10 @@ class ServiceMetrics:
         #: dict reported by that executor (engine -> tier stats).
         self._index_stats: dict[str, dict] = {}
         #: source -> latest {"epoch": ..., "generation": ..., "reloads":
-        #: ...} store state piggybacked by that worker (epoch and layout
-        #: generation it serves, cumulative reloads after store
-        #: extensions or compactions).
+        #: ..., "reload_failures": ...} store state piggybacked by that
+        #: worker (epoch and layout generation it serves, cumulative
+        #: reloads after store extensions or compactions, and cumulative
+        #: reload attempts that failed and left the older view served).
         self._worker_store: dict[str, dict] = {}
         self._started_at = time.monotonic()
 
@@ -142,9 +144,11 @@ class ServiceMetrics:
         """Store one worker's latest store-version report.
 
         ``state`` is ``{"epoch": ..., "generation": ..., "reloads":
-        ...}``: the store epoch and shard-layout generation the worker's
-        session currently serves, plus its cumulative count of reloads
-        triggered by store extensions or online compactions.
+        ..., "reload_failures": ...}``: the store epoch and shard-layout
+        generation the worker's session currently serves, its cumulative
+        count of reloads triggered by store extensions or online
+        compactions, and how many reload attempts failed (the worker
+        then keeps serving its current view and retries later).
         Cumulative, so only the latest report per source is kept.
         """
         with self._lock:
@@ -196,7 +200,8 @@ class ServiceMetrics:
         epoch/generation and cumulative reload count, so an in-flight
         store extension (or online compaction) is visible as parent
         epoch (generation) ahead of worker epochs (generations) until
-        every worker has reloaded.
+        every worker has reloaded; ``reload_failures`` counts, per worker,
+        the reload attempts that failed and were retried.
         """
         with self._lock:
             endpoints: dict[str, dict] = {}
@@ -254,6 +259,10 @@ class ServiceMetrics:
                     },
                     "artifact_reloads": {
                         source: state.get("reloads", 0)
+                        for source, state in sorted(self._worker_store.items())
+                    },
+                    "reload_failures": {
+                        source: state.get("reload_failures", 0)
                         for source, state in sorted(self._worker_store.items())
                     },
                 },

@@ -3,8 +3,9 @@
 ::
 
     dispatcher (submit/admission)
-        └─> micro-batcher (window: max_batch / max_wait_ms)
-              └─> worker pool (least-loaded routing, respawn)
+        └─> micro-batcher (work-conserving window: dispatch while a
+              │   worker has room, else max_batch / max_wait_ms)
+              └─> worker pool (least-loaded routing, room wake-ups, respawn)
                     └─> N processes, each mmap'ing the store's artifacts
 
 :class:`QueryService` is what :meth:`GitTables.serve` returns. Callers
@@ -28,7 +29,13 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from ..config import ServingConfig
-from ..errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded, ServingError
+from ..errors import (
+    CorpusError,
+    DeadlineExceeded,
+    ServiceClosed,
+    ServiceOverloaded,
+    ServingError,
+)
 from ..storage.sharded import read_store_version
 from .batcher import MicroBatcher, Request
 from .endpoints import canonicalize
@@ -61,6 +68,7 @@ class QueryService:
         self._inflight = 0
         self._next_seq = 0
         self._closed = False
+        self._batcher = None  # the pool may report room before it exists
         if self.config.workers > 0:
             if directory is None:
                 raise ServingError(
@@ -75,6 +83,7 @@ class QueryService:
                 on_crash=self._metrics.record_worker_crash,
                 on_stats=self._metrics.record_index_stats,
                 on_store=self._metrics.record_worker_store,
+                on_room=self._wake_batcher,
                 index_config=self.config.index,
                 mp_context=mp_context,
             )
@@ -84,6 +93,7 @@ class QueryService:
             )
         self._batcher = MicroBatcher(
             dispatch=self._dispatch,
+            has_room=self._executor.has_room,
             max_batch=self.config.max_batch,
             max_wait_ms=self.config.max_wait_ms,
         )
@@ -167,6 +177,11 @@ class QueryService:
         self._metrics.record_batch(requests[0].endpoint, len(requests))
         self._executor.dispatch(requests)
 
+    def _wake_batcher(self) -> None:
+        """Pool callback: a worker regained room, so a busy window may close."""
+        if self._batcher is not None:
+            self._batcher.wake()
+
     def _resolve(self, request, result=None, error=None) -> None:
         """Resolve one request exactly once, enforcing its deadline."""
         future = request.future
@@ -210,8 +225,8 @@ class QueryService:
         if self._directory is not None:
             try:
                 epoch, sealed, generation = read_store_version(self._directory)
-            except Exception:
-                pass
+            except (CorpusError, ValueError):
+                pass  # unreadable manifest: report the store version as unknown
             else:
                 store_generation = generation
                 if sealed:

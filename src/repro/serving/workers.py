@@ -9,10 +9,13 @@ a task is just ``(batch id, endpoint, compatibility key, payloads)``
 and a result is the pickled list of per-request results.
 
 The parent-side :class:`WorkerPool` routes each batch to the
-least-loaded live worker, watches for crashed workers (a worker that
-died mid-batch is detected on the collector's next idle tick), respawns
-them within the configured budget, and re-dispatches a dead worker's
-in-flight batches exactly once — a batch orphaned twice fails with
+least-loaded live worker, preferring one with room (fewer than
+:data:`WORKER_BATCH_DEPTH` batches outstanding), tells the micro-batcher
+whenever a worker regains room (the ``on_room`` callback), watches for
+crashed workers (a worker that died mid-batch is detected on the
+collector's next idle tick), respawns them within the configured
+budget, and re-dispatches a dead worker's in-flight batches exactly
+once — a batch orphaned twice fails with
 :class:`~repro.errors.WorkerCrashed`. Request futures are resolved by
 one collector thread; a result that lands after its request's deadline
 resolves to :class:`~repro.errors.DeadlineExceeded` instead.
@@ -20,7 +23,8 @@ resolves to :class:`~repro.errors.DeadlineExceeded` instead.
 :class:`LocalExecutor` is the degenerate pool for ``workers=0`` (and
 for sessions without a store directory): batches execute inline on the
 batcher thread against the parent's own session — still micro-batched,
-no processes involved.
+no processes involved. It never reports room, so its windows stay open
+for the full ``max_wait_ms``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,13 @@ STARTUP_TIMEOUT_SECONDS = 120.0
 #: at stake.
 EPOCH_PROBE_INTERVAL_SECONDS = 0.5
 
+#: Batches a worker may have outstanding and still "have room" for the
+#: micro-batcher to dispatch at once: one running plus one queued behind
+#: it, so the worker starts its next batch while the previous result is
+#: still on its way back to the parent. At this depth or more the
+#: batcher keeps accumulating a window instead.
+WORKER_BATCH_DEPTH = 2
+
 
 def _serving_worker_main(
     directory: str, worker: int, parent_pid: int, task_queue, result_queue, index_config=None
@@ -61,9 +72,9 @@ def _serving_worker_main(
     (one malformed batch must not take down the pool). The piggybacked
     ``index_stats`` element is the session's cumulative ANN-tier
     instrumentation (None when no engine is built) and ``store_state``
-    is ``{"epoch": ..., "generation": ..., "reloads": ...}``, so the
-    parent's metrics see the tier and store version in use without an
-    extra round trip.
+    is ``{"epoch": ..., "generation": ..., "reloads": ...,
+    "reload_failures": ...}``, so the parent's metrics see the tier and
+    store version in use without an extra round trip.
 
     Between batches (and on idle ticks) the worker probes the store
     manifest's epoch and generation counters: when the directory has
@@ -74,7 +85,9 @@ def _serving_worker_main(
     bumped, same content fingerprint) the reload re-opens the new shard
     layout over the *same* mmap'd artifacts, so no embedding work
     happens at all. Either way a long-lived pool follows the store
-    without a restart. Exits on the ``None`` sentinel or when the
+    without a restart. A reload that fails leaves the worker serving
+    its current view; it is counted in ``reload_failures`` and retried
+    at the next probe. Exits on the ``None`` sentinel or when the
     parent dies.
     """
 
@@ -99,11 +112,12 @@ def _serving_worker_main(
     result_queue.put(("ready", worker, os.getpid()))
     memo: dict = {}
     reloads = 0
+    reload_failures = 0
     last_probe = time.monotonic()
 
     def maybe_reload():
         """Reload when the store sealed a newer epoch or re-sharded."""
-        nonlocal session, epoch, generation, reloads, last_probe
+        nonlocal session, epoch, generation, reloads, reload_failures, last_probe
         now = time.monotonic()
         if now - last_probe < EPOCH_PROBE_INTERVAL_SECONDS:
             return
@@ -116,6 +130,7 @@ def _serving_worker_main(
             _ = fresh.search_engine
             _ = fresh.completer
         except Exception:
+            reload_failures += 1
             return  # keep serving the current view; retry next probe
         session = fresh
         memo.clear()  # memoized results may describe the older view
@@ -134,7 +149,12 @@ def _serving_worker_main(
         if task is None:
             return leave()
         maybe_reload()
-        store_state = {"epoch": epoch, "generation": generation, "reloads": reloads}
+        store_state = {
+            "epoch": epoch,
+            "generation": generation,
+            "reloads": reloads,
+            "reload_failures": reload_failures,
+        }
         _, batch_id, endpoint, key, payloads = task
         try:
             results = execute_batch(session, endpoint, key, payloads, memo=memo)
@@ -177,6 +197,9 @@ class LocalExecutor:
         for request, result in zip(requests, results):
             self._resolve(request, result=result)
 
+    def has_room(self) -> bool:
+        return False  # batches run on the batcher thread itself
+
     def drain(self, timeout: float) -> bool:
         return True  # dispatch is synchronous; nothing is ever in flight
 
@@ -199,6 +222,8 @@ class _WorkerHandle:
         self.task_queue = None
         self.pid: int | None = None
         self.load = 0
+        #: Batches sent to this worker and not yet answered.
+        self.outstanding = 0
         self.dead = False
 
 
@@ -220,6 +245,11 @@ class WorkerPool:
     every dispatched request is eventually resolved exactly once —
     normally, with the endpoint result, or with
     :class:`~repro.errors.WorkerCrashed` when the retry budget is spent.
+
+    ``on_room()`` is called (without the pool lock held) whenever a live
+    worker regains room — its outstanding batches drop below
+    :data:`WORKER_BATCH_DEPTH`, or a crashed worker is respawned — so a
+    micro-batcher waiting on :meth:`has_room` can close its window.
     """
 
     def __init__(
@@ -231,6 +261,7 @@ class WorkerPool:
         on_crash=None,
         on_stats=None,
         on_store=None,
+        on_room=None,
         index_config=None,
         mp_context=None,
     ) -> None:
@@ -240,6 +271,7 @@ class WorkerPool:
         self._on_crash = on_crash
         self._on_stats = on_stats
         self._on_store = on_store
+        self._on_room = on_room
         self._index_config = index_config
         self._mp = mp_context if mp_context is not None else build_mp_context()
         self._result_queue = self._mp.Queue()
@@ -277,6 +309,7 @@ class WorkerPool:
         handle.dead = False
         handle.pid = None
         handle.load = 0
+        handle.outstanding = 0
         handle.process.start()
 
     def _await_ready(self) -> None:
@@ -323,9 +356,18 @@ class WorkerPool:
 
     # -- dispatch ----------------------------------------------------------
 
+    def has_room(self) -> bool:
+        """Whether some live worker can take a batch without queueing deep."""
+        with self._lock:
+            return any(
+                not handle.dead
+                and handle.process is not None
+                and handle.outstanding < WORKER_BATCH_DEPTH
+                for handle in self._workers
+            )
+
     def dispatch(self, requests: list[Request]) -> None:
         """Route one compatibility group to the least-loaded live worker."""
-        first = requests[0]
         with self._lock:
             target = self._least_loaded_locked()
             if target is None:
@@ -337,6 +379,7 @@ class WorkerPool:
                 self._next_batch_id += 1
                 self._batches[batch.batch_id] = batch
                 target.load += len(requests)
+                target.outstanding += 1
         if error is not None:
             for request in requests:
                 self._resolve(request, error=error)
@@ -366,8 +409,9 @@ class WorkerPool:
             pass
         with self._lock:
             owned = self._batches.pop(batch.batch_id, None) is not None
-            if owned:
-                target.load -= len(batch.requests)
+            room = owned and self._release_locked(target, batch)
+        if room:
+            self._room_opened()
         if not owned:
             # Crash handling already claimed this batch (and will
             # re-dispatch or fail it); a second owner would double-resolve.
@@ -389,7 +433,22 @@ class WorkerPool:
             live = [h for h in live if h.index != exclude]
         if not live:
             return None
-        return min(live, key=lambda handle: (handle.load, handle.index))
+        # Workers with room first: the batcher dispatched because one has.
+        return min(
+            live,
+            key=lambda h: (h.outstanding >= WORKER_BATCH_DEPTH, h.load, h.index),
+        )
+
+    @staticmethod
+    def _release_locked(handle: _WorkerHandle, batch: _Batch) -> bool:
+        """Unregister ``batch`` from ``handle``; True when that frees room."""
+        handle.load -= len(batch.requests)
+        handle.outstanding -= 1
+        return handle.outstanding == WORKER_BATCH_DEPTH - 1
+
+    def _room_opened(self) -> None:
+        if self._on_room is not None:
+            self._on_room()
 
     # -- collection --------------------------------------------------------
 
@@ -417,8 +476,11 @@ class WorkerPool:
                 continue  # init failure of a respawn; liveness check handles it
             with self._lock:
                 batch = self._batches.pop(batch_id, None)
-                if batch is not None:
-                    self._workers[batch.worker].load -= len(batch.requests)
+                room = batch is not None and self._release_locked(
+                    self._workers[batch.worker], batch
+                )
+            if room:
+                self._room_opened()
             if batch is None:
                 continue  # duplicate result for a re-dispatched batch
             if kind == "ok":
@@ -450,6 +512,7 @@ class WorkerPool:
             for batch in orphaned:
                 del self._batches[batch.batch_id]
             handle.load = 0
+            handle.outstanding = 0
             respawn = not self._closed and self._respawns_used < self._max_respawns
             if respawn:
                 self._respawns_used += 1
@@ -478,6 +541,8 @@ class WorkerPool:
             )
             for request in batch.requests:
                 self._resolve(request, error=error)
+        if respawn:
+            self._room_opened()  # after the retries, so older requests go first
 
     def _redispatch(self, batch: _Batch, exclude: int | None = None) -> None:
         with self._lock:
@@ -486,6 +551,7 @@ class WorkerPool:
                 batch.worker = target.index
                 self._batches[batch.batch_id] = batch
                 target.load += len(batch.requests)
+                target.outstanding += 1
         if target is None:
             error = WorkerCrashed("no live serving workers remain")
             for request in batch.requests:

@@ -431,3 +431,268 @@ class TestDispatchQueueGuard:
         assert pool.resolved == []
         assert not batch.retried
         assert pool._batches == {}
+
+
+class TestWorkConservingWindow:
+    """The batcher's window rule against a stub executor (no processes):
+    dispatch at once while the executor has room; while it is full,
+    accumulate until ``wake()``, ``max_batch`` or ``max_wait_ms``."""
+
+    class _StubExecutor:
+        def __init__(self, room: bool, gate=None):
+            import threading
+
+            self.room = room
+            self.gate = gate
+            self.batches: list[tuple[float, list]] = []
+            self.dispatched = threading.Event()
+
+        def has_room(self) -> bool:
+            return self.room
+
+        def dispatch(self, requests) -> None:
+            self.batches.append((time.monotonic(), list(requests)))
+            self.dispatched.set()
+            if self.gate is not None:
+                self.gate.wait(timeout=30)
+
+    @staticmethod
+    def _request(seq: int):
+        from concurrent.futures import Future
+
+        from repro.serving.batcher import Request
+
+        return Request(seq=seq, endpoint="search", key=("search", 4), payload=(f"q{seq}",),
+                       future=Future())
+
+    def _batcher(self, executor, max_wait_ms: float, max_batch: int = 64):
+        from repro.serving.batcher import MicroBatcher
+
+        return MicroBatcher(
+            dispatch=executor.dispatch,
+            has_room=executor.has_room,
+            max_batch=max_batch,
+            max_wait_ms=max_wait_ms,
+        )
+
+    def test_lone_request_with_room_dispatches_at_once(self):
+        executor = self._StubExecutor(room=True)
+        batcher = self._batcher(executor, max_wait_ms=500.0)
+        try:
+            submitted = time.monotonic()
+            batcher.submit(self._request(0))
+            assert executor.dispatched.wait(timeout=5.0)
+            dispatched_at, batch = executor.batches[0]
+            assert [request.seq for request in batch] == [0]
+            assert dispatched_at - submitted < 0.2  # not the 500 ms window
+        finally:
+            batcher.stop()
+
+    def test_full_window_coalesces_until_wake(self):
+        executor = self._StubExecutor(room=False)
+        batcher = self._batcher(executor, max_wait_ms=60_000.0)
+        try:
+            for seq in range(3):
+                batcher.submit(self._request(seq))
+            time.sleep(0.1)
+            assert executor.batches == []  # full: still accumulating
+            executor.room = True
+            batcher.wake()
+            assert executor.dispatched.wait(timeout=5.0)
+            [(_, batch)] = executor.batches
+            assert [request.seq for request in batch] == [0, 1, 2]
+        finally:
+            batcher.stop()
+
+    def test_full_window_without_wake_closes_at_max_wait(self):
+        executor = self._StubExecutor(room=False)
+        batcher = self._batcher(executor, max_wait_ms=100.0)
+        try:
+            submitted = time.monotonic()
+            batcher.submit(self._request(0))
+            batcher.submit(self._request(1))
+            assert executor.dispatched.wait(timeout=5.0)
+            [(dispatched_at, batch)] = executor.batches
+            assert [request.seq for request in batch] == [0, 1]
+            assert dispatched_at - submitted >= 0.09
+        finally:
+            batcher.stop()
+
+    def test_stop_drains_with_wake_sentinels_queued(self):
+        import threading
+
+        from repro.serving.batcher import _CLOSE, _WAKE
+
+        gate = threading.Event()
+        executor = self._StubExecutor(room=True, gate=gate)
+        batcher = self._batcher(executor, max_wait_ms=10.0, max_batch=2)
+        batcher.submit(self._request(0))
+        assert executor.dispatched.wait(timeout=5.0)
+        # The window loop is parked inside dispatch, so this queue order
+        # is exactly what it sees next: a window, the close, then the
+        # stop() drain — with wake sentinels in every part of it.
+        for item in (_WAKE, self._request(1), _WAKE, self._request(2), self._request(3),
+                     _CLOSE, _WAKE, self._request(4), _WAKE, self._request(5)):
+            batcher._queue.put(item)
+        stopper = threading.Thread(target=batcher.stop)
+        stopper.start()
+        gate.set()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        batches = [[request.seq for request in batch] for _, batch in executor.batches]
+        assert batches == [[0], [1, 2], [3], [4, 5]]
+
+
+class TestPoolRoomCallbacks:
+    """Every path that gives a worker room back tells the batcher."""
+
+    @staticmethod
+    def _pool(queues):
+        pool = TestDispatchQueueGuard._stub_pool(queues)
+        pool.rooms = 0
+
+        def on_room():
+            pool.rooms += 1
+
+        pool._on_room = on_room
+        return pool
+
+    def test_failed_send_calls_on_room(self):
+        from repro.serving.workers import WORKER_BATCH_DEPTH
+
+        full, good = TestDispatchQueueGuard._FullQueue(), TestDispatchQueueGuard._GoodQueue()
+        pool = self._pool([full, good])
+        for handle in pool._workers:
+            handle.outstanding = WORKER_BATCH_DEPTH - 1
+        pool.dispatch(TestDispatchQueueGuard._requests(2))
+        # Worker 0 filled up, rejected the task and got its room back;
+        # the retry landed on worker 1.
+        assert full.puts == 1 and len(good.items) == 1
+        assert pool.rooms == 1
+        assert [handle.outstanding for handle in pool._workers] == [
+            WORKER_BATCH_DEPTH - 1,
+            WORKER_BATCH_DEPTH,
+        ]
+        assert pool.has_room()
+
+    def test_collected_result_below_depth_calls_on_room(self):
+        import queue
+
+        from repro.serving.workers import WORKER_BATCH_DEPTH
+
+        pool = self._pool([TestDispatchQueueGuard._GoodQueue()])
+        pool._closed = True
+        pool._on_stats = pool._on_store = None
+        for _ in range(WORKER_BATCH_DEPTH):
+            pool.dispatch(TestDispatchQueueGuard._requests(1))
+        assert not pool.has_room()
+        pool._result_queue = queue.Queue()
+        for batch_id in sorted(pool._batches):
+            pool._result_queue.put(("ok", 0, batch_id, ["answer"], None, None))
+        pool._collect()  # returns once closed and nothing is in flight
+        # Only the drop from full to one below the depth opens room.
+        assert pool.rooms == 1
+        assert pool._workers[0].outstanding == 0
+        assert [error for _, error in pool.resolved] == [None] * WORKER_BATCH_DEPTH
+
+    def test_crash_respawn_calls_on_room(self):
+        from repro.serving.workers import WORKER_BATCH_DEPTH, _Batch
+
+        class _Abandoned(TestDispatchQueueGuard._GoodQueue):
+            def cancel_join_thread(self):
+                pass
+
+        fresh = TestDispatchQueueGuard._GoodQueue()
+        pool = self._pool([_Abandoned()])
+        pool._closed = False
+        pool._respawns_used, pool._max_respawns = 0, 1
+        pool._on_crash = None
+
+        def respawn(handle):
+            handle.task_queue = fresh
+            handle.dead = False
+            handle.load = handle.outstanding = 0
+
+        pool._start_worker = respawn
+        handle = pool._workers[0]
+        requests = TestDispatchQueueGuard._requests(1)
+        pool._batches[0] = _Batch(0, requests, worker=0)
+        handle.load, handle.outstanding = 1, WORKER_BATCH_DEPTH
+        handle.dead = True
+        pool._handle_crash(handle)
+        # The orphaned batch was retried on the respawned worker, then
+        # the batcher was told the slot has room again.
+        assert len(fresh.items) == 1 and fresh.items[0][1] == 0
+        assert pool.rooms == 1
+        assert handle.outstanding == 1 and pool.has_room()
+        assert pool.resolved == []
+
+
+class TestServiceMetricsFixes:
+    def test_percentiles_are_nearest_rank(self):
+        from repro.serving.metrics import _percentile
+
+        assert _percentile([1, 2, 3, 4, 5], 50) == 3
+        # Nearest rank ceil(0.99 * 1060) = 1050, i.e. index 1049 — the
+        # rank the life-cycle benchmark's p99 uses on the same data.
+        assert _percentile(list(range(1060)), 99) == 1049
+
+    def test_failed_worker_reload_is_counted(self, gittables_corpus, monkeypatch):
+        import queue
+        import threading
+
+        from repro.serving import workers
+        from repro.serving.endpoints import canonicalize
+
+        session = GitTables.from_corpus(gittables_corpus)
+        loads = []
+
+        def load(directory, index_config=None):
+            loads.append(directory)
+            if len(loads) > 1:
+                raise OSError("store vanished mid-reload")
+            return session
+
+        probes = []
+
+        def read_store_version(directory):
+            probes.append(directory)
+            return (1, True, 1) if len(probes) == 1 else (2, True, 1)
+
+        monkeypatch.setattr(GitTables, "load", staticmethod(load))
+        monkeypatch.setattr(workers, "read_store_version", read_store_version)
+        monkeypatch.setattr(workers, "EPOCH_PROBE_INTERVAL_SECONDS", 0)
+
+        class _ResultQueue(queue.Queue):
+            def cancel_join_thread(self):
+                pass
+
+        tasks, results = queue.Queue(), _ResultQueue()
+        key, payload = canonicalize("search", ("employee salary",), 5)
+        tasks.put(("batch", 7, "search", key, [payload]))
+        tasks.put(None)
+        worker = threading.Thread(
+            target=workers._serving_worker_main,
+            args=("store", 0, os.getppid(), tasks, results),
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert results.get_nowait()[0] == "ready"
+        kind, _, batch_id, body, _, store_state = results.get_nowait()
+        assert (kind, batch_id) == ("ok", 7)
+        assert store_state["reload_failures"] == 1
+        assert store_state["reloads"] == 0 and store_state["epoch"] == 1
+        assert body == [session.search("employee salary", k=5)]
+        assert len(loads) == 2
+
+    def test_snapshot_surfaces_reload_failures(self):
+        from repro.serving.metrics import ServiceMetrics
+
+        metrics = ServiceMetrics()
+        metrics.record_worker_store(
+            "worker-00", {"epoch": 1, "generation": 1, "reloads": 2, "reload_failures": 3}
+        )
+        workers = metrics.snapshot()["workers"]
+        assert workers["artifact_reloads"] == {"worker-00": 2}
+        assert workers["reload_failures"] == {"worker-00": 3}
