@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from ..core.annotation import AnnotationMethod
 from ..core.corpus import GitTablesCorpus
-from ..dataframe.table import Column
 from ..github.values import ValuePools
 from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
 
@@ -38,6 +40,10 @@ __all__ = [
     "ValueLinkingMatcher",
     "evaluate_matcher",
 ]
+
+#: Curated ontologies in curation order; ``ontologies`` codes index it.
+_ONTOLOGIES = ("dbpedia", "schema_org")
+_ARRAY_KEYS = ("tables", "positions", "ontologies", "types")
 
 
 @dataclass(frozen=True)
@@ -51,12 +57,19 @@ class BenchmarkColumn:
     gold_type: str
 
 
-@dataclass
+@dataclass(eq=False)
 class KGMatchingBenchmark:
-    """The curated benchmark dataset (paper: 1,101 tables, ≥3 cols, ≥5 rows)."""
+    """The curated benchmark dataset (paper: 1,101 tables, ≥3 cols, ≥5 rows).
 
-    columns: list[BenchmarkColumn] = field(default_factory=list)
-    n_tables: int = 0
+    It references the corpus instead of copying it: target column ``i``
+    is entry ``i`` of the aligned int ``arrays`` (table ordinal in
+    ``corpus.table_ids()``, column position, ontology code into
+    ``_ONTOLOGIES``, gold-type code into ``gold_types``). Counts come
+    from the arrays; cell values are read when :attr:`columns` is first
+    accessed.
+    """
+
+    corpus: GitTablesCorpus = field(repr=False)
     #: The curation thresholds this benchmark was built with (recorded
     #: so the benchmark can republish itself to an artifact store).
     min_columns: int = 3
@@ -65,6 +78,9 @@ class KGMatchingBenchmark:
     #: Size of the source corpus at curation time — lets the facade skip
     #: republishing a benchmark whose corpus has since grown.
     corpus_size: int = 0
+    n_tables: int = 0
+    gold_types: list[str] = field(default_factory=list)
+    arrays: dict = field(default_factory=dict, repr=False)
 
     @property
     def artifact_name(self) -> str:
@@ -81,62 +97,42 @@ class KGMatchingBenchmark:
         }
 
     def _encode(self) -> dict:
-        columns = [
-            {
-                "table_id": column.table_id,
-                "column_name": column.column_name,
-                "values": list(column.values),
-                "ontology": column.ontology,
-                "gold_type": column.gold_type,
-            }
-            for column in self.columns
-        ]
-        return {"arrays": None, "payload": {"n_tables": self.n_tables, "columns": columns}}
+        payload = {"n_tables": self.n_tables, "gold_types": self.gold_types}
+        return {"arrays": self.arrays, "payload": payload}
 
     def _decode(self, loaded) -> "KGMatchingBenchmark | None":
-        if "columns" not in loaded.payload:
+        if not set(_ARRAY_KEYS) <= loaded.arrays.keys() or "gold_types" not in loaded.payload:
             return None
-        self.n_tables = int(loaded.payload.get("n_tables", 0))
-        self.columns = [
-            BenchmarkColumn(
-                table_id=entry["table_id"],
-                column_name=entry["column_name"],
-                values=tuple(entry["values"]),
-                ontology=entry["ontology"],
-                gold_type=entry["gold_type"],
-            )
-            for entry in loaded.payload["columns"]
-        ]
+        self.n_tables = int(loaded.payload["n_tables"])
+        self.gold_types = list(loaded.payload["gold_types"])
+        self.arrays = {key: loaded.arrays[key] for key in _ARRAY_KEYS}
         return self
 
-    def _curate(self, corpus: GitTablesCorpus) -> "KGMatchingBenchmark":
-        for annotated in corpus:
+    def _curate(self) -> "KGMatchingBenchmark":
+        entries: list[tuple[int, int, int, int]] = []
+        vocabulary: dict[str, int] = {}
+        for ordinal, annotated in enumerate(self.corpus):
             table = annotated.table
             if table.num_columns < self.min_columns or table.num_rows < self.min_rows:
                 continue
-            added = False
-            for ontology in ("dbpedia", "schema_org"):
+            first = len(entries)
+            for code, ontology in enumerate(_ONTOLOGIES):
                 for annotation in annotated.annotations.for_method(
                     AnnotationMethod.SYNTACTIC, ontology
                 ):
                     try:
-                        column = table.column(annotation.column)
+                        position = table.column_index(annotation.column)
                     except KeyError:
                         continue
-                    self.columns.append(
-                        BenchmarkColumn(
-                            table_id=annotated.table_id,
-                            column_name=annotation.column,
-                            values=column.values,
-                            ontology=ontology,
-                            gold_type=annotation.type_label,
-                        )
-                    )
-                    added = True
-            if added:
+                    gold = vocabulary.setdefault(annotation.type_label, len(vocabulary))
+                    entries.append((ordinal, position, code, gold))
+            if len(entries) > first:
                 self.n_tables += 1
                 if self.max_tables is not None and self.n_tables >= self.max_tables:
                     break
+        self.gold_types = list(vocabulary)
+        columns = np.array(entries, dtype=np.int64).reshape(-1, len(_ARRAY_KEYS)).T.copy()
+        self.arrays = dict(zip(_ARRAY_KEYS, columns))
         return self
 
     @classmethod
@@ -153,17 +149,12 @@ class KGMatchingBenchmark:
         Target columns are those with a *syntactic* annotation — the most
         reliable gold labels available, as in the paper. The corpus is
         consumed in one streaming pass (disk-backed stores are never
-        materialized); only the curated benchmark columns are retained.
-        With ``artifacts`` attached the curated columns are resolved
+        materialized) that records where each target column is, not its
+        values. With ``artifacts`` attached the arrays are resolved
         through :func:`~repro.storage.artifacts.resolve`, so reloads skip
         the corpus scan entirely.
         """
-        benchmark = cls(
-            min_columns=min_columns,
-            min_rows=min_rows,
-            max_tables=max_tables,
-            corpus_size=len(corpus),
-        )
+        benchmark = cls(corpus, min_columns, min_rows, max_tables, corpus_size=len(corpus))
         corpus_fingerprint = (
             corpus_content_fingerprint(corpus) if artifacts is not None else None
         )
@@ -173,16 +164,47 @@ class KGMatchingBenchmark:
             benchmark._fingerprint(corpus_fingerprint),
             corpus,
             decode=benchmark._decode,
-            build=lambda: benchmark._curate(corpus),
+            build=benchmark._curate,
             encode=KGMatchingBenchmark._encode,
         )
         return benchmark
+
+    @property
+    def n_columns(self) -> int:
+        return len(self.arrays["tables"])
+
+    @cached_property
+    def columns(self) -> list[BenchmarkColumn]:
+        """Every target column with its values.
+
+        Tables are fetched with ``corpus.get`` in ascending ordinal
+        order (curation order), so each benchmark table is decoded once.
+        """
+        table_ids = list(self.corpus.table_ids())
+        columns: list[BenchmarkColumn] = []
+        current, table = -1, None
+        for ordinal, position, ontology, gold in zip(
+            *(self.arrays[key].tolist() for key in _ARRAY_KEYS)
+        ):
+            if ordinal != current:
+                current, table = ordinal, self.corpus.get(table_ids[ordinal]).table
+            columns.append(
+                BenchmarkColumn(
+                    table_id=table_ids[ordinal],
+                    column_name=table.header[position],
+                    values=tuple(row[position] for row in table.rows),
+                    ontology=_ONTOLOGIES[ontology],
+                    gold_type=self.gold_types[gold],
+                )
+            )
+        return columns
 
     def columns_for(self, ontology: str) -> list[BenchmarkColumn]:
         return [column for column in self.columns if column.ontology == ontology]
 
     def distinct_types(self, ontology: str) -> set[str]:
-        return {column.gold_type for column in self.columns_for(ontology)}
+        codes = zip(self.arrays["ontologies"].tolist(), self.arrays["types"].tolist())
+        return {self.gold_types[gold] for code, gold in codes if _ONTOLOGIES[code] == ontology}
 
 
 @dataclass(frozen=True)
@@ -310,10 +332,6 @@ class PatternMatcher:
             if matches / len(non_empty) >= self.min_support:
                 return type_label
         return None
-
-    def annotate_columns(self, columns) -> list[str | None]:
-        """Batch prediction over many columns."""
-        return [self.annotate_column(values) for values in columns]
 
 
 def _type_matches(predicted: str, gold: str) -> bool:

@@ -37,7 +37,7 @@ def run_fig6a(scale: str = "default") -> ExperimentResult:
             "system": "(benchmark size)",
             "ontology": "both",
             "precision": benchmark.n_tables,
-            "recall": len(benchmark.columns),
+            "recall": benchmark.n_columns,
             "f1": len(benchmark.distinct_types("dbpedia")),
             "columns": len(benchmark.distinct_types("schema_org")),
         }

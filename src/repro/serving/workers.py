@@ -99,12 +99,10 @@ def _serving_worker_main(
     try:
         from ..api import GitTables
 
-        session = GitTables.load(directory, index_config=index_config)
         # Warm the served engines now — resolved from mmap'd artifacts
         # when the store holds valid ones — so the first request does
         # not pay the build cost.
-        _ = session.search_engine
-        _ = session.completer
+        session = GitTables.load(directory, index_config=index_config).warm()
         epoch, _sealed, generation = read_store_version(directory)
     except Exception:
         result_queue.put(("error", worker, None, traceback.format_exc(), None, None))
@@ -126,9 +124,7 @@ def _serving_worker_main(
             current, sealed, current_generation = read_store_version(directory)
             if not sealed or (current <= epoch and current_generation == generation):
                 return
-            fresh = GitTables.load(directory, index_config=index_config)
-            _ = fresh.search_engine
-            _ = fresh.completer
+            fresh = GitTables.load(directory, index_config=index_config).warm()
         except Exception:
             reload_failures += 1
             return  # keep serving the current view; retry next probe

@@ -3,8 +3,11 @@
 Every application index over a GitTables corpus (the search engine's
 schema-embedding matrix, schema completion's per-attribute matrix, the
 semantic annotators' ontology label vectors, type-detection feature
-matrices, the curated KG benchmark) is a pure function of two inputs:
-the corpus bytes and the configuration of the model that produced it.
+matrices, the curated KG benchmark's column coordinates) is a pure
+function of two inputs: the corpus bytes and the configuration of the
+model that produced it. Artifacts reference the corpus rather than copy
+its cell values: the KG benchmark stores table ordinals and column
+positions, and reads values back through ``corpus.get``.
 Rebuilding them on every ``GitTables.load()`` makes cold start
 O(corpus x embed) even though the corpus itself is lazily disk-backed.
 

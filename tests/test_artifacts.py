@@ -235,6 +235,7 @@ class TestColdStartFromArtifacts:
 
     def test_save_carries_artifacts(self, store_dir, tmp_path):
         session = GitTables.load(store_dir).warm()
+        session.kg_benchmark()
         target = tmp_path / "copy"
         session.save(target, shard_size=8)
         names = IndexArtifactStore.for_corpus_dir(target).names()
@@ -511,8 +512,7 @@ LIFECYCLE_KINDS = {
         lambda s, mp: KGMatchingBenchmark.from_corpus(
             s.corpus, max_tables=10**6, artifacts=s.artifacts
         ),
-        # The benchmark has no arrays: its payload is the whole artifact.
-        "meta.json",
+        "tables.npy",
     ),
     "type-features": (
         "type-features-",
