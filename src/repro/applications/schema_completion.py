@@ -118,7 +118,12 @@ class NearestCompletion:
     def _use(self, schemas: list[tuple[str, tuple[str, ...]]], matrix) -> "NearestCompletion":
         self._schemas = schemas
         self._flat_matrix = matrix
-        self._slice_attribute_embeddings()
+        # A plain ndarray over the same (mmap'd or in-RAM) buffer: no
+        # copy, but no np.memmap subclass dispatch on every gather.
+        self._attributes = np.asarray(matrix)
+        self._lengths = np.array([len(schema) for _, schema in schemas], dtype=np.int64)
+        self._starts = np.cumsum(self._lengths) - self._lengths
+        self._id_rank = None
         return self
 
     def _decode(self, loaded) -> "NearestCompletion | None":
@@ -173,20 +178,6 @@ class NearestCompletion:
             },
         }
 
-    def _slice_attribute_embeddings(self) -> None:
-        """Per-schema views into the flat (mmap'd or in-RAM) matrix.
-
-        The views are sliced from a plain ``ndarray`` over the same
-        buffer: no copy, the same bytes, but no ``np.memmap`` subclass
-        dispatch each time :meth:`complete` slices a candidate's rows.
-        """
-        flat = np.asarray(self._flat_matrix)
-        self._attribute_embeddings: list[np.ndarray] = []
-        offset = 0
-        for _, schema in self._schemas:
-            self._attribute_embeddings.append(flat[offset : offset + len(schema)])
-            offset += len(schema)
-
     def __len__(self) -> int:
         return len(self._schemas)
 
@@ -207,14 +198,7 @@ class NearestCompletion:
         head = self.min_schema_length
         if head < 1 or not self.index_config.tier_active(len(self._schemas)):
             return None
-        lengths = np.array([len(schema) for _, schema in self._schemas])
-        starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
-        gather = (starts[:, None] + np.arange(head)).ravel()
-        summaries = (
-            np.asarray(self._flat_matrix[gather])
-            .reshape(len(self._schemas), head, -1)
-            .mean(axis=1)
-        )
+        summaries = self._attributes[self._starts[:, None] + np.arange(head)].mean(axis=1)
         self._coarse = PartitionedIndex.build(
             [table_id for table_id, _ in self._schemas], summaries, self.index_config
         )
@@ -226,13 +210,23 @@ class NearestCompletion:
             return self._coarse.stats()
         return {"tier": "flat", "rows": len(self._schemas)}
 
+    def _ranks(self) -> np.ndarray:
+        """Each schema's position in table-id string order (built on first use)."""
+        if self._id_rank is None:
+            order = sorted(range(len(self._schemas)), key=lambda i: self._schemas[i][0])
+            self._id_rank = np.empty(len(order), dtype=np.int64)
+            self._id_rank[order] = np.arange(len(order))
+        return self._id_rank
+
     def complete(self, prefix: list[str] | tuple[str, ...], k: int = 10) -> list[SchemaCompletion]:
         """Return the ``k`` nearest completions for ``prefix`` (Algorithm 1).
 
         The average cosine distance between position-aligned attributes
         (line 6 of Algorithm 1) is computed for every candidate schema at
-        once: one stacked (candidates, prefix_len, dim) tensor contracted
-        against the prefix embeddings.
+        once: one fancy index gathers the (candidates, prefix_len, dim)
+        tensor from the flat matrix, contracted against the prefix
+        embeddings. Ranking is by (distance, table id); only the ``k``
+        returned completions become objects.
         """
         if not prefix:
             raise ValueError("prefix must contain at least one attribute")
@@ -242,7 +236,7 @@ class NearestCompletion:
         n = len(prefix)
         prefix_embeddings = self.encoder.embed_many(list(prefix))
 
-        candidates: list[int] | None = None
+        candidates = None
         coarse = self._coarse_index()
         if coarse is not None:
             # Probe with the prefix's own head summary. A full probe
@@ -252,16 +246,14 @@ class NearestCompletion:
             # scores bit-identically either way.
             query = prefix_embeddings[: self.min_schema_length].mean(axis=0)
             probed = coarse.probe_batch(query[None, :])[0]
-            subset = [i for i in probed.tolist() if len(self._schemas[i][1]) >= n]
-            if subset:
+            subset = probed[self._lengths[probed] >= n]
+            if subset.size:
                 candidates = subset
         if candidates is None:
-            candidates = [
-                index for index, (_, schema) in enumerate(self._schemas) if len(schema) >= n
-            ]
-        if not candidates:
+            candidates = np.flatnonzero(self._lengths >= n)
+        if not candidates.size:
             return []
-        stacked = np.stack([self._attribute_embeddings[i][:n] for i in candidates])
+        stacked = self._attributes[self._starts[candidates][:, None] + np.arange(n)]
         similarities = np.einsum("snd,nd->sn", stacked, prefix_embeddings)
         # Attribute embeddings are unit-or-zero vectors; normalising by
         # the norm products keeps the zero-vector convention (cosine 0).
@@ -272,16 +264,15 @@ class NearestCompletion:
         similarities = np.where(denominators > 0.0, similarities / safe, 0.0)
         distances = (1.0 - similarities).mean(axis=1)
 
-        scored = [
+        best = np.lexsort((self._ranks()[candidates], distances))[:k]
+        return [
             SchemaCompletion(
                 table_id=self._schemas[i][0],
                 schema=self._schemas[i][1],
-                prefix_distance=float(distance),
+                prefix_distance=float(distances[j]),
             )
-            for i, distance in zip(candidates, distances)
+            for j, i in zip(best.tolist(), candidates[best].tolist())
         ]
-        scored.sort(key=lambda completion: (completion.prefix_distance, completion.table_id))
-        return scored[:k]
 
     def evaluate(
         self,

@@ -16,6 +16,10 @@ a *window*, which takes whatever else is already queued (up to
   the upper bound of a busy window; an executor that never reports
   room (inline execution) keeps that fixed window.
 
+With a process pool a request only reaches the batcher while a window
+waits, requests are queued or no worker is idle; otherwise
+(:meth:`MicroBatcher.idle`) its submitting thread dispatches it.
+
 The window is then split into **compatibility groups** — requests whose
 payloads can ride in one kernel call, e.g. searches sharing ``k`` — and
 each group is handed to the dispatch callable as one batch.
@@ -102,6 +106,10 @@ class MicroBatcher:
     def submit(self, request: Request) -> None:
         """Enqueue one admitted request (admission control is the caller's)."""
         self._queue.put(request)
+
+    def idle(self) -> bool:
+        """No window is waiting and nothing is queued: a request may skip the queue."""
+        return not self._waiting_for_room and self._queue.empty()
 
     def wake(self) -> None:
         """Tell a busy window that the executor may have room now."""

@@ -2,10 +2,12 @@
 
 ::
 
-    dispatcher (submit/admission)
-        └─> micro-batcher (work-conserving window: dispatch while a
-              │   worker has room, else max_batch / max_wait_ms)
-              └─> worker pool (least-loaded routing, room wake-ups, respawn)
+    submitting thread (admission, deadline; dispatches itself when the
+        │   batcher is idle and a worker is idle)
+        └─> micro-batcher (while every worker is full: until room,
+              │   max_batch or max_wait_ms)
+              └─> worker pool (least-loaded routing, a pipe per worker,
+                    │   one collector on pipes + sentinels, respawn)
                     └─> N processes, each mmap'ing the store's artifacts
 
 :class:`QueryService` is what :meth:`GitTables.serve` returns. Callers
@@ -17,8 +19,8 @@ to the same single-shot call on a lone session, because every kernel on
 the batched path guarantees batch-size independence.
 
 The blocking conveniences (:meth:`search`, :meth:`complete_schema`,
-:meth:`detect_types`) are submit-plus-wait; concurrent callers get
-coalesced into shared kernel batches automatically.
+:meth:`detect_types`) are submit-plus-wait; concurrent callers that
+find every worker full are coalesced into shared kernel batches.
 """
 
 from __future__ import annotations
@@ -143,7 +145,12 @@ class QueryService:
             deadline=now + timeout,
         )
         self._metrics.record_submitted(endpoint, queue_depth=depth)
-        self._batcher.submit(request)
+        if self._batcher.idle() and self._executor.has_room(depth=1):
+            # Nothing to coalesce with and a worker is idle. One merely below its
+            # depth is fed by the batcher, so a burst coalesces, not fans out.
+            self._dispatch([request])
+        else:
+            self._batcher.submit(request)
         return request.future
 
     # -- blocking conveniences ---------------------------------------------

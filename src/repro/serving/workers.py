@@ -8,17 +8,23 @@ across the whole pool. The parent never ships corpus data to workers:
 a task is just ``(batch id, endpoint, compatibility key, payloads)``
 and a result is the pickled list of per-request results.
 
+Each worker has one duplex ``multiprocessing.Pipe`` to the parent — no
+queue, no feeder thread. A task is pickled and written by whichever
+thread dispatches it (a submitting caller or the micro-batcher), under
+the worker's send lock. One collector thread blocks in
+``multiprocessing.connection.wait`` on every pipe *and* process
+sentinel, so it wakes the moment a result arrives or a worker dies.
+
 The parent-side :class:`WorkerPool` routes each batch to the
 least-loaded live worker, preferring one with room (fewer than
 :data:`WORKER_BATCH_DEPTH` batches outstanding), tells the micro-batcher
-whenever a worker regains room (the ``on_room`` callback), watches for
-crashed workers (a worker that died mid-batch is detected on the
-collector's next idle tick), respawns them within the configured
-budget, and re-dispatches a dead worker's in-flight batches exactly
-once — a batch orphaned twice fails with
-:class:`~repro.errors.WorkerCrashed`. Request futures are resolved by
-one collector thread; a result that lands after its request's deadline
-resolves to :class:`~repro.errors.DeadlineExceeded` instead.
+whenever a worker regains room (the ``on_room`` callback), respawns a
+dead worker as soon as its sentinel fires (within the configured
+budget), and re-dispatches its in-flight batches exactly once — a batch
+orphaned twice fails with :class:`~repro.errors.WorkerCrashed`. The
+collector resolves every request future; a result that lands after its
+request's deadline resolves to :class:`~repro.errors.DeadlineExceeded`
+instead.
 
 :class:`LocalExecutor` is the degenerate pool for ``workers=0`` (and
 for sessions without a store directory): batches execute inline on the
@@ -30,7 +36,7 @@ for the full ``max_wait_ms``.
 from __future__ import annotations
 
 import os
-import queue as queue_module
+import pickle
 import threading
 import time
 import traceback
@@ -58,23 +64,24 @@ EPOCH_PROBE_INTERVAL_SECONDS = 0.5
 #: batcher keeps accumulating a window instead.
 WORKER_BATCH_DEPTH = 2
 
+#: What a pipe raises once its other end is gone or this end is closed.
+_PIPE_ERRORS = (OSError, EOFError, ValueError)
 
-def _serving_worker_main(
-    directory: str, worker: int, parent_pid: int, task_queue, result_queue, index_config=None
-):
+
+def _serving_worker_main(directory: str, worker: int, parent_pid: int, conn, index_config=None):
     """Worker process entry point: serve endpoint batches until told to stop.
 
-    Sends ``("ready", worker, pid)`` once the session is loaded and its
-    engines are warm, then answers every ``("batch", id, endpoint, key,
-    payloads)`` task with ``("ok", worker, id, results, index_stats,
-    store_state)`` — or ``("error", worker, id, traceback, None,
-    store_state)`` for a failing batch, which does *not* kill the worker
-    (one malformed batch must not take down the pool). The piggybacked
-    ``index_stats`` element is the session's cumulative ANN-tier
-    instrumentation (None when no engine is built) and ``store_state``
-    is ``{"epoch": ..., "generation": ..., "reloads": ...,
-    "reload_failures": ...}``, so the parent's metrics see the tier and
-    store version in use without an extra round trip.
+    Sends ``("ready", worker, pid)`` on ``conn`` once the session is
+    loaded and its engines are warm, then answers every ``("batch", id,
+    endpoint, key, payloads)`` task with ``("ok", worker, id, results,
+    index_stats, store_state)`` — or ``("error", worker, id, traceback,
+    None, store_state)`` for a failing batch, which does *not* kill the
+    worker (one malformed batch must not take down the pool). The
+    piggybacked ``index_stats`` element is the session's cumulative
+    ANN-tier instrumentation (None when no engine is built) and
+    ``store_state`` is ``{"epoch": ..., "generation": ..., "reloads":
+    ..., "reload_failures": ...}``, so the parent's metrics see the tier
+    and store version in use without an extra round trip.
 
     Between batches (and on idle ticks) the worker probes the store
     manifest's epoch and generation counters: when the directory has
@@ -87,14 +94,16 @@ def _serving_worker_main(
     happens at all. Either way a long-lived pool follows the store
     without a restart. A reload that fails leaves the worker serving
     its current view; it is counted in ``reload_failures`` and retried
-    at the next probe. Exits on the ``None`` sentinel or when the
-    parent dies.
+    at the next probe. Exits on the ``None`` sentinel, when the parent
+    closes its end, or when the parent dies.
     """
 
-    def leave():
-        # Never block process exit on flushing acks nobody will read
-        # (same rationale as the build workers).
-        result_queue.cancel_join_thread()
+    def reply(message) -> bool:
+        try:
+            conn.send_bytes(message)
+        except _PIPE_ERRORS:
+            return False  # the parent is gone
+        return True
 
     try:
         from ..api import GitTables
@@ -105,9 +114,10 @@ def _serving_worker_main(
         session = GitTables.load(directory, index_config=index_config).warm()
         epoch, _sealed, generation = read_store_version(directory)
     except Exception:
-        result_queue.put(("error", worker, None, traceback.format_exc(), None, None))
-        return leave()
-    result_queue.put(("ready", worker, os.getpid()))
+        reply(pickle.dumps(("error", worker, None, traceback.format_exc(), None, None)))
+        return
+    if not reply(pickle.dumps(("ready", worker, os.getpid()))):
+        return
     memo: dict = {}
     reloads = 0
     reload_failures = 0
@@ -136,14 +146,16 @@ def _serving_worker_main(
 
     while True:
         try:
-            task = task_queue.get(timeout=0.5)
-        except queue_module.Empty:
-            if os.getppid() != parent_pid:
-                return leave()  # orphaned by a dead parent
-            maybe_reload()
-            continue
+            if not conn.poll(EPOCH_PROBE_INTERVAL_SECONDS):
+                if os.getppid() != parent_pid:
+                    return  # orphaned by a dead parent
+                maybe_reload()
+                continue
+            task = conn.recv()
+        except _PIPE_ERRORS:
+            return  # the parent closed its end
         if task is None:
-            return leave()
+            return
         maybe_reload()
         store_state = {
             "epoch": epoch,
@@ -154,13 +166,12 @@ def _serving_worker_main(
         _, batch_id, endpoint, key, payloads = task
         try:
             results = execute_batch(session, endpoint, key, payloads, memo=memo)
-            result_queue.put(
-                ("ok", worker, batch_id, results, session.index_stats() or None, store_state)
-            )
+            stats = session.index_stats() or None
+            message = pickle.dumps(("ok", worker, batch_id, results, stats, store_state))
         except Exception:
-            result_queue.put(
-                ("error", worker, batch_id, traceback.format_exc(), None, store_state)
-            )
+            message = pickle.dumps(("error", worker, batch_id, traceback.format_exc(), None, store_state))
+        if not reply(message):
+            return
 
 
 class LocalExecutor:
@@ -193,7 +204,7 @@ class LocalExecutor:
         for request, result in zip(requests, results):
             self._resolve(request, result=result)
 
-    def has_room(self) -> bool:
+    def has_room(self, depth: int = 0) -> bool:
         return False  # batches run on the batcher thread itself
 
     def drain(self, timeout: float) -> bool:
@@ -215,7 +226,8 @@ class _WorkerHandle:
     def __init__(self, index: int) -> None:
         self.index = index
         self.process = None
-        self.task_queue = None
+        self.conn = None  # the parent's end of the pipe (replaced on respawn)
+        self.send_lock = threading.Lock()  # any thread may dispatch to ``conn``
         self.pid: int | None = None
         self.load = 0
         #: Batches sent to this worker and not yet answered.
@@ -270,7 +282,6 @@ class WorkerPool:
         self._on_room = on_room
         self._index_config = index_config
         self._mp = mp_context if mp_context is not None else build_mp_context()
-        self._result_queue = self._mp.Queue()
         self._lock = threading.Lock()
         self._batches: dict[int, _Batch] = {}
         self._next_batch_id = 0
@@ -288,52 +299,50 @@ class WorkerPool:
     # -- worker lifecycle --------------------------------------------------
 
     def _start_worker(self, handle: _WorkerHandle) -> None:
-        handle.task_queue = self._mp.Queue()
+        conn, child_conn = self._mp.Pipe()
         handle.process = self._mp.Process(
             target=_serving_worker_main,
-            args=(
-                self._directory,
-                handle.index,
-                os.getpid(),
-                handle.task_queue,
-                self._result_queue,
-                self._index_config,
-            ),
+            args=(self._directory, handle.index, os.getpid(), child_conn, self._index_config),
             daemon=True,
             name=f"gittables-serve-w{handle.index:02d}",
         )
+        with handle.send_lock:
+            stale, handle.conn = handle.conn, conn
+        if stale is not None:
+            stale.close()  # a dead worker's pipe: nothing more can arrive on it
         handle.dead = False
         handle.pid = None
         handle.load = 0
         handle.outstanding = 0
         handle.process.start()
+        # Only the worker holds its end now, so its death reads as EOF here.
+        child_conn.close()
 
     def _await_ready(self) -> None:
         """Block until every worker acked readiness (or one failed to load)."""
-        pending = {handle.index for handle in self._workers}
+        # Lazy, as in _collect: it pulls in socket, ~1 MiB per ``import repro``.
+        from multiprocessing.connection import wait
+
+        pending = list(self._workers)
         deadline = time.monotonic() + STARTUP_TIMEOUT_SECONDS
         while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            ready = wait([h.conn for h in pending] + [h.process.sentinel for h in pending],
+                         timeout=max(0.0, deadline - time.monotonic()))
+            if not ready:
                 self.close()
                 raise ServingError(
-                    f"serving workers {sorted(pending)} did not become ready in time"
+                    f"serving workers {[h.index for h in pending]} did not become ready in time"
                 )
-            try:
-                message = self._result_queue.get(timeout=min(remaining, 0.5))
-            except queue_module.Empty:
-                for index in list(pending):
-                    if not self._workers[index].process.is_alive():
-                        self.close()
-                        raise ServingError(f"serving worker {index} died during startup")
-                continue
-            if message[0] == "error":
-                self.close()
-                raise ServingError(f"serving worker {message[1]} failed to start:\n{message[3]}")
-            if message[0] == "ready":
-                _, index, pid = message
-                self._workers[index].pid = pid
-                pending.discard(index)
+            for handle in [h for h in pending if h.conn in ready or h.process.sentinel in ready]:
+                try:
+                    message = handle.conn.recv()
+                except _PIPE_ERRORS:
+                    message = ("error", handle.index, None, "the process died during startup")
+                if message[0] != "ready":
+                    self.close()
+                    raise ServingError(f"serving worker {handle.index} failed to start:\n{message[3]}")
+                handle.pid = message[2]
+                pending.remove(handle)
 
     def worker_pids(self) -> list[int]:
         with self._lock:
@@ -341,67 +350,63 @@ class WorkerPool:
 
     def worker_info(self) -> dict:
         with self._lock:
-            return {
-                "configured": len(self._workers),
-                "alive": sum(
-                    1
-                    for handle in self._workers
-                    if not handle.dead and handle.process is not None
-                ),
-            }
+            return {"configured": len(self._workers), "alive": len(self._live_locked())}
+
+    def _live_locked(self) -> list[_WorkerHandle]:
+        return [h for h in self._workers if not h.dead and h.process is not None]
 
     # -- dispatch ----------------------------------------------------------
 
-    def has_room(self) -> bool:
-        """Whether some live worker can take a batch without queueing deep."""
+    def has_room(self, depth: int = WORKER_BATCH_DEPTH) -> bool:
+        """Whether some live worker has fewer than ``depth`` batches outstanding."""
         with self._lock:
-            return any(
-                not handle.dead
-                and handle.process is not None
-                and handle.outstanding < WORKER_BATCH_DEPTH
-                for handle in self._workers
-            )
+            return any(h.outstanding < depth for h in self._live_locked())
 
     def dispatch(self, requests: list[Request]) -> None:
         """Route one compatibility group to the least-loaded live worker."""
         with self._lock:
-            target = self._least_loaded_locked()
-            if target is None:
-                error = WorkerCrashed("no live serving workers remain")
-                batch = None
-            else:
-                error = None
-                batch = _Batch(self._next_batch_id, requests, target.index)
-                self._next_batch_id += 1
+            batch = _Batch(self._next_batch_id, requests, worker=-1)
+            self._next_batch_id += 1
+        self._route(batch)
+
+    def _route(self, batch: _Batch, exclude: int | None = None) -> None:
+        """Register ``batch`` on the least-loaded live worker and send it."""
+        with self._lock:
+            target = self._least_loaded_locked(exclude=exclude)
+            if target is not None:
+                batch.worker = target.index
                 self._batches[batch.batch_id] = batch
-                target.load += len(requests)
+                target.load += len(batch.requests)
                 target.outstanding += 1
-        if error is not None:
-            for request in requests:
+        if target is None:
+            error = WorkerCrashed("no live serving workers remain")
+            for request in batch.requests:
                 self._resolve(request, error=error)
             return
         self._send(target, batch)
 
     def _send(self, target: _WorkerHandle, batch: _Batch) -> None:
-        """Enqueue one registered batch on a worker's task queue.
+        """Write one registered batch to a worker's pipe.
 
-        ``put`` can raise — the queue is full, or its feeder is gone
-        because the worker crashed and was torn down. Swallowing that
-        would strand every future in the batch until its deadline (the
-        worker never saw the task, so no result can ever arrive).
-        Instead the failure is handled exactly like an orphaned batch of
-        a crashed worker: unregister, retry once on another worker (the
-        rejecting one only when no other is live), then fail with
+        The write can fail — the worker died and its pipe is broken, or
+        the parent already closed that end. Swallowing that would strand
+        every future in the batch until its deadline (the worker never
+        saw the task, so no result can ever arrive). Instead the failure
+        is handled exactly like an orphaned batch of a crashed worker:
+        unregister, retry once on another worker (the rejecting one only
+        when no other is live), then fail with
         :class:`~repro.errors.WorkerCrashed`.
         """
         first = batch.requests[0]
+        task = pickle.dumps(
+            ("batch", batch.batch_id, first.endpoint, first.key,
+             [request.payload for request in batch.requests])
+        )
         try:
-            target.task_queue.put(
-                ("batch", batch.batch_id, first.endpoint, first.key,
-                 [request.payload for request in batch.requests])
-            )
+            with target.send_lock:
+                target.conn.send_bytes(task)
             return
-        except Exception:
+        except _PIPE_ERRORS:
             pass
         with self._lock:
             owned = self._batches.pop(batch.batch_id, None) is not None
@@ -415,24 +420,25 @@ class WorkerPool:
         if batch.retried:
             error = WorkerCrashed(
                 f"serving worker {target.index} rejected this request's batch "
-                f"twice (task queue full or closed)"
+                f"twice (pipe broken or closed)"
             )
             for request in batch.requests:
                 self._resolve(request, error=error)
             return
         batch.retried = True
-        self._redispatch(batch, exclude=target.index)
+        self._route(batch, exclude=target.index)
 
     def _least_loaded_locked(self, exclude: int | None = None):
-        live = [h for h in self._workers if not h.dead and h.process is not None]
+        live = self._live_locked()
         if exclude is not None and len(live) > 1:
             live = [h for h in live if h.index != exclude]
         if not live:
             return None
-        # Workers with room first: the batcher dispatched because one has.
+        # A respawn still loading (no ready ack) last; then workers with
+        # room first: the batcher dispatched because one has.
         return min(
             live,
-            key=lambda h: (h.outstanding >= WORKER_BATCH_DEPTH, h.load, h.index),
+            key=lambda h: (h.pid is None, h.outstanding >= WORKER_BATCH_DEPTH, h.load, h.index),
         )
 
     @staticmethod
@@ -449,59 +455,66 @@ class WorkerPool:
     # -- collection --------------------------------------------------------
 
     def _collect(self) -> None:
-        while True:
-            try:
-                message = self._result_queue.get(timeout=0.2)
-            except queue_module.Empty:
-                if self._closed and not self._batches:
-                    return
-                self._check_liveness()
-                continue
-            kind = message[0]
-            if kind == "ready":
-                _, index, pid = message
-                with self._lock:
-                    self._workers[index].pid = pid
-                continue
-            _, worker, batch_id, body, index_stats, store_state = message
-            if index_stats is not None and self._on_stats is not None:
-                self._on_stats(f"worker-{worker:02d}", index_stats)
-            if store_state is not None and self._on_store is not None:
-                self._on_store(f"worker-{worker:02d}", store_state)
-            if batch_id is None:
-                continue  # init failure of a respawn; liveness check handles it
-            with self._lock:
-                batch = self._batches.pop(batch_id, None)
-                room = batch is not None and self._release_locked(
-                    self._workers[batch.worker], batch
-                )
-            if room:
-                self._room_opened()
-            if batch is None:
-                continue  # duplicate result for a re-dispatched batch
-            if kind == "ok":
-                for request, result in zip(batch.requests, body):
-                    self._resolve(request, result=result)
-            else:
-                error = ServingError(f"serving worker {worker} failed a batch:\n{body}")
-                for request in batch.requests:
-                    self._resolve(request, error=error)
+        """Resolve results and handle deaths until no live worker remains."""
+        from multiprocessing.connection import wait
 
-    def _check_liveness(self) -> None:
-        """Respawn crashed workers and re-dispatch their orphaned batches."""
-        crashed = []
+        while True:
+            with self._lock:
+                live = self._live_locked()
+            if not live:
+                return  # closed (or every respawn spent)
+            ready = wait([h.conn for h in live] + [h.process.sentinel for h in live])
+            for handle in live:
+                died = handle.process.sentinel in ready
+                if died or handle.conn in ready:
+                    # Read what the worker wrote before any death first.
+                    if not self._receive(handle) or died:
+                        self._handle_crash(handle)
+
+    def _receive(self, handle: _WorkerHandle) -> bool:
+        """Handle every message waiting on ``handle``'s pipe; False at EOF."""
+        try:
+            while handle.conn.poll():
+                self._on_message(handle.conn.recv())
+        except _PIPE_ERRORS:
+            return False
+        return True
+
+    def _on_message(self, message) -> None:
+        kind = message[0]
+        if kind == "ready":
+            _, index, pid = message
+            with self._lock:
+                self._workers[index].pid = pid
+            return
+        _, worker, batch_id, body, index_stats, store_state = message
+        if index_stats is not None and self._on_stats is not None:
+            self._on_stats(f"worker-{worker:02d}", index_stats)
+        if store_state is not None and self._on_store is not None:
+            self._on_store(f"worker-{worker:02d}", store_state)
+        if batch_id is None:
+            return  # init failure of a respawn; its sentinel follows
         with self._lock:
-            for handle in self._workers:
-                if handle.dead or handle.process is None:
-                    continue
-                if not handle.process.is_alive():
-                    handle.dead = True
-                    crashed.append(handle)
-        for handle in crashed:
-            self._handle_crash(handle)
+            batch = self._batches.pop(batch_id, None)
+            room = batch is not None and self._release_locked(self._workers[batch.worker], batch)
+        if room:
+            self._room_opened()
+        if batch is None:
+            return  # duplicate result for a re-dispatched batch
+        if kind == "ok":
+            for request, result in zip(batch.requests, body):
+                self._resolve(request, result=result)
+        else:
+            error = ServingError(f"serving worker {worker} failed a batch:\n{body}")
+            for request in batch.requests:
+                self._resolve(request, error=error)
 
     def _handle_crash(self, handle: _WorkerHandle) -> None:
+        """Respawn a dead worker and re-dispatch its orphaned batches."""
         with self._lock:
+            handle.dead = True
+            if self._closed:
+                return  # an exit on close; close() fails whatever is left
             orphaned = [
                 batch for batch in self._batches.values() if batch.worker == handle.index
             ]
@@ -509,81 +522,54 @@ class WorkerPool:
                 del self._batches[batch.batch_id]
             handle.load = 0
             handle.outstanding = 0
-            respawn = not self._closed and self._respawns_used < self._max_respawns
+            respawn = self._respawns_used < self._max_respawns
             if respawn:
                 self._respawns_used += 1
         if respawn:
-            # Abandon the dead worker's task queue (anything it never
-            # picked up is re-dispatched below; the old process cannot
-            # produce results, so nothing can double-resolve).
-            handle.task_queue.cancel_join_thread()
+            # Anything the dead worker never answered is re-dispatched
+            # below; its process cannot produce results any more, so
+            # nothing can double-resolve.
             self._start_worker(handle)
         # Counters flip only after the replacement handle is live, so a
         # metrics snapshot never reports a respawn with zero alive workers.
         if self._on_crash is not None:
             self._on_crash(respawned=respawn)
-        failures, retries = [], []
+        error = WorkerCrashed(f"serving worker {handle.index} died twice while running this request")
         for batch in orphaned:
-            (failures if batch.retried else retries).append(batch)
-        for batch in retries:
-            # One retry per batch: requests are read-only queries, so
-            # re-running them is safe; a second orphaning means the
-            # requests themselves are implicated, so they fail instead.
-            batch.retried = True
-            self._redispatch(batch)
-        for batch in failures:
-            error = WorkerCrashed(
-                f"serving worker {handle.index} died twice while running this request"
-            )
-            for request in batch.requests:
-                self._resolve(request, error=error)
+            if batch.retried:  # a second orphaning implicates the requests themselves
+                for request in batch.requests:
+                    self._resolve(request, error=error)
+            else:  # one retry per batch: read-only queries are safe to re-run
+                batch.retried = True
+                self._route(batch)
         if respawn:
             self._room_opened()  # after the retries, so older requests go first
-
-    def _redispatch(self, batch: _Batch, exclude: int | None = None) -> None:
-        with self._lock:
-            target = self._least_loaded_locked(exclude=exclude)
-            if target is not None:
-                batch.worker = target.index
-                self._batches[batch.batch_id] = batch
-                target.load += len(batch.requests)
-                target.outstanding += 1
-        if target is None:
-            error = WorkerCrashed("no live serving workers remain")
-            for request in batch.requests:
-                self._resolve(request, error=error)
-            return
-        self._send(target, batch)
 
     # -- shutdown ----------------------------------------------------------
 
     def drain(self, timeout: float) -> bool:
         """Wait until no batch is in flight; False if ``timeout`` elapsed."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._batches:
-                    return True
+        while self._batches and time.monotonic() < deadline:
             time.sleep(0.02)
-        with self._lock:
-            return not self._batches
+        return not self._batches
 
     def close(self) -> None:
         """Stop every worker and the collector; fail anything still in flight."""
         self._closed = True
         for handle in self._workers:
-            if handle.task_queue is not None:
+            if handle.conn is not None:
                 try:
-                    handle.task_queue.put_nowait(None)
-                except Exception:  # pragma: no cover - full/closed queue
-                    pass
+                    with handle.send_lock:
+                        handle.conn.send(None)
+                except _PIPE_ERRORS:
+                    pass  # already gone
         deadline = time.monotonic() + 10.0
         for handle in self._workers:
             process = handle.process
             if process is None:
                 continue
-            while process.is_alive() and time.monotonic() < deadline:
-                process.join(timeout=0.2)
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
             if process.is_alive():  # pragma: no cover - hung worker
                 process.terminate()
                 process.join(timeout=2.0)
@@ -598,6 +584,5 @@ class WorkerPool:
             for request in batch.requests:
                 self._resolve(request, error=error)
         for handle in self._workers:
-            if handle.task_queue is not None:
-                handle.task_queue.cancel_join_thread()
-        self._result_queue.cancel_join_thread()
+            if handle.conn is not None:
+                handle.conn.close()

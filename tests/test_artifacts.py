@@ -341,12 +341,26 @@ class TestConsumerUnits:
         assert evaluation == fresh.evaluate(PREFIX + ("quantity", "total_price"), prefix_length=3)
 
     def test_completion_views_are_zero_copy_and_bit_identical(self, store_dir):
+        import tracemalloc
+
         GitTables.load(store_dir).warm()  # publish the completion artifact
         completer = GitTables.load(store_dir).completer
-        assert isinstance(completer._flat_matrix, np.memmap)
-        for view in completer._attribute_embeddings:
-            assert type(view) is np.ndarray
-            assert np.shares_memory(view, completer._flat_matrix)
+        matrix = completer._flat_matrix
+        assert isinstance(matrix, np.memmap)
+        # The kernel gathers from a plain ndarray over the mmap'd buffer.
+        assert type(completer._attributes) is np.ndarray
+        assert not completer._attributes.flags.owndata
+        assert np.shares_memory(completer._attributes, matrix)
+        # A one-name prefix gathers one row per candidate: a call never
+        # allocates anything near a copy of the matrix.
+        completer.complete(PREFIX[:1], k=6)  # warm the encoder cache
+        tracemalloc.start()
+        try:
+            completer.complete(PREFIX[:1], k=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes / 2
         fresh = NearestCompletion(GitTablesCorpus.load(store_dir), encoder=SentenceEncoder())
         rng = random.Random(5)
         schemas = [schema for _, schema in fresh._schemas]

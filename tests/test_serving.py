@@ -242,6 +242,70 @@ class TestWorkerPoolService:
             assert snapshot["workers"]["respawns"] >= 1
             assert snapshot["workers"]["alive"] == 1
 
+    def test_worker_sigkill_under_steady_load_is_seen_at_once(self, store_session):
+        # Four clients keep both workers busy; a death must not wait for
+        # the stream to go quiet before its batches are re-dispatched.
+        import threading
+
+        requests = [("search", f"steady stream topic {index}") for index in range(6)] + [
+            ("complete", ("name", "email")),
+            ("complete", ("order", "price", "date")),
+        ]
+        expected = {
+            request: store_session.search(request[1], k=4)
+            if request[0] == "search"
+            else store_session.complete_schema(list(request[1]), k=4)
+            for request in requests
+        }
+        records: list[tuple[float, float, bool]] = []
+        failures: list[BaseException] = []
+        stop = threading.Event()
+        with store_session.serve(workers=2) as service:
+            victim = service.worker_pids()[0]
+
+            def client(offset: int) -> None:
+                position = offset
+                while not stop.is_set():
+                    request = requests[position % len(requests)]
+                    position += 1
+                    submitted = time.monotonic()
+                    resolved = []
+                    try:
+                        if request[0] == "search":
+                            future = service.submit_search(request[1], k=4)
+                        else:
+                            future = service.submit_complete_schema(request[1], k=4)
+                        future.add_done_callback(lambda _: resolved.append(time.monotonic()))
+                        result = future.result(timeout=30)
+                    except Exception as error:
+                        failures.append(error)
+                        return
+                    records.append((submitted, resolved[0], result == expected[request]))
+
+            clients = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+            for thread in clients:
+                thread.start()
+            time.sleep(0.5)
+            # Freeze the victim first, so it surely holds unanswered
+            # batches when it dies, while the other worker keeps the
+            # result stream busy.
+            os.kill(victim, signal.SIGSTOP)
+            time.sleep(0.05)
+            killed_at = time.monotonic()
+            os.kill(victim, signal.SIGKILL)
+            time.sleep(0.5)
+            stop.set()
+            for thread in clients:
+                thread.join(timeout=60)
+            workers = service.metrics()["workers"]
+        assert failures == []
+        assert all(correct for _, _, correct in records)
+        in_flight = [resolved for submitted, resolved, _ in records
+                     if submitted < killed_at < resolved]
+        assert in_flight
+        assert max(in_flight) - killed_at < 0.1
+        assert workers["crashes"] == workers["respawns"] == 1
+
     def test_blocking_wait_converts_timeout(self, store_session):
         with store_session.serve(workers=0, max_wait_ms=0.0) as service:
             with pytest.raises(DeadlineExceeded):
@@ -328,14 +392,14 @@ class TestIndexTierMetrics:
 
 
 class TestDispatchQueueGuard:
-    """Regression: a failing ``task_queue.put`` during dispatch used to be
+    """Regression: a failing task write during dispatch used to be
     swallowed, stranding every future in the batch until its deadline —
     the worker never saw the task, so no result could ever arrive. The
     pool must treat it like an orphaned batch of a crashed worker:
     retry once on another worker, then fail with ``WorkerCrashed``."""
 
     @staticmethod
-    def _stub_pool(queues):
+    def _stub_pool(connections):
         import threading
 
         from repro.serving.workers import WorkerPool, _WorkerHandle
@@ -349,12 +413,10 @@ class TestDispatchQueueGuard:
             (request, error)
         )
         pool._workers = []
-        for index, task_queue in enumerate(queues):
-            from repro.serving.workers import _WorkerHandle as Handle
-
-            handle = Handle(index)
+        for index, connection in enumerate(connections):
+            handle = _WorkerHandle(index)
             handle.process = object()  # routing only checks "not dead, not None"
-            handle.task_queue = task_queue
+            handle.conn = connection
             pool._workers.append(handle)
         return pool
 
@@ -369,30 +431,33 @@ class TestDispatchQueueGuard:
             for i in range(n)
         ]
 
-    class _FullQueue:
+    class _BrokenPipe:
         def __init__(self):
-            self.puts = 0
+            self.sends = 0
 
-        def put(self, item):
-            self.puts += 1
-            import queue
+        def send_bytes(self, data):
+            self.sends += 1
+            raise BrokenPipeError("worker end closed")
 
-            raise queue.Full
-
-    class _GoodQueue:
+    class _GoodPipe:
         def __init__(self):
             self.items = []
 
-        def put(self, item):
-            self.items.append(item)
+        def send_bytes(self, data):
+            import pickle
+
+            self.items.append(pickle.loads(data))
+
+        def close(self):
+            pass
 
     def test_rejected_dispatch_retries_on_another_worker(self):
-        full, good = self._FullQueue(), self._GoodQueue()
+        full, good = self._BrokenPipe(), self._GoodPipe()
         pool = self._stub_pool([full, good])
         requests = self._requests(2)
         pool.dispatch(requests)
         # The batch landed on the healthy worker and is still in flight.
-        assert full.puts == 1
+        assert full.sends == 1
         assert len(good.items) == 1
         assert good.items[0][2] == "search"
         assert good.items[0][4] == [request.payload for request in requests]
@@ -405,7 +470,7 @@ class TestDispatchQueueGuard:
     def test_twice_rejected_dispatch_fails_with_worker_crashed(self):
         from repro.errors import WorkerCrashed
 
-        pool = self._stub_pool([self._FullQueue(), self._FullQueue()])
+        pool = self._stub_pool([self._BrokenPipe(), self._BrokenPipe()])
         requests = self._requests(3)
         pool.dispatch(requests)
         # Nothing is stranded: every future fails loudly and promptly.
@@ -420,7 +485,7 @@ class TestDispatchQueueGuard:
     def test_unowned_batch_is_left_to_the_crash_handler(self):
         from repro.serving.workers import _Batch
 
-        full = self._FullQueue()
+        full = self._BrokenPipe()
         pool = self._stub_pool([full])
         requests = self._requests(1)
         # The crash handler already claimed this batch (it is not in
@@ -560,14 +625,14 @@ class TestPoolRoomCallbacks:
     def test_failed_send_calls_on_room(self):
         from repro.serving.workers import WORKER_BATCH_DEPTH
 
-        full, good = TestDispatchQueueGuard._FullQueue(), TestDispatchQueueGuard._GoodQueue()
+        full, good = TestDispatchQueueGuard._BrokenPipe(), TestDispatchQueueGuard._GoodPipe()
         pool = self._pool([full, good])
         for handle in pool._workers:
             handle.outstanding = WORKER_BATCH_DEPTH - 1
         pool.dispatch(TestDispatchQueueGuard._requests(2))
         # Worker 0 filled up, rejected the task and got its room back;
         # the retry landed on worker 1.
-        assert full.puts == 1 and len(good.items) == 1
+        assert full.sends == 1 and len(good.items) == 1
         assert pool.rooms == 1
         assert [handle.outstanding for handle in pool._workers] == [
             WORKER_BATCH_DEPTH - 1,
@@ -576,20 +641,33 @@ class TestPoolRoomCallbacks:
         assert pool.has_room()
 
     def test_collected_result_below_depth_calls_on_room(self):
-        import queue
+        import multiprocessing
+        import types
 
         from repro.serving.workers import WORKER_BATCH_DEPTH
 
-        pool = self._pool([TestDispatchQueueGuard._GoodQueue()])
+        pool = self._pool([TestDispatchQueueGuard._GoodPipe()])
         pool._closed = True
         pool._on_stats = pool._on_store = None
         for _ in range(WORKER_BATCH_DEPTH):
             pool.dispatch(TestDispatchQueueGuard._requests(1))
         assert not pool.has_room()
-        pool._result_queue = queue.Queue()
+        # The answers arrive on a real pipe whose worker end then closes;
+        # the process sentinel is a pipe nobody writes, so it never fires.
+        conn, worker_end = multiprocessing.Pipe()
+        quiet, unwritten = os.pipe()
+        handle = pool._workers[0]
+        handle.conn = conn
+        handle.process = types.SimpleNamespace(sentinel=quiet)
         for batch_id in sorted(pool._batches):
-            pool._result_queue.put(("ok", 0, batch_id, ["answer"], None, None))
-        pool._collect()  # returns once closed and nothing is in flight
+            worker_end.send(("ok", 0, batch_id, ["answer"], None, None))
+        worker_end.close()
+        try:
+            pool._collect()  # returns at EOF: closed, so no worker is left
+        finally:
+            conn.close()
+            os.close(quiet)
+            os.close(unwritten)
         # Only the drop from full to one below the depth opens room.
         assert pool.rooms == 1
         assert pool._workers[0].outstanding == 0
@@ -598,18 +676,14 @@ class TestPoolRoomCallbacks:
     def test_crash_respawn_calls_on_room(self):
         from repro.serving.workers import WORKER_BATCH_DEPTH, _Batch
 
-        class _Abandoned(TestDispatchQueueGuard._GoodQueue):
-            def cancel_join_thread(self):
-                pass
-
-        fresh = TestDispatchQueueGuard._GoodQueue()
-        pool = self._pool([_Abandoned()])
+        fresh = TestDispatchQueueGuard._GoodPipe()
+        pool = self._pool([TestDispatchQueueGuard._GoodPipe()])
         pool._closed = False
         pool._respawns_used, pool._max_respawns = 0, 1
         pool._on_crash = None
 
         def respawn(handle):
-            handle.task_queue = fresh
+            handle.conn = fresh
             handle.dead = False
             handle.load = handle.outstanding = 0
 
@@ -638,7 +712,7 @@ class TestServiceMetricsFixes:
         assert _percentile(list(range(1060)), 99) == 1049
 
     def test_failed_worker_reload_is_counted(self, gittables_corpus, monkeypatch):
-        import queue
+        import multiprocessing
         import threading
 
         from repro.serving import workers
@@ -663,23 +737,19 @@ class TestServiceMetricsFixes:
         monkeypatch.setattr(workers, "read_store_version", read_store_version)
         monkeypatch.setattr(workers, "EPOCH_PROBE_INTERVAL_SECONDS", 0)
 
-        class _ResultQueue(queue.Queue):
-            def cancel_join_thread(self):
-                pass
-
-        tasks, results = queue.Queue(), _ResultQueue()
+        conn, worker_end = multiprocessing.Pipe()
         key, payload = canonicalize("search", ("employee salary",), 5)
-        tasks.put(("batch", 7, "search", key, [payload]))
-        tasks.put(None)
+        conn.send(("batch", 7, "search", key, [payload]))
+        conn.send(None)
         worker = threading.Thread(
             target=workers._serving_worker_main,
-            args=("store", 0, os.getppid(), tasks, results),
+            args=("store", 0, os.getppid(), worker_end),
         )
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        assert results.get_nowait()[0] == "ready"
-        kind, _, batch_id, body, _, store_state = results.get_nowait()
+        assert conn.recv()[0] == "ready"
+        kind, _, batch_id, body, _, store_state = conn.recv()
         assert (kind, batch_id) == ("ok", 7)
         assert store_state["reload_failures"] == 1
         assert store_state["reloads"] == 0 and store_state["epoch"] == 1
