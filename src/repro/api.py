@@ -9,12 +9,15 @@ methods with shared lazily-built state.
 The expensive artefacts — the sentence-embedding cache, the search
 engine's schema-embedding index, the completion index, the curated KG
 benchmark — are constructed on first use and reused across calls, so
-repeated queries never rebuild state. Sessions over a sharded store
-directory additionally persist those indexes as **mmap-backed
-artifacts** next to the corpus (:mod:`repro.storage.artifacts`):
-:meth:`GitTables.load` warms them from disk in milliseconds with zero
-corpus-wide embedding work, building and publishing on first miss.
-Search and completion resolve
+repeated queries never rebuild state. A sharded store owns its derived
+indexes as **mmap-backed artifacts** next to the corpus
+(:mod:`repro.storage.artifacts`), and every consumer resolves them
+through the corpus's own store (``corpus.artifacts``): a session
+holds no artifact state of its own, :meth:`GitTables.load` warms the
+indexes from disk in milliseconds with zero corpus-wide embedding work,
+building and publishing on first miss, and ``use_artifacts=False`` at
+open is the one switch that reads and writes none. Search and
+completion resolve
 through batched nearest-neighbour queries
 (:meth:`~repro.embeddings.similarity.NearestNeighbourIndex.query_batch`);
 :meth:`GitTables.search_batch` exposes the many-queries-in-one-GEMM path
@@ -80,7 +83,6 @@ class GitTables:
         result: PipelineResult | None = None,
         config: PipelineConfig | None = None,
         encoder: SentenceEncoder | None = None,
-        artifacts: IndexArtifactStore | None = None,
         index_config: IndexConfig | None = None,
     ) -> None:
         self._corpus = corpus
@@ -92,10 +94,6 @@ class GitTables:
         #: One embedding model (with its internal text cache) shared by
         #: search and schema completion.
         self._encoder = encoder or SentenceEncoder()
-        #: Optional persistent artifact store: the lazily-built indexes
-        #: below are resolved from (and published to) mmap-backed
-        #: fingerprint-guarded artifacts living next to the corpus.
-        self._artifacts = artifacts
         self._search_engine: TableSearchEngine | None = None
         self._completer: NearestCompletion | None = None
         self._kg_benchmarks: dict[tuple[int, int], KGMatchingBenchmark] = {}
@@ -133,15 +131,8 @@ class GitTables:
             batch_size=batch_size,
         )
         result = builder.build(store_dir=store_dir, shard_size=shard_size, processes=processes)
-        artifacts = (
-            IndexArtifactStore.for_corpus_dir(store_dir) if store_dir is not None else None
-        )
         return cls(
-            corpus=result.corpus,
-            result=result,
-            config=builder.config,
-            artifacts=artifacts,
-            index_config=index_config,
+            corpus=result.corpus, result=result, config=builder.config, index_config=index_config
         )
 
     @classmethod
@@ -149,28 +140,20 @@ class GitTables:
         cls,
         corpus: GitTablesCorpus,
         config: PipelineConfig | None = None,
-        artifacts: IndexArtifactStore | None = None,
         index_config: IndexConfig | None = None,
     ) -> "GitTables":
         """Wrap an already-built corpus."""
-        return cls(corpus=corpus, config=config, artifacts=artifacts, index_config=index_config)
+        return cls(corpus=corpus, config=config, index_config=index_config)
 
     @classmethod
     def from_result(
         cls,
         result: PipelineResult,
         config: PipelineConfig | None = None,
-        artifacts: IndexArtifactStore | None = None,
         index_config: IndexConfig | None = None,
     ) -> "GitTables":
         """Wrap a :class:`PipelineResult` from a previous construction run."""
-        return cls(
-            corpus=result.corpus,
-            result=result,
-            config=config,
-            artifacts=artifacts,
-            index_config=index_config,
-        )
+        return cls(corpus=result.corpus, result=result, config=config, index_config=index_config)
 
     @classmethod
     def load(
@@ -187,18 +170,22 @@ class GitTables:
         decoded on first access); a directory that is not a sharded
         store raises :class:`~repro.errors.CorpusError`.
 
-        The session also attaches the persistent **index artifact
-        store** under ``<directory>/artifacts`` (disable with
-        ``use_artifacts=False``): the search, completion, type-detection
-        and KG-benchmark caches warm from fingerprint-guarded mmap'd
-        artifacts on first use — zero corpus-wide embedding work when
-        the artifacts are valid, a build-and-publish on first miss.
-        Call :meth:`warm` to resolve the serving indexes (search and
+        The store owns its persistent **index artifacts**
+        (``corpus.artifacts``): the search, completion, type-detection,
+        KG-benchmark and statistics caches warm from fingerprint-guarded
+        mmap'd artifacts on first use — zero corpus-wide embedding work
+        when the artifacts are valid, a build-and-publish on first miss.
+        ``use_artifacts=False`` is forwarded to
+        :meth:`GitTablesCorpus.load <repro.core.corpus.GitTablesCorpus.load>`:
+        the store then owns no artifacts, and nothing over it reads or
+        publishes one (:meth:`compact` reopens it the same way). Call
+        :meth:`warm` to resolve the serving indexes (search and
         completion) eagerly.
         """
-        corpus = GitTablesCorpus.load(directory, cache_shards=cache_shards)
-        artifacts = IndexArtifactStore.for_corpus_dir(directory) if use_artifacts else None
-        return cls(corpus=corpus, artifacts=artifacts, index_config=index_config)
+        corpus = GitTablesCorpus.load(
+            directory, cache_shards=cache_shards, use_artifacts=use_artifacts
+        )
+        return cls(corpus=corpus, index_config=index_config)
 
     # -- corpus access -----------------------------------------------------
 
@@ -232,12 +219,12 @@ class GitTables:
         corpus is reused, a persisted ``stats-projection`` artifact
         matching the store's content fingerprint is mmap'd back, and
         otherwise the projection is built with one corpus scan (and
-        published for the next session when a store is attached). All
+        published for the next session when the store owns artifacts). All
         statistics surfaces — :meth:`stats`, :meth:`annotation_stats`,
         :class:`~repro.storage.columnar.TablePredicate` filters — run
         engine-side over these arrays afterwards.
         """
-        return ensure_projection(self._corpus, self._artifacts)
+        return ensure_projection(self._corpus)
 
     def stats(self) -> CorpusStatistics:
         """Structural corpus statistics, computed on the columnar engine."""
@@ -265,12 +252,15 @@ class GitTables:
         corpus mutation (tables added since) are *not* published — they
         no longer describe the saved bytes.
         """
+        # The source corpus' own projection (attached, adopted from its
+        # store, or built once) describes exactly the tables being saved.
+        projection = ensure_projection(self._corpus)
         self._corpus.save(directory, shard_size=shard_size)
         # Corpora are append-only (duplicate ids rejected, no removal),
         # so a size match means the index still describes the corpus.
         current_size = len(self._corpus)
-        artifacts = IndexArtifactStore.for_corpus_dir(directory)
-        fingerprint = ShardedJsonlStore(directory).content_fingerprint()
+        saved = ShardedJsonlStore(directory)
+        artifacts, fingerprint = saved.artifacts, saved.content_fingerprint()
         engines = [
             (SEARCH_ARTIFACT, self._search_engine),
             (COMPLETION_ARTIFACT, self._completer),
@@ -285,15 +275,6 @@ class GitTables:
                     benchmark._fingerprint(fingerprint),
                     **benchmark._encode(),
                 )
-        # The columnar stats projection rides along too: an attached
-        # current projection is republished under the saved manifest's
-        # fingerprint, otherwise one is built from the corpus being
-        # saved (the tables were just streamed to disk, so the arrays
-        # describe exactly the saved bytes).
-        projection = self._corpus.projection
-        if projection is None:
-            projection = ColumnarProjection.from_corpus(self._corpus)
-            self._corpus.attach_projection(projection)
         publish_projection(artifacts, projection, corpus_fingerprint=fingerprint)
 
     def extend(
@@ -335,12 +316,7 @@ class GitTables:
         pre-built ``instance`` cannot prove extension compatibility).
         Growth axes must not shrink. Returns ``self``.
         """
-        directory = getattr(self._corpus.store, "directory", None)
-        if directory is None or not is_sharded_dir(directory):
-            raise CorpusError(
-                "extend() requires a session over a sharded store directory "
-                "(build with store_dir=... or load one)"
-            )
+        directory = self._store_directory("extend")
         stored = load_build_meta(directory)
         if stored is None:
             raise CorpusError(
@@ -379,8 +355,6 @@ class GitTables:
         self._corpus = result.corpus
         self._result = result
         self.config = config
-        if self._artifacts is None:
-            self._artifacts = IndexArtifactStore.for_corpus_dir(directory)
         self._search_engine = None
         self._completer = None
         self._kg_benchmarks.clear()
@@ -389,7 +363,7 @@ class GitTables:
         # under the grown fingerprint with the corpus-keyed prune
         # deferred — then one sweep retires the prior epoch's artifacts.
         self.warm()
-        self._artifacts.prune(ShardedJsonlStore(directory).content_fingerprint())
+        self.artifacts.prune(self._corpus.store.content_fingerprint())
         return self
 
     def compact(self, shard_size: int | None = None) -> dict:
@@ -415,18 +389,18 @@ class GitTables:
         """
         from .storage.compaction import compact_store
 
-        directory = getattr(self._corpus.store, "directory", None)
-        if directory is None or not is_sharded_dir(directory):
-            raise CorpusError(
-                "compact() requires a session over a sharded store directory "
-                "(build with store_dir=... or load one)"
-            )
+        directory = self._store_directory("compact")
         report = compact_store(directory, shard_size=shard_size)
         if report.rewritten:
-            # Reopen the new layout; engines rebuild lazily from the
-            # unchanged (fingerprint-pinned) artifacts — no embedding.
-            cache_shards = getattr(self._corpus.store, "cache_shards", 2)
-            self._corpus = GitTablesCorpus.load(directory, cache_shards=cache_shards)
+            # Reopen the new layout with the same settings; engines
+            # rebuild lazily from the unchanged (fingerprint-pinned)
+            # artifacts — no embedding.
+            store = self._corpus.store
+            self._corpus = GitTablesCorpus.load(
+                directory,
+                cache_shards=getattr(store, "cache_shards", 2),
+                use_artifacts=store.artifacts is not None,
+            )
             self._search_engine = None
             self._completer = None
             # Same tables in the same order: the benchmarks' ordinals
@@ -434,6 +408,21 @@ class GitTables:
             for benchmark in self._kg_benchmarks.values():
                 benchmark.corpus = self._corpus
         return report.to_dict()
+
+    def _store_directory(self, action: str | None = None):
+        """The sharded store directory behind this session, or ``None``.
+
+        With ``action`` named, a session without one raises :class:`CorpusError`.
+        """
+        directory = getattr(self._corpus.store, "directory", None)
+        if directory is not None and is_sharded_dir(directory):
+            return directory
+        if action is not None:
+            raise CorpusError(
+                f"{action}() requires a session over a sharded store directory "
+                "(build with store_dir=... or load one)"
+            )
+        return None
 
     # -- shared lazy state -------------------------------------------------
 
@@ -444,22 +433,19 @@ class GitTables:
 
     @property
     def artifacts(self) -> IndexArtifactStore | None:
-        """The attached persistent index artifact store, if any."""
-        return self._artifacts
+        """The index artifact store the corpus's storage owns, if any."""
+        return self._corpus.artifacts
 
     @property
     def search_engine(self) -> TableSearchEngine:
         """The data-search engine, built once over the corpus schemas.
 
-        With an artifact store attached, "built" means mmap'd from a
+        When the store owns artifacts, "built" means mmap'd from a
         valid persisted artifact; a fresh build publishes one.
         """
         if self._search_engine is None:
             self._search_engine = TableSearchEngine(
-                self._corpus,
-                encoder=self._encoder,
-                artifacts=self._artifacts,
-                index_config=self._index_config,
+                self._corpus, encoder=self._encoder, index_config=self._index_config
             )
         return self._search_engine
 
@@ -468,10 +454,7 @@ class GitTables:
         """The schema-completion index, built once (or mmap'd, see above)."""
         if self._completer is None:
             self._completer = NearestCompletion(
-                self._corpus,
-                encoder=self._encoder,
-                artifacts=self._artifacts,
-                index_config=self._index_config,
+                self._corpus, encoder=self._encoder, index_config=self._index_config
             )
         return self._completer
 
@@ -484,10 +467,7 @@ class GitTables:
         key = (min_columns, min_rows)
         if key not in self._kg_benchmarks:
             self._kg_benchmarks[key] = KGMatchingBenchmark.from_corpus(
-                self._corpus,
-                min_columns=min_columns,
-                min_rows=min_rows,
-                artifacts=self._artifacts,
+                self._corpus, min_columns=min_columns, min_rows=min_rows
             )
         return self._kg_benchmarks[key]
 
@@ -524,7 +504,7 @@ class GitTables:
     def reset_caches(self, invalidate_artifacts: bool = True) -> None:
         """Drop every lazily-built artefact (after corpus mutation).
 
-        With an artifact store attached, the *persisted* artifacts are
+        When the store owns artifacts, the *persisted* artifacts are
         deleted as well by default — they describe the pre-mutation
         corpus. Pass ``invalidate_artifacts=False`` to only drop the
         in-memory state (the fingerprint guard still protects against
@@ -533,8 +513,8 @@ class GitTables:
         self._search_engine = None
         self._completer = None
         self._kg_benchmarks.clear()
-        if invalidate_artifacts and self._artifacts is not None:
-            self._artifacts.invalidate()
+        if invalidate_artifacts and self.artifacts is not None:
+            self.artifacts.invalidate()
 
     # -- applications ------------------------------------------------------
 
@@ -574,7 +554,6 @@ class GitTables:
         :class:`TypeDetectionExperiment` (``columns_per_type``,
         ``epochs``, ``n_splits``, ``seed``, …).
         """
-        experiment_options.setdefault("artifacts", self._artifacts)
         experiment = TypeDetectionExperiment(**experiment_options)
         if eval_corpus is None:
             return experiment.within_corpus(self._corpus)
@@ -647,10 +626,7 @@ class GitTables:
             # ANN-tier settings this session uses, or served results
             # would diverge from single-shot calls on the session.
             config = config.replace(index=self._index_config)
-        directory = None
-        store_directory = getattr(self._corpus.store, "directory", None)
-        if store_directory is not None and is_sharded_dir(store_directory):
-            directory = store_directory
+        directory = self._store_directory()
         if config.workers > 0 and directory is not None:
             # Resolve-or-publish the served indexes before any worker
             # spawns: each worker then warms from the mmap'd artifacts.

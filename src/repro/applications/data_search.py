@@ -23,7 +23,7 @@ from ..embeddings.persist import (
     index_from_unit_rows,
 )
 from ..embeddings.sentence import SentenceEncoder
-from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
+from ..storage.artifacts import corpus_artifacts, resolve
 
 __all__ = ["SearchResult", "TableSearchEngine", "SEARCH_ARTIFACT"]
 
@@ -49,25 +49,23 @@ class TableSearchEngine:
     :meth:`search_batch` answers many queries with a single batched index
     query, and :meth:`search` is its single-query wrapper.
 
-    With an ``artifacts`` store attached, the index is resolved through
-    :func:`~repro.storage.artifacts.resolve` (fingerprint: encoder
-    config + corpus content hash, plus the ANN build section when the
-    tier is active); query results are bit-identical to a freshly
-    embedded index.
+    Over a corpus whose store owns artifacts, the index is resolved
+    through :func:`~repro.storage.artifacts.resolve` (fingerprint:
+    encoder config + corpus content hash, plus the ANN build section
+    when the tier is active); query results are bit-identical to a
+    freshly embedded index.
     """
 
     def __init__(
         self,
         corpus: GitTablesCorpus,
         encoder: SentenceEncoder | None = None,
-        artifacts: IndexArtifactStore | None = None,
         index_config: IndexConfig | None = None,
     ) -> None:
         self.encoder = encoder or SentenceEncoder()
-        self.artifacts = artifacts
         self.index_config = index_config if index_config is not None else DEFAULT_INDEX_CONFIG
         self._corpus_size = len(corpus)
-        fingerprint = corpus_content_fingerprint(corpus) if artifacts is not None else None
+        artifacts, fingerprint = corpus_artifacts(corpus)
         resolve(
             artifacts,
             SEARCH_ARTIFACT,

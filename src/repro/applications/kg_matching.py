@@ -30,7 +30,7 @@ import numpy as np
 from ..core.annotation import AnnotationMethod
 from ..core.corpus import GitTablesCorpus
 from ..github.values import ValuePools
-from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
+from ..storage.artifacts import corpus_artifacts, resolve
 
 __all__ = [
     "BenchmarkColumn",
@@ -142,7 +142,6 @@ class KGMatchingBenchmark:
         min_columns: int = 3,
         min_rows: int = 5,
         max_tables: int | None = None,
-        artifacts: IndexArtifactStore | None = None,
     ) -> "KGMatchingBenchmark":
         """Curate benchmark columns from a corpus.
 
@@ -150,14 +149,12 @@ class KGMatchingBenchmark:
         reliable gold labels available, as in the paper. The corpus is
         consumed in one streaming pass (disk-backed stores are never
         materialized) that records where each target column is, not its
-        values. With ``artifacts`` attached the arrays are resolved
-        through :func:`~repro.storage.artifacts.resolve`, so reloads skip
-        the corpus scan entirely.
+        values. Over a corpus whose store owns artifacts the arrays are
+        resolved through :func:`~repro.storage.artifacts.resolve`, so
+        reloads skip the corpus scan entirely.
         """
         benchmark = cls(corpus, min_columns, min_rows, max_tables, corpus_size=len(corpus))
-        corpus_fingerprint = (
-            corpus_content_fingerprint(corpus) if artifacts is not None else None
-        )
+        artifacts, corpus_fingerprint = corpus_artifacts(corpus)
         resolve(
             artifacts,
             benchmark.artifact_name,

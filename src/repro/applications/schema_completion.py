@@ -21,7 +21,7 @@ from ..embeddings.ann import PartitionedIndex
 from ..embeddings.persist import embedder_fingerprint
 from ..embeddings.sentence import SentenceEncoder
 from ..embeddings.similarity import cosine_similarity
-from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
+from ..storage.artifacts import corpus_artifacts, resolve
 
 __all__ = ["SchemaCompletion", "NearestCompletion", "CompletionEvaluation", "COMPLETION_ARTIFACT"]
 
@@ -59,11 +59,11 @@ class CompletionEvaluation:
 class NearestCompletion:
     """Algorithm 1: k-nearest schema completions by prefix embedding distance.
 
-    With an ``artifacts`` store attached, the per-attribute embedding
-    matrix is resolved through :func:`~repro.storage.artifacts.resolve`
-    (fingerprint: encoder config + ``min_schema_length`` + corpus
-    content hash); completions are bit-identical to a freshly embedded
-    index.
+    Over a corpus whose store owns artifacts, the per-attribute
+    embedding matrix is resolved through
+    :func:`~repro.storage.artifacts.resolve` (fingerprint: encoder
+    config + ``min_schema_length`` + corpus content hash); completions
+    are bit-identical to a freshly embedded index.
     """
 
     def __init__(
@@ -71,17 +71,15 @@ class NearestCompletion:
         corpus: GitTablesCorpus,
         encoder: SentenceEncoder | None = None,
         min_schema_length: int = 4,
-        artifacts: IndexArtifactStore | None = None,
         index_config: IndexConfig | None = None,
     ) -> None:
         self.encoder = encoder or SentenceEncoder()
         self.min_schema_length = min_schema_length
-        self.artifacts = artifacts
         self.index_config = index_config if index_config is not None else DEFAULT_INDEX_CONFIG
         self._coarse: PartitionedIndex | None = None
         self._coarse_built = False
         self._corpus_size = len(corpus)
-        fingerprint = corpus_content_fingerprint(corpus) if artifacts is not None else None
+        artifacts, fingerprint = corpus_artifacts(corpus)
         resolve(
             artifacts,
             COMPLETION_ARTIFACT,

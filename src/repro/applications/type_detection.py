@@ -23,7 +23,7 @@ from ..ml.crossval import StratifiedKFold
 from ..ml.features import ColumnFeaturizer
 from ..ml.metrics import f1_score_macro
 from ..ml.neural import MLPClassifier
-from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
+from ..storage.artifacts import corpus_artifacts, resolve
 
 __all__ = ["TypeDetectionResult", "TypeDetectionExperiment", "DEFAULT_TARGET_TYPES"]
 
@@ -99,7 +99,6 @@ class TypeDetectionExperiment:
         featurizer: ColumnFeaturizer | None = None,
         epochs: int = 30,
         seed: int = 0,
-        artifacts: IndexArtifactStore | None = None,
     ) -> None:
         self.target_types = tuple(target_types)
         self.columns_per_type = columns_per_type
@@ -107,10 +106,6 @@ class TypeDetectionExperiment:
         self.featurizer = featurizer or ColumnFeaturizer()
         self.epochs = epochs
         self.seed = seed
-        #: Optional persisted-feature cache: sampled+featurised column
-        #: matrices of disk-backed corpora are mmap'd back instead of
-        #: re-extracted (see :meth:`sample_labelled_columns`).
-        self.artifacts = artifacts
 
     # -- sampling -----------------------------------------------------------
 
@@ -139,19 +134,17 @@ class TypeDetectionExperiment:
         """Sample up to ``columns_per_type`` deduplicated columns per type.
 
         One streaming pass over the corpus: works unchanged over lazy
-        disk-backed stores, holding only the sampled column values. With
-        an artifact store attached the sampled feature matrix is
-        resolved through :func:`~repro.storage.artifacts.resolve`, so
-        repeated experiments over the same store skip the corpus pass.
-        The artifact is keyed per corpus, so the train and eval corpora
-        of a transfer experiment coexist in one store: publishing one
-        never prunes the other (or the store's own indexes).
+        disk-backed stores, holding only the sampled column values. Over
+        a corpus whose store owns artifacts the sampled feature matrix
+        is resolved through :func:`~repro.storage.artifacts.resolve` in
+        that store, so repeated experiments skip the corpus pass; the
+        train and eval corpora of a transfer experiment each cache in
+        their own store. Publishing skips the corpus-keyed prune, so it
+        never retires the store's other indexes.
         """
-        corpus_fingerprint = (
-            corpus_content_fingerprint(corpus) if self.artifacts is not None else None
-        )
+        artifacts, corpus_fingerprint = corpus_artifacts(corpus)
         data, _ = resolve(
-            self.artifacts,
+            artifacts,
             f"type-features-{(corpus_fingerprint or '')[:12]}",
             self._sampling_fingerprint(corpus_fingerprint, corpus.name),
             corpus,

@@ -14,7 +14,8 @@ the derived views are backend-aware and streaming, so code written as
 Persistence: :meth:`GitTablesCorpus.save` writes the sharded JSONL
 layout (atomically — the target directory appears only once fully
 written) and :meth:`GitTablesCorpus.load` returns a *lazy* disk-backed
-corpus over it.
+corpus over it, whose store owns the directory's derived index
+artifacts (:attr:`GitTablesCorpus.artifacts`).
 
 Sub-corpus name provenance: derived corpora record how they were carved
 out of their parent in the corpus name — ``topic_subset("cars")`` of a
@@ -33,6 +34,7 @@ from typing import Callable, Iterator
 
 from ..dataframe.table import Table
 from ..errors import CorpusError
+from ..storage._io import is_dead_pid_suffix
 from ..storage.base import CorpusStore
 from ..storage.columnar import ColumnarProjection, TablePredicate, ensure_projection
 from ..storage.memory import InMemoryStore
@@ -40,6 +42,7 @@ from ..storage.sharded import (
     DEFAULT_SHARD_SIZE,
     ShardedCorpusWriter,
     ShardedJsonlStore,
+    carry_derived_files,
     is_sharded_dir,
 )
 from .annotation import AnnotationMethod, ColumnAnnotation, TableAnnotations
@@ -137,6 +140,15 @@ class GitTablesCorpus:
         """The storage backend this corpus delegates to."""
         return self._store
 
+    @property
+    def artifacts(self):
+        """The index artifact store this corpus's storage owns.
+
+        Every corpus-keyed derived index resolves through it; ``None``
+        (in memory, or opened with ``use_artifacts=False``) only builds.
+        """
+        return self._store.artifacts
+
     # -- columnar projection ----------------------------------------------
 
     def attach_projection(self, projection: ColumnarProjection) -> None:
@@ -233,10 +245,12 @@ class GitTablesCorpus:
         iteration) or a declarative
         :class:`~repro.storage.columnar.TablePredicate`, which is pushed
         down to the columnar projection (resolved by
-        :func:`~repro.storage.columnar.ensure_projection`): matching table
-        ids are computed engine-side and only those tables are read. The
-        result is in-memory and named ``<parent>/filtered`` unless an
-        explicit ``name`` records more specific provenance.
+        :func:`~repro.storage.columnar.ensure_projection`, so a loaded
+        store adopts its persisted projection instead of scanning):
+        matching table ids are computed engine-side and only those
+        tables are read. The result is in-memory and named
+        ``<parent>/filtered`` unless an explicit ``name`` records more
+        specific provenance.
         """
         subset = GitTablesCorpus(name=name or f"{self.name}/filtered")
         if isinstance(predicate, TablePredicate):
@@ -339,12 +353,7 @@ class GitTablesCorpus:
                 store_directory is not None
                 and Path(store_directory).resolve() == directory.resolve()
             ):
-                build_meta = directory / "build.json"
-                if build_meta.exists():
-                    shutil.copy2(build_meta, staging / "build.json")
-                artifacts_dir = directory / "artifacts"
-                if artifacts_dir.is_dir():
-                    shutil.copytree(artifacts_dir, staging / "artifacts")
+                carry_derived_files(directory, staging)
             if directory.exists():
                 replaced = directory.parent / f".{directory.name}.replaced-{os.getpid()}"
                 os.rename(directory, replaced)
@@ -363,21 +372,7 @@ class GitTablesCorpus:
                 shutil.rmtree(staging)
 
     @staticmethod
-    def _is_dead_sibling(path: Path) -> bool:
-        """Whether a pid-suffixed staging/recovery sibling is orphaned."""
-        pid_text = path.name.rpartition("-")[2]
-        if not pid_text.isdigit() or int(pid_text) == os.getpid():
-            return False
-        try:
-            os.kill(int(pid_text), 0)
-        except ProcessLookupError:
-            return True
-        except OSError:  # pragma: no cover - e.g. EPERM: pid is alive
-            return False
-        return False
-
-    @classmethod
-    def _clean_stale_save_dirs(cls, directory: Path) -> None:
+    def _clean_stale_save_dirs(directory: Path) -> None:
         """Recover from saves interrupted by *dead* processes.
 
         An interrupted save can leave two kinds of pid-suffixed siblings:
@@ -390,28 +385,31 @@ class GitTablesCorpus:
         garbage. Live pids are left alone — their save is in flight.
         """
         for path in directory.parent.glob(f".{directory.name}.replaced-*"):
-            if not cls._is_dead_sibling(path):
+            if not is_dead_pid_suffix(path.name):
                 continue
             if directory.exists():
                 shutil.rmtree(path, ignore_errors=True)
             else:
                 os.rename(path, directory)
         for path in directory.parent.glob(f".{directory.name}.saving-*"):
-            if cls._is_dead_sibling(path):
+            if is_dead_pid_suffix(path.name):
                 shutil.rmtree(path, ignore_errors=True)
 
     @classmethod
     def load(
-        cls, directory: str | os.PathLike[str], cache_shards: int = 2
+        cls, directory: str | os.PathLike[str], cache_shards: int = 2, use_artifacts: bool = True
     ) -> "GitTablesCorpus":
         """Load a corpus previously written by :meth:`save`.
 
         The corpus comes back *lazily*: only the manifest is read here,
         and shards are loaded on demand (``cache_shards`` bounds how
         many shards stay resident; their tables are decoded on first
-        access). A directory that is not a sharded store raises
+        access). Its store owns the directory's index artifacts
+        (:attr:`artifacts`) unless ``use_artifacts=False``. A directory
+        that is not a sharded store raises
         :class:`~repro.errors.CorpusError`.
         """
         if not is_sharded_dir(directory):
             raise CorpusError(f"no sharded corpus store found at {directory}")
-        return cls(store=ShardedJsonlStore(directory, cache_shards=cache_shards))
+        store = ShardedJsonlStore(directory, cache_shards=cache_shards, use_artifacts=use_artifacts)
+        return cls(store=store)

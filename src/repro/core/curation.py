@@ -65,7 +65,8 @@ class CurationReport:
         the original build session — this is what store-reusing builds
         return instead of an empty report. Computed on the columnar
         projection :func:`~repro.storage.columnar.ensure_projection`
-        resolves for ``corpus`` (no table parsing once it is current).
+        resolves for ``corpus`` (a loaded store adopts its persisted one;
+        no table parsing once it is current).
         """
         from ..storage.columnar import ensure_projection
 

@@ -51,7 +51,6 @@ from ..storage.checkpoint import (
     require_compatible_extension,
     save_build_meta,
 )
-from ..storage.artifacts import IndexArtifactStore
 from ..storage.columnar import ensure_projection
 from ..storage.sharded import DEFAULT_SHARD_SIZE, ShardedCorpusWriter, ShardedJsonlStore
 from ..wordnet.topics import select_topics
@@ -347,7 +346,7 @@ class CorpusBuilder:
         rebuilt from corpus metadata.
         """
         corpus = GitTablesCorpus(store=ShardedJsonlStore(store_dir))
-        ensure_projection(corpus, IndexArtifactStore.for_corpus_dir(store_dir), prune=not extend)
+        ensure_projection(corpus, prune=not extend)
         if "curation" not in report.stage_reports:
             report.stage_reports["curation"] = CurationReport.from_corpus(corpus)
         return PipelineResult(corpus, topics, report)
@@ -364,7 +363,7 @@ class CorpusBuilder:
         # Persist the ontology label indexes next to the corpus: later
         # sessions (and parallel build workers) of this directory then
         # mmap them instead of re-embedding every ontology label.
-        self.annotator.publish_artifacts(IndexArtifactStore.for_corpus_dir(store_dir))
+        self.annotator.publish_artifacts(writer.artifacts)
 
         checkpoint = BuildCheckpoint.load(store_dir)
         if checkpoint is None:

@@ -55,8 +55,9 @@ class CorpusStatistics:
         """Compute statistics for ``corpus`` on its columnar projection.
 
         The projection is resolved (and attached) through
-        :func:`~repro.storage.columnar.ensure_projection`, so a current
-        one is reused and a missing or stale one is rebuilt.
+        :func:`~repro.storage.columnar.ensure_projection`: a current one
+        is reused, a loaded store adopts the one it persisted, and only
+        a missing or stale one is rebuilt (and published to the store).
         """
         return cls.from_projection(ensure_projection(corpus))
 
@@ -170,7 +171,8 @@ class AnnotationStatistics:
         ``popular_type_column_threshold`` plays the role of the paper's
         "# types (#columns > 1K)" row, scaled down for smaller corpora.
         Computed on the projection :func:`~repro.storage.columnar.
-        ensure_projection` resolves for ``corpus``.
+        ensure_projection` resolves for ``corpus`` (a loaded store adopts
+        its persisted one).
         """
         return cls.from_projection(
             ensure_projection(corpus),
@@ -299,7 +301,8 @@ def dimension_cdf(corpus: GitTablesCorpus, axis: str = "rows", points: int = 40)
     """Cumulative table counts over a dimension (paper Figure 4a).
 
     Returns (dimension value, number of tables with dimension <= value)
-    pairs over log-spaced dimension values.
+    pairs over log-spaced dimension values, computed on the projection
+    :func:`~repro.storage.columnar.ensure_projection` resolves.
     """
     if axis not in ("rows", "columns"):
         raise ValueError("axis must be 'rows' or 'columns'")

@@ -89,21 +89,6 @@ class ExperimentContext:
 
         return os.path.join(self.store_dir, f"gittables-{self.scale}-seed{self.seed}")
 
-    def artifact_store(self):
-        """The persistent index artifact store of this context's corpus.
-
-        ``None`` for in-memory contexts. Store-backed contexts share one
-        artifact store across every experiment driver *and* across
-        processes: the first session to need an index publishes it, all
-        later sessions mmap it back.
-        """
-        directory = self.corpus_store_dir()
-        if directory is None:
-            return None
-        from ..storage.artifacts import IndexArtifactStore
-
-        return IndexArtifactStore.for_corpus_dir(directory)
-
     @property
     def pipeline_result(self) -> PipelineResult:
         """The GitTables construction run (corpus + stage reports)."""
@@ -124,17 +109,13 @@ class ExperimentContext:
 
         Shared across all experiment drivers of this context, so the
         embedding cache, the search/completion indexes and the KG
-        benchmark are built at most once per scale. Store-backed
-        contexts additionally attach the persistent artifact store, so
-        those indexes are built at most once per *store directory* —
-        later processes mmap the published artifacts.
+        benchmark are built at most once per scale. A store-backed
+        corpus owns its persistent artifacts, so those indexes are built
+        at most once per *store directory* — later processes mmap the
+        published artifacts.
         """
         if self._session is None:
-            self._session = GitTables.from_result(
-                self.pipeline_result,
-                config=self.pipeline_config(),
-                artifacts=self.artifact_store(),
-            )
+            self._session = GitTables.from_result(self.pipeline_result, config=self.pipeline_config())
         return self._session
 
     def gittables_projection(self):
@@ -149,7 +130,7 @@ class ExperimentContext:
         """
         from ..storage.columnar import ensure_projection
 
-        return ensure_projection(self.gittables, self.artifact_store())
+        return ensure_projection(self.gittables)
 
     def viznet_projection(self):
         """The columnar stats projection of the contrast corpus (in memory)."""

@@ -26,11 +26,9 @@ def run_table7(scale: str = "default") -> ExperimentResult:
     """Table 7: F1 of type detection models across train/eval corpora."""
     context = get_context(scale)
     settings = _SCALE_SETTINGS.get(scale, _SCALE_SETTINGS["default"])
-    # Store-backed contexts persist the sampled feature matrices, so
+    # Store-backed corpora persist their sampled feature matrices, so
     # repeated runs mmap them back instead of re-scanning the corpus.
-    experiment = TypeDetectionExperiment(
-        seed=context.seed, artifacts=context.artifact_store(), **settings
-    )
+    experiment = TypeDetectionExperiment(seed=context.seed, **settings)
     results = experiment.run_table7(context.session.corpus, context.viznet)
     rows = [result.as_table7_row() for result in results]
     return ExperimentResult(

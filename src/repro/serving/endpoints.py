@@ -72,8 +72,8 @@ def _canonical_detect(payload, k) -> tuple[tuple, object]:
     options, = payload
     if not isinstance(options, dict):
         raise ServingError("detect_types requires an options dict")
-    if "artifacts" in options or "eval_corpus" in options:
-        raise ServingError("detect_types over a service cannot override corpus or artifacts")
+    if "eval_corpus" in options:
+        raise ServingError("detect_types over a service cannot override the corpus")
     canonical = tuple(
         (str(name), _canonical_option(value)) for name, value in sorted(options.items())
     )

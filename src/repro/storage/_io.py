@@ -17,6 +17,7 @@ __all__ = [
     "directory_file_bytes",
     "fault_point",
     "fsync_dir",
+    "is_dead_pid_suffix",
 ]
 
 
@@ -98,6 +99,20 @@ def directory_file_bytes(directory: str | os.PathLike[str]) -> dict[str, bytes]:
         for path in sorted(Path(directory).iterdir())
         if path.is_file()
     }
+
+
+def is_dead_pid_suffix(name: str) -> bool:
+    """Whether a ``...-<pid>`` suffixed sibling belongs to a dead process."""
+    pid_text = name.rpartition("-")[2]
+    if not pid_text.isdigit() or int(pid_text) == os.getpid():
+        return False
+    try:
+        os.kill(int(pid_text), 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # pragma: no cover - e.g. EPERM: pid is alive
+        return False
+    return False
 
 
 def fsync_dir(directory: str | os.PathLike[str]) -> None:

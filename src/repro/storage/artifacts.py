@@ -57,13 +57,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import atomic_write_json, fsync_dir
+from ._io import atomic_write_json, fsync_dir, is_dead_pid_suffix
 
 __all__ = [
     "ARTIFACTS_DIRNAME",
     "ARTIFACT_FORMAT",
     "IndexArtifactStore",
     "LoadedArtifact",
+    "corpus_artifacts",
     "corpus_content_fingerprint",
     "fingerprint_digest",
     "resolve",
@@ -76,20 +77,6 @@ ARTIFACT_FORMAT = "gittables-index-artifact"
 META_FILENAME = "meta.json"
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-
-def _is_dead_pid_suffix(name: str) -> bool:
-    """Whether a ``...-<pid>`` suffixed sibling belongs to a dead process."""
-    pid_text = name.rpartition("-")[2]
-    if not pid_text.isdigit() or int(pid_text) == os.getpid():
-        return False
-    try:
-        os.kill(int(pid_text), 0)
-    except ProcessLookupError:
-        return True
-    except OSError:  # pragma: no cover - e.g. EPERM: pid is alive
-        return False
-    return False
 
 
 def _normalize(value):
@@ -118,6 +105,17 @@ def corpus_content_fingerprint(corpus) -> str | None:
     return fingerprint()
 
 
+def corpus_artifacts(corpus) -> tuple["IndexArtifactStore | None", str | None]:
+    """The artifact store ``corpus``'s storage owns and the fingerprint keying it.
+
+    ``(None, None)`` when it owns none, so :func:`resolve` only builds.
+    """
+    artifacts = getattr(corpus, "artifacts", None)
+    if artifacts is None:
+        return None, None
+    return artifacts, corpus_content_fingerprint(corpus)
+
+
 @dataclass(frozen=True)
 class LoadedArtifact:
     """One artifact resolved from disk: mmap'd arrays plus JSON payload."""
@@ -132,11 +130,13 @@ class LoadedArtifact:
 class IndexArtifactStore:
     """Fingerprint-guarded store of named float arrays and JSON payloads.
 
-    ``directory`` is the artifacts root itself (conventionally
-    ``<store_dir>/artifacts``; use :meth:`for_corpus_dir` to derive it).
-    The directory is created lazily on first publish, so attaching a
-    store to a read-only corpus directory costs nothing until something
-    is published.
+    ``directory`` is the artifacts root itself. A sharded corpus store
+    owns the one under its directory (``<store_dir>/artifacts``): reach
+    it as ``corpus.artifacts`` (or ``store.artifacts``), which is
+    ``None`` for in-memory corpora and for stores opened with
+    ``use_artifacts=False``. The directory is created lazily on first
+    publish, so opening a read-only corpus directory costs nothing until
+    something is published.
     """
 
     def __init__(self, directory: str | os.PathLike[str]) -> None:
@@ -321,10 +321,10 @@ class IndexArtifactStore:
             shutil.rmtree(self.directory / name, ignore_errors=True)
             removed.append(name)
         for leftover in self.directory.glob(".*.tmp-*"):
-            if leftover.is_dir() and _is_dead_pid_suffix(leftover.name):
+            if leftover.is_dir() and is_dead_pid_suffix(leftover.name):
                 shutil.rmtree(leftover, ignore_errors=True)
         for leftover in self.directory.glob(".*.old-*"):
-            if leftover.is_dir() and _is_dead_pid_suffix(leftover.name):
+            if leftover.is_dir() and is_dead_pid_suffix(leftover.name):
                 shutil.rmtree(leftover, ignore_errors=True)
         return removed
 

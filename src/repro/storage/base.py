@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.corpus import AnnotatedTable
+    from .artifacts import IndexArtifactStore
 
 __all__ = ["CorpusStore", "StoreStats"]
 
@@ -54,6 +55,10 @@ class CorpusStore(Protocol):
     #: Corpus name carried by the backend (persisted backends store it in
     #: their manifest).
     name: str
+    #: The derived index artifacts this store owns: the artifact store
+    #: under a sharded directory, ``None`` in memory or when the store
+    #: was opened with ``use_artifacts=False``.
+    artifacts: "IndexArtifactStore | None"
 
     def __len__(self) -> int:
         """Number of tables in the store."""

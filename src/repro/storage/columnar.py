@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dataframe.dtypes import AtomicType
-from .artifacts import IndexArtifactStore, corpus_content_fingerprint, resolve
+from .artifacts import IndexArtifactStore, corpus_artifacts, corpus_content_fingerprint, resolve
 
 __all__ = [
     "ATOMIC_TYPES",
@@ -646,22 +646,22 @@ def load_projection(
     return None if loaded is None else _decode_projection(loaded, corpus_fingerprint)
 
 
-def ensure_projection(
-    corpus, artifacts: IndexArtifactStore | None = None, prune: bool = True
-) -> ColumnarProjection:
+def ensure_projection(corpus, *, prune: bool = True) -> ColumnarProjection:
     """Resolve a current projection for ``corpus`` and attach it.
 
     A projection already attached to the corpus wins; otherwise it is
-    resolved through :func:`~repro.storage.artifacts.resolve` — adopted
-    from the artifact, extended over the tail of a superseded one, or
-    built with one full corpus scan (``prune`` as there). The result is
-    attached to the corpus so subsequent statistics and filter calls
-    stay engine-side.
+    resolved through :func:`~repro.storage.artifacts.resolve` against
+    the artifact store the corpus's own storage owns — adopted from the
+    ``stats-projection`` artifact, extended over the tail of a
+    superseded one, or built with one full corpus scan and published
+    (``prune`` as there). In-memory corpora and stores opened with
+    ``use_artifacts=False`` only build. The result is attached to the
+    corpus so subsequent statistics and filter calls stay engine-side.
     """
     attached = getattr(corpus, "projection", None)
     if attached is not None:
         return attached
-    fingerprint = corpus_content_fingerprint(corpus) if artifacts is not None else None
+    artifacts, fingerprint = corpus_artifacts(corpus)
     projection, _ = resolve(
         artifacts,
         PROJECTION_ARTIFACT,

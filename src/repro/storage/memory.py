@@ -20,6 +20,9 @@ class InMemoryStore:
     into (subsets are expected to be small relative to their source).
     """
 
+    #: An in-memory corpus has no durable identity to key artifacts on.
+    artifacts = None
+
     def __init__(self, name: str = "gittables") -> None:
         self.name = name
         self._tables: dict[str, "AnnotatedTable"] = {}

@@ -43,6 +43,10 @@ Two stores share the layout:
   them to shard files and rewrites the manifest, which is the atomic
   checkpoint that makes interrupted builds resumable.
 
+Both own the directory's index artifacts: ``store.artifacts`` (``None``
+for a reader opened with ``use_artifacts=False``) is what every
+corpus-keyed consumer resolves through.
+
 Shard files are written with a canonical JSON encoding (compact
 separators, ``ensure_ascii=False``), so two builds that produce the same
 tables in the same order produce byte-identical shard files and
@@ -85,6 +89,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 from collections import OrderedDict, deque
 from itertools import islice
 from pathlib import Path
@@ -92,6 +97,8 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..errors import CorpusError
 from ._io import atomic_write_json, fault_point, fsync_dir
+from .artifacts import ARTIFACTS_DIRNAME, IndexArtifactStore
+from .checkpoint import BUILD_META_FILENAME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.corpus import AnnotatedTable
@@ -103,6 +110,7 @@ __all__ = [
     "DEFAULT_SHARD_SIZE",
     "DEFAULT_COMPACT_EVERY",
     "build_manifest",
+    "carry_derived_files",
     "heal_shard_files",
     "is_sharded_dir",
     "manifest_epoch",
@@ -133,6 +141,16 @@ WORKER_LOG_GLOB = "manifest-??.log"
 def is_sharded_dir(directory: str | os.PathLike[str]) -> bool:
     """Whether ``directory`` holds a sharded corpus (has a manifest)."""
     return os.path.exists(os.path.join(directory, MANIFEST_FILENAME))
+
+
+def carry_derived_files(directory: Path, staging: Path) -> None:
+    """Carry a re-saved store's build metadata and artifacts (same content) into ``staging``."""
+    for name in (BUILD_META_FILENAME, ARTIFACTS_DIRNAME):
+        source = directory / name
+        if source.is_dir():
+            shutil.copytree(source, staging / name)
+        elif source.exists():
+            shutil.copy2(source, staging / name)
 
 
 def _shard_filename(index: int, generation: int = 1) -> str:
@@ -480,13 +498,17 @@ class ShardedJsonlStore:
     short or over-long shard raises :class:`~repro.errors.CorpusError`
     as soon as any of its tables is read. A line whose bytes do not
     decode raises only when *that* table is decoded; the other tables
-    of its shard stay readable.
+    of its shard stay readable. With ``use_artifacts=False`` the store
+    owns no artifacts: nothing over it reads or publishes one.
     """
 
-    def __init__(self, directory: str | os.PathLike[str], cache_shards: int = 2) -> None:
+    def __init__(
+        self, directory: str | os.PathLike[str], cache_shards: int = 2, use_artifacts: bool = True
+    ) -> None:
         if cache_shards < 1:
             raise ValueError("cache_shards must be >= 1")
         self.directory = Path(directory)
+        self.artifacts = IndexArtifactStore.for_corpus_dir(directory) if use_artifacts else None
         self._manifest = _read_manifest(self.directory)
         # A mid-build store keeps recent commits in the delta log rather
         # than the compacted manifest; fold them in (read-only replay).
@@ -932,6 +954,7 @@ class ShardedCorpusWriter:
             raise ValueError("compact_every must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.artifacts = IndexArtifactStore.for_corpus_dir(directory)
         self.compact_every = compact_every
         self.fault = fault
         self._commit_index = 0

@@ -34,6 +34,7 @@ from repro.storage import (
     ShardedCorpusWriter,
     corpus_content_fingerprint,
 )
+from repro.storage.artifacts import corpus_artifacts
 
 
 @pytest.fixture(scope="module")
@@ -251,15 +252,12 @@ class TestArtifactInvalidation:
     def test_different_encoder_config_rebuilds(self, store_dir, monkeypatch):
         GitTables.load(store_dir).warm()
         calls = _spy_embed_many(monkeypatch)
-        other = GitTables(
-            corpus=GitTablesCorpus.load(store_dir),
-            encoder=SentenceEncoder(dim=64),
-            artifacts=IndexArtifactStore.for_corpus_dir(store_dir),
-        )
+        other = GitTables(corpus=GitTablesCorpus.load(store_dir), encoder=SentenceEncoder(dim=64))
         results = other.search(QUERY, k=3)
         assert sum(calls) > 1, "a corpus-wide re-embedding pass must have happened"
         artifact_free = GitTables(
-            corpus=GitTablesCorpus.load(store_dir), encoder=SentenceEncoder(dim=64)
+            corpus=GitTablesCorpus.load(store_dir, use_artifacts=False),
+            encoder=SentenceEncoder(dim=64),
         )
         assert results == artifact_free.search(QUERY, k=3)
         # Restore the default-encoder artifacts for the other tests.
@@ -320,9 +318,8 @@ class TestArtifactInvalidation:
 class TestConsumerUnits:
     def test_search_engine_artifact_roundtrip_is_bit_identical(self, store_dir):
         corpus = GitTablesCorpus.load(store_dir)
-        artifacts = IndexArtifactStore.for_corpus_dir(store_dir)
-        fresh = TableSearchEngine(corpus, encoder=SentenceEncoder(), artifacts=artifacts)
-        warm = TableSearchEngine(corpus, encoder=SentenceEncoder(), artifacts=artifacts)
+        fresh = TableSearchEngine(corpus, encoder=SentenceEncoder())
+        warm = TableSearchEngine(corpus, encoder=SentenceEncoder())
         assert np.array_equal(fresh._index._unit_vectors, warm._index._unit_vectors)
         assert warm._schemas == fresh._schemas
         assert warm.search_batch([QUERY, "people and cities"], k=4) == fresh.search_batch(
@@ -331,9 +328,8 @@ class TestConsumerUnits:
 
     def test_completion_artifact_roundtrip_is_bit_identical(self, store_dir):
         corpus = GitTablesCorpus.load(store_dir)
-        artifacts = IndexArtifactStore.for_corpus_dir(store_dir)
-        fresh = NearestCompletion(corpus, encoder=SentenceEncoder(), artifacts=artifacts)
-        warm = NearestCompletion(corpus, encoder=SentenceEncoder(), artifacts=artifacts)
+        fresh = NearestCompletion(corpus, encoder=SentenceEncoder())
+        warm = NearestCompletion(corpus, encoder=SentenceEncoder())
         assert len(warm) == len(fresh)
         assert np.array_equal(np.asarray(fresh._flat_matrix), np.asarray(warm._flat_matrix))
         assert warm.complete(PREFIX, k=6) == fresh.complete(PREFIX, k=6)
@@ -361,7 +357,9 @@ class TestConsumerUnits:
         finally:
             tracemalloc.stop()
         assert peak < matrix.nbytes / 2
-        fresh = NearestCompletion(GitTablesCorpus.load(store_dir), encoder=SentenceEncoder())
+        fresh = NearestCompletion(
+            GitTablesCorpus.load(store_dir, use_artifacts=False), encoder=SentenceEncoder()
+        )
         rng = random.Random(5)
         schemas = [schema for _, schema in fresh._schemas]
         prefixes = [PREFIX] + [
@@ -372,16 +370,14 @@ class TestConsumerUnits:
 
     def test_kg_benchmark_roundtrip(self, store_dir):
         corpus = GitTablesCorpus.load(store_dir)
-        artifacts = IndexArtifactStore.for_corpus_dir(store_dir)
-        fresh = KGMatchingBenchmark.from_corpus(corpus, artifacts=artifacts)
-        warm = KGMatchingBenchmark.from_corpus(corpus, artifacts=artifacts)
+        fresh = KGMatchingBenchmark.from_corpus(corpus)
+        warm = KGMatchingBenchmark.from_corpus(corpus)
         assert warm.columns == fresh.columns
         assert warm.n_tables == fresh.n_tables
 
     def test_type_features_artifact_roundtrip(self, store_dir):
         corpus = GitTablesCorpus.load(store_dir)
-        artifacts = IndexArtifactStore.for_corpus_dir(store_dir)
-        experiment = TypeDetectionExperiment(columns_per_type=20, seed=3, artifacts=artifacts)
+        experiment = TypeDetectionExperiment(columns_per_type=20, seed=3)
         fresh = experiment.sample_labelled_columns(corpus)
         warm = experiment.sample_labelled_columns(corpus)
         assert list(warm.labels) == list(fresh.labels)
@@ -424,16 +420,16 @@ class TestConsumerUnits:
         assert len(reloaded.search_engine) == 9
         assert stale_results is not None
 
-    def test_in_memory_corpus_skips_artifacts(self, tmp_path):
-        """No durable identity -> nothing published, plain build path."""
+    def test_in_memory_corpus_skips_artifacts(self):
+        """No durable identity -> no artifact store, plain build path."""
         from tests.test_storage import _corpus
 
         corpus = _corpus(6)
-        artifacts = IndexArtifactStore(tmp_path / "artifacts")
-        TableSearchEngine(corpus, artifacts=artifacts)
-        NearestCompletion(corpus, artifacts=artifacts)
-        KGMatchingBenchmark.from_corpus(corpus, artifacts=artifacts)
-        assert artifacts.names() == []
+        assert corpus.artifacts is None
+        assert corpus_artifacts(corpus) == (None, None)
+        assert len(TableSearchEngine(corpus)) == 6
+        assert NearestCompletion(corpus)._corpus_size == 6
+        assert KGMatchingBenchmark.from_corpus(corpus).corpus_size == 6
 
     def test_ontology_index_artifacts(self, tmp_path):
         from repro.embeddings.fasttext import FastTextModel
@@ -488,14 +484,14 @@ TYPE_OPTIONS = {"columns_per_type": 10, "seed": 3}
 
 
 def _type_features(session, **options):
-    experiment = TypeDetectionExperiment(artifacts=session.artifacts, **{**TYPE_OPTIONS, **options})
+    experiment = TypeDetectionExperiment(**{**TYPE_OPTIONS, **options})
     return experiment.sample_labelled_columns(session.corpus)
 
 
 def _projection(session):
     from repro.storage.columnar import ensure_projection
 
-    return ensure_projection(session.corpus, session.artifacts)
+    return ensure_projection(session.corpus)
 
 
 def _ontologies(session, **config):
@@ -507,25 +503,21 @@ def _ontologies(session, **config):
 LIFECYCLE_KINDS = {
     "search": (
         SEARCH_ARTIFACT,
-        lambda s: TableSearchEngine(s.corpus, artifacts=s.artifacts),
-        lambda s, mp: TableSearchEngine(
-            s.corpus, encoder=SentenceEncoder(seed=2), artifacts=s.artifacts
-        ),
+        lambda s: TableSearchEngine(s.corpus),
+        lambda s, mp: TableSearchEngine(s.corpus, encoder=SentenceEncoder(seed=2)),
         "unit_vectors.npy",
     ),
     "completion": (
         COMPLETION_ARTIFACT,
-        lambda s: NearestCompletion(s.corpus, artifacts=s.artifacts),
-        lambda s, mp: NearestCompletion(s.corpus, min_schema_length=3, artifacts=s.artifacts),
+        lambda s: NearestCompletion(s.corpus),
+        lambda s, mp: NearestCompletion(s.corpus, min_schema_length=3),
         "attributes.npy",
     ),
     "kg-benchmark": (
         "kg-benchmark-c3-r5",
-        lambda s: KGMatchingBenchmark.from_corpus(s.corpus, artifacts=s.artifacts),
+        lambda s: KGMatchingBenchmark.from_corpus(s.corpus),
         # Every non-corpus key is also part of the artifact name.
-        lambda s, mp: KGMatchingBenchmark.from_corpus(
-            s.corpus, max_tables=10**6, artifacts=s.artifacts
-        ),
+        lambda s, mp: KGMatchingBenchmark.from_corpus(s.corpus, max_tables=10**6),
         "tables.npy",
     ),
     "type-features": (
@@ -704,8 +696,8 @@ class TestArtifactLifecycle:
 
 class TestCrossCorpusTypeDetection:
     def test_eval_corpus_features_keep_the_session_artifacts(self, tmp_path, monkeypatch):
-        """Publishing the eval corpus' features must not prune the
-        training store's own artifacts (they are keyed per corpus)."""
+        """Each corpus caches its features in its own store, and
+        publishing them never prunes the training store's artifacts."""
         stores = []
         for seed in (1, 2):
             directory = tmp_path / f"store-{seed}"
@@ -716,12 +708,12 @@ class TestCrossCorpusTypeDetection:
             stores.append(directory)
         session = GitTables.load(stores[0]).warm()
         before = set(session.artifacts.names())
-        session.detect_types(
-            GitTables.load(stores[1]), columns_per_type=5, epochs=2, n_splits=2
-        )
+        other = GitTables.load(stores[1])
+        session.detect_types(other, columns_per_type=5, epochs=2, n_splits=2)
         after = set(session.artifacts.names())
         assert before <= after
-        assert len([name for name in after if name.startswith("type-features-")]) == 2
+        for artifacts in (session.artifacts, other.artifacts):
+            assert len([name for name in artifacts.names() if name.startswith("type-features-")]) == 1
         calls = _spy_embed_many(monkeypatch)
         GitTables.load(stores[0]).warm()
         assert sum(calls) == 0

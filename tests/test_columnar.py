@@ -316,14 +316,13 @@ class TestPersistenceAndStaleness:
 
     def test_ensure_projection_attaches_and_reuses(self, tmp_path):
         corpus, store_dir = _disk_corpus(tmp_path)
-        artifacts = IndexArtifactStore.for_corpus_dir(store_dir)
-        built = ensure_projection(corpus, artifacts)
+        built = ensure_projection(corpus)
         assert corpus.projection is built
         # A second resolution returns the attached instance untouched.
-        assert ensure_projection(corpus, artifacts) is built
+        assert ensure_projection(corpus) is built
         # A fresh corpus over the same store mmaps the published copy.
         reloaded = GitTablesCorpus.load(store_dir)
-        assert ensure_projection(reloaded, IndexArtifactStore.for_corpus_dir(store_dir)) == built
+        assert ensure_projection(reloaded) == built
 
     def test_attached_projection_goes_stale_on_mutation(self):
         from tests.test_storage import _annotated, _corpus
@@ -343,7 +342,7 @@ class TestPersistenceAndStaleness:
 
         corpus, store_dir = _disk_corpus(tmp_path)
         old_fingerprint = corpus_content_fingerprint(corpus)
-        ensure_projection(corpus, IndexArtifactStore.for_corpus_dir(store_dir))
+        ensure_projection(corpus)
 
         writer = ShardedCorpusWriter(store_dir, shard_size=4)
         writer.add(_annotated("out-of-band"))
@@ -354,7 +353,7 @@ class TestPersistenceAndStaleness:
         assert new_fingerprint != old_fingerprint
         artifacts = IndexArtifactStore.for_corpus_dir(store_dir)
         assert load_projection(artifacts, new_fingerprint) is None
-        rebuilt = ensure_projection(mutated, artifacts)
+        rebuilt = ensure_projection(mutated)
         assert rebuilt.table_count == len(mutated)
         assert CorpusStatistics.from_projection(rebuilt) == oracle.corpus_statistics(mutated)
 

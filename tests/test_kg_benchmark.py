@@ -76,10 +76,9 @@ class TestOracleEquivalence:
 
     def test_sharded_store_built_and_adopted(self, store_copy, thresholds, monkeypatch):
         ledger = _Ledger(monkeypatch)
-        artifacts = IndexArtifactStore.for_corpus_dir(store_copy)
         for _ in range(2):
             corpus = GitTablesCorpus.load(store_copy)
-            benchmark = KGMatchingBenchmark.from_corpus(corpus, artifacts=artifacts, **thresholds)
+            benchmark = KGMatchingBenchmark.from_corpus(corpus, **thresholds)
             _assert_matches_oracle(benchmark, corpus, thresholds)
         assert [outcome for outcome, _, _ in ledger.of("kg-benchmark")] == ["built", "adopted"]
 
@@ -90,7 +89,7 @@ class TestArrayFormat:
         artifacts = IndexArtifactStore.for_corpus_dir(store_copy)
         for _ in range(2):
             benchmark = KGMatchingBenchmark.from_corpus(
-                GitTablesCorpus.load(store_copy), min_columns=10**6, artifacts=artifacts
+                GitTablesCorpus.load(store_copy), min_columns=10**6
             )
             assert benchmark.n_tables == 0 and benchmark.n_columns == 0
             assert benchmark.columns == [] and benchmark.distinct_types("dbpedia") == set()
@@ -102,7 +101,7 @@ class TestArrayFormat:
 
     def test_old_value_copy_artifact_is_rebuilt(self, store_copy, monkeypatch):
         corpus = GitTablesCorpus.load(store_copy)
-        artifacts = IndexArtifactStore.for_corpus_dir(store_copy)
+        artifacts = corpus.artifacts
         n_tables, columns = oracle.curate(corpus)
         probe = KGMatchingBenchmark(corpus)
         old_payload = {
@@ -124,7 +123,7 @@ class TestArrayFormat:
             payload=old_payload,
         )
         ledger = _Ledger(monkeypatch)
-        benchmark = KGMatchingBenchmark.from_corpus(corpus, artifacts=artifacts)
+        benchmark = KGMatchingBenchmark.from_corpus(corpus)
         assert [outcome for outcome, _, _ in ledger.of(probe.artifact_name)] == ["built"]
         assert benchmark.columns == columns
         republished = artifacts.load(probe.artifact_name)
@@ -163,7 +162,8 @@ class TestSession:
         tables = {column.table_id for column in benchmark.columns}
         assert len(tables) == benchmark.n_tables
         assert dict(decoded) == dict.fromkeys(tables, 1)
-        assert scores == GitTables.from_corpus(session.corpus).match_kg_all()
+        artifact_free = GitTablesCorpus.load(store_copy, use_artifacts=False)
+        assert scores == GitTables.from_corpus(artifact_free).match_kg_all()
 
     def test_save_republishes_the_session_benchmark(self, store_copy, tmp_path):
         session = GitTables.load(store_copy)

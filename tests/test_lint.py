@@ -3,15 +3,16 @@
 Skips when ruff is not installed in the environment — the offline test
 image ships without it — but keeps CI environments that do have ruff
 honest about the correctness-focused rule set. Without ruff, a small
-stdlib-``ast`` check still enforces the strict tier's F841 (unused
-local variable) over the strict-tier subsystems named in pyproject.toml.
+stdlib check still enforces the strict tier's F841 (unused local
+variable), F541 (f-string without placeholders) and W291/W292/W293
+(trailing whitespace, missing final newline) over every file ruff
+checks. E7 has no fallback.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,24 +23,24 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 _HAS_RUFF = importlib.util.find_spec("ruff") is not None
 
+#: What ruff checks; the whole of it is in the strict tier.
+LINTED = ("src", "tests", "benchmarks", "examples")
+
+
+def _linted_files() -> list[Path]:
+    return [path for root in LINTED for path in sorted((REPO_ROOT / root).rglob("*.py"))]
+
 
 @pytest.mark.skipif(not _HAS_RUFF, reason="ruff is not installed")
 def test_ruff_check_is_clean():
     proc = subprocess.run(
-        [sys.executable, "-m", "ruff", "check", "src", "tests", "benchmarks", "examples"],
+        [sys.executable, "-m", "ruff", "check", *LINTED],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, f"ruff found issues:\n{proc.stdout}\n{proc.stderr}"
-
-
-def _strict_tier_subsystems() -> list[str]:
-    """The subsystems the negated strict-tier ignore pattern leaves strict."""
-    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    [subsystems] = re.findall(r'^"!src/repro/\{([^}]*)\}/\*\*" = ', pyproject, re.MULTILINE)
-    return subsystems.split(",")
 
 
 def _unused_locals(tree: ast.AST) -> list[tuple[int, str]]:
@@ -81,14 +82,49 @@ def _unused_locals(tree: ast.AST) -> list[tuple[int, str]]:
     return sorted(hits)
 
 
+def _empty_fstrings(tree: ast.AST) -> list[int]:
+    """Lines of f-strings with no placeholder (format specs excluded)."""
+    specs = {
+        id(node.format_spec)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and id(node) not in specs
+        and not any(isinstance(value, ast.FormattedValue) for value in node.values)
+    ]
+
+
 @pytest.mark.skipif(_HAS_RUFF, reason="ruff enforces F841 itself")
 def test_strict_tier_has_no_unused_locals():
     hits = []
-    for subsystem in _strict_tier_subsystems():
-        for path in sorted((REPO_ROOT / "src" / "repro" / subsystem).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            hits += [
-                f"{path.relative_to(REPO_ROOT)}:{line}: F841 local {name!r} is never used"
-                for line, name in _unused_locals(tree)
-            ]
+    for path in _linted_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        hits += [
+            f"{path.relative_to(REPO_ROOT)}:{line}: F841 local {name!r} is never used"
+            for line, name in _unused_locals(tree)
+        ]
     assert not hits, "unused local variables:\n" + "\n".join(hits)
+
+
+@pytest.mark.skipif(_HAS_RUFF, reason="ruff enforces F541 and W2 itself")
+def test_strict_tier_has_no_empty_fstrings_or_trailing_whitespace():
+    hits = []
+    for path in _linted_files():
+        text = path.read_text(encoding="utf-8")
+        relative = path.relative_to(REPO_ROOT)
+        hits += [
+            f"{relative}:{line}: F541 f-string without placeholders"
+            for line in _empty_fstrings(ast.parse(text, filename=str(path)))
+        ]
+        hits += [
+            f"{relative}:{number}: W291 trailing whitespace"
+            for number, line in enumerate(text.split("\n"), 1)
+            if line != line.rstrip()
+        ]
+        if text and not text.endswith("\n"):
+            hits.append(f"{relative}: W292 no newline at end of file")
+    assert not hits, "whitespace and f-string issues:\n" + "\n".join(hits)
