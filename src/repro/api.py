@@ -350,7 +350,11 @@ class GitTables:
             config=config, generator_config=generator, batch_size=batch_size
         )
         result = builder.build(
-            store_dir=directory, shard_size=shard_size, processes=processes, extend=True
+            store_dir=directory,
+            shard_size=shard_size,
+            processes=processes,
+            extend=True,
+            use_artifacts=self.artifacts is not None,
         )
         self._corpus = result.corpus
         self._result = result
@@ -363,7 +367,8 @@ class GitTables:
         # under the grown fingerprint with the corpus-keyed prune
         # deferred — then one sweep retires the prior epoch's artifacts.
         self.warm()
-        self.artifacts.prune(self._corpus.store.content_fingerprint())
+        if self.artifacts is not None:
+            self.artifacts.prune(self._corpus.store.content_fingerprint())
         return self
 
     def compact(self, shard_size: int | None = None) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..config import DEFAULT_INDEX_CONFIG, IndexConfig
 from ..core.corpus import GitTablesCorpus
-from ..embeddings.ann import PartitionedIndex, build_index
+from ..embeddings.ann import build_index
 from ..embeddings.persist import (
     INDEX_LABELS_KEY,
     INDEX_VECTORS_KEY,
@@ -102,14 +102,12 @@ class TableSearchEngine:
         return self
 
     def _decode(self, loaded) -> "TableSearchEngine | None":
-        index = index_from_artifact(loaded)
+        # nprobe is a query-time knob: the current config wins over
+        # whatever value the artifact was published with.
+        index = index_from_artifact(loaded, self.index_config.nprobe)
         schemas = loaded.payload.get("schemas")
         if index is None or schemas is None or len(schemas) != len(index.labels):
             return None
-        if isinstance(index, PartitionedIndex):
-            # nprobe is a query-time knob: the current config wins over
-            # whatever value the artifact was published with.
-            index.nprobe = self.index_config.nprobe
         return self._use(index, [tuple(schema) for schema in schemas])
 
     def _extend(self, corpus: GitTablesCorpus, stale, boundary: int) -> "TableSearchEngine | None":

@@ -18,14 +18,14 @@ import numpy as np
 from ..config import DEFAULT_INDEX_CONFIG, IndexConfig
 from ..core.corpus import GitTablesCorpus
 from ..embeddings.ann import PartitionedIndex
-from ..embeddings.persist import embedder_fingerprint
+from ..embeddings.persist import embedder_fingerprint, encode_tier, tier_from_artifact
 from ..embeddings.sentence import SentenceEncoder
 from ..embeddings.similarity import cosine_similarity
 from ..storage.artifacts import corpus_artifacts, resolve
 
 __all__ = ["SchemaCompletion", "NearestCompletion", "CompletionEvaluation", "COMPLETION_ARTIFACT"]
 
-#: Artifact name under which the flat attribute matrix is persisted.
+#: Artifact name under which the attribute matrix (and ANN tier) is persisted.
 COMPLETION_ARTIFACT = "completion-attributes"
 
 
@@ -60,10 +60,11 @@ class NearestCompletion:
     """Algorithm 1: k-nearest schema completions by prefix embedding distance.
 
     Over a corpus whose store owns artifacts, the per-attribute
-    embedding matrix is resolved through
+    embedding matrix and the coarse tier are resolved through
     :func:`~repro.storage.artifacts.resolve` (fingerprint: encoder
-    config + ``min_schema_length`` + corpus content hash); completions
-    are bit-identical to a freshly embedded index.
+    config + ``min_schema_length`` + corpus content hash + the ANN
+    section when the tier is active); completions are bit-identical to
+    a freshly embedded index.
     """
 
     def __init__(
@@ -76,8 +77,6 @@ class NearestCompletion:
         self.encoder = encoder or SentenceEncoder()
         self.min_schema_length = min_schema_length
         self.index_config = index_config if index_config is not None else DEFAULT_INDEX_CONFIG
-        self._coarse: PartitionedIndex | None = None
-        self._coarse_built = False
         self._corpus_size = len(corpus)
         artifacts, fingerprint = corpus_artifacts(corpus)
         resolve(
@@ -94,12 +93,15 @@ class NearestCompletion:
     # -- artifact hooks ----------------------------------------------------
 
     def _fingerprint(self, corpus_fingerprint: str | None = None) -> dict:
-        return {
+        fingerprint = {
             "kind": "schema-completion",
             "encoder": embedder_fingerprint(self.encoder),
             "min_schema_length": int(self.min_schema_length),
             "corpus": corpus_fingerprint,
         }
+        if self.index_config.tier_active(self._corpus_size):
+            fingerprint["ann"] = self.index_config.build_fingerprint()
+        return fingerprint
 
     @staticmethod
     def _stored_schemas(loaded) -> list[tuple[str, tuple[str, ...]]] | None:
@@ -115,20 +117,27 @@ class NearestCompletion:
 
     def _use(self, schemas: list[tuple[str, tuple[str, ...]]], matrix) -> "NearestCompletion":
         self._schemas = schemas
-        self._flat_matrix = matrix
-        # A plain ndarray over the same (mmap'd or in-RAM) buffer: no
-        # copy, but no np.memmap subclass dispatch on every gather.
-        self._attributes = np.asarray(matrix)
+        self._attributes = matrix
+        self._coarse: PartitionedIndex | None = None
+        self._coarse_built = False
         self._lengths = np.array([len(schema) for _, schema in schemas], dtype=np.int64)
         self._starts = np.cumsum(self._lengths) - self._lengths
         self._id_rank = None
         return self
 
     def _decode(self, loaded) -> "NearestCompletion | None":
+        """Adopt the matrix and the published coarse tier: no k-means."""
         schemas = self._stored_schemas(loaded)
         if schemas is None:
             return None
-        return self._use(schemas, loaded.arrays["attributes"])
+        self._use(schemas, loaded.arrays["attributes"])
+        ids = [table_id for table_id, _ in schemas]
+        try:
+            self._coarse = tier_from_artifact(loaded, ids, None, self.index_config.nprobe)
+        except (KeyError, ValueError):
+            return None
+        self._coarse_built = True
+        return self if (self._coarse is not None) == self._tier_active() else None
 
     def _extend(self, corpus: GitTablesCorpus, stale, boundary: int) -> "NearestCompletion | None":
         """Append the tail's attribute rows to a superseded artifact's matrix.
@@ -143,7 +152,7 @@ class NearestCompletion:
         if schemas is None:
             return None
         tail = self._qualifying(corpus, start=boundary)
-        matrix = np.asarray(stale.arrays["attributes"])
+        matrix = stale.arrays["attributes"]
         if tail:
             tail_attributes = [attr for _, schema in tail for attr in schema]
             matrix = np.concatenate([matrix, self.encoder.embed_many(tail_attributes)])
@@ -168,13 +177,14 @@ class NearestCompletion:
         ]
 
     def _encode(self) -> dict:
-        return {
-            "arrays": {"attributes": self._flat_matrix},
-            "payload": {
+        return encode_tier(
+            self._coarse_index(),
+            {"attributes": self._attributes},
+            {
                 "table_ids": [table_id for table_id, _ in self._schemas],
                 "schemas": [list(schema) for _, schema in self._schemas],
             },
-        }
+        )
 
     def __len__(self) -> int:
         return len(self._schemas)
@@ -185,22 +195,25 @@ class NearestCompletion:
         Each qualifying schema is summarised by the mean of its first
         ``min_schema_length`` attribute embeddings; a partitioned index
         over those summaries lets :meth:`complete` probe for candidate
-        schemas instead of scoring the whole corpus. Built lazily,
-        in-memory only — the persisted flat attribute-matrix artifact is
-        unchanged — and only past the ``IndexConfig.min_rows`` gate, so
-        small corpora keep the exact full scan.
+        schemas instead of scoring the whole corpus. Only past the
+        ``IndexConfig.min_rows`` gate, so small corpora keep the exact
+        full scan. Built on first use, or at publish time and persisted;
+        an adopted tier is probe-only and costs no k-means or recall run.
         """
         if self._coarse_built:
             return self._coarse
         self._coarse_built = True
-        head = self.min_schema_length
-        if head < 1 or not self.index_config.tier_active(len(self._schemas)):
+        if not self._tier_active():
             return None
+        head = self.min_schema_length
         summaries = self._attributes[self._starts[:, None] + np.arange(head)].mean(axis=1)
         self._coarse = PartitionedIndex.build(
             [table_id for table_id, _ in self._schemas], summaries, self.index_config
         )
         return self._coarse
+
+    def _tier_active(self) -> bool:
+        return self.min_schema_length >= 1 and self.index_config.tier_active(len(self._schemas))
 
     def index_stats(self) -> dict:
         """Instrumentation snapshot of the coarse candidate tier."""

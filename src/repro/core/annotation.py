@@ -344,11 +344,9 @@ class SemanticAnnotator(_ColumnNameAnnotator):
         return index
 
     def _decode_index(self, loaded, labels: list[str]) -> NearestNeighbourIndex | None:
-        index = index_from_artifact(loaded)
+        index = index_from_artifact(loaded, self.index_config.nprobe)
         if index is None or index.labels != list(labels):
             return None
-        if isinstance(index, PartitionedIndex):
-            index.nprobe = self.index_config.nprobe
         return index
 
     def _embedded_index(self, labels: list[str], fingerprint: dict) -> NearestNeighbourIndex:

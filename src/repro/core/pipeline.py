@@ -191,6 +191,7 @@ class CorpusBuilder:
         shard_size: int = DEFAULT_SHARD_SIZE,
         processes: int = 1,
         extend: bool = False,
+        use_artifacts: bool = True,
     ) -> PipelineResult:
         """Run the full streaming pipeline and return corpus plus reports.
 
@@ -227,6 +228,8 @@ class CorpusBuilder:
         byte-identical (modulo the manifest epoch trailer) to a
         from-scratch build of the larger target with the same explicit
         ``generator_config``.
+
+        ``use_artifacts=False`` reads and publishes no index artifact.
         """
         if processes < 1:
             raise CorpusError("processes must be >= 1")
@@ -238,10 +241,10 @@ class CorpusBuilder:
             # processes=1 — the single-writer path cannot append to
             # worker-scoped shards. Either path finalizes the same bytes.
             if processes > 1 or has_parallel_state(store_dir):
-                return ParallelCorpusBuilder(self, processes=processes).build(
-                    store_dir, shard_size=shard_size, extend=extend
-                )
-            return self._build_to_store(store_dir, shard_size, extend=extend)
+                return ParallelCorpusBuilder(
+                    self, processes=processes, use_artifacts=use_artifacts
+                ).build(store_dir, shard_size=shard_size, extend=extend)
+            return self._build_to_store(store_dir, shard_size, extend=extend, use_artifacts=use_artifacts)
         if extend:
             raise CorpusError("extend=True requires a store_dir to reopen")
         topic_selection = select_topics(
@@ -313,7 +316,7 @@ class CorpusBuilder:
             save_build_meta(store_dir, fingerprint)
 
     def reuse_result(
-        self, store_dir: str | os.PathLike[str], topics: tuple[str, ...]
+        self, store_dir: str | os.PathLike[str], topics: tuple[str, ...], use_artifacts: bool = True
     ) -> PipelineResult:
         """Wrap a completed store without touching manifest or shards.
 
@@ -321,7 +324,8 @@ class CorpusBuilder:
         legacy stage reports describe dropped/raw items and only exist
         in the session that did the work (see :class:`PipelineResult`).
         """
-        result = self.store_result(store_dir, PipelineReport(pipeline_name="gittables-build"), topics)
+        report = PipelineReport(pipeline_name="gittables-build")
+        result = self.store_result(store_dir, report, topics, use_artifacts=use_artifacts)
         result.pipeline_report.items_collected = result.table_count
         return result
 
@@ -331,6 +335,7 @@ class CorpusBuilder:
         report: PipelineReport,
         topics: tuple[str, ...],
         extend: bool = False,
+        use_artifacts: bool = True,
     ) -> PipelineResult:
         """The result of a finished store build: every store build ends here.
 
@@ -343,16 +348,17 @@ class CorpusBuilder:
         delta-refreshed from them (the facade prunes once every artifact
         is republished). A session that ran no curation stage (reuse, or
         a resume whose target was already met) gets its curation report
-        rebuilt from corpus metadata.
+        rebuilt from corpus metadata. ``use_artifacts=False`` opens the
+        corpus without its artifact store.
         """
-        corpus = GitTablesCorpus(store=ShardedJsonlStore(store_dir))
+        corpus = GitTablesCorpus(store=ShardedJsonlStore(store_dir, use_artifacts=use_artifacts))
         ensure_projection(corpus, prune=not extend)
         if "curation" not in report.stage_reports:
             report.stage_reports["curation"] = CurationReport.from_corpus(corpus)
         return PipelineResult(corpus, topics, report)
 
     def _build_to_store(
-        self, store_dir: str | os.PathLike[str], shard_size: int, extend: bool = False
+        self, store_dir: str | os.PathLike[str], shard_size: int, extend: bool, use_artifacts: bool
     ) -> PipelineResult:
         """Resumable streaming build into a sharded corpus directory."""
         config = self.config
@@ -363,14 +369,15 @@ class CorpusBuilder:
         # Persist the ontology label indexes next to the corpus: later
         # sessions (and parallel build workers) of this directory then
         # mmap them instead of re-embedding every ontology label.
-        self.annotator.publish_artifacts(writer.artifacts)
+        if use_artifacts:
+            self.annotator.publish_artifacts(writer.artifacts)
 
         checkpoint = BuildCheckpoint.load(store_dir)
         if checkpoint is None:
             if writer.committed_count >= config.target_tables:
                 # A completed build (its checkpoint was cleared): the
                 # fingerprint matched, so reuse it as-is.
-                return self.reuse_result(store_dir, topic_selection.topics)
+                return self.reuse_result(store_dir, topic_selection.topics, use_artifacts=use_artifacts)
             checkpoint = BuildCheckpoint(fingerprint=fingerprint)
         else:
             checkpoint.require_compatible(fingerprint, store_dir)
@@ -449,4 +456,5 @@ class CorpusBuilder:
         # removing it makes a resumed directory byte-identical to a
         # one-shot one.
         BuildCheckpoint.clear(store_dir)
-        return self.store_result(store_dir, report, topic_selection.topics, extend=extend)
+        topics = topic_selection.topics
+        return self.store_result(store_dir, report, topics, extend=extend, use_artifacts=use_artifacts)

@@ -16,6 +16,8 @@ of it:
   loaded index answers queries bit-identically to the published one;
   :func:`publish_index` / :func:`load_index` wrap them around one
   artifact store call.
+* :func:`encode_tier` / :func:`tier_from_artifact` — their ANN-tier
+  half, shared with schema completion's coarse tier.
 
 Consumers (search, annotation) pass these hooks to
 :func:`repro.storage.artifacts.resolve` with fingerprints assembled from
@@ -119,26 +121,23 @@ def index_from_unit_rows(
 def encode_index(index: NearestNeighbourIndex, payload: dict | None = None) -> dict:
     """The artifact arrays and payload of an index (plus extra payload).
 
-    A partitioned index additionally carries its centroid matrix and
-    partition tables (under the ``ann_*`` array keys) plus an ``ann``
-    payload section, so :func:`index_from_artifact` can reopen it as the
-    same tier without re-running k-means. Returns the ``arrays`` /
-    ``payload`` keyword arguments of
-    :meth:`~repro.storage.artifacts.IndexArtifactStore.publish`.
+    Its unit-vector matrix, its labels and, when partitioned, its ANN
+    tier (:func:`encode_tier`).
     """
-    full_payload = dict(payload or {})
-    full_payload[INDEX_LABELS_KEY] = list(index.labels)
-    arrays = {INDEX_VECTORS_KEY: index._unit_vectors}
+    payload = {**(payload or {}), INDEX_LABELS_KEY: list(index.labels)}
+    return encode_tier(index, {INDEX_VECTORS_KEY: index._unit_vectors}, payload)
+
+
+def encode_tier(index: NearestNeighbourIndex | None, arrays: dict, payload: dict) -> dict:
+    """The ``publish`` keyword arguments ``arrays`` / ``payload``, plus a
+    partitioned ``index``'s centroids and partition tables (``ann_*``
+    arrays) and ``ann`` payload section: its tier, reopened without k-means."""
     if isinstance(index, PartitionedIndex):
-        arrays[ANN_CENTROIDS_KEY] = index._centroids
-        arrays[ANN_ROW_IDS_KEY] = index._row_ids
-        arrays[ANN_OFFSETS_KEY] = index._offsets
-        full_payload[ANN_PAYLOAD_KEY] = {
-            "n_partitions": index.n_partitions,
-            "nprobe": index.nprobe,
-            "recall": index.recall,
-        }
-    return {"arrays": arrays, "payload": full_payload}
+        arrays = {**arrays, ANN_CENTROIDS_KEY: index._centroids}
+        arrays.update({ANN_ROW_IDS_KEY: index._row_ids, ANN_OFFSETS_KEY: index._offsets})
+        tier = {"n_partitions": index.n_partitions, "nprobe": index.nprobe, "recall": index.recall}
+        payload = {**payload, ANN_PAYLOAD_KEY: tier}
+    return {"arrays": arrays, "payload": payload}
 
 
 def publish_index(
@@ -153,37 +152,43 @@ def publish_index(
     artifacts.publish(name, fingerprint, prune=prune, **encode_index(index, payload))
 
 
-def index_from_artifact(loaded: LoadedArtifact) -> NearestNeighbourIndex | None:
+def tier_from_artifact(
+    loaded: LoadedArtifact, labels: list[str], unit_vectors: np.ndarray | None, nprobe: int | None = None
+) -> PartitionedIndex | None:
+    """The ANN tier ``loaded`` carries over ``labels``' rows (``None`` if none).
+
+    ``nprobe=None`` keeps the published probe count; ``unit_vectors=None``
+    opens a probe-only tier. Missing or inconsistent partition tables
+    raise ``KeyError`` / ``ValueError``.
+    """
+    tier = loaded.payload.get(ANN_PAYLOAD_KEY)
+    if tier is None or ANN_CENTROIDS_KEY not in loaded.arrays:
+        return None
+    centroids = loaded.arrays[ANN_CENTROIDS_KEY]
+    row_ids, offsets = loaded.arrays[ANN_ROW_IDS_KEY], loaded.arrays[ANN_OFFSETS_KEY]
+    _validate_partition_tables(row_ids, offsets, len(centroids), len(labels))
+    nprobe = tier.get("nprobe", 1) if nprobe is None else nprobe
+    return PartitionedIndex._from_parts(
+        labels, unit_vectors, centroids, row_ids, offsets, nprobe, tier.get("recall")
+    )
+
+
+def index_from_artifact(loaded: LoadedArtifact, nprobe: int | None = None) -> NearestNeighbourIndex | None:
     """Rebuild the index held by a loaded artifact (mmap-backed).
 
     Artifacts carrying the ``ann_*`` arrays come back as a
-    :class:`PartitionedIndex` (same tier they were published as);
+    :class:`PartitionedIndex` (probing ``nprobe`` partitions, if given);
     everything else comes back flat. Either way the unit-vector matrix
     stays mmap'd and queries are bit-identical to the published index.
     Returns ``None`` when the labels, vectors or partition tables are
     missing or inconsistent.
     """
     try:
-        labels = loaded.payload[INDEX_LABELS_KEY]
-        vectors = loaded.arrays[INDEX_VECTORS_KEY]
-        ann_meta = loaded.payload.get(ANN_PAYLOAD_KEY)
-        if ann_meta is None or ANN_CENTROIDS_KEY not in loaded.arrays:
-            return NearestNeighbourIndex._from_unit_vectors(labels, vectors)
-        centroids = loaded.arrays[ANN_CENTROIDS_KEY]
-        row_ids = loaded.arrays[ANN_ROW_IDS_KEY]
-        offsets = loaded.arrays[ANN_OFFSETS_KEY]
-        _validate_partition_tables(row_ids, offsets, len(centroids), len(labels))
-        return PartitionedIndex._from_parts(
-            labels,
-            vectors,
-            centroids,
-            row_ids,
-            offsets,
-            ann_meta.get("nprobe", 1),
-            recall=ann_meta.get("recall"),
-        )
+        labels, vectors = loaded.payload[INDEX_LABELS_KEY], loaded.arrays[INDEX_VECTORS_KEY]
+        tier = tier_from_artifact(loaded, labels, vectors, nprobe)
     except (KeyError, ValueError):
         return None
+    return tier if tier is not None else NearestNeighbourIndex._from_unit_vectors(labels, vectors)
 
 
 def load_index(

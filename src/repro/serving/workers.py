@@ -2,8 +2,8 @@
 
 Each worker process opens the corpus store directory **read-only** via
 :meth:`GitTables.load` and warms its query engines from the store's
-fingerprint-guarded index artifacts — one ``np.load(mmap_mode="r")``
-per index instead of a corpus-wide re-embed, with the page cache shared
+fingerprint-guarded index artifacts — one ``mmap`` per array of each
+index instead of a corpus-wide re-embed, with the page cache shared
 across the whole pool. The parent never ships corpus data to workers:
 a task is just ``(batch id, endpoint, compatibility key, payloads)``
 and a result is the pickled list of per-request results.

@@ -17,7 +17,7 @@ corpus manifest, under ``<store_dir>/artifacts/``::
     artifacts/
       search-schemas/
         meta.json            # fingerprint, payload, array specs
-        unit_vectors.npy     # raw array, opened read-only via np.memmap
+        unit_vectors.npy     # raw .npy array, mapped read-only with one mmap
       completion-attributes/
         meta.json
         attributes.npy
@@ -34,10 +34,10 @@ corpus, truncated or corrupt file — reads as a miss, so stale vectors
 are never served silently. Publishing is atomic (staging directory +
 rename), so a crash mid-publish leaves either the old artifact or none.
 
-Arrays are stored as plain ``.npy`` files and opened with
-``np.load(mmap_mode="r")``, so loading an index costs one mmap instead
-of re-embedding the corpus, and the page cache is shared across
-processes serving the same store.
+Arrays are plain C-order ``.npy`` files, each opened with one ``mmap``
+checked against NumPy's own header for its dtype and shape: loading an
+index costs one mmap instead of re-embedding the corpus, and the page
+cache is shared across processes serving the same store.
 
 :func:`resolve` is the one lifecycle every consumer goes through —
 adopt on a fingerprint match, delta-refresh a sealed-prefix artifact
@@ -48,7 +48,9 @@ only their format hooks.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import mmap
 import os
 import re
 import shutil
@@ -122,7 +124,7 @@ class LoadedArtifact:
 
     name: str
     fingerprint: dict
-    #: array key -> read-only ndarray (``np.memmap`` for non-empty arrays).
+    #: array key -> read-only ndarray viewing an ``mmap`` (zero-size: in RAM).
     arrays: dict
     payload: dict
 
@@ -179,8 +181,8 @@ class IndexArtifactStore:
         With ``fingerprint=None`` the artifact comes back *whatever its
         fingerprint* (the delta-refresh read in :func:`resolve`, which
         compares fingerprints itself); format and array-spec integrity
-        are enforced either way. Arrays come back read-only
-        (``np.memmap`` with mode ``"r"``).
+        are enforced either way. Arrays come back read-only, as
+        ndarray views over a read-only ``mmap`` (see :meth:`_open_array`).
         """
         artifact_dir = self.path(name)
         meta_path = artifact_dir / META_FILENAME
@@ -208,19 +210,23 @@ class IndexArtifactStore:
 
     @staticmethod
     def _open_array(path: Path, spec: dict):
-        """mmap one array file, validating it against its recorded spec."""
-        expected_shape = tuple(spec.get("shape", ()))
+        """mmap one array file: exactly NumPy's own ``.npy`` header for the
+        spec's dtype and shape, then the raw data (compared, never parsed)."""
         try:
-            # Zero-size arrays cannot be mmap'd (zero-length mappings are
-            # rejected); they are tiny, so an eager read is equivalent.
-            mmap_mode = None if 0 in expected_shape else "r"
-            array = np.load(path, mmap_mode=mmap_mode, allow_pickle=False)
-        except (OSError, ValueError):
+            dtype, shape, header = np.dtype(spec["dtype"]), tuple(spec["shape"]), io.BytesIO()
+            fields = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
+            np.lib.format.write_array_header_1_0(header, fields)
+            with open(path, "rb") as handle:
+                data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except (KeyError, TypeError, ValueError, OSError):
             return None
-        if array.shape != expected_shape or str(array.dtype) != spec.get("dtype"):
+        header = header.getvalue()
+        size = len(data) - len(header)
+        if dtype.hasobject or size != dtype.itemsize * np.prod(shape) or data[: len(header)] != header:
             return None
-        if mmap_mode is None:
-            array.setflags(write=False)
+        # A zero-size array has nothing to map: it is read eagerly.
+        array = np.ndarray(shape, dtype, data, len(header)) if size else np.zeros(shape, dtype)
+        array.setflags(write=False)
         return array
 
     # -- write side --------------------------------------------------------
@@ -258,7 +264,8 @@ class IndexArtifactStore:
             specs: dict[str, dict] = {}
             for key, array in (arrays or {}).items():
                 self._check_name(key)
-                array = np.asarray(array)
+                # C order: the only layout _open_array maps.
+                array = np.asarray(array, order="C")
                 filename = f"{key}.npy"
                 with open(staging / filename, "wb") as handle:
                     np.save(handle, array)

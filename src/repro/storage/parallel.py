@@ -383,6 +383,7 @@ class _WorkerSpec:
     fingerprint: dict
     parent_pid: int
     fault: FaultSpec | None
+    use_artifacts: bool
 
 
 def _search_topic(extractor, topic: str):
@@ -455,9 +456,8 @@ def _worker_main(spec: _WorkerSpec, task_queue, result_queue) -> None:
         result_queue.cancel_join_thread()
 
     try:
-        components = PipelineComponents.from_config(
-            spec.config, artifacts=IndexArtifactStore.for_corpus_dir(spec.directory)
-        )
+        artifacts = IndexArtifactStore.for_corpus_dir(spec.directory) if spec.use_artifacts else None
+        components = PipelineComponents.from_config(spec.config, artifacts=artifacts)
         instance = spec.instance
         if instance is None:
             instance = build_instance(spec.generator_config)
@@ -725,6 +725,7 @@ class ParallelCorpusBuilder:
         processes: int,
         mp_context=None,
         fault: FaultSpec | None = None,
+        use_artifacts: bool = True,
     ) -> None:
         if processes < 1:
             raise CorpusError("processes must be >= 1")
@@ -733,6 +734,7 @@ class ParallelCorpusBuilder:
         self.builder = builder
         self.processes = processes
         self.fault = fault
+        self.use_artifacts = use_artifacts
         self.mp = mp_context if mp_context is not None else build_mp_context()
 
     # -- the build ----------------------------------------------------------
@@ -766,7 +768,7 @@ class ParallelCorpusBuilder:
             sweep_layout(directory, _read_manifest(directory))
             BuildCheckpoint.clear_workers(directory)
             BuildCheckpoint.clear(directory)
-            return builder.reuse_result(store_dir, topic_selection.topics)
+            return builder.reuse_result(store_dir, topic_selection.topics, use_artifacts=self.use_artifacts)
 
         header = state.header
         if extend and finished:
@@ -791,7 +793,8 @@ class ParallelCorpusBuilder:
         # Publish the coordinator's (eagerly built) ontology label
         # indexes before any worker spawns: every worker then resolves
         # them with one mmap instead of re-embedding per process.
-        builder.annotator.publish_artifacts(IndexArtifactStore.for_corpus_dir(directory))
+        if self.use_artifacts:
+            builder.annotator.publish_artifacts(IndexArtifactStore.for_corpus_dir(directory))
 
         run = _CoordinatorRun(self, directory, topic_selection.topics, fingerprint, state)
         # Seed the merged manifest before any work is dispatched: like
@@ -855,7 +858,9 @@ class ParallelCorpusBuilder:
         report.items_collected = table_count
         report.stopped_early = table_count >= self.builder.config.target_tables
         report.stage_reports["extraction"] = run.extraction_report()
-        return self.builder.store_result(store_dir, report, topics, extend=extend)
+        return self.builder.store_result(
+            store_dir, report, topics, extend=extend, use_artifacts=self.use_artifacts
+        )
 
 
 class _CoordinatorRun:
@@ -986,6 +991,7 @@ class _CoordinatorRun:
                 fingerprint=self.fingerprint,
                 parent_pid=os.getpid(),
                 fault=parent.fault if parent.fault and parent.fault.worker == worker else None,
+                use_artifacts=parent.use_artifacts,
             )
             task_queue = parent.mp.Queue()
             proc = parent.mp.Process(

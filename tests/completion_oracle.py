@@ -28,7 +28,7 @@ def complete(completer, prefix, k: int = 10) -> list[SchemaCompletion]:
     n = len(prefix)
     prefix_embeddings = completer.encoder.embed_many(list(prefix))
     schemas = completer._schemas
-    flat = np.asarray(completer._flat_matrix)
+    flat = np.asarray(completer._attributes)
     views, offset = [], 0
     for _, schema in schemas:
         views.append(flat[offset : offset + len(schema)])

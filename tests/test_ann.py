@@ -22,6 +22,7 @@ from repro.embeddings import NearestNeighbourIndex, PartitionedIndex, build_inde
 from repro.embeddings.ann import _cluster, _validate_partition_tables
 from repro.embeddings.persist import load_index, publish_index
 from repro.storage.artifacts import IndexArtifactStore
+from tests.mmap_check import assert_mmap_backed
 
 
 def _corpus(n_rows: int, dim: int = 16, seed: int = 3, clusters: int = 8) -> np.ndarray:
@@ -288,7 +289,7 @@ class TestPersistence:
 
     def test_mmap_vectors_stay_memory_mapped(self, ann, tmp_path):
         mapped, _ = load_index(_publish(ann, tmp_path), "ivf", {"v": 1})
-        assert isinstance(mapped._unit_vectors, np.memmap)
+        assert_mmap_backed(mapped._unit_vectors)
 
     def test_tampered_metadata_rejected(self, ann, tmp_path):
         store = _publish(ann, tmp_path)

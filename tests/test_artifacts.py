@@ -34,7 +34,8 @@ from repro.storage import (
     ShardedCorpusWriter,
     corpus_content_fingerprint,
 )
-from repro.storage.artifacts import corpus_artifacts
+from repro.storage.artifacts import corpus_artifacts, resolve
+from tests.mmap_check import assert_mmap_backed
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +76,7 @@ class TestIndexArtifactStore:
         assert loaded.payload == {"labels": ["a"]}
         assert np.array_equal(loaded.arrays["m"], matrix)
         # Non-empty arrays come back mmap'd and read-only.
-        assert isinstance(loaded.arrays["m"], np.memmap)
-        assert not loaded.arrays["m"].flags.writeable
+        assert_mmap_backed(loaded.arrays["m"])
 
     def test_fingerprint_mismatch_is_a_miss(self, tmp_path):
         store = IndexArtifactStore(tmp_path / "artifacts")
@@ -139,6 +139,88 @@ class TestIndexArtifactStore:
                 store.publish(bad, {"v": 1})
 
 
+def _rewrite(path, edit):
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _respec(store, **spec):
+    meta_path = store.path("demo") / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["arrays"]["m"].update(spec)
+    meta_path.write_text(json.dumps(meta))
+
+
+#: corruption -> how it damages the published ``(6, 8)`` float64 array ``m``.
+ARRAY_CORRUPTIONS = {
+    "truncated-data": lambda store, path: _rewrite(path, lambda raw: raw[:-8]),
+    "trailing-bytes": lambda store, path: _rewrite(path, lambda raw: raw + bytes(8)),
+    "spec-dtype": lambda store, path: _respec(store, dtype="int64"),
+    "file-dtype": lambda store, path: np.save(path, np.ones((6, 8), dtype=np.int64)),
+    # Same byte count, different shape: only the header tells them apart.
+    "spec-shape": lambda store, path: _respec(store, shape=[8, 6]),
+    "file-shape": lambda store, path: np.save(path, np.ones((8, 6))),
+    "magic": lambda store, path: _rewrite(path, lambda raw: b"\x92" + raw[1:]),
+    "header": lambda store, path: _rewrite(
+        path, lambda raw: raw.replace(b"'fortran_order': False", b"'fortran_order': True ")
+    ),
+    "empty-file": lambda store, path: path.write_bytes(b""),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(ARRAY_CORRUPTIONS))
+class TestArrayOpenMissMatrix:
+    """Every array file that is not exactly NumPy's header + data is a miss."""
+
+    MATRIX = np.arange(48, dtype=np.float64).reshape(6, 8)
+
+    def _corrupted(self, tmp_path, corruption):
+        store = IndexArtifactStore(tmp_path / "artifacts")
+        store.publish("demo", {"v": 1}, arrays={"m": self.MATRIX})
+        assert store.load("demo", {"v": 1}) is not None
+        ARRAY_CORRUPTIONS[corruption](store, store.path("demo") / "m.npy")
+        return store
+
+    def test_load_misses(self, tmp_path, corruption):
+        store = self._corrupted(tmp_path, corruption)
+        assert store.load("demo", {"v": 1}) is None
+        assert store.load("demo") is None
+
+    def test_resolve_rebuilds(self, tmp_path, corruption):
+        store = self._corrupted(tmp_path, corruption)
+        _, outcome = resolve(
+            store,
+            "demo",
+            {"v": 1},
+            None,
+            decode=lambda loaded: loaded.arrays["m"],
+            build=lambda: self.MATRIX,
+            encode=lambda matrix: {"arrays": {"m": matrix}},
+        )
+        assert outcome == "built"
+        loaded = store.load("demo", {"v": 1})
+        assert np.array_equal(loaded.arrays["m"], self.MATRIX)
+        assert_mmap_backed(loaded.arrays["m"])
+
+
+class TestArrayOpen:
+    def test_loaded_arrays_reject_writes(self, tmp_path):
+        store = IndexArtifactStore(tmp_path / "artifacts")
+        store.publish("demo", {"v": 1}, arrays={"m": np.ones((3, 4)), "e": np.zeros((0, 4))})
+        arrays = store.load("demo", {"v": 1}).arrays
+        for array in arrays.values():
+            with pytest.raises(ValueError):
+                array[...] = 2.0
+        assert_mmap_backed(arrays["m"])
+
+    def test_fortran_order_publishes_c_order(self, tmp_path):
+        store = IndexArtifactStore(tmp_path / "artifacts")
+        matrix = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        store.publish("demo", {"v": 1}, arrays={"m": matrix, "s": np.float64(2.5)})
+        arrays = store.load("demo", {"v": 1}).arrays
+        assert np.array_equal(arrays["m"], matrix) and arrays["m"].flags.c_contiguous
+        assert arrays["s"].shape == () and float(arrays["s"]) == 2.5
+
+
 class TestIndexPersistence:
     """publish_index/load_index bit-identity and integrity."""
 
@@ -150,7 +232,7 @@ class TestIndexPersistence:
         store = IndexArtifactStore(tmp_path / "artifacts")
         publish_index(store, "index", {"v": 1}, index)
         mapped, _ = load_index(store, "index", {"v": 1})
-        assert isinstance(mapped._unit_vectors, np.memmap)
+        assert_mmap_backed(mapped._unit_vectors)
         queries = rng.normal(size=(9, 16))
         queries[2] = 0.0
         for top_k in (1, 3, 40):
@@ -331,7 +413,7 @@ class TestConsumerUnits:
         fresh = NearestCompletion(corpus, encoder=SentenceEncoder())
         warm = NearestCompletion(corpus, encoder=SentenceEncoder())
         assert len(warm) == len(fresh)
-        assert np.array_equal(np.asarray(fresh._flat_matrix), np.asarray(warm._flat_matrix))
+        assert np.array_equal(fresh._attributes, warm._attributes)
         assert warm.complete(PREFIX, k=6) == fresh.complete(PREFIX, k=6)
         evaluation = warm.evaluate(PREFIX + ("quantity", "total_price"), prefix_length=3)
         assert evaluation == fresh.evaluate(PREFIX + ("quantity", "total_price"), prefix_length=3)
@@ -341,12 +423,10 @@ class TestConsumerUnits:
 
         GitTables.load(store_dir).warm()  # publish the completion artifact
         completer = GitTables.load(store_dir).completer
-        matrix = completer._flat_matrix
-        assert isinstance(matrix, np.memmap)
+        matrix = completer._attributes
         # The kernel gathers from a plain ndarray over the mmap'd buffer.
-        assert type(completer._attributes) is np.ndarray
-        assert not completer._attributes.flags.owndata
-        assert np.shares_memory(completer._attributes, matrix)
+        assert type(matrix) is np.ndarray
+        assert_mmap_backed(matrix)
         # A one-name prefix gathers one row per candidate: a call never
         # allocates anything near a copy of the matrix.
         completer.complete(PREFIX[:1], k=6)  # warm the encoder cache

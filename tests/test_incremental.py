@@ -244,6 +244,49 @@ class TestEpochGrowthEquality:
             GitTables.load(directory).extend(target_tables=GROWN_TABLES)
 
 
+def _tree_bytes(directory: Path) -> dict[str, bytes]:
+    """Relative path -> content of every file under ``directory``."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(Path(directory).rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+class TestExtensionWithoutArtifacts:
+    """``use_artifacts=False`` holds through ``extend``: nothing under
+    ``artifacts/`` is read, written or pruned."""
+
+    def test_extend_leaves_artifacts_untouched(
+        self, tmp_path, grow_generator, processes, monkeypatch
+    ):
+        from repro.storage import artifacts as artifacts_module
+
+        directory = tmp_path / "store"
+        GitTables.build(
+            PipelineConfig(target_tables=20, seed=SEED),
+            generator_config=grow_generator,
+            batch_size=BATCH,
+            store_dir=directory,
+            shard_size=4,
+        ).warm()
+        before = _tree_bytes(directory / "artifacts")
+        assert any(name.startswith(COMPLETION_ARTIFACT) for name in before)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an artifact was read or published")
+
+        monkeypatch.setattr(artifacts_module.IndexArtifactStore, "load", refuse)
+        monkeypatch.setattr(artifacts_module.IndexArtifactStore, "publish", refuse)
+        session = GitTables.load(directory, use_artifacts=False).extend(
+            target_tables=24, shard_size=4, processes=processes
+        )
+        assert session.corpus.artifacts is None
+        assert len(session.corpus) == 24
+        assert _tree_bytes(directory / "artifacts") == before
+
+
 class TestSerialExtensionCrash:
     def test_interrupted_extension_resumes_byte_identical(
         self, tmp_path, monkeypatch, base_store, grown_config, grow_generator, extended_reference
