@@ -8,7 +8,8 @@ gaussian noise, the regime the IVF layout is built for:
   against every row (the exact pre-ANN behaviour),
 * **partitioned** — ``PartitionedIndex.top_k_batch`` scoring queries
   against centroids, probing the ``nprobe`` nearest partitions and
-  exact-reranking the gathered candidates with the same einsum kernel.
+  exact-reranking each probed partition once against every query that
+  probes it, with the same scoring kernel.
 
 The headline numbers are ``speedup`` (flat batch seconds / partitioned
 batch seconds) and ``recall_at_k`` (fraction of flat's top-k ids the

@@ -7,6 +7,13 @@ and returns the k schemas with the smallest distance as completion
 suggestions. Relevance is evaluated as the cosine similarity between the
 embedding of the full original schema and the full schema of the best
 suggestion (paper Table 8 reports values around 0.5).
+
+The prefix distance contracts each candidate's own (prefix length, dim)
+attribute block with the prefix embeddings (``snd,nd->sn``): one dot
+product per (candidate, position) pair, not a matrix product of query
+rows against index rows, so it stays an einsum rather than going through
+:func:`~repro.embeddings.similarity.score`. Its per-pair loop makes each
+distance independent of which other candidates are scored.
 """
 
 from __future__ import annotations

@@ -28,15 +28,17 @@ MISSING_TOKENS = frozenset(
     {"", "na", "n/a", "nan", "null", "none", "-", "?", "nil", "missing", "#n/a"}
 )
 
-_INT_RE = re.compile(r"^[+-]?\d{1,18}$")
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
-_THOUSANDS_RE = re.compile(r"^[+-]?\d{1,3}(,\d{3})+(\.\d+)?$")
 _BOOL_TOKENS = frozenset({"true", "false", "yes", "no", "t", "f", "y", "n"})
-_DATE_RES = (
-    re.compile(r"^\d{4}-\d{1,2}-\d{1,2}([ T]\d{1,2}:\d{2}(:\d{2})?)?$"),
-    re.compile(r"^\d{1,2}/\d{1,2}/\d{2,4}$"),
-    re.compile(r"^\d{1,2}-[A-Za-z]{3}-\d{2,4}$"),
-    re.compile(r"^\d{4}/\d{1,2}/\d{1,2}$"),
+#: Every typed text form as one anchored alternation, in priority order:
+#: integer (up to 18 digits), float (decimal, exponent or ``1,234``
+#: thousands), then the four date forms. The first alternative that
+#: matches the whole text names the type.
+_SCALAR_RE = re.compile(
+    r"(?:(?P<integer>[+-]?\d{1,18})"
+    r"|(?P<float>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+    r"|[+-]?\d{1,3}(?:,\d{3})+(?:\.\d+)?)"
+    r"|(?P<date>\d{4}-\d{1,2}-\d{1,2}(?:[ T]\d{1,2}:\d{2}(?::\d{2})?)?"
+    r"|\d{1,2}/\d{1,2}/\d{2,4}|\d{1,2}-[A-Za-z]{3}-\d{2,4}|\d{4}/\d{1,2}/\d{1,2}))\Z"
 )
 
 
@@ -70,6 +72,10 @@ class AtomicType(str, Enum):
         return "other"
 
 
+#: ``_SCALAR_RE``'s group names to the types they stand for.
+_MATCHED = {kind.value: kind for kind in (AtomicType.INTEGER, AtomicType.FLOAT, AtomicType.DATE)}
+
+
 def is_missing(value: object) -> bool:
     """Return True when ``value`` should be treated as a missing cell."""
     if value is None:
@@ -82,26 +88,34 @@ def is_missing(value: object) -> bool:
 
 
 def infer_value_type(value: object) -> AtomicType:
-    """Infer the atomic type of a single cell value."""
-    if is_missing(value):
-        return AtomicType.EMPTY
-    if isinstance(value, bool):
-        return AtomicType.BOOLEAN
-    if isinstance(value, int):
-        return AtomicType.INTEGER
-    if isinstance(value, float):
-        return AtomicType.FLOAT
-    text = str(value).strip()
-    lowered = text.lower()
+    """Infer the atomic type of a single cell value.
+
+    A plain ``str`` (every parsed cell) is stripped and lowered once and
+    checked against the missing tokens; any other value, ``str``
+    subclasses included, goes through :func:`is_missing` and the Python
+    type checks first, then its stripped ``str()`` is typed the same
+    way: the boolean tokens, then one match of ``_SCALAR_RE``.
+    """
+    if type(value) is str:
+        text = value.strip()
+        lowered = text.lower()
+        if lowered in MISSING_TOKENS:
+            return AtomicType.EMPTY
+    else:
+        if is_missing(value):
+            return AtomicType.EMPTY
+        if isinstance(value, bool):
+            return AtomicType.BOOLEAN
+        if isinstance(value, int):
+            return AtomicType.INTEGER
+        if isinstance(value, float):
+            return AtomicType.FLOAT
+        text = str(value).strip()
+        lowered = text.lower()
     if lowered in _BOOL_TOKENS:
         return AtomicType.BOOLEAN
-    if _INT_RE.match(text):
-        return AtomicType.INTEGER
-    if _FLOAT_RE.match(text) or _THOUSANDS_RE.match(text):
-        return AtomicType.FLOAT
-    if any(pattern.match(text) for pattern in _DATE_RES):
-        return AtomicType.DATE
-    return AtomicType.STRING
+    match = _SCALAR_RE.match(text)
+    return AtomicType.STRING if match is None else _MATCHED[match.lastgroup]
 
 
 def infer_column_type(values: Sequence[object] | Iterable[object]) -> AtomicType:
@@ -112,9 +126,7 @@ def infer_column_type(values: Sequence[object] | Iterable[object]) -> AtomicType
     non-missing value is a string column unless >=90% of non-missing
     values agree on boolean/date.
     """
-    counts: Counter[AtomicType] = Counter()
-    for value in values:
-        counts[infer_value_type(value)] += 1
+    counts = Counter(map(infer_value_type, values))
     non_missing = sum(count for kind, count in counts.items() if kind is not AtomicType.EMPTY)
     if non_missing == 0:
         return AtomicType.EMPTY

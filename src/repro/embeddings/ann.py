@@ -12,13 +12,15 @@ quantization tier the ROADMAP calls for:
   reproducible byte-for-byte with no RNG anywhere;
 * a query is scored against the (few) partition centroids, the
   ``nprobe`` best partitions are probed, and their rows are
-  **exact-reranked** with the same einsum kernel the flat index uses.
+  **exact-reranked** with the kernel the flat index uses.
 
-Because the rerank computes each (query, row) dot product with the same
-batch-shape-independent einsum kernel over the same unit rows, every
-similarity the partitioned index returns is bit-identical to the flat
-index's value for that pair; only *which* rows enter the rerank is
-approximate. ``nprobe >= n_partitions`` delegates to the flat kernel
+The rerank is partition-major, the inverted-list scan of IVF: each probed
+partition's rows are gathered once and scored in one kernel call against
+every query of the batch that probes it. Under the contract of
+:func:`~repro.embeddings.similarity.kernel_for` every similarity the
+partitioned index returns is bit-identical to the flat index's value for
+that pair; only *which* rows enter the rerank is approximate.
+``nprobe >= n_partitions`` delegates to the flat path
 outright and reproduces its results exactly, boundary tie-breaks
 included.
 
@@ -35,7 +37,7 @@ import threading
 import numpy as np
 
 from ..config import DEFAULT_INDEX_CONFIG, IndexConfig
-from .similarity import NearestNeighbourIndex, top_k_ids_scores
+from .similarity import NearestNeighbourIndex, kernel_for, top_k_ids_scores
 
 __all__ = ["PartitionedIndex", "build_index"]
 
@@ -90,11 +92,11 @@ def _cluster(
             np.zeros(0, dtype=np.int64),
             np.zeros(1, dtype=np.int64),
         )
+    kernel = kernel_for(n)
     centroids = _initial_centroids(unit_vectors, n_partitions)
     p = len(centroids)
     for _ in range(iters):
-        scores = np.einsum("nd,pd->np", unit_vectors, centroids)
-        assign = np.argmax(scores, axis=1)
+        assign = np.argmax(kernel(centroids, unit_vectors), axis=0)
         counts = np.bincount(assign, minlength=p)
         sums = np.empty_like(centroids)
         for j in range(dim):
@@ -105,8 +107,7 @@ def _cluster(
         # keep their previous centroid instead of collapsing to zero.
         stale = (counts == 0) | (norms[:, 0] == 0.0)
         centroids = np.where(stale[:, None], centroids, updated)
-    scores = np.einsum("nd,pd->np", unit_vectors, centroids)
-    assign = np.argmax(scores, axis=1)
+    assign = np.argmax(kernel(centroids, unit_vectors), axis=0)
     counts = np.bincount(assign, minlength=p)
     # Stable sort groups rows by partition while keeping ascending row
     # ids inside each partition — the order the rerank's tie-break needs.
@@ -254,20 +255,16 @@ class PartitionedIndex(NearestNeighbourIndex):
 
     # -- search ------------------------------------------------------------
 
-    def _probe_units(self, units: np.ndarray, effective: int) -> list[np.ndarray]:
-        """Per unit query row: ascending candidate row ids (no recording)."""
-        scores = np.einsum("qd,pd->qp", units, self._centroids)
+    def _probe(self, units: np.ndarray, effective: int) -> np.ndarray:
+        """Per unit query row: the ``effective`` partitions it probes."""
+        scores = self._score(units, self._centroids)
         if effective == 1:
-            probes = np.argmax(scores, axis=1)[:, None]
-        else:
-            probes = np.argpartition(-scores, effective - 1, axis=1)[:, :effective]
-        candidates = []
-        for row in probes:
-            parts = [
-                self._row_ids[self._offsets[p] : self._offsets[p + 1]] for p in row
-            ]
-            candidates.append(np.sort(np.concatenate(parts)))
-        return candidates
+            return np.argmax(scores, axis=1)[:, None]
+        return np.argpartition(-scores, effective - 1, axis=1)[:, :effective]
+
+    def _partition(self, p: int) -> np.ndarray:
+        """Partition ``p``'s row ids, ascending."""
+        return self._row_ids[self._offsets[p] : self._offsets[p + 1]]
 
     def probe_batch(
         self, matrix: np.ndarray, nprobe: int | None = None
@@ -287,7 +284,10 @@ class PartitionedIndex(NearestNeighbourIndex):
         if effective >= self.n_partitions:
             self._record(n_queries, self.n_partitions, n * n_queries)
             return [np.arange(n, dtype=np.int64) for _ in range(n_queries)]
-        candidates = self._probe_units(_normalize_queries(matrix), effective)
+        probes = self._probe(_normalize_queries(matrix), effective)
+        candidates = [
+            np.sort(np.concatenate([self._partition(p) for p in row])) for row in probes
+        ]
         self._record(n_queries, effective, sum(len(c) for c in candidates))
         return candidates
 
@@ -297,7 +297,7 @@ class PartitionedIndex(NearestNeighbourIndex):
         """Per query row: ``top_k`` (index, similarity) pairs via probing.
 
         Candidates from the ``nprobe`` best partitions are exact-reranked
-        with the flat einsum kernel, so every returned similarity is
+        with the flat index's kernel, so every returned similarity is
         bit-identical to the flat index's value for that (query, row)
         pair. An effective ``nprobe >= n_partitions`` short-circuits to
         the flat path and reproduces its output exactly.
@@ -312,23 +312,44 @@ class PartitionedIndex(NearestNeighbourIndex):
             self._record(n_queries, self.n_partitions, n * n_queries)
             return NearestNeighbourIndex.top_k_batch(self, matrix, top_k=top_k)
         units = _normalize_queries(matrix)
-        candidates = self._probe_units(units, effective)
-        self._record(n_queries, effective, sum(len(c) for c in candidates))
-        return self._rerank(units, candidates, min(top_k, n))
+        results, candidate_rows = self._rerank(units, self._probe(units, effective), min(top_k, n))
+        self._record(n_queries, effective, candidate_rows)
+        return results
 
     def _rerank(
-        self, units: np.ndarray, candidates: list[np.ndarray], top_k: int
-    ) -> list[list[tuple[int, float]]]:
+        self, units: np.ndarray, probes: np.ndarray, top_k: int
+    ) -> tuple[list[list[tuple[int, float]]], int]:
+        """Exact top-k over each query's probed partitions, partition-major.
+
+        Partitions probed by the same queries are gathered once and scored
+        in one kernel call against those queries. A query's candidates are
+        put back in ascending row-id order, the order the selection's
+        tie-break expects, so no answer depends on the rest of the batch.
+        Also returns the number of (query, row) pairs scored.
+        """
+        probing: dict[int, list[int]] = {}
+        for q, chosen in enumerate(probes.tolist()):
+            for p in chosen:
+                probing.setdefault(p, []).append(q)
+        shared: dict[tuple[int, ...], list[int]] = {}
+        for p, queries in probing.items():
+            shared.setdefault(tuple(queries), []).append(p)
+        blocks = []
+        for queries, partitions in shared.items():
+            rows = np.sort(np.concatenate([self._partition(p) for p in partitions]))
+            probing_units = units if len(queries) == len(units) else units[list(queries)]
+            blocks.append((queries, rows, self._score(probing_units, self._unit_vectors[rows])))
+        pieces: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(len(units))]
+        for queries, rows, block in blocks:
+            for q, sims in zip(queries, block):
+                pieces[q].append((rows, sims))
         results = []
-        for i, cand in enumerate(candidates):
-            # Gathering the candidate rows yields a fresh contiguous
-            # block; einsum's per-pair results do not depend on which
-            # rows surround a row, so each similarity matches the flat
-            # full-matrix product bit-for-bit.
-            sub = self._unit_vectors[cand]
-            sims = np.einsum("qd,ld->ql", units[i : i + 1], sub)
-            results.append(top_k_ids_scores(sims, min(top_k, len(cand)), ids=cand)[0])
-        return results
+        for own in pieces:
+            ids = np.concatenate([piece[0] for piece in own])
+            ascending = np.argsort(ids)
+            sims = np.concatenate([piece[1] for piece in own])[ascending]
+            results.append(top_k_ids_scores(sims[None, :], min(top_k, len(ids)), ids=ids[ascending])[0])
+        return results, sum(len(queries) * len(rows) for queries, rows, _ in blocks)
 
     def _measure_recall(self, holdout_queries: int, recall_k: int) -> dict | None:
         """recall@k of the probe path vs exact, on an evenly-spaced holdout.
@@ -348,7 +369,7 @@ class PartitionedIndex(NearestNeighbourIndex):
         else:
             units = _normalize_queries(queries)
             exact = NearestNeighbourIndex.top_k_batch(self, queries, top_k=k)
-            approx = self._rerank(units, self._probe_units(units, effective), k)
+            approx, _ = self._rerank(units, self._probe(units, effective), k)
             hits = sum(
                 len({i for i, _ in a} & {i for i, _ in e})
                 for a, e in zip(approx, exact)

@@ -1,15 +1,93 @@
-"""Cosine similarity utilities and a small nearest-neighbour index."""
+"""Cosine similarity utilities and a small nearest-neighbour index.
+
+Every matrix product between query rows and index rows goes through the
+kernel :func:`kernel_for` picks once per index, from its row count:
+
+* an index of at least :data:`TILED_MIN_ROWS` rows takes :func:`score`,
+  fixed-shape BLAS calls — rows in :data:`ROW_TILE`-row tiles (the tail
+  tile zero-padded), queries in :data:`QUERY_TILE`-column tiles — so
+  every GEMM it issues has the same ``(ROW_TILE, dim, QUERY_TILE)``
+  shape. BLAS picks its micro-kernel, blocking and thread split from the
+  call's shape, so a fixed shape fixes the accumulation order of every
+  dot product: a (query, row) score is bit-identical alone, inside any
+  batch, in any order, against any gathered subset of the rows and over
+  any offset view into a larger buffer. A plain ``rows @ units.T`` keeps
+  none of that (its results move in the last ulp with the row count);
+* a smaller index takes einsum, whose own per-pair loop has the same
+  independence; below the threshold the tiles' fixed cost (padding and
+  reassembly) outweighs what BLAS saves.
+
+The flat top-k, the partitioned tier's probe and rerank and its k-means
+all take the index's kernel, so the tiers agree bit-for-bit.
+"""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "cosine_similarity",
     "cosine_similarity_matrix",
+    "kernel_for",
+    "score",
     "top_k_ids_scores",
     "NearestNeighbourIndex",
 ]
+
+#: Rows per BLAS call of :func:`score`; with :data:`QUERY_TILE`, the
+#: fastest pair of the README's per-shape grid. A ``64 * 4 * dim`` call
+#: stays under OpenBLAS's 262 144 threading threshold for ``dim <= 1024``,
+#: so it never wakes the BLAS thread pool.
+ROW_TILE = 64
+#: Query columns per BLAS call of :func:`score`.
+QUERY_TILE = 4
+#: Indexes with at least this many rows score with the tiled BLAS
+#: kernel, smaller ones with einsum (the crossover for one query).
+TILED_MIN_ROWS = 1024
+
+
+def score(units: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Dot products ``(n_units, n_rows)`` from fixed-shape BLAS calls.
+
+    Full row tiles are views into ``rows`` (one batched ``matmul`` per
+    query block); the tail tile and a short last query block are
+    zero-padded copies.
+    """
+    units = np.ascontiguousarray(units)
+    n_units, dim = units.shape
+    n_rows = rows.shape[0]
+    out = np.empty((n_units, n_rows))
+    if n_units == 0 or n_rows == 0:
+        return out
+    body = n_rows - n_rows % ROW_TILE
+    tiles = rows[:body].reshape(-1, ROW_TILE, dim)
+    tail = None
+    if body < n_rows:
+        tail = np.zeros((ROW_TILE, dim))
+        tail[: n_rows - body] = rows[body:]
+    for start in range(0, n_units, QUERY_TILE):
+        block = units[start : start + QUERY_TILE]
+        width = len(block)
+        if width < QUERY_TILE:
+            block = np.concatenate([block, np.zeros((QUERY_TILE - width, dim))])
+        if body:
+            products = np.matmul(tiles, block.T).reshape(body, QUERY_TILE)
+            out[start : start + width, :body] = products.T[:width]
+        if tail is not None:
+            out[start : start + width, body:] = (tail @ block.T)[: n_rows - body].T[:width]
+    return out
+
+
+def _score_einsum(units: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Dot products ``(n_units, n_rows)`` from einsum's per-pair loop."""
+    return np.einsum("qd,ld->ql", units, rows)
+
+
+def kernel_for(n_rows: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The product kernel an index of ``n_rows`` rows uses everywhere."""
+    return score if n_rows >= TILED_MIN_ROWS else _score_einsum
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -21,14 +99,18 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cosine_similarity_matrix(queries: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities: (n_queries, n_index)."""
+    """Pairwise cosine similarities: (n_queries, n_index).
+
+    Scored with the kernel an index over ``index`` would use
+    (:func:`kernel_for`).
+    """
     if queries.size == 0 or index.size == 0:
         return np.zeros((queries.shape[0], index.shape[0]))
     query_norms = np.linalg.norm(queries, axis=1, keepdims=True)
     index_norms = np.linalg.norm(index, axis=1, keepdims=True)
     query_norms[query_norms == 0.0] = 1.0
     index_norms[index_norms == 0.0] = 1.0
-    return (queries / query_norms) @ (index / index_norms).T
+    return kernel_for(index.shape[0])(queries / query_norms, index / index_norms)
 
 
 def top_k_ids_scores(
@@ -87,9 +169,9 @@ class NearestNeighbourIndex:
     """Exact cosine nearest-neighbour search over labelled vectors.
 
     Batches are first-class: :meth:`top_k_batch` answers many queries with
-    one GEMM plus an ``argpartition`` top-k selection (no full sort), and
-    :meth:`query` is a thin wrapper over the same path, so a query returns
-    bit-identical similarities alone or inside any batch.
+    one call of the index's kernel (:func:`kernel_for`) plus an
+    ``argpartition`` top-k selection (no full sort), and :meth:`query` is
+    a thin wrapper over the same path.
     """
 
     def __init__(self, labels: list[str], vectors: np.ndarray) -> None:
@@ -120,6 +202,10 @@ class NearestNeighbourIndex:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def _score(self, units: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Products with this index's one kernel (see :func:`kernel_for`)."""
+        return kernel_for(len(self.labels))(units, rows)
+
     def stats(self) -> dict:
         """Instrumentation snapshot; the exact tier has nothing to tune."""
         return {"tier": "flat", "rows": len(self.labels)}
@@ -127,7 +213,7 @@ class NearestNeighbourIndex:
     def top_k_batch(self, matrix: np.ndarray, top_k: int = 1) -> list[list[tuple[int, float]]]:
         """Per query row: the ``top_k`` (index, similarity) pairs.
 
-        One matrix product against the whole index answers every query;
+        One kernel call against the whole index answers every query;
         the top-k selection uses ``argpartition`` (O(n) per row) instead
         of a full sort, with ties broken by ascending index so results
         are deterministic. Zero-vector query rows score 0 everywhere.
@@ -138,11 +224,7 @@ class NearestNeighbourIndex:
             return [[] for _ in range(n_queries)]
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         units = matrix / np.where(norms > 0.0, norms, 1.0)
-        # One matrix-matrix product for the whole batch. einsum's own
-        # kernel (not BLAS) on purpose: BLAS GEMM results vary in the
-        # last ulp with the batch's row count/position, which would break
-        # the guarantee that a query scores bit-identically in any batch.
-        similarities = np.einsum("qd,ld->ql", units, self._unit_vectors)
+        similarities = self._score(units, self._unit_vectors)
         return top_k_ids_scores(similarities, min(top_k, len(self.labels)))
 
     def query_batch(self, matrix: np.ndarray, top_k: int = 1) -> list[list[tuple[str, float]]]:
