@@ -33,11 +33,11 @@ from time import perf_counter
 
 import pytest
 
+from repro._procs import build_mp_context
 from repro.api import GitTables
 from repro.config import PipelineConfig
 from repro.github.content import GeneratorConfig
 from repro.storage.compaction import compact_store
-from repro.storage.parallel import build_mp_context
 from repro.storage.sharded import ShardedJsonlStore
 
 N_TABLES = 1000

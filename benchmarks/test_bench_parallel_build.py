@@ -16,10 +16,10 @@ pure virtual clock; here ``REAL_TIME_FACTOR`` converts each request's
 virtual time (latency + rate-limit wait) into a real ``time.sleep`` —
 scaled down so the suite stays runnable — for **both** arms, giving the
 serial baseline and the parallel build identical per-request costs.
-``cpu_count`` is recorded in the baseline: on a single-core runner
-(like the committed baseline's) the entire speedup is I/O-wait overlap;
-with ≥4 cores the parse/annotate CPU overlaps too and the speedup
-grows.
+``cpu_count`` is recorded in the baseline: on a single-core runner the
+entire speedup is I/O-wait overlap; with more cores (the committed
+baseline's host has 2) the parse/annotate CPU overlaps too and the
+speedup grows.
 
 ``scripts/bench.py --suite parallel_build`` reuses these helpers to
 write the ``BENCH_parallel_build.json`` perf baseline. The pytest

@@ -97,10 +97,6 @@ class FakeDataProvider:
         """A fake postal code (``faker.postcode``)."""
         return f"{int(self._rng.integers(10000, 99999))}"
 
-    def phone_number(self) -> str:
-        """A fake phone number (not in Table 3, used by examples)."""
-        return f"+1-555-{int(self._rng.integers(100, 999))}-{int(self._rng.integers(1000, 9999))}"
-
     #: Mapping from Faker class names (as written in the paper's Table 3)
     #: to provider method names.
     _CLASS_TO_METHOD = {

@@ -46,11 +46,6 @@ class SchemaCompletion:
     #: N attributes of this schema (lower is better).
     prefix_distance: float
 
-    @property
-    def completion_attributes(self) -> tuple[str, ...]:
-        """The attributes this schema would add beyond the prefix length."""
-        return self.schema
-
 
 @dataclass(frozen=True)
 class CompletionEvaluation:

@@ -8,7 +8,6 @@ external dependencies while preserving round-tripping semantics).
 from __future__ import annotations
 
 import os
-from typing import Iterable
 
 from ..errors import CSVParseError
 from .parser import ParseReport, parse_csv
@@ -45,9 +44,3 @@ def read_csv_file(path: str | os.PathLike[str]) -> tuple[Table, ParseReport]:
     if not text.strip():
         raise CSVParseError(f"file {path!s} is empty")
     return parse_csv(text, table_id=str(path))
-
-
-def tables_to_csv_lines(tables: Iterable[Table]) -> Iterable[str]:
-    """Yield CSV text for each table (useful for streaming exports)."""
-    for table in tables:
-        yield table_to_csv(table)

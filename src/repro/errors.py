@@ -64,10 +64,6 @@ class CorpusError(ReproError):
     """Raised for invalid corpus operations (e.g. duplicate table ids)."""
 
 
-class ExperimentError(ReproError):
-    """Raised when an experiment driver is misconfigured."""
-
-
 class ServingError(ReproError):
     """Base class for errors raised by the concurrent query service."""
 

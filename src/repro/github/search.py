@@ -114,12 +114,6 @@ class SearchAPI:
         self.result_window = result_window
         self.page_size = page_size
         self.max_file_size = max_file_size
-        self._query_count = 0
-
-    @property
-    def query_count(self) -> int:
-        """Number of search calls served (used to study segmentation cost)."""
-        return self._query_count
 
     def _matches(self, query: SearchQuery, repository, file) -> bool:
         if query.extension and file.extension != query.extension:
@@ -160,7 +154,6 @@ class SearchAPI:
 
     def total_count(self, query: SearchQuery) -> int:
         """The number of files matching ``query`` (no window applied)."""
-        self._query_count += 1
         return len(self._all_matches(query))
 
     def search(self, query: SearchQuery, page: int = 1) -> SearchResponse:
@@ -172,7 +165,6 @@ class SearchAPI:
         """
         if page < 1:
             raise SearchQueryError("page numbers start at 1")
-        self._query_count += 1
         matches = self._all_matches(query)
         total = len(matches)
         window = matches[: self.result_window]

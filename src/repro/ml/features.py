@@ -146,10 +146,6 @@ class ColumnFeaturizer:
         return names
 
     @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self._names
-
-    @property
     def n_features(self) -> int:
         return len(self._names)
 

@@ -60,7 +60,6 @@ class QueryService:
         session,
         config: ServingConfig | None = None,
         directory=None,
-        mp_context=None,
     ) -> None:
         self.config = config or ServingConfig()
         self._session = session
@@ -87,7 +86,6 @@ class QueryService:
                 on_store=self._metrics.record_worker_store,
                 on_room=self._wake_batcher,
                 index_config=self.config.index,
-                mp_context=mp_context,
             )
         else:
             self._executor = LocalExecutor(

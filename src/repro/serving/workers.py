@@ -8,11 +8,11 @@ across the whole pool. The parent never ships corpus data to workers:
 a task is just ``(batch id, endpoint, compatibility key, payloads)``
 and a result is the pickled list of per-request results.
 
-Each worker has one duplex ``multiprocessing.Pipe`` to the parent — no
-queue, no feeder thread. A task is pickled and written by whichever
-thread dispatches it (a submitting caller or the micro-batcher), under
-the worker's send lock. One collector thread blocks in
-``multiprocessing.connection.wait`` on every pipe *and* process
+Workers are :class:`repro._procs.Child` processes, the transport the
+parallel build uses too: one duplex pipe each. A task is pickled and
+written by whichever thread dispatches it (a submitting caller or the
+micro-batcher), under the worker's send lock. One collector thread
+blocks in :func:`repro._procs.wait` on every pipe *and* process
 sentinel, so it wakes the moment a result arrives or a worker dies.
 
 The parent-side :class:`WorkerPool` routes each batch to the
@@ -41,8 +41,9 @@ import threading
 import time
 import traceback
 
+from .. import _procs
+from .._procs import PIPE_ERRORS
 from ..errors import ServiceClosed, ServingError, WorkerCrashed
-from ..storage.parallel import build_mp_context
 from ..storage.sharded import read_store_version
 from .batcher import Request
 from .endpoints import execute_batch
@@ -64,11 +65,7 @@ EPOCH_PROBE_INTERVAL_SECONDS = 0.5
 #: batcher keeps accumulating a window instead.
 WORKER_BATCH_DEPTH = 2
 
-#: What a pipe raises once its other end is gone or this end is closed.
-_PIPE_ERRORS = (OSError, EOFError, ValueError)
-
-
-def _serving_worker_main(directory: str, worker: int, parent_pid: int, conn, index_config=None):
+def _serving_worker_main(conn, directory: str, worker: int, parent_pid: int, index_config=None):
     """Worker process entry point: serve endpoint batches until told to stop.
 
     Sends ``("ready", worker, pid)`` on ``conn`` once the session is
@@ -101,7 +98,7 @@ def _serving_worker_main(directory: str, worker: int, parent_pid: int, conn, ind
     def reply(message) -> bool:
         try:
             conn.send_bytes(message)
-        except _PIPE_ERRORS:
+        except PIPE_ERRORS:
             return False  # the parent is gone
         return True
 
@@ -152,7 +149,7 @@ def _serving_worker_main(directory: str, worker: int, parent_pid: int, conn, ind
                 maybe_reload()
                 continue
             task = conn.recv()
-        except _PIPE_ERRORS:
+        except PIPE_ERRORS:
             return  # the parent closed its end
         if task is None:
             return
@@ -220,14 +217,12 @@ class LocalExecutor:
         return {"configured": 0, "alive": 0}
 
 
-class _WorkerHandle:
+class _WorkerHandle(_procs.Child):
     """Parent-side state for one worker slot (survives respawns)."""
 
     def __init__(self, index: int) -> None:
+        super().__init__()
         self.index = index
-        self.process = None
-        self.conn = None  # the parent's end of the pipe (replaced on respawn)
-        self.send_lock = threading.Lock()  # any thread may dispatch to ``conn``
         self.pid: int | None = None
         self.load = 0
         #: Batches sent to this worker and not yet answered.
@@ -271,7 +266,6 @@ class WorkerPool:
         on_store=None,
         on_room=None,
         index_config=None,
-        mp_context=None,
     ) -> None:
         self._directory = str(directory)
         self._resolve = resolve
@@ -281,7 +275,6 @@ class WorkerPool:
         self._on_store = on_store
         self._on_room = on_room
         self._index_config = index_config
-        self._mp = mp_context if mp_context is not None else build_mp_context()
         self._lock = threading.Lock()
         self._batches: dict[int, _Batch] = {}
         self._next_batch_id = 0
@@ -299,44 +292,31 @@ class WorkerPool:
     # -- worker lifecycle --------------------------------------------------
 
     def _start_worker(self, handle: _WorkerHandle) -> None:
-        conn, child_conn = self._mp.Pipe()
-        handle.process = self._mp.Process(
-            target=_serving_worker_main,
-            args=(self._directory, handle.index, os.getpid(), child_conn, self._index_config),
-            daemon=True,
-            name=f"gittables-serve-w{handle.index:02d}",
-        )
-        with handle.send_lock:
-            stale, handle.conn = handle.conn, conn
-        if stale is not None:
-            stale.close()  # a dead worker's pipe: nothing more can arrive on it
-        handle.dead = False
         handle.pid = None
         handle.load = 0
         handle.outstanding = 0
-        handle.process.start()
-        # Only the worker holds its end now, so its death reads as EOF here.
-        child_conn.close()
+        handle.start(
+            _serving_worker_main,
+            (self._directory, handle.index, os.getpid(), self._index_config),
+            name=f"gittables-serve-w{handle.index:02d}",
+        )
+        handle.dead = False  # routable only once its new pipe is in place
 
     def _await_ready(self) -> None:
         """Block until every worker acked readiness (or one failed to load)."""
-        # Lazy, as in _collect: it pulls in socket, ~1 MiB per ``import repro``.
-        from multiprocessing.connection import wait
-
         pending = list(self._workers)
         deadline = time.monotonic() + STARTUP_TIMEOUT_SECONDS
         while pending:
-            ready = wait([h.conn for h in pending] + [h.process.sentinel for h in pending],
-                         timeout=max(0.0, deadline - time.monotonic()))
+            ready = _procs.wait(pending, timeout=max(0.0, deadline - time.monotonic()))
             if not ready:
                 self.close()
                 raise ServingError(
                     f"serving workers {[h.index for h in pending]} did not become ready in time"
                 )
-            for handle in [h for h in pending if h.conn in ready or h.process.sentinel in ready]:
+            for handle, _exited in ready:
                 try:
                     message = handle.conn.recv()
-                except _PIPE_ERRORS:
+                except PIPE_ERRORS:
                     message = ("error", handle.index, None, "the process died during startup")
                 if message[0] != "ready":
                     self.close()
@@ -406,7 +386,7 @@ class WorkerPool:
             with target.send_lock:
                 target.conn.send_bytes(task)
             return
-        except _PIPE_ERRORS:
+        except PIPE_ERRORS:
             pass
         with self._lock:
             owned = self._batches.pop(batch.batch_id, None) is not None
@@ -456,27 +436,22 @@ class WorkerPool:
 
     def _collect(self) -> None:
         """Resolve results and handle deaths until no live worker remains."""
-        from multiprocessing.connection import wait
-
         while True:
             with self._lock:
                 live = self._live_locked()
             if not live:
                 return  # closed (or every respawn spent)
-            ready = wait([h.conn for h in live] + [h.process.sentinel for h in live])
-            for handle in live:
-                died = handle.process.sentinel in ready
-                if died or handle.conn in ready:
-                    # Read what the worker wrote before any death first.
-                    if not self._receive(handle) or died:
-                        self._handle_crash(handle)
+            for handle, died in _procs.wait(live):
+                # Read what the worker wrote before any death first.
+                if not self._receive(handle) or died:
+                    self._handle_crash(handle)
 
     def _receive(self, handle: _WorkerHandle) -> bool:
         """Handle every message waiting on ``handle``'s pipe; False at EOF."""
         try:
             while handle.conn.poll():
                 self._on_message(handle.conn.recv())
-        except _PIPE_ERRORS:
+        except PIPE_ERRORS:
             return False
         return True
 
@@ -557,22 +532,8 @@ class WorkerPool:
     def close(self) -> None:
         """Stop every worker and the collector; fail anything still in flight."""
         self._closed = True
-        for handle in self._workers:
-            if handle.conn is not None:
-                try:
-                    with handle.send_lock:
-                        handle.conn.send(None)
-                except _PIPE_ERRORS:
-                    pass  # already gone
-        deadline = time.monotonic() + 10.0
-        for handle in self._workers:
-            process = handle.process
-            if process is None:
-                continue
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=2.0)
+        # The collector reads the pipes until the last worker exits.
+        _procs.shutdown(self._workers, timeout=10.0, drain=False)
         collector = getattr(self, "_collector", None)
         if collector is not None and collector.is_alive():
             collector.join(timeout=5.0)

@@ -411,28 +411,6 @@ class ColumnarProjection:
             for code, count in zip(codes.tolist(), counts.tolist())
         }
 
-    def topic_counts(self) -> dict[str, int]:
-        """Topic -> table count, in first-seen (corpus) order."""
-        counts = count_by(self.topic_codes, len(self.topics))
-        return {topic: int(count) for topic, count in zip(self.topics, counts.tolist())}
-
-    def repository_counts(self) -> dict[str, int]:
-        """Repository -> table count, in first-seen (corpus) order."""
-        counts = count_by(self.repo_codes, len(self.repositories))
-        return {repo: int(count) for repo, count in zip(self.repositories, counts.tolist())}
-
-    def rows_by_topic(self) -> dict[str, int]:
-        """Topic -> total data rows contributed (exact integer sums)."""
-        totals = sum_by(self.topic_codes, self.n_rows, len(self.topics))
-        return {topic: int(total) for topic, total in zip(self.topics, totals.tolist())}
-
-    def dimension_quantiles(self, axis: str = "rows", qs=(0.25, 0.5, 0.75, 0.95)) -> list[float]:
-        """Quantiles of a table dimension (``"rows"`` or ``"columns"``)."""
-        if axis not in ("rows", "columns"):
-            raise ValueError("axis must be 'rows' or 'columns'")
-        values = self.n_rows if axis == "rows" else self.n_cols
-        return [float(value) for value in quantiles(values, qs)]
-
     # -- predicate pushdown --------------------------------------------------
 
     @staticmethod

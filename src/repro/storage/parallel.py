@@ -60,13 +60,13 @@ from __future__ import annotations
 
 import json
 import os
-import queue as queue_module
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from .._procs import PIPE_ERRORS, Child, build_mp_context, shutdown, wait
 from ..errors import CorpusError
 from ._io import FaultSpec, fault_point, fsync_dir
 from .artifacts import IndexArtifactStore
@@ -104,27 +104,11 @@ __all__ = [
     "FaultSpec",
     "WorkerShardWriter",
     "ParallelCorpusBuilder",
-    "build_mp_context",
     "has_parallel_state",
     "merge_worker_manifests",
     "worker_log_filename",
     "worker_shard_filename",
 ]
-
-
-def build_mp_context():
-    """The multiprocessing context parallel builds run under.
-
-    ``fork`` where the platform offers it (workers inherit the synthetic
-    GitHub instance copy-on-write), ``spawn`` otherwise (worker state is
-    rebuilt from the pickled config). The test harness uses this same
-    helper, so the crash/concurrency tests always exercise the context
-    production builds actually run with.
-    """
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def worker_shard_filename(worker: int, seq: int) -> str:
@@ -249,11 +233,11 @@ class WorkerShardWriter(ShardedCorpusWriter):
 
         Guards the one multi-writer race the architecture permits: a
         coordinator SIGKILLed mid-build leaves workers that only notice
-        the dead parent on their next queue poll, so a promptly resumed
-        session could otherwise open the same worker scope while the
-        orphan finishes its current batch. ``flock`` is advisory,
-        per-inode, and released by the kernel the instant the holder
-        dies — exactly the crash semantics the rest of the design
+        the dead parent at their next idle tick or batch boundary, so a
+        promptly resumed session could otherwise open the same worker
+        scope while the orphan finishes its current batch. ``flock`` is
+        advisory, per-inode, and released by the kernel the instant the
+        holder dies — exactly the crash semantics the rest of the design
         assumes. Best-effort on platforms without ``fcntl``.
         """
         directory.mkdir(parents=True, exist_ok=True)
@@ -421,22 +405,24 @@ def _download_unit(client, unit: _WorkUnit):
     )
 
 
-def _worker_main(spec: _WorkerSpec, task_queue, result_queue) -> None:
+def _worker_main(conn, spec: _WorkerSpec) -> None:
     """Worker process entry point: search and process tasks until told to stop.
 
-    Tasks arrive as ``("search", topic)`` or ``("process", wave_id,
-    [work units])``; ``None`` is the stop sentinel. Every processed
-    batch is committed (shard append + fsync, delta record + fsync)
-    before the next is touched, and the per-worker
-    :class:`~repro.storage.checkpoint.BuildCheckpoint` is refreshed
-    after each commit, so SIGKILL at any instant loses at most one
-    uncommitted batch of *corpus data*. Report counters share the
-    serial build's slightly weaker window: a kill between the commit
-    and the checkpoint save loses that one batch's counters (the
-    corpus bytes are unaffected — resume never re-does committed
-    work, so the counters stay a lower bound). If the coordinator
-    disappears (parent pid changes), the worker exits on its own
-    rather than leak.
+    Tasks arrive on ``conn`` as ``("search", topic)`` or ``("process",
+    wave_id, [work units])``; ``None`` is the stop message. Each task is
+    answered on the same pipe, ``("searched", ...)`` or ``("done",
+    ...)``; a failure is answered with ``("error", worker, traceback)``
+    and ends the worker. Every processed batch is committed (shard
+    append + fsync, delta record + fsync) before the next is touched,
+    and the per-worker :class:`~repro.storage.checkpoint.BuildCheckpoint`
+    is refreshed after each commit, so SIGKILL at any instant loses at
+    most one uncommitted batch of *corpus data*. Report counters share
+    the serial build's slightly weaker window: a kill between the commit
+    and the checkpoint save loses that one batch's counters (the corpus
+    bytes are unaffected — resume never re-does committed work, so the
+    counters stay a lower bound). If the coordinator disappears (parent
+    pid changes), the worker exits on its own at its next idle tick or
+    batch boundary rather than leak.
     """
     import traceback
 
@@ -448,12 +434,15 @@ def _worker_main(spec: _WorkerSpec, task_queue, result_queue) -> None:
     from ..pipeline.stage import iter_chunks
     from ..pipeline.stages import PipelineComponents, processing_stages
 
-    def leave() -> None:
-        # Never let process exit block on flushing acks nobody will
-        # read: a dead coordinator leaves the result pipe undrained,
-        # and the queue's feeder-thread join would hang this process
-        # forever (holding its scope lock and inherited fds with it).
-        result_queue.cancel_join_thread()
+    def orphaned() -> bool:
+        return os.getppid() != spec.parent_pid
+
+    def reply(message) -> bool:
+        try:
+            conn.send(message)
+        except PIPE_ERRORS:
+            return False  # the coordinator is gone
+        return True
 
     try:
         artifacts = IndexArtifactStore.for_corpus_dir(spec.directory) if spec.use_artifacts else None
@@ -470,27 +459,27 @@ def _worker_main(spec: _WorkerSpec, task_queue, result_queue) -> None:
         base_counters = dict(checkpoint.counters) if checkpoint is not None else {}
         session_counters: dict = {"sessions": 1}
     except Exception:  # pragma: no cover - init failures surface as errors
-        result_queue.put(("error", spec.worker, traceback.format_exc()))
-        return leave()
+        reply(("error", spec.worker, traceback.format_exc()))
+        return
 
     while True:
         try:
-            task = task_queue.get(timeout=0.5)
-        except queue_module.Empty:
-            if os.getppid() != spec.parent_pid:
-                return leave()  # orphaned by a dead coordinator
-            continue
-        if task is None:
-            return leave()
-        if os.getppid() != spec.parent_pid:
-            return leave()  # coordinator died between dispatch and pickup
+            if not conn.poll(0.5):
+                if orphaned():
+                    return
+                continue
+            task = conn.recv()
+        except PIPE_ERRORS:
+            return  # the coordinator closed its end
+        if task is None or orphaned():
+            return  # stopped, or the coordinator died between dispatch and pickup
         try:
             if task[0] == "search":
                 topic = task[1]
                 requests_before = client.request_count
                 wait_before = client.total_wait_seconds
                 payload, report = _search_topic(extractor, topic)
-                result_queue.put(
+                if not reply(
                     (
                         "searched",
                         spec.worker,
@@ -503,15 +492,16 @@ def _worker_main(spec: _WorkerSpec, task_queue, result_queue) -> None:
                             "segmented_queries": report.segmented_queries.get(topic, 0),
                         },
                     )
-                )
+                ):
+                    return
                 continue
             wave_id, units = task[1], task[2]
             for batch in iter_chunks(units, spec.batch_size):
-                if os.getppid() != spec.parent_pid:
+                if orphaned():
                     # Orphaned mid-wave: stop at the batch boundary so
                     # the scope lock frees for a resumed session fast
                     # (everything committed so far is durable).
-                    return leave()
+                    return
                 download_started = time.perf_counter()
                 files = [_download_unit(client, unit) for unit in batch]
                 download_seconds = time.perf_counter() - download_started
@@ -544,10 +534,11 @@ def _worker_main(spec: _WorkerSpec, task_queue, result_queue) -> None:
                     sessions=merged["sessions"],
                     counters=merged,
                 ).save(spec.directory, worker=spec.worker)
-            result_queue.put(("done", spec.worker, wave_id, len(units)))
+            if not reply(("done", spec.worker, wave_id, len(units))):
+                return
         except Exception:
-            result_queue.put(("error", spec.worker, traceback.format_exc()))
-            return leave()
+            reply(("error", spec.worker, traceback.format_exc()))
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +701,7 @@ class ParallelCorpusBuilder:
     and ``GitTables.build(..., processes=N)`` route here, including for
     ``processes=1`` resumes of a directory that holds parallel state.
 
-    ``fault`` injects a deterministic crash for the test harness;
-    ``mp_context`` overrides the multiprocessing start method (``fork``
-    where available, else ``spawn`` — worker state is rebuilt from the
-    pickled config either way).
+    ``fault`` injects a deterministic crash for the test harness.
     """
 
     #: How many stream URLs one dispatched wave hands a worker.
@@ -723,7 +711,6 @@ class ParallelCorpusBuilder:
         self,
         builder: "CorpusBuilder",
         processes: int,
-        mp_context=None,
         fault: FaultSpec | None = None,
         use_artifacts: bool = True,
     ) -> None:
@@ -735,7 +722,6 @@ class ParallelCorpusBuilder:
         self.processes = processes
         self.fault = fault
         self.use_artifacts = use_artifacts
-        self.mp = mp_context if mp_context is not None else build_mp_context()
 
     # -- the build ----------------------------------------------------------
 
@@ -952,9 +938,7 @@ class _CoordinatorRun:
         self._wave_cursor = 0
         self._frontier_index = 0
         self._frontier_curated = 0
-        self.procs: list = []
-        self.task_queues: list = []
-        self.result_queue = None
+        self.children: list[Child] = []
         self.idle: list[int] = []
         self.outstanding: dict[int, tuple] = {}
         self.next_wave_id = 0
@@ -972,8 +956,7 @@ class _CoordinatorRun:
 
     def spawn_workers(self) -> None:
         parent = self.parent
-        self.result_queue = parent.mp.Queue()
-        use_fork = parent.mp.get_start_method() == "fork"
+        use_fork = build_mp_context().get_start_method() == "fork"
         for worker in range(parent.processes):
             spec = _WorkerSpec(
                 directory=str(self.directory),
@@ -993,52 +976,25 @@ class _CoordinatorRun:
                 fault=parent.fault if parent.fault and parent.fault.worker == worker else None,
                 use_artifacts=parent.use_artifacts,
             )
-            task_queue = parent.mp.Queue()
-            proc = parent.mp.Process(
-                target=_worker_main,
-                args=(spec, task_queue, self.result_queue),
-                daemon=True,
-                name=f"gittables-build-w{worker:02d}",
-            )
-            proc.start()
-            self.task_queues.append(task_queue)
-            self.procs.append(proc)
+            child = Child()
+            child.start(_worker_main, (spec,), name=f"gittables-build-w{worker:02d}")
+            self.children.append(child)
             self.idle.append(worker)
 
     def shutdown_workers(self) -> None:
-        """Stop workers: sentinel first, then terminate stragglers.
+        """Stop workers: stop message, one bounded wait, then terminate.
 
-        A worker only reads the sentinel between waves, so one that is
-        still draining a surplus wave (dispatched just before the
-        target was met) needs to finish it — its commits and checkpoint
-        save must land before the coordinator reads worker counters.
-        The budget is generous; SIGTERM is strictly a last resort for
-        hung workers (it is crash-safe — committed state survives, at
-        most the final batch's counters go unreported).
+        A worker reads the stop message between tasks, so one still on
+        a surplus wave (dispatched just before the target was met)
+        finishes it first: its commits and checkpoint must land before
+        the coordinator reads worker counters. Surplus acks are drained
+        and discarded. SIGTERM after the generous 60 s bound is a last
+        resort for hung workers, and crash-safe (at most the final
+        batch's counters go unreported).
         """
-        for task_queue in self.task_queues:
-            try:
-                task_queue.put_nowait(None)
-            except Exception:  # pragma: no cover - full/closed queue
-                pass
-        deadline = time.monotonic() + 60.0
-        for proc in self.procs:
-            while proc.is_alive() and time.monotonic() < deadline:
-                # Keep draining surplus acks so no worker can block on
-                # a full result pipe while flushing its final messages.
-                try:
-                    while True:
-                        self.result_queue.get_nowait()
-                except queue_module.Empty:
-                    pass
-                proc.join(timeout=0.2)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=2.0)
-        for task_queue in self.task_queues:
-            task_queue.cancel_join_thread()
-        if self.result_queue is not None:
-            self.result_queue.cancel_join_thread()
+        shutdown(self.children, timeout=60.0)
+        for child in self.children:
+            child.conn.close()
 
     # -- stream enumeration -------------------------------------------------
 
@@ -1195,14 +1151,14 @@ class _CoordinatorRun:
                 self.next_wave_id += 1
                 self.outstanding[worker] = ("process", wave_id)
                 self.dispatched.update(unit.index for unit in wave)
-                self.task_queues[worker].put(("process", wave_id, wave))
+                self._send(worker, ("process", wave_id, wave))
                 continue
             if self.next_topic < len(self.topics):
                 worker = self.idle.pop(0)
                 topic = self.topics[self.next_topic]
                 self.next_topic += 1
                 self.outstanding[worker] = ("search", topic)
-                self.task_queues[worker].put(("search", topic))
+                self._send(worker, ("search", topic))
                 continue
             return
 
@@ -1245,16 +1201,39 @@ class _CoordinatorRun:
         rate = max(rate, 0.05)
         return max(self.builder.batch_size, int(missing / rate * 1.2))
 
+    def _send(self, worker: int, task: tuple) -> None:
+        try:
+            self.children[worker].conn.send(task)
+        except PIPE_ERRORS:
+            raise self._died(worker) from None
+
+    def _died(self, worker: int) -> CorpusError:
+        task = self.outstanding.get(worker)
+        doing = f"running {task[0]!r}" if task else "idle"
+        return CorpusError(
+            f"build worker {worker} died while {doing}; "
+            "resume the build to heal and continue"
+        )
+
     def _collect(self) -> None:
-        """Wait for at least one worker message; merge as commits land."""
-        while True:
+        """Wait for worker messages, or a worker's death; merge as commits land.
+
+        One :func:`~repro._procs.wait` over every pipe and process
+        sentinel: a worker that dies fails the build the moment its
+        sentinel fires, after whatever it wrote before dying was read.
+        """
+        if not self.outstanding:
+            return  # nothing in flight; go dispatch more
+        for child, exited in wait(self.children):
             try:
-                message = self.result_queue.get(timeout=0.25)
-                break
-            except queue_module.Empty:
-                self._check_liveness()
-                if not self.outstanding:
-                    return  # nothing in flight; go dispatch more
+                while child.conn.poll():
+                    self._on_message(child.conn.recv())
+            except PIPE_ERRORS:
+                exited = True  # EOF: the worker is gone
+            if exited:
+                raise self._died(self.children.index(child))
+
+    def _on_message(self, message) -> None:
         kind = message[0]
         if kind == "error":
             _, worker, trace = message
@@ -1279,15 +1258,6 @@ class _CoordinatorRun:
             self.harvest_worker_log(worker)
             self._harvests_since_merge += 1
             self.merge_manifest()
-            return
-
-    def _check_liveness(self) -> None:
-        for worker, task in list(self.outstanding.items()):
-            if not self.procs[worker].is_alive():
-                raise CorpusError(
-                    f"build worker {worker} died while running {task[0]!r}; "
-                    "resume the build to heal and continue"
-                )
 
     # -- finalize -----------------------------------------------------------
 

@@ -27,13 +27,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from repro._procs import build_mp_context
 from repro.config import PipelineConfig
 from repro.core.pipeline import CorpusBuilder
 from repro.dataframe.table import Table
 from repro.experiments.context import get_context
 from repro.github.content import GeneratorConfig
 from repro.github.instance import build_instance
-from repro.storage.parallel import FaultSpec, ParallelCorpusBuilder, build_mp_context
+from repro.storage.parallel import FaultSpec, ParallelCorpusBuilder
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False)

@@ -18,9 +18,12 @@ import json
 import os
 import signal
 import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+from repro._procs import build_mp_context
 from repro.api import GitTables
 from repro.config import ExtractionConfig, PipelineConfig
 from repro.core.corpus import AnnotatedTable, GitTablesCorpus
@@ -31,10 +34,11 @@ from repro.github.content import GeneratorConfig
 from repro.storage import BuildCheckpoint, ShardedJsonlStore
 from repro.storage._io import directory_file_bytes as _dir_bytes
 from repro.storage.checkpoint import worker_checkpoint_ids
+from repro.storage import parallel
+from repro.storage._io import FaultSpec
 from repro.storage.parallel import (
     ParallelCorpusBuilder,
     WorkerShardWriter,
-    build_mp_context,
     has_parallel_state,
     worker_log_filename,
     worker_shard_filename,
@@ -273,6 +277,53 @@ class TestCoordinatorCrashInjection:
         result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
             store_dir=store, shard_size=SHARDS, processes=3
         )
+        assert result.table_count == par_config.target_tables
+        assert _dir_bytes(store) == _dir_bytes(reference_dir)
+
+
+@dataclass(frozen=True)
+class _StampedKill(FaultSpec):
+    """A worker fault that records its instant (``time.monotonic()``,
+    system-wide on Linux) in the file ``stamp`` before the SIGKILL."""
+
+    stamp: str = ""
+
+    def fire(self) -> None:
+        Path(self.stamp).write_text(repr(time.monotonic()))
+        super().fire()
+
+
+@pytest.mark.skipif(
+    build_mp_context().get_start_method() != "fork",
+    reason="the stamped fault reaches the worker through fork",
+)
+class TestWorkerDeathLatency:
+    """A dead build worker fails the build as soon as it dies."""
+
+    def test_worker_death_is_detected_within_100ms(
+        self, tmp_path, monkeypatch, par_config, par_generator, serial_reference
+    ):
+        reference_dir, _ = serial_reference
+        store = tmp_path / "store"
+        stamp = tmp_path / "killed-at"
+        # The figure ends where the coordinator turns to shutting its
+        # workers down, so the survivor's bounded wave drain stays out.
+        entered = []
+        shutdown_workers = parallel._CoordinatorRun.shutdown_workers
+
+        def timed_shutdown(run):
+            entered.append(time.monotonic())
+            shutdown_workers(run)
+
+        monkeypatch.setattr(parallel._CoordinatorRun, "shutdown_workers", timed_shutdown)
+        fault = _StampedKill(worker=1, commit_n=2, point="before-log-append", stamp=str(stamp))
+        with pytest.raises(CorpusError, match="worker 1 died"):
+            _parallel_build(store, par_config, par_generator, processes=2, fault=fault)
+        latency = entered[0] - float(stamp.read_text())
+        assert 0.0 <= latency < 0.1, f"the death was noticed {latency * 1000:.0f} ms late"
+        monkeypatch.undo()
+        # Resume at another process count: the serial bytes.
+        result = _parallel_build(store, par_config, par_generator, processes=3)
         assert result.table_count == par_config.target_tables
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
 

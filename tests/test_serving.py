@@ -743,7 +743,7 @@ class TestServiceMetricsFixes:
         conn.send(None)
         worker = threading.Thread(
             target=workers._serving_worker_main,
-            args=("store", 0, os.getppid(), worker_end),
+            args=(worker_end, "store", 0, os.getppid()),
         )
         worker.start()
         worker.join(timeout=60)
