@@ -119,8 +119,9 @@ class GitTables:
         up from the store's manifest instead of starting over, and the
         session's corpus is backed by the lazy sharded reader rather
         than held in memory. ``processes`` (default ``1``, must be
-        ``>= 1``) fans a store build out across worker processes — the
-        finalized directory is byte-identical to a serial build, and a
+        ``>= 1``) is how many workers build the store — worker
+        processes from 2 on, one worker in this process at 1. The
+        finalized directory does not depend on the count, and a
         killed build may be resumed under any process count. See
         :meth:`CorpusBuilder.build <repro.core.pipeline.CorpusBuilder.build>`.
         """

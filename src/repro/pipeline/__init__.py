@@ -36,7 +36,6 @@ from .stages import (
     FilterStage,
     ParseStage,
     PipelineComponents,
-    ResumeSkipStage,
     default_stages,
     processing_stages,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "PipelineComponents",
     "PipelineOutcome",
     "PipelineReport",
-    "ResumeSkipStage",
     "Stage",
     "StageContext",
     "StageMetrics",

@@ -39,12 +39,7 @@ __all__ = [
 
 
 def iter_chunks(items: Iterable, chunk_size: int) -> Iterator[list]:
-    """Yield ``items`` in lists of at most ``chunk_size``.
-
-    The chunking primitive shared by :class:`MapStage` and the
-    process-parallel build workers (which commit one chunk per shard
-    append, so the chunk is also the crash-atomicity unit).
-    """
+    """Yield ``items`` in lists of at most ``chunk_size`` (:class:`MapStage`'s chunks)."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     iterator = iter(items)

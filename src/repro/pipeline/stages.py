@@ -41,7 +41,6 @@ from .stage import StageContext
 __all__ = [
     "AnnotatedCandidate",
     "ExtractStage",
-    "ResumeSkipStage",
     "ParseStage",
     "FilterStage",
     "AnnotateStage",
@@ -132,56 +131,6 @@ class ExtractStage:
         finally:
             report.api_requests = client.request_count
             report.simulated_wait_seconds = client.total_wait_seconds
-
-
-class ResumeSkipStage:
-    """Drop extracted files whose tables a resumed build already stored.
-
-    Sits between extraction and parsing when a corpus build targets a
-    sharded store directory. ``done_urls`` is the set of source URLs
-    recorded in the store manifest; re-extracted files matching it are
-    dropped *before* parsing, so a resumed session never re-annotates (or
-    re-curates) a committed table. The stage's runner metrics make the
-    resume auditable: ``items_dropped`` is exactly the number of tables
-    skipped because a previous session already produced them. On a fresh
-    build the set is empty and the stage passes everything through.
-
-    ``fast_forward_past`` sharpens the skip for *epoch extensions of a
-    sealed store*: membership in ``done_urls`` only covers committed
-    tables, so a plain resume still re-parses every file a previous
-    session extracted and **rejected** (parse failures, filter drops) —
-    an O(corpus) cost that defeats incremental growth. A sealed
-    manifest, however, lists its tables in canonical stream order, and
-    an extension replays the identical deterministic stream (enforced by
-    the build-meta fingerprint) with extraction de-duplicating URLs — so
-    the last committed table's source URL is a stream high-water mark:
-    *everything* up to and including it was already processed. While
-    fast-forwarding, the stage drops every file until that marker has
-    passed; afterwards it falls back to the membership check. Only
-    sealed-at-open extensions may set the marker — a mid-build crash of
-    a *parallel* session commits out of stream order, where membership
-    is the only safe filter.
-    """
-
-    name = "resume-skip"
-
-    def __init__(
-        self,
-        done_urls: set[str] | frozenset[str] = frozenset(),
-        fast_forward_past: str | None = None,
-    ) -> None:
-        self.done_urls = set(done_urls)
-        self.fast_forward_past = fast_forward_past
-
-    def process(self, items: Iterator, ctx: StageContext) -> Iterator:
-        marker = self.fast_forward_past
-        for extracted in items:
-            if marker is not None:
-                if extracted.url == marker:
-                    marker = None
-                continue
-            if extracted.url not in self.done_urls:
-                yield extracted
 
 
 class ParseStage:
@@ -305,40 +254,31 @@ def default_stages(
     table_filter: TableFilter,
     annotator: AnnotationPipeline,
     curator: ContentCurator,
-    skip_source_urls: set[str] | None = None,
-    fast_forward_past: str | None = None,
 ) -> list:
     """The paper's Figure-1 stage order, from existing components.
 
     A strictly serial per-item graph (zero over-pull past an early-stop
-    limit). ``skip_source_urls`` (store-targeted builds only) inserts a
-    :class:`ResumeSkipStage` after extraction so tables already committed
-    by an interrupted session are never re-annotated;
-    ``fast_forward_past`` additionally skips everything up to the sealed
-    store's stream high-water mark (see :class:`ResumeSkipStage`).
+    limit).
     """
-    stages: list = [ExtractStage(extractor)]
-    if skip_source_urls is not None:
-        stages.append(ResumeSkipStage(skip_source_urls, fast_forward_past=fast_forward_past))
-    stages.extend(
-        processing_stages(
+    return [
+        ExtractStage(extractor),
+        *processing_stages(
             PipelineComponents(
                 parser=parser,
                 table_filter=table_filter,
                 annotator=annotator,
                 curator=curator,
             )
-        )
-    )
-    return stages
+        ),
+    ]
 
 
 def processing_stages(components: PipelineComponents) -> list:
     """The post-extraction stage graph: parse → filter → annotate → curate.
 
-    This is the per-file work a build fans out: process-parallel builds
-    run one such graph per worker process over a disjoint slice of the
-    extracted-file stream (:mod:`repro.storage.parallel`).
+    This is the per-file work a store build fans out: each build worker
+    runs one such graph over a disjoint slice of the source-URL stream
+    (:mod:`repro.storage.parallel`).
     """
     return [
         ParseStage(components.parser),

@@ -88,7 +88,7 @@ def directory_file_bytes(directory: str | os.PathLike[str]) -> dict[str, bytes]:
     """Name → content of every regular file directly in ``directory``.
 
     The canonical comparator behind the storage layer's byte-identity
-    guarantees (serial vs parallel builds, one-shot vs resumed builds).
+    guarantees (any two process counts, one-shot vs resumed builds).
     Top-level files only — a corpus directory's own bytes are exactly
     its manifest + shards + build metadata; subtrees such as
     ``artifacts/`` are derived caches, deliberately outside the

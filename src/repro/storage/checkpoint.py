@@ -213,6 +213,9 @@ class BuildCheckpoint:
     #: Cumulative report counters of completed work, as produced by
     #: :meth:`repro.pipeline.report.PipelineReport.counters`.
     counters: dict = field(default_factory=dict)
+    #: The shard size the build was started with (before any manifest
+    #: pins it).
+    shard_size: int | None = None
 
     @classmethod
     def load(
@@ -228,6 +231,7 @@ class BuildCheckpoint:
             fingerprint=payload.get("fingerprint", {}),
             sessions=int(payload.get("sessions", 0)),
             counters=payload.get("counters", {}),
+            shard_size=payload.get("shard_size"),
         )
 
     def save(self, directory: str | os.PathLike[str], worker: int | None = None) -> None:
@@ -238,6 +242,7 @@ class BuildCheckpoint:
                 "fingerprint": self.fingerprint,
                 "sessions": self.sessions,
                 "counters": self.counters,
+                "shard_size": self.shard_size,
             },
         )
 

@@ -97,7 +97,7 @@ def compact_store(
     is always already packed, so the call degenerates to cleaning up any
     leftovers of a previously crashed compaction (this is also what
     makes re-running after a crash idempotent). Refuses unsealed
-    directories, unfinalized serial builds (``manifest.log`` present),
+    directories, unfinalized single-writer stores (``manifest.log`` present),
     and directories with in-flight parallel-build state: compaction
     only ever rewrites *fully committed* layouts.
     """

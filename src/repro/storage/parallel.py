@@ -1,11 +1,13 @@
-"""Process-parallel corpus builds: shard-per-worker, merge-on-commit.
+"""Corpus builds into a store: shard-per-worker, merge-on-commit.
 
-The GitTables construction flow is embarrassingly parallel per source
-file — search, download, parse, filter, annotate, curate — but the
-single-process :class:`~repro.storage.sharded.ShardedCorpusWriter`
-serializes the commit path. This module lifts a store-targeted build to
-``N`` worker *processes* while keeping every single-writer durability
-invariant:
+Every store-targeted build runs through one coordinator,
+:class:`ParallelCorpusBuilder`. The GitTables construction flow —
+search, download, parse, filter, annotate, curate — is embarrassingly
+parallel per source file, so the coordinator hands disjoint slices of
+the source-URL stream to ``processes`` workers: worker processes at
+``processes >= 2``, and worker 0 run in the calling process (no spawn,
+no pipe) at ``processes=1``. Both run the same task handler,
+:class:`_WorkerTasks`, and keep every durability invariant:
 
 * **Disjoint shard ranges.** Worker ``k`` appends only to its own
   ``shard-<k>-<seq>.jsonl`` files and records commits in its own
@@ -14,46 +16,58 @@ invariant:
   cross-process locking exists anywhere on the write path.
 * **Merge on commit boundaries.** The coordinator folds completed
   worker commit records — in deterministic (worker id, commit seq)
-  order — into the canonical ``manifest.json`` so a mid-build directory
-  is readable by :class:`~repro.storage.sharded.ShardedJsonlStore` at
-  any time. The mid-build manifest carries a ``"parallel"`` marker; the
-  worker logs stay authoritative for resume.
+  order — into a merged ``manifest.json`` view, so a mid-build directory
+  that has published one is readable by
+  :class:`~repro.storage.sharded.ShardedJsonlStore`. The view carries a
+  ``"parallel"`` marker; the worker logs stay authoritative for resume.
 * **Byte-identical finalize.** When the in-order curated prefix of the
-  source-URL stream covers ``target_tables``, the coordinator rewrites
-  the worker shards into canonical serial-order ``shard_00000.jsonl``…
-  files, publishes the canonical manifest atomically, and sweeps all
+  source-URL stream covers ``target_tables``, the coordinator lays the
+  tables out in canonical stream order as ``shard_00000.jsonl``… files,
+  publishes the canonical manifest atomically, and sweeps all
   worker-scoped files — the stage → rename → publish → sweep routine
   compaction also runs (:func:`~repro.storage.sharded.publish_layout`).
-  The finished directory is **byte-identical** to a serial build of the
-  same configuration — regardless of process count, commit cadence, or
-  how many times the build was killed and resumed.
+  The finished directory is **byte-identical** to the in-memory build
+  saved to a directory — regardless of process count, commit cadence,
+  or how many times the build was killed and resumed.
 * **Crash resume.** Killing any subset of workers (or the coordinator)
-  at any point loses at most the uncommitted buffers: each worker log's
+  at any point loses at most the uncommitted tables: each worker log's
   torn tail is truncated on reopen and its shard tails healed exactly
-  like the single-writer path; the coordinator re-derives completed
-  work from the logs, re-dispatches the rest, and the process count may
-  differ between sessions (it is excluded from the config fingerprint).
+  like :class:`~repro.storage.sharded.ShardedCorpusWriter`'s; the
+  coordinator re-derives completed work from the logs, re-dispatches
+  the rest, and the process count may differ between sessions (it is
+  excluded from the config fingerprint).
 
 Work distribution
 -----------------
 
 The coordinator enumerates the deterministic source-URL stream — topics
 in selection order, per-topic search results in API order, URLs
-de-duplicated first-topic-wins, exactly the serial
+de-duplicated first-topic-wins, exactly the in-memory
 :class:`~repro.pipeline.stages.ExtractStage` order — assigning each URL
 a global **stream index**. Topic searches and URL processing are both
 dispatched to workers; each worker runs its own
 :class:`~repro.github.client.GitHubClient` (its own rate budget, as a
 production deployment would use one API token per worker) and a private
 :class:`~repro.pipeline.stages.PipelineComponents` set built from the
-pickled config after the fork/spawn. Worker commit records carry the
-stream indices they resolved (``"done"``), including URLs dropped by
-parsing or filtering, so a resumed coordinator knows precisely which
-prefix of the stream is complete. The build stops as soon as the
-resolved in-order prefix contains ``target_tables`` curated tables —
-the same early-stop semantics as the serial streaming runner, modulo a
-bounded overshoot of at most the in-flight waves (surplus tables are
-dropped at finalize, which keeps the final bytes identical).
+pickled config after the fork/spawn (the in-process worker uses the
+builder's own). Worker commit records carry the stream indices they
+resolved (``"done"``), including URLs dropped by parsing or filtering,
+so a resumed coordinator knows precisely which prefix of the stream is
+complete.
+
+A wave of URLs carries the number of tables still missing when it is
+dispatched, and its worker stops pulling URLs once it holds that many;
+workers commit every ``batch_size`` stored tables and flush when a wave
+meets its count. At ``processes=1`` this is the streaming build exactly:
+every table annotated is a table stored. With several workers, waves in
+flight at once may curate a bounded surplus, dropped at finalize (which
+keeps the final bytes identical).
+
+A store that already holds canonical tables — a sealed epoch being
+extended, or a single writer's partial build — is a prefix of the
+stream in stream order, so its last table's URL is a high-water mark:
+enumeration starts at that table's topic and resolves every URL up to
+the mark without dispatching it, making an extension O(new tables).
 """
 
 from __future__ import annotations
@@ -68,7 +82,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .._procs import PIPE_ERRORS, Child, build_mp_context, shutdown, wait
 from ..errors import CorpusError
-from ._io import FaultSpec, fault_point, fsync_dir
+from ._io import FaultSpec, fault_point
 from .artifacts import IndexArtifactStore
 from .checkpoint import (
     BuildCheckpoint,
@@ -85,6 +99,7 @@ from .sharded import (
     _iter_log_records,
     _read_manifest,
     _replay_manifest_log,
+    _shard_filename,
     _shard_lines,
     _write_manifest,
     build_manifest,
@@ -165,13 +180,12 @@ def _acquire_log_lock(directory: Path, worker: int, timeout: float):
 
 
 def has_parallel_state(directory: str | os.PathLike[str]) -> bool:
-    """Whether ``directory`` holds in-flight process-parallel build state.
+    """Whether ``directory`` holds an in-flight build's worker state.
 
     True when any worker log/checkpoint exists or the manifest carries
-    the mid-build ``"parallel"`` marker. Such a directory must be
-    resumed through :class:`ParallelCorpusBuilder` (with *any* process
-    count, including 1) — the single-writer path does not know how to
-    append to worker-scoped shards.
+    the mid-build ``"parallel"`` marker: a build is under way (or was
+    killed) and must be resumed — under any process count — before the
+    store can be compacted.
     """
     directory = Path(directory)
     if _worker_log_ids(directory) or worker_checkpoint_ids(directory):
@@ -227,6 +241,9 @@ class WorkerShardWriter(ShardedCorpusWriter):
             name=name,
             fault=fault if fault is not None and fault.worker == worker else None,
         )
+        # The lock may have created the log: its directory entry is made
+        # durable with the first commit's, before any record is relied on.
+        self._dir_dirty = True
 
     def _acquire_scope_lock(self, directory: Path) -> None:
         """Exclusively lock this worker's log for the writer's lifetime.
@@ -244,9 +261,6 @@ class WorkerShardWriter(ShardedCorpusWriter):
         self._lock_handle = _acquire_log_lock(
             directory, self.worker, self.LOCK_TIMEOUT_SECONDS
         )
-        # The lock acquisition may have created the log file; make its
-        # dirent durable before any record can reference this worker.
-        fsync_dir(directory)
 
     def close(self) -> None:
         """Release the worker-scope lock (process exit does this too)."""
@@ -289,8 +303,8 @@ class WorkerShardWriter(ShardedCorpusWriter):
         ``done`` lists every global stream index this commit resolves;
         ``indices`` maps source URLs to their stream index so each
         stored table's log entry can pin the table to its position in
-        the serial stream (what the coordinator orders the canonical
-        rewrite by).
+        the source-URL stream (what the coordinator orders the canonical
+        layout by).
         """
         self._pending_done = sorted(done) if done else []
         self._pending_url_indices = dict(indices) if indices else {}
@@ -316,14 +330,24 @@ class WorkerShardWriter(ShardedCorpusWriter):
         # coordinator, so there is no compaction on this side.
         self._append_delta(touched, new_tables, stats_delta)
 
+    def _table_entry(self, annotated, shard: int, line: int) -> dict:
+        # Pin each stored table to its stream index, and carry the
+        # fields its manifest statistics fold in, so the coordinator
+        # lays the table out without decoding it.
+        table = annotated.table
+        entry = {
+            **super()._table_entry(annotated, shard, line),
+            "rows": table.num_rows,
+            "columns": table.num_columns,
+            "topic": annotated.topic,
+            "repository": annotated.repository,
+        }
+        index = self._pending_url_indices.get(annotated.source_url)
+        if index is not None:
+            entry["index"] = index
+        return entry
+
     def _delta_record(self, touched: dict, new_tables: dict, stats_delta: dict) -> dict:
-        # Pin each stored table to its stream index (mutating the shared
-        # location dicts keeps the in-memory state and any replay of
-        # this record consistent).
-        for entry in new_tables.values():
-            index = self._pending_url_indices.get(entry.get("source_url"))
-            if index is not None:
-                entry["index"] = index
         record = super()._delta_record(touched, new_tables, stats_delta)
         record["done"] = self._pending_done
         return record
@@ -336,7 +360,7 @@ class WorkerShardWriter(ShardedCorpusWriter):
 
 
 # ---------------------------------------------------------------------------
-# Worker process
+# Worker
 # ---------------------------------------------------------------------------
 
 
@@ -354,7 +378,7 @@ class _WorkUnit:
 
 @dataclass
 class _WorkerSpec:
-    """Everything a worker process needs, shippable through fork or pickle."""
+    """Everything a worker needs, shippable through fork or pickle."""
 
     directory: str
     worker: int
@@ -370,69 +394,215 @@ class _WorkerSpec:
     use_artifacts: bool
 
 
-def _search_topic(extractor, topic: str):
-    """Collect one topic's URL metadata (the searchable half of extraction)."""
-    from ..core.extraction import ExtractionReport
+class _DownloadStage:
+    """Work units → downloaded files: the worker's half of extraction.
 
-    report = ExtractionReport()
-    items = extractor.collect_urls(topic, report=report)
-    payload = [
-        {
-            "url": item.url,
-            "repository": item.repository,
-            "path": item.path,
-            "size_bytes": item.size_bytes,
+    Named like the in-memory graph's extraction stage, so the merged
+    build report counts downloads under the same stage.
+    """
+
+    name = "extraction"
+
+    def __init__(self, client) -> None:
+        self.client = client
+
+    def process(self, units, ctx):
+        from ..core.extraction import ExtractedFile
+
+        for unit in units:
+            repository = self.client.instance.repository(unit.repository)
+            yield ExtractedFile(
+                url=unit.url,
+                repository=unit.repository,
+                path=unit.path,
+                topic=unit.topic,
+                content=self.client.raw_content(unit.url),
+                license=repository.license if repository else None,
+                size_bytes=unit.size_bytes,
+            )
+
+
+class _WorkerTasks:
+    """The one task handler of build worker ``k``.
+
+    A worker process runs it from :func:`_worker_main`; at
+    ``processes=1`` the coordinator runs worker 0's handler in its own
+    process, with the builder's components and client. Tasks are
+    ``("search", topic)`` and ``("process", wave_id, units, missing)``;
+    :meth:`run` answers each with the message the coordinator reads (a
+    wave's answer says how many units it consumed and how many tables
+    the worker holds uncommitted).
+
+    A wave streams its units through download → parse → filter →
+    annotate → curate one at a time, exactly like the in-memory graph:
+    it stops pulling units once the tables it holds reach ``missing``
+    (the build's missing count when the wave was dispatched), so no
+    table is annotated past the target. Stored tables are committed
+    every ``batch_size`` tables — across wave boundaries — and when a
+    wave meets its missing count (an empty wave with ``missing=0`` is
+    a flush). Each commit records the stream index of every unit
+    consumed since the previous commit, dropped units included; units
+    a wave did not consume stay unresolved. The worker's
+    :class:`~repro.storage.checkpoint.BuildCheckpoint` is refreshed
+    after each commit, so a kill loses at most the uncommitted tables
+    and, for a kill between a commit and its checkpoint, that commit's
+    counters (resume never redoes committed work, so the counters stay
+    a lower bound).
+    """
+
+    def __init__(self, spec: _WorkerSpec, components, client) -> None:
+        from ..core.extraction import CSVExtractor
+
+        checkpoint = BuildCheckpoint.load(spec.directory, worker=spec.worker)
+        self.base_counters = dict(checkpoint.counters) if checkpoint is not None else {}
+        self.session_counters: dict = {"sessions": 1}
+        self.spec = spec
+        self.components = components
+        self.client = client
+        self.extractor = CSVExtractor(client, spec.config.extraction)
+        #: Units consumed since the last commit, in consumption order.
+        self.unrecorded: list[_WorkUnit] = []
+        # Last: the writer holds the worker scope's lock until close().
+        self.writer = WorkerShardWriter(
+            spec.directory, spec.worker, shard_size=spec.shard_size, fault=spec.fault
+        )
+
+    @classmethod
+    def start(cls, spec: _WorkerSpec, builder: "CorpusBuilder | None" = None) -> "_WorkerTasks":
+        """The handler for ``spec``: over ``builder``'s components in-process."""
+        if builder is not None:
+            return cls(spec, builder.components, builder.client)
+        from ..github.client import GitHubClient
+        from ..github.instance import build_instance
+        from ..pipeline.stages import PipelineComponents
+
+        artifacts = IndexArtifactStore.for_corpus_dir(spec.directory) if spec.use_artifacts else None
+        instance = spec.instance if spec.instance is not None else build_instance(spec.generator_config)
+        return cls(
+            spec,
+            PipelineComponents.from_config(spec.config, artifacts=artifacts),
+            GitHubClient(instance, real_time_factor=spec.real_time_factor),
+        )
+
+    def close(self) -> None:
+        """Release the worker scope; uncommitted tables are dropped."""
+        self.writer.close()
+
+    def run(self, task: tuple, should_stop=lambda: False) -> tuple:
+        """Handle one task; ``should_stop`` ends a wave early (orphaned worker)."""
+        if task[0] == "search":
+            return self._search(task[1])
+        _, wave_id, units, missing = task
+        consumed = self._process(units, missing, should_stop)
+        return ("done", self.spec.worker, wave_id, consumed, self.writer.pending_count)
+
+    def _search(self, topic: str) -> tuple:
+        """One topic's URL metadata (the searchable half of extraction)."""
+        from ..core.extraction import ExtractionReport
+
+        client = self.client
+        requests_before = client.request_count
+        wait_before = client.total_wait_seconds
+        report = ExtractionReport()
+        items = self.extractor.collect_urls(topic, report=report)
+        payload = [
+            {
+                "url": item.url,
+                "repository": item.repository,
+                "path": item.path,
+                "size_bytes": item.size_bytes,
+            }
+            for item in items.values()
+        ]
+        meta = {
+            "api_requests": client.request_count - requests_before,
+            "wait_seconds": client.total_wait_seconds - wait_before,
+            "initial_count": report.initial_counts.get(topic, 0),
+            "segmented_queries": report.segmented_queries.get(topic, 0),
         }
-        for item in items.values()
-    ]
-    return payload, report
+        return ("searched", self.spec.worker, topic, payload, meta)
 
+    def _process(self, units: list, missing: int, should_stop) -> int:
+        """Run one wave; returns how many of ``units`` it consumed."""
+        from ..pipeline.runner import Pipeline
+        from ..pipeline.stage import StageContext
+        from ..pipeline.stages import processing_stages
 
-def _download_unit(client, unit: _WorkUnit):
-    """Download one unit's content (mirrors ``CSVExtractor.extract_topic``)."""
-    from ..core.extraction import ExtractedFile
+        writer = self.writer
+        consumed = 0
+        ctx = StageContext(config=self.spec.config)
 
-    repository = client.instance.repository(unit.repository)
-    content = client.raw_content(unit.url)
-    return ExtractedFile(
-        url=unit.url,
-        repository=unit.repository,
-        path=unit.path,
-        topic=unit.topic,
-        content=content,
-        license=repository.license if repository else None,
-        size_bytes=unit.size_bytes,
-    )
+        def source():
+            nonlocal consumed
+            for unit in units:
+                if should_stop():
+                    return
+                consumed += 1
+                self.unrecorded.append(unit)
+                yield unit
+
+        def hold(tables: list) -> None:
+            # The graph is pulled one unit at a time, so every unit
+            # consumed so far was dropped or yielded a held table.
+            writer.extend(tables)
+            if writer.pending_count >= self.spec.batch_size:
+                self._commit(ctx.report)
+
+        outcome = Pipeline(
+            [_DownloadStage(self.client), *processing_stages(self.components)],
+            batch_size=1,
+            name="gittables-build-worker",
+        ).run(
+            source(),
+            config=self.spec.config,
+            ctx=ctx,
+            limit=max(missing - writer.pending_count, 0),
+            sink=hold,
+        )
+        if outcome.report.stopped_early:
+            self._commit(ctx.report)  # the missing count is met: flush
+        self.session_counters = self._session_with(ctx.report)
+        return consumed
+
+    def _commit(self, report) -> None:
+        """Commit the held tables with every unit consumed since the last commit."""
+        if not self.unrecorded:
+            return
+        units, self.unrecorded = self.unrecorded, []
+        self.writer.commit(
+            done=[unit.index for unit in units],
+            indices={unit.url: unit.index for unit in units},
+        )
+        self._save_checkpoint(report)
+
+    def _session_with(self, report) -> dict:
+        """This session's counters with one (running) wave's folded in."""
+        from ..pipeline.report import combine_counters
+
+        wave = report.counters()
+        wave["sessions"] = 0  # a wave is part of its session, not one itself
+        return combine_counters(self.session_counters, wave)
+
+    def _save_checkpoint(self, report) -> None:
+        from ..pipeline.report import combine_counters
+
+        merged = combine_counters(self.base_counters, self._session_with(report))
+        BuildCheckpoint(
+            fingerprint=self.spec.fingerprint, sessions=merged["sessions"], counters=merged
+        ).save(self.spec.directory, worker=self.spec.worker)
 
 
 def _worker_main(conn, spec: _WorkerSpec) -> None:
-    """Worker process entry point: search and process tasks until told to stop.
+    """Worker process entry point: run :class:`_WorkerTasks` until told to stop.
 
-    Tasks arrive on ``conn`` as ``("search", topic)`` or ``("process",
-    wave_id, [work units])``; ``None`` is the stop message. Each task is
-    answered on the same pipe, ``("searched", ...)`` or ``("done",
-    ...)``; a failure is answered with ``("error", worker, traceback)``
-    and ends the worker. Every processed batch is committed (shard
-    append + fsync, delta record + fsync) before the next is touched,
-    and the per-worker :class:`~repro.storage.checkpoint.BuildCheckpoint`
-    is refreshed after each commit, so SIGKILL at any instant loses at
-    most one uncommitted batch of *corpus data*. Report counters share
-    the serial build's slightly weaker window: a kill between the commit
-    and the checkpoint save loses that one batch's counters (the corpus
-    bytes are unaffected — resume never re-does committed work, so the
-    counters stay a lower bound). If the coordinator disappears (parent
-    pid changes), the worker exits on its own at its next idle tick or
-    batch boundary rather than leak.
+    Tasks arrive on ``conn``; ``None`` is the stop message. Each task is
+    answered on the same pipe; a failure is answered with ``("error",
+    worker, traceback)`` and ends the worker. If the coordinator
+    disappears (parent pid changes), the worker exits on its own at its
+    next idle tick or unit boundary rather than leak. The writer is
+    closed on every exit path.
     """
     import traceback
-
-    from ..core.extraction import CSVExtractor
-    from ..github.client import GitHubClient
-    from ..github.instance import build_instance
-    from ..pipeline.report import combine_counters
-    from ..pipeline.runner import Pipeline
-    from ..pipeline.stage import iter_chunks
-    from ..pipeline.stages import PipelineComponents, processing_stages
 
     def orphaned() -> bool:
         return os.getppid() != spec.parent_pid
@@ -445,100 +615,31 @@ def _worker_main(conn, spec: _WorkerSpec) -> None:
         return True
 
     try:
-        artifacts = IndexArtifactStore.for_corpus_dir(spec.directory) if spec.use_artifacts else None
-        components = PipelineComponents.from_config(spec.config, artifacts=artifacts)
-        instance = spec.instance
-        if instance is None:
-            instance = build_instance(spec.generator_config)
-        client = GitHubClient(instance, real_time_factor=spec.real_time_factor)
-        extractor = CSVExtractor(client, spec.config.extraction)
-        writer = WorkerShardWriter(
-            spec.directory, spec.worker, shard_size=spec.shard_size, fault=spec.fault
-        )
-        checkpoint = BuildCheckpoint.load(spec.directory, worker=spec.worker)
-        base_counters = dict(checkpoint.counters) if checkpoint is not None else {}
-        session_counters: dict = {"sessions": 1}
+        tasks = _WorkerTasks.start(spec)
     except Exception:  # pragma: no cover - init failures surface as errors
         reply(("error", spec.worker, traceback.format_exc()))
         return
-
-    while True:
-        try:
-            if not conn.poll(0.5):
-                if orphaned():
-                    return
-                continue
-            task = conn.recv()
-        except PIPE_ERRORS:
-            return  # the coordinator closed its end
-        if task is None or orphaned():
-            return  # stopped, or the coordinator died between dispatch and pickup
-        try:
-            if task[0] == "search":
-                topic = task[1]
-                requests_before = client.request_count
-                wait_before = client.total_wait_seconds
-                payload, report = _search_topic(extractor, topic)
-                if not reply(
-                    (
-                        "searched",
-                        spec.worker,
-                        topic,
-                        payload,
-                        {
-                            "api_requests": client.request_count - requests_before,
-                            "wait_seconds": client.total_wait_seconds - wait_before,
-                            "initial_count": report.initial_counts.get(topic, 0),
-                            "segmented_queries": report.segmented_queries.get(topic, 0),
-                        },
-                    )
-                ):
-                    return
-                continue
-            wave_id, units = task[1], task[2]
-            for batch in iter_chunks(units, spec.batch_size):
-                if orphaned():
-                    # Orphaned mid-wave: stop at the batch boundary so
-                    # the scope lock frees for a resumed session fast
-                    # (everything committed so far is durable).
-                    return
-                download_started = time.perf_counter()
-                files = [_download_unit(client, unit) for unit in batch]
-                download_seconds = time.perf_counter() - download_started
-                outcome = Pipeline(
-                    processing_stages(components),
-                    batch_size=spec.batch_size,
-                    name="gittables-build-worker",
-                ).run(files, config=spec.config)
-                writer.extend(outcome.items)
-                writer.commit(
-                    done=[unit.index for unit in batch],
-                    indices={unit.url: unit.index for unit in batch},
-                )
-                batch_counters = outcome.report.counters()
-                batch_counters["sessions"] = 0
-                # Downloads are extraction work done worker-side; count
-                # them under the stage name the serial graph uses.
-                batch_counters["stages"] = {
-                    "extraction": {
-                        "items_in": len(batch),
-                        "items_out": len(files),
-                        "cumulative_seconds": download_seconds,
-                    },
-                    **batch_counters["stages"],
-                }
-                session_counters = combine_counters(session_counters, batch_counters)
-                merged = combine_counters(base_counters, session_counters)
-                BuildCheckpoint(
-                    fingerprint=spec.fingerprint,
-                    sessions=merged["sessions"],
-                    counters=merged,
-                ).save(spec.directory, worker=spec.worker)
-            if not reply(("done", spec.worker, wave_id, len(units))):
+    try:
+        while True:
+            try:
+                if not conn.poll(0.5):
+                    if orphaned():
+                        return
+                    continue
+                task = conn.recv()
+            except PIPE_ERRORS:
+                return  # the coordinator closed its end
+            if task is None or orphaned():
+                return  # stopped, or the coordinator died between dispatch and pickup
+            try:
+                message = tasks.run(task, should_stop=orphaned)
+            except Exception:
+                reply(("error", spec.worker, traceback.format_exc()))
                 return
-        except Exception:
-            reply(("error", spec.worker, traceback.format_exc()))
-            return
+            if not reply(message):
+                return
+    finally:
+        tasks.close()
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +651,9 @@ def _worker_main(conn, spec: _WorkerSpec) -> None:
 class _StoreState:
     """Committed state re-derived from a build directory on open."""
 
-    #: Serial-era canonical portion: table id -> {shard, line, source_url}.
+    #: Canonical portion: table id -> {shard, line, source_url}.
     canonical_tables: dict = field(default_factory=dict)
-    #: Serial-era canonical shard entries (manifest order).
+    #: Canonical shard entries (manifest order).
     canonical_shards: list = field(default_factory=list)
     #: Statistics of the canonical portion alone (not worker tables).
     canonical_stats: dict = field(default_factory=_empty_stats)
@@ -567,6 +668,10 @@ class _StoreState:
     #: The manifest's :func:`~repro.storage.sharded.manifest_header`
     #: (``shard_size`` is ``None`` when there is no manifest yet).
     header: dict = field(default_factory=lambda: manifest_header({}))
+    #: The topic a mid-build view's session started enumerating at (its
+    #: worker logs' stream indices count from there); ``None`` for a
+    #: canonical manifest or none.
+    first_topic: int | None = None
 
     @property
     def committed_count(self) -> int:
@@ -580,9 +685,9 @@ def _read_store_state(directory: Path) -> _StoreState:
 
     Worker logs are authoritative for worker-scoped state (the merged
     mid-build manifest is a convenience view); the canonical portion of
-    a manifest — entries referencing serial-named ``shard_*.jsonl``
-    files — is authoritative for work a *serial* session committed
-    before the build went parallel.
+    a manifest — entries referencing canonical ``shard_*.jsonl`` files —
+    is authoritative for the tables a finalize (a sealed epoch) or a
+    single-writer session committed.
 
     Each worker log is snapshotted under its scope lock: if a previous
     coordinator was SIGKILLed, its orphaned workers may still be
@@ -598,15 +703,15 @@ def _read_store_state(directory: Path) -> _StoreState:
         state.manifest_is_canonical = "parallel" not in manifest
         state.header = manifest_header(manifest)
         if state.manifest_is_canonical:
-            # A serial-era manifest's stats describe exactly the
+            # A canonical manifest's stats describe exactly the
             # canonical tables being adopted.
             state.canonical_stats = manifest.get("stats", _empty_stats())
         else:
             # A mid-build merged manifest's stats span worker tables
             # too; the canonical slice rides in the parallel marker.
-            state.canonical_stats = manifest["parallel"].get(
-                "canonical_stats", _empty_stats()
-            )
+            marker = manifest["parallel"]
+            state.canonical_stats = marker.get("canonical_stats", _empty_stats())
+            state.first_topic = int(marker.get("first_topic", 0))
         shards = manifest.get("shards", [])
         canonical_indices = {
             index
@@ -654,18 +759,19 @@ def _fold_stats(into: dict, source: dict) -> None:
 
 
 def merge_worker_manifests(
-    state: _StoreState, shard_size: int = 0, processes: int | None = None
+    state: _StoreState, shard_size: int = 0, processes: int | None = None, first_topic: int = 0
 ) -> dict:
     """The merged mid-build manifest of a store's committed state.
 
-    A pure function of the replayed state: canonical (serial-era) shards
+    A pure function of the replayed state: canonical shards
     come first, then each worker's shards in deterministic (worker id,
     shard seq) order, with table locations remapped into the merged
     shard list and statistics summed in the same order — so *any*
     interleaving of worker commits that leaves the same records in the
     logs merges to the identical manifest. The ``"parallel"`` marker
     tells readers this is a mid-build view and resuming coordinators
-    that the worker logs — not this manifest — are authoritative.
+    that the worker logs — not this manifest — are authoritative, and
+    ``first_topic`` the topic their stream indices count from.
     """
     shards: list = list(state.canonical_shards)
     tables: dict = {}
@@ -687,19 +793,21 @@ def merge_worker_manifests(
     manifest["parallel"] = {
         "processes": processes,
         "canonical_stats": state.canonical_stats,
+        "first_topic": first_topic,
     }
     return manifest
 
 
 class ParallelCorpusBuilder:
-    """Coordinates a multi-process corpus build over one store directory.
+    """Coordinates every corpus build into a store directory.
 
     Wraps a configured :class:`~repro.core.pipeline.CorpusBuilder` and
-    executes its store build across ``processes`` worker processes (see
-    the module docstring for the architecture). Not constructed directly
-    in normal use — ``CorpusBuilder.build(store_dir=..., processes=N)``
-    and ``GitTables.build(..., processes=N)`` route here, including for
-    ``processes=1`` resumes of a directory that holds parallel state.
+    executes its store build with ``processes`` workers (see the module
+    docstring for the architecture): worker processes at ``processes >=
+    2``, and worker 0 run in the calling process at ``processes=1``.
+    Not constructed directly in normal use — every
+    ``CorpusBuilder.build(store_dir=...)`` and ``GitTables.build`` /
+    ``.extend`` call with a store routes here.
 
     ``fault`` injects a deterministic crash for the test harness.
     """
@@ -757,24 +865,22 @@ class ParallelCorpusBuilder:
             return builder.reuse_result(store_dir, topic_selection.topics, use_artifacts=self.use_artifacts)
 
         header = state.header
-        if extend and finished:
-            # Growing a finalized store: open the next epoch. The seed
-            # merge below publishes the bumped manifest (as a mid-build
-            # view) before any work is dispatched, so a crashed
-            # extension resumes — now unsealed — without bumping again.
+        if finished:
+            # Growing a finalized store opens the next epoch. A crashed
+            # extension whose merged view never landed finds the store
+            # sealed again and opens the same epoch.
             header["epoch"] = len(header["epochs"]) + 1
-
-        # Resumes keep the shard size the directory was started with
-        # (same behaviour as the single-writer resume path).
-        header["shard_size"] = header["shard_size"] or shard_size
         if checkpoint is None:
             checkpoint = BuildCheckpoint(fingerprint=fingerprint)
+        # Resumes keep the shard size the directory was started with:
+        # the manifest's, else the one the first session pinned here.
+        header["shard_size"] = header["shard_size"] or checkpoint.shard_size or shard_size
+        checkpoint.shard_size = header["shard_size"]
         base_counters = dict(checkpoint.counters)
         checkpoint.sessions += 1
         checkpoint.save(directory)
-        # Truncate torn canonical shard tails a crashed serial session
-        # left, with the single-writer resume's own routine (worker
-        # shards are healed by their own writers).
+        # Truncate torn canonical shard tails a crashed single-writer
+        # session left (worker shards are healed by their own writers).
         heal_shard_files(directory, state.canonical_shards, directory.glob("shard_*.jsonl"))
         # Publish the coordinator's (eagerly built) ontology label
         # indexes before any worker spawns: every worker then resolves
@@ -783,12 +889,6 @@ class ParallelCorpusBuilder:
             builder.annotator.publish_artifacts(IndexArtifactStore.for_corpus_dir(directory))
 
         run = _CoordinatorRun(self, directory, topic_selection.topics, fingerprint, state)
-        # Seed the merged manifest before any work is dispatched: like
-        # the serial writer's first-commit manifest, it pins the
-        # directory's shard_size (and marks it parallel) so a build
-        # killed before the first throttled merge still resumes with
-        # the layout it was started with.
-        run.merge_manifest(force=True)
         try:
             run.execute()
         finally:
@@ -827,8 +927,8 @@ class ParallelCorpusBuilder:
         Stage counters sum the work of every worker across every
         session (each worker's checkpoint already reconciles its own
         sessions); ``sessions`` counts coordinator build invocations —
-        including any serial sessions the directory saw before going
-        parallel, whose counters arrive through ``base_counters``.
+        including any single-writer sessions the directory saw first,
+        whose counters arrive through ``base_counters``.
         """
         from ..pipeline.report import PipelineReport, combine_counters
 
@@ -869,6 +969,30 @@ class _CoordinatorRun:
         self.fingerprint = fingerprint
         self.state = state
 
+        # --- the canonical prefix ------------------------------------------
+        #: Locations of the canonical tables in (shard, line) order. A
+        #: single writer, a finalize and a compaction all write tables
+        #: in stream order, so these are the first tables of the final
+        #: sequence, and the last one's source URL is the stream's
+        #: high-water mark: every URL up to it was already processed —
+        #: stored, or rejected by parsing or filtering.
+        canonical = sorted(
+            state.canonical_tables.values(),
+            key=lambda entry: (entry["shard"], entry["line"]),
+        )
+        self.prefix = [("canonical", entry["shard"], entry["line"]) for entry in canonical]
+        self.prefix_urls = {entry["source_url"] for entry in canonical}
+        self.marker = canonical[-1]["source_url"] if canonical else None
+        #: Enumeration resolves every URL up to the marker instead of
+        #: dispatching it, so growing or resuming a prefix is O(tail).
+        self._fast_forwarding = self.marker is not None
+        #: The first topic enumerated: the marker's own topic, since the
+        #: topics before it were finished (never searched again). A
+        #: mid-build view pins the start its worker logs count from.
+        self.first_topic = (
+            state.first_topic if state.first_topic is not None else self._marker_topic(canonical)
+        )
+
         # --- source-URL stream enumeration --------------------------------
         #: Emitted stream units, index-aligned (stream[i].index == i).
         self.stream: list[_WorkUnit] = []
@@ -876,68 +1000,38 @@ class _CoordinatorRun:
         #: topic -> search payload, for topics searched out of order.
         self.searched: dict[str, list] = {}
         self.search_meta: dict[str, dict] = {}
-        self.next_topic = 0  # next topic to hand out for searching
-        self.next_emit = 0  # next topic (in order) awaiting emission
+        self.next_topic = self.first_topic  # next topic to hand out for searching
+        self.next_emit = self.first_topic  # next topic (in order) awaiting emission
         self.duplicate_urls = 0
 
         # --- resolution state ----------------------------------------------
-        #: stream index -> ("canonical"|worker id, shard index, line index)
+        #: stream index -> (worker id, shard index, line index)
         self.stored: dict[int, tuple] = {}
         self.resolved: set[int] = set()
-        for worker, done in state.worker_done.items():
+        for done in state.worker_done.values():
             self.resolved.update(done)
-        #: source_url -> stored location awaiting a stream index. Tables
-        #: a *serial* session committed carry no index (the serial
-        #: writer does not know it); they are mapped as enumeration
-        #: reaches their URL. Worker-committed tables carry their index
-        #: in the log and are mapped immediately.
-        self.pending_url_locations: dict[str, tuple] = {}
-        for table_id, entry in state.canonical_tables.items():
-            self.pending_url_locations[entry["source_url"]] = (
-                "canonical",
-                entry["shard"],
-                entry["line"],
-            )
         for worker, worker_state in state.worker_states.items():
-            for table_id, entry in worker_state["tables"].items():
-                location = (worker, entry["shard"], entry["line"])
-                if "index" in entry:
-                    self.stored[entry["index"]] = location
-                else:  # pragma: no cover - defensive for foreign logs
-                    self.pending_url_locations[entry["source_url"]] = location
-
-        # --- sealed-prefix fast-forward ------------------------------------
-        #: Source URL of the last table of the sealed canonical prefix —
-        #: the extraction stream's high-water mark. When the canonical
-        #: tables are exactly a sealed epoch's prefix (a fresh extension,
-        #: or a crashed extension being resumed), every stream URL up to
-        #: and including this one was already processed by the sealed
-        #: build: committed (and mapped via ``pending_url_locations``) or
-        #: rejected by parsing/filtering. Enumeration resolves those
-        #: units directly instead of re-dispatching the rejected ones to
-        #: workers — the parallel twin of the serial path's
-        #: ``ResumeSkipStage(fast_forward_past=...)`` — so extension
-        #: parse work stays O(tail). Mid-build canonical state (no seal,
-        #: or serial commits past the seal) gets no marker: rejected
-        #: URLs are then tracked by worker ``done`` records instead.
-        self.fast_forward_past: str | None = None
-        epochs = state.header["epochs"]
-        if epochs and len(state.canonical_tables) == epochs[-1]:
-            last_entry = max(
-                state.canonical_tables.values(),
-                key=lambda entry: (entry["shard"], entry["line"]),
-            )
-            self.fast_forward_past = last_entry.get("source_url")
-        self._fast_forwarding = self.fast_forward_past is not None
+            for entry in worker_state["tables"].values():
+                self.stored[entry["index"]] = (worker, entry["shard"], entry["line"])
+        #: Indices resolved by worker commits (what the yield rate is
+        #: measured over).
+        self._worker_resolved = len(self.resolved)
 
         # --- dispatch bookkeeping ------------------------------------------
-        #: Indices handed to a worker this session and not yet resolved
-        #: (resolution removes them, so ``len(dispatched)`` is the
-        #: in-flight count).
+        #: Indices handed to a worker and not yet resolved or released:
+        #: in flight, or consumed by a worker that has not committed
+        #: them yet (``assigned`` splits them by worker).
         self.dispatched: set[int] = set()
+        self.assigned: dict[int, set[int]] = {}
+        #: worker -> tables it holds uncommitted, as of its last answer.
+        self.holding: dict[int, int] = {}
+        #: wave id -> the indices it carried, until its worker answers.
+        self.waves: dict[int, list[int]] = {}
         self._wave_cursor = 0
         self._frontier_index = 0
-        self._frontier_curated = 0
+        self._frontier_curated = len(self.prefix)
+        #: Worker 0's handler when it runs in this process (processes=1).
+        self.local: _WorkerTasks | None = None
         self.children: list[Child] = []
         self.idle: list[int] = []
         self.outstanding: dict[int, tuple] = {}
@@ -947,15 +1041,21 @@ class _CoordinatorRun:
         self.api_requests = 0
         self.wait_seconds = 0.0
 
-    @property
-    def urls_unmapped(self) -> int:
-        """Stored tables whose stream index is not yet known."""
-        return len(self.pending_url_locations)
+    def _marker_topic(self, canonical: list) -> int:
+        """Index of the marker table's topic (0 without a prefix)."""
+        if not canonical:
+            return 0
+        last = canonical[-1]
+        line = _shard_lines(self.directory, self.state.canonical_shards[last["shard"]])[last["line"]]
+        topic = json.loads(line)["topic"]
+        return self.topics.index(topic) if topic in self.topics else 0
 
     # -- worker lifecycle ---------------------------------------------------
 
-    def spawn_workers(self) -> None:
+    def start_workers(self) -> None:
+        """Start the workers: in this process at ``processes=1``."""
         parent = self.parent
+        in_process = parent.processes == 1
         use_fork = build_mp_context().get_start_method() == "fork"
         for worker in range(parent.processes):
             spec = _WorkerSpec(
@@ -976,9 +1076,12 @@ class _CoordinatorRun:
                 fault=parent.fault if parent.fault and parent.fault.worker == worker else None,
                 use_artifacts=parent.use_artifacts,
             )
-            child = Child()
-            child.start(_worker_main, (spec,), name=f"gittables-build-w{worker:02d}")
-            self.children.append(child)
+            if in_process:
+                self.local = _WorkerTasks.start(spec, builder=self.builder)
+            else:
+                child = Child()
+                child.start(_worker_main, (spec,), name=f"gittables-build-w{worker:02d}")
+                self.children.append(child)
             self.idle.append(worker)
 
     def shutdown_workers(self) -> None:
@@ -990,8 +1093,11 @@ class _CoordinatorRun:
         the coordinator reads worker counters. Surplus acks are drained
         and discarded. SIGTERM after the generous 60 s bound is a last
         resort for hung workers, and crash-safe (at most the final
-        batch's counters go unreported).
+        batch's counters go unreported). An in-process worker's writer
+        is closed.
         """
+        if self.local is not None:
+            self.local.close()
         shutdown(self.children, timeout=60.0)
         for child in self.children:
             child.conn.close()
@@ -1006,32 +1112,28 @@ class _CoordinatorRun:
             if payload is None:
                 return
             for item in payload:
-                if item["url"] in self.seen_urls:
+                url = item["url"]
+                if url in self.seen_urls:
                     self.duplicate_urls += 1
                     continue
-                self.seen_urls.add(item["url"])
+                self.seen_urls.add(url)
                 index = len(self.stream)
                 self.stream.append(
                     _WorkUnit(
                         index=index,
-                        url=item["url"],
+                        url=url,
                         repository=item["repository"],
                         path=item["path"],
                         topic=topic,
                         size_bytes=item["size_bytes"],
                     )
                 )
-                location = self.pending_url_locations.pop(item["url"], None)
-                if location is not None:
-                    self.stored[index] = location
+                if self._fast_forwarding or url in self.prefix_urls:
+                    # Up to the marker every URL was processed before;
+                    # past it, a prefix table resurfacing under a later
+                    # topic is already stored.
                     self.resolved.add(index)
-                    self.dispatched.discard(index)
-                elif self._fast_forwarding:
-                    # Inside the sealed prefix but not stored: a sealed
-                    # epoch already processed and *rejected* this URL.
-                    # Resolve it here so it is never dispatched again.
-                    self.resolved.add(index)
-                if self._fast_forwarding and item["url"] == self.fast_forward_past:
+                if url == self.marker:
                     self._fast_forwarding = False
             self.next_emit += 1
 
@@ -1040,19 +1142,15 @@ class _CoordinatorRun:
     def frontier(self) -> tuple[int, int]:
         """``(first unresolved index, curated tables before it)``.
 
-        Advanced incrementally from the last call: an index, once
-        resolved, never unresolves, and a resolved index's stored
-        location is recorded in the same harvest step, so the walk
-        never needs to restart from zero (keeps the dispatch loop
-        linear in stream length overall).
+        The curated count starts at the canonical prefix. Advanced
+        incrementally from the last call: an index, once resolved, never
+        unresolves, and a resolved index's stored location is recorded
+        in the same harvest step, so the walk never needs to restart
+        from zero (keeps the dispatch loop linear in stream length
+        overall).
         """
         index, curated = self._frontier_index, self._frontier_curated
-        total = len(self.stream)
-        while curated < self.config.target_tables and (
-            index < total or index in self.resolved
-        ):
-            if index not in self.resolved:
-                break
+        while curated < self.config.target_tables and index in self.resolved:
             if index in self.stored:
                 curated += 1
             index += 1
@@ -1091,20 +1189,22 @@ class _CoordinatorRun:
             # Stored locations must land before the indices count as
             # resolved, or a frontier walk in between would misread a
             # stored index as dropped.
-            for table_id, entry in record.get("tables", {}).items():
-                if "index" in entry:
-                    self.stored[entry["index"]] = (worker, entry["shard"], entry["line"])
-            for index in record.get("done", ()):
-                self.resolved.add(index)
-                self.dispatched.discard(index)
+            for entry in record.get("tables", {}).values():
+                self.stored[entry["index"]] = (worker, entry["shard"], entry["line"])
+            done = record.get("done", ())
+            self.resolved.update(done)
+            self.dispatched.difference_update(done)
+            self.assigned.get(worker, set()).difference_update(done)
+            self._worker_resolved += len(done)
             offset += raw_length
         self._log_offsets[worker] = offset
 
     #: Completed-wave harvests folded in between merged-manifest
     #: publications. The merged view is a reader convenience (worker
     #: logs stay authoritative for resume), so publishing it — an
-    #: O(total tables) rewrite — is throttled the same way the serial
-    #: writer throttles full-manifest compaction behind its delta log.
+    #: O(total tables) rewrite — is throttled the same way the
+    #: single-writer throttles full-manifest compaction behind its
+    #: delta log.
     MERGE_EVERY = 8
 
     def merge_manifest(self, force: bool = False) -> None:
@@ -1113,24 +1213,38 @@ class _CoordinatorRun:
             return
         self._harvests_since_merge = 0
         manifest = merge_worker_manifests(
-            self.state, shard_size=self.shard_size, processes=self.parent.processes
+            self.state,
+            shard_size=self.shard_size,
+            processes=self.parent.processes,
+            first_topic=self.first_topic,
         )
         _write_manifest(self.directory, manifest)
 
     # -- dispatch loop ------------------------------------------------------
 
     def execute(self) -> None:
-        if self.target_met() and self.urls_unmapped == 0:
+        if self.target_met():
             return  # resumed after the last wave; nothing to dispatch
-        self.spawn_workers()
+        self.start_workers()
+        try:
+            self._loop()
+        except BaseException:
+            # An interrupted session leaves what its workers committed
+            # readable (worker logs stay authoritative for resume).
+            for worker in range(self.parent.processes):
+                self.harvest_worker_log(worker)
+            self.merge_manifest(force=True)
+            raise
+        # Leave a current merged view behind for readers (and for the
+        # finalize fault-injection window).
+        self.merge_manifest(force=True)
+
+    def _loop(self) -> None:
         while True:
             self._emit_ready_topics()
-            if self.urls_unmapped == 0 and (self.target_met() or self.exhausted()):
-                # Leave a current merged view behind for readers (and
-                # for the finalize fault-injection window).
-                self.merge_manifest(force=True)
+            if self.target_met() or self.exhausted():
                 return
-            if self.urls_unmapped > 0 and self.next_emit >= len(self.topics):
+            if self._fast_forwarding and self.next_emit >= len(self.topics):
                 raise CorpusError(
                     f"corpus at {self.directory} holds tables whose source URLs "
                     "do not appear in this configuration's extraction stream; "
@@ -1140,38 +1254,72 @@ class _CoordinatorRun:
             self._collect()
 
     def _dispatch(self) -> None:
-        """Hand search and process tasks to idle workers."""
-        while self.idle:
-            # Processing beats searching when enough URLs are buffered:
-            # waves resolve the frontier the target check needs.
-            wave = self._next_wave()
-            if wave:
-                worker = self.idle.pop(0)
-                wave_id = self.next_wave_id
-                self.next_wave_id += 1
-                self.outstanding[worker] = ("process", wave_id)
-                self.dispatched.update(unit.index for unit in wave)
-                self._send(worker, ("process", wave_id, wave))
+        """Hand each idle worker its next task, if it has one."""
+        for worker in list(self.idle):
+            task = self._task_for(worker)
+            if task is None:
                 continue
-            if self.next_topic < len(self.topics):
-                worker = self.idle.pop(0)
-                topic = self.topics[self.next_topic]
+            self.idle.remove(worker)
+            if task[0] == "search":
                 self.next_topic += 1
-                self.outstanding[worker] = ("search", topic)
-                self._send(worker, ("search", topic))
-                continue
-            return
+                self.outstanding[worker] = task
+                self._send(worker, task)
+            else:
+                self._send_wave(worker, *task[1:])
+
+    def _task_for(self, worker: int) -> tuple | None:
+        """A wave, a search, or a flush (an empty wave) for ``worker``.
+
+        Processing beats searching when URLs are buffered (waves
+        resolve the frontier the target check needs). Once the tables
+        obtained and held cover the target, holders are flushed instead
+        of more tables being curated; a worker holding uncommitted
+        units is otherwise flushed only when nothing else is left.
+        """
+        missing = self._missing_for(worker)
+        if missing <= 0 and any(self.holding.values()):
+            return ("wave", [], 0) if self.holding.get(worker) else None
+        wave = self._next_wave()
+        if wave:
+            return ("wave", wave, max(missing, 1))
+        if self.next_topic < len(self.topics):
+            return ("search", self.topics[self.next_topic])
+        if self.assigned.get(worker):
+            return ("wave", [], 0)
+        return None
+
+    def _missing_for(self, worker: int) -> int:
+        """The target less every table obtained so far but ``worker``'s own.
+
+        Obtained: the canonical prefix, every committed table, and the
+        tables other workers hold uncommitted (the worker subtracts its
+        own).
+        """
+        held = sum(count for other, count in self.holding.items() if other != worker)
+        return self.config.target_tables - len(self.prefix) - len(self.stored) - held
+
+    def _send_wave(self, worker: int, wave: list, missing: int) -> None:
+        wave_id = self.next_wave_id
+        self.next_wave_id += 1
+        self.outstanding[worker] = ("process", wave_id)
+        self.waves[wave_id] = [unit.index for unit in wave]
+        self.dispatched.update(self.waves[wave_id])
+        self.assigned.setdefault(worker, set()).update(self.waves[wave_id])
+        self._send(worker, ("process", wave_id, wave, missing))
 
     def _next_wave(self) -> list:
-        """The next slice of unresolved, undispatched stream URLs."""
-        remaining = self._remaining_estimate()
-        limit = min(remaining - len(self.dispatched), ParallelCorpusBuilder.WAVE_UNITS)
-        if limit <= 0:
+        """The next slice of unresolved, undispatched stream URLs.
+
+        A wave dispatched while none is in flight carries a full
+        ``WAVE_UNITS`` (it stops itself at the missing table count);
+        further in-flight waves are bounded by the remaining estimate.
+        """
+        limit = ParallelCorpusBuilder.WAVE_UNITS
+        if any(task[0] == "process" for task in self.outstanding.values()):
+            limit = min(limit, self._remaining_estimate() - len(self.dispatched))
+        if limit <= 0 or self.target_met():
             return []
-        while self._wave_cursor < len(self.stream) and (
-            self.stream[self._wave_cursor].index in self.resolved
-            or self.stream[self._wave_cursor].index in self.dispatched
-        ):
+        while self._wave_cursor in self.resolved:
             self._wave_cursor += 1
         wave: list = []
         for position in range(self._wave_cursor, len(self.stream)):
@@ -1186,22 +1334,25 @@ class _CoordinatorRun:
     def _remaining_estimate(self) -> int:
         """How many URLs past the frontier are worth processing.
 
-        The curated-per-URL rate observed so far (conservative default
-        before enough evidence) sizes how far past the frontier the
-        build reaches for the missing tables; the 1.2 slack keeps a
-        second round of dispatching rare while bounding overshoot.
+        The curated-per-URL rate the workers observed so far
+        (conservative default before enough evidence) sizes how far past
+        the frontier the build reaches for the missing tables; the 1.2
+        slack keeps a second round of dispatching rare while bounding
+        overshoot.
         """
         _, curated = self.frontier()
         missing = self.config.target_tables - curated
         if missing <= 0:
             return 0
-        resolved_count = len(self.resolved)
-        stored_count = len(self.stored) + len(self.pending_url_locations)
-        rate = (stored_count / resolved_count) if resolved_count >= 64 else 0.25
+        resolved = self._worker_resolved
+        rate = (len(self.stored) / resolved) if resolved >= 64 else 0.25
         rate = max(rate, 0.05)
         return max(self.builder.batch_size, int(missing / rate * 1.2))
 
     def _send(self, worker: int, task: tuple) -> None:
+        if self.local is not None:
+            self._on_message(self.local.run(task))
+            return
         try:
             self.children[worker].conn.send(task)
         except PIPE_ERRORS:
@@ -1249,13 +1400,17 @@ class _CoordinatorRun:
             self.idle.append(worker)
             return
         if kind == "done":
-            _, worker, _wave_id, _unit_count = message
+            _, worker, wave_id, consumed, self.holding[worker] = message
             self.outstanding.pop(worker, None)
             self.idle.append(worker)
             # Fold this worker's commit records (in log order — i.e.
             # commit-seq order) into coordinator state; the merged
             # manifest is published every MERGE_EVERY harvests.
             self.harvest_worker_log(worker)
+            # Units the wave left unconsumed go back to the pool.
+            released = self.waves.pop(wave_id)[consumed:]
+            self.dispatched.difference_update(released)
+            self.assigned[worker].difference_update(released)
             self._harvests_since_merge += 1
             self.merge_manifest()
 
@@ -1263,12 +1418,11 @@ class _CoordinatorRun:
 
     def final_sequence(self) -> Iterator[tuple]:
         """Stored table locations of the final corpus, in stream order."""
-        curated = 0
+        target = self.config.target_tables
+        yield from self.prefix[:target]
+        curated = len(self.prefix)
         index = 0
-        total = len(self.stream)
-        while curated < self.config.target_tables and (
-            index < total or index in self.resolved
-        ):
+        while curated < target and (index < len(self.stream) or index in self.resolved):
             if index not in self.resolved:
                 raise CorpusError(
                     f"stream index {index} is unresolved; the build did not "
@@ -1280,31 +1434,17 @@ class _CoordinatorRun:
                 yield location
             index += 1
 
-    def _adopted_canonical_prefix(self, sequence: list) -> tuple[int, int]:
+    def _adopted_canonical_prefix(self) -> tuple[int, int]:
         """``(full shards, tables)`` of the canonical prefix adopted as-is.
 
-        When the final sequence begins with *every* canonical (serial- or
-        prior-epoch) table in its existing on-disk order — the resume and
-        epoch-extension cases — the full canonical shards already hold
-        exactly the bytes finalize would rewrite into them. Adopting them
-        untouched makes finalize O(new tables + one partial shard)
-        instead of O(corpus): only the trailing partial shard (so new
-        tables can pack into it) and everything after is re-emitted.
-        Returns ``(0, 0)`` whenever the alignment does not hold, which
-        falls back to the full rewrite.
+        The final sequence begins with every canonical (single-writer
+        or prior-epoch) table in its on-disk order, so the full
+        canonical shards already hold exactly the bytes finalize would
+        rewrite into them. Adopting them untouched makes finalize O(new
+        tables + one partial shard) instead of O(corpus): only the
+        trailing partial shard (so new tables can pack into it) and
+        everything after is re-emitted.
         """
-        canonical = sorted(
-            self.state.canonical_tables.values(),
-            key=lambda entry: (entry["shard"], entry["line"]),
-        )
-        if not canonical or len(sequence) < len(canonical):
-            return 0, 0
-        aligned = all(
-            location == ("canonical", entry["shard"], entry["line"])
-            for location, entry in zip(sequence, canonical)
-        )
-        if not aligned:
-            return 0, 0
         adopt_shards = 0
         adopt_tables = 0
         for entry in self.state.canonical_shards:
@@ -1315,87 +1455,99 @@ class _CoordinatorRun:
         return adopt_shards, adopt_tables
 
     def finalize(self) -> int:
-        """Rewrite worker shards into the canonical serial-order layout.
+        """Lay the final table sequence out as the canonical store.
 
         The final table sequence is published through
         :func:`~repro.storage.sharded.publish_layout`: canonical shards
         are staged as ``.tmp`` siblings (the worker shards — the data
         source — are never touched), renamed into place, the canonical
         manifest is published atomically (the commit point), and
-        worker-scoped files, stale canonical shards and any serial-era
+        worker-scoped files, stale canonical shards and any single-writer
         ``manifest.log`` are swept. A crash before the publish leaves the
         worker logs authoritative; a crash after it leaves only the
         sweep, which a resumed build reuses. Every byte written is a
         deterministic function of the final table sequence, so
         re-running finalize after a crash (possibly with a different
-        process count) produces the same files. A final sequence that
-        extends the existing canonical layout — the epoch-extension case
-        — keeps the full canonical shards without rewriting them (see
-        :meth:`_adopted_canonical_prefix`). Returns the table count.
+        process count) produces the same files. The full canonical
+        shards are kept without rewriting them (see
+        :meth:`_adopted_canonical_prefix`), and a worker shard that is
+        exactly the next canonical shard is hard-linked to its canonical
+        name before the publish (a crash leaves the link unlisted, and
+        the next session's heal deletes it). Returns the table count.
         """
         state = self.state
         sources: dict = {"canonical": state.canonical_shards}
         for worker, worker_state in state.worker_states.items():
             sources[worker] = worker_state["shards"]
         sequence = list(self.final_sequence())
-        adopt_shards, adopt_tables = self._adopted_canonical_prefix(sequence)
-        tables: dict = {}
-        stats = _empty_stats()
-        #: Sequence positions whose stats are already in ``stats``.
-        counted = 0
-        if adopt_shards:
-            # The canonical stats cover *all* canonical tables —
-            # including the re-emitted partial-shard ones — so seed them
-            # wholesale and skip re-accumulating those positions below.
-            counted = len(state.canonical_tables)
-            _fold_stats(stats, state.canonical_stats)
-            # Insert in (shard, line) order — the sequence order — so the
-            # manifest's table map is byte-identical to a full rewrite's.
-            for table_id, entry in sorted(
-                state.canonical_tables.items(),
-                key=lambda item: (item[1]["shard"], item[1]["line"]),
-            ):
-                if entry["shard"] < adopt_shards:
-                    tables[table_id] = {
-                        "shard": entry["shard"],
-                        "line": entry["line"],
-                        "source_url": entry["source_url"],
-                    }
+        adopt_shards, adopt_tables = self._adopted_canonical_prefix()
+        #: location -> (table id, manifest or worker-log entry)
+        located = {
+            ("canonical", entry["shard"], entry["line"]): (table_id, entry)
+            for table_id, entry in state.canonical_tables.items()
+        }
+        for worker, worker_state in state.worker_states.items():
+            for table_id, entry in worker_state["tables"].items():
+                located[(worker, entry["shard"], entry["line"])] = (table_id, entry)
         shard_lines = lru_cache(maxsize=4)(
             lambda source, shard: _shard_lines(self.directory, sources[source][shard])
         )
-
-        def lines():
-            # Adopted shards are full, so position // shard_size is the
-            # shard every later table lands in.
-            for position in range(adopt_tables, len(sequence)):
-                source, shard_index, line_index = sequence[position]
-                line = shard_lines(source, shard_index)[line_index]
-                payload = json.loads(line)
-                tables[payload["table_id"]] = {
-                    "shard": position // self.shard_size,
-                    "line": position % self.shard_size,
-                    "source_url": payload["source_url"],
-                }
-                if position >= counted:
-                    _accumulate_stats(
-                        stats,
-                        len(payload["rows"]),
-                        len(payload["header"]),
-                        payload["topic"],
-                        payload["repository"],
-                    )
-                yield line
-
-        fault = self.parent.fault
+        # The canonical tables lead the sequence in their stored order,
+        # so their stats seed the final ones; worker log entries carry
+        # the fields a table's stats fold in (older logs: decode it).
+        stats = _empty_stats()
+        _fold_stats(stats, state.canonical_stats)
+        tables: dict = {}
+        for position, (source, shard_index, line_index) in enumerate(sequence):
+            table_id, entry = located[(source, shard_index, line_index)]
+            tables[table_id] = {
+                "shard": position // self.shard_size,
+                "line": position % self.shard_size,
+                "source_url": entry["source_url"],
+            }
+            if source != "canonical":
+                if "rows" not in entry:
+                    payload = json.loads(shard_lines(source, shard_index)[line_index])
+                    entry = {
+                        "rows": len(payload["rows"]),
+                        "columns": len(payload["header"]),
+                        "topic": payload["topic"],
+                        "repository": payload["repository"],
+                    }
+                _accumulate_stats(
+                    stats, entry["rows"], entry["columns"], entry["topic"], entry["repository"]
+                )
         header = state.header
+        kept = state.canonical_shards[:adopt_shards]
+        linked = adopt_tables
+        # A worker shard holding exactly the lines of the next canonical
+        # shard (every shard of a one-worker build) is hard-linked into
+        # place: its bytes were fsynced when it was committed.
+        while linked < len(sequence):
+            source, shard_index, _ = sequence[linked]
+            entry = sources[source][shard_index]
+            path = self.directory / entry["file"]
+            if source == "canonical" or sequence[linked : linked + self.shard_size] != [
+                (source, shard_index, line) for line in range(entry["count"])
+            ] or path.stat().st_size != entry["bytes"]:
+                break
+            name = _shard_filename(len(kept), header["generation"])
+            (self.directory / name).unlink(missing_ok=True)
+            os.link(path, self.directory / name)
+            kept.append({"file": name, "count": entry["count"], "bytes": entry["bytes"]})
+            linked += entry["count"]
+        lines = (
+            shard_lines(source, shard_index)[line_index]
+            for source, shard_index, line_index in sequence[linked:]
+        )
+        fault = self.parent.fault
         publish_layout(
             self.directory,
-            lines(),
+            lines,
             {**header, "epochs": seal_epochs(header["epochs"], header["epoch"], len(sequence))},
             tables,
             stats,
-            shards=state.canonical_shards[:adopt_shards],
+            shards=kept,
             fault=fault if fault is not None and fault.worker is None else None,
         )
         return len(sequence)
@@ -1414,7 +1566,7 @@ class _CoordinatorRun:
         from ..core.extraction import ExtractionReport
 
         report = ExtractionReport()
-        for topic in self.topics[: self.next_emit]:
+        for topic in self.topics[self.first_topic : self.next_emit]:
             report.topics.append(topic)
             meta = self.search_meta.get(topic)
             if meta is not None:

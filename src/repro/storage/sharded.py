@@ -38,10 +38,11 @@ Two stores share the layout:
   iteration streams shard by shard through a small LRU of read shards,
   each table decoded once, on first access; corpus statistics are
   answered straight from the manifest.
-* :class:`ShardedCorpusWriter` — the append-only writer used as the
-  corpus-construction sink. ``add`` buffers tables, ``commit`` appends
-  them to shard files and rewrites the manifest, which is the atomic
-  checkpoint that makes interrupted builds resumable.
+* :class:`ShardedCorpusWriter` — the append-only writer behind
+  ``GitTablesCorpus.save`` and, through its per-worker subclass, every
+  store build. ``add`` buffers tables, ``commit`` appends them to shard
+  files and durably records the commit, which is what makes
+  interrupted writes resumable.
 
 Both own the directory's index artifacts: ``store.artifacts`` (``None``
 for a reader opened with ``use_artifacts=False``) is what every
@@ -54,14 +55,12 @@ manifests regardless of which backend or session wrote them.
 
 **Epochs.** The manifest carries an ``epoch`` counter plus an
 ``epochs`` list recording the table count at which each epoch was
-sealed (``finalize`` seals the current epoch). A sealed — finalized —
-directory can be reopened for append by constructing the writer with
-``extend=True``: the epoch counter is bumped and durably published
-*before* any new table lands, so new commits (delta-log records and
-shard appends) belong to the new epoch, a crashed extension resumes
-under the same epoch instead of bumping again, and derived-artifact
-consumers can detect growth with one O(1) probe
-(:func:`read_store_version`) instead of re-hashing the manifest. Epochs
+sealed (``finalize`` seals the current epoch). Growing a sealed store
+(:meth:`repro.core.pipeline.CorpusBuilder.build` with ``extend=True``)
+opens the next epoch — a crashed extension resumes under the same epoch
+instead of bumping again — and derived-artifact consumers detect growth
+with one O(1) probe (:func:`read_store_version`) instead of re-hashing
+the manifest. Epochs
 are bookkeeping *about* the corpus, not part of its content: the
 content fingerprint covers shards and tables only, so an extended store
 and a from-scratch build of the same table set share a fingerprint (and
@@ -554,14 +553,6 @@ class ShardedJsonlStore:
         """Shard file names in shard order."""
         return [entry["file"] for entry in self._manifest.get("shards", [])]
 
-    def source_urls(self) -> set[str]:
-        """Source URLs of every stored table (metadata only)."""
-        return {
-            entry["source_url"]
-            for entry in self._manifest.get("tables", {}).values()
-            if "source_url" in entry
-        }
-
     def stats_hint(self) -> dict | None:
         """Corpus statistics cached in the manifest (no shard reads)."""
         return self._manifest.get("stats")
@@ -786,8 +777,8 @@ def heal_shard_files(directory: Path, entries: list[dict], owned_paths) -> None:
 
     The one shard-healing routine every resume path shares — the
     single-writer :class:`ShardedCorpusWriter`, the per-worker writers
-    of a parallel build, and the coordinator adopting a serial-era
-    canonical portion. ``entries`` are manifest/log shard records
+    of a build, and the coordinator adopting a canonical portion.
+    ``entries`` are manifest/log shard records
     (``{"file", "bytes", ...}``); ``owned_paths`` is the iterable of
     on-disk shard paths within the caller's naming scope, which bounds
     what may be deleted (healing one worker's scope never touches
@@ -910,7 +901,7 @@ def sweep_layout(directory: Path, manifest: dict) -> int:
 
 
 class ShardedCorpusWriter:
-    """Append-only sharded store used as the corpus-construction sink.
+    """Append-only sharded store: ``save()``'s writer, and each build worker's.
 
     ``add`` buffers tables in memory; :meth:`commit` appends the buffer
     to shard files (rolling over every ``shard_size`` tables) and then
@@ -930,13 +921,9 @@ class ShardedCorpusWriter:
     (and seals the current epoch) so the finished directory is
     byte-identical regardless of commit cadence or interruptions.
 
-    ``extend=True`` reopens a *sealed* directory for a new epoch: the
-    epoch counter is bumped and the manifest republished before any
-    append, so every commit of the extension is attributable to the new
-    epoch and a crashed extension resumes (with ``extend=True`` again)
-    without bumping twice. ``fault`` arms deterministic crash injection
-    for the test harness (see :class:`~repro.storage.FaultSpec`);
-    production builds never pass one.
+    ``fault`` arms deterministic crash injection for the test harness
+    (see :class:`~repro.storage.FaultSpec`); production builds never
+    pass one.
     """
 
     def __init__(
@@ -945,7 +932,6 @@ class ShardedCorpusWriter:
         shard_size: int = DEFAULT_SHARD_SIZE,
         name: str = "gittables",
         compact_every: int = DEFAULT_COMPACT_EVERY,
-        extend: bool = False,
         fault=None,
     ) -> None:
         if shard_size < 1:
@@ -962,6 +948,8 @@ class ShardedCorpusWriter:
         self._tables: dict[str, dict] = {}
         self._stats = _empty_stats()
         self._log_records = 0
+        #: Files created since the directory was last fsynced.
+        self._dir_dirty = False
         self.name = name
         self.shard_size = shard_size
         self.epoch = 1
@@ -971,12 +959,6 @@ class ShardedCorpusWriter:
         if self._has_existing_state():
             self._load_existing_state()
             self._heal_shards()
-            if extend:
-                self.begin_extension()
-        elif extend:
-            raise CorpusError(
-                f"cannot extend {self.directory}: no finalized corpus to reopen"
-            )
         self._pending: deque = deque()
         self._pending_ids: set[str] = set()
 
@@ -1022,34 +1004,6 @@ class ShardedCorpusWriter:
         self._stats = manifest.get("stats", _empty_stats())
 
     # -- epochs -------------------------------------------------------------
-
-    def begin_extension(self) -> None:
-        """Open the next epoch if the directory is sealed (else no-op).
-
-        Idempotent while unsealed: a crashed extension resumes into the
-        epoch it already opened instead of bumping again. Callers that
-        may end up committing nothing (e.g. an extension whose target was
-        already met) should defer this until they know appends follow,
-        so a degenerate extension does not leave the store unsealed.
-        """
-        if self.is_sealed:
-            self._begin_epoch()
-
-    @property
-    def is_sealed(self) -> bool:
-        """True when every opened epoch has been sealed by a finalize."""
-        return manifest_is_sealed(vars(self))
-
-    def _begin_epoch(self) -> None:
-        """Durably open the next epoch on a sealed directory.
-
-        The bumped manifest is published *before* any append so every
-        subsequent commit belongs to the new epoch on disk, and a
-        crashed extension — whose manifest is now unsealed — resumes
-        into the same epoch instead of bumping again.
-        """
-        self.epoch = len(self.epochs) + 1
-        self._compact()
 
     def _seal_epoch(self) -> bool:
         """Record the current epoch's final table count; True if changed."""
@@ -1132,36 +1086,6 @@ class ShardedCorpusWriter:
         """Tables durably recorded in the manifest."""
         return len(self._tables)
 
-    def source_urls(self) -> set[str]:
-        """Source URLs of committed tables (what a resumed build skips)."""
-        return {
-            entry["source_url"] for entry in self._tables.values() if "source_url" in entry
-        }
-
-    def last_source_url(self) -> str | None:
-        """Source URL of the most recently committed table (None when empty).
-
-        On a sealed directory the manifest lists tables in canonical
-        stream order (the finalize guarantees this even for parallel
-        builds), so this is the extraction stream's high-water mark:
-        every file up to and including it was already processed —
-        committed here or rejected by parsing/filtering.
-        """
-        for entry in reversed(self._tables.values()):
-            return entry.get("source_url")
-        return None
-
-    def last_committed_table(self) -> "AnnotatedTable | None":
-        """The most recently committed table (None when empty).
-
-        One shard read — pairs with :meth:`last_source_url` to recover
-        the high-water mark's metadata (e.g. which topic the sealed
-        build stopped in) without scanning the corpus.
-        """
-        for entry in reversed(self._tables.values()):
-            return self._read_committed(entry["shard"], entry["line"])
-        return None
-
     def stats_hint(self) -> dict | None:
         """Committed statistics (pending tables are not yet included)."""
         if self._pending:
@@ -1200,10 +1124,7 @@ class ShardedCorpusWriter:
                 # that rolled over without reaching the commit record.
                 with open(self.directory / filename, "wb"):
                     pass
-                # Persist the new file's directory entry before the
-                # manifest/log can reference it (a record naming a file
-                # whose dirent was lost to a power cut is unrecoverable).
-                fsync_dir(self.directory)
+                self._dir_dirty = True
                 self._shards.append({"file": filename, "count": 0, "bytes": 0})
             entry = self._shards[-1]
             room = self.shard_size - entry["count"]
@@ -1211,6 +1132,10 @@ class ShardedCorpusWriter:
             self._append_group(entry, group, new_tables, stats_delta)
             touched[len(self._shards) - 1] = entry
         self._pending_ids.clear()
+        # Persist new files' directory entries before the manifest/log
+        # can reference them (a record naming a file whose dirent was
+        # lost to a power cut is unrecoverable): one fsync per commit.
+        self._sync_dir()
         fault_point(self.fault, "before-log-append", self._commit_index)
         self._record_commit(touched, new_tables, stats_delta)
         fault_point(self.fault, "after-log-append", self._commit_index)
@@ -1250,11 +1175,7 @@ class ShardedCorpusWriter:
             os.fsync(handle.fileno())
         for annotated, payload in zip(group, encoded):
             table = annotated.table
-            location = {
-                "shard": shard_index,
-                "line": entry["count"],
-                "source_url": annotated.source_url,
-            }
+            location = self._table_entry(annotated, shard_index, entry["count"])
             self._tables[annotated.table_id] = location
             new_tables[annotated.table_id] = location
             entry["count"] += 1
@@ -1263,6 +1184,10 @@ class ShardedCorpusWriter:
                 _accumulate_stats(
                     stats, table.num_rows, table.num_columns, annotated.topic, annotated.repository
                 )
+
+    def _table_entry(self, annotated: "AnnotatedTable", shard: int, line: int) -> dict:
+        """The manifest entry locating one appended table."""
+        return {"shard": shard, "line": line, "source_url": annotated.source_url}
 
     def _delta_record(self, touched: dict, new_tables: dict, stats_delta: dict) -> dict:
         """The canonical delta record describing one commit."""
@@ -1280,15 +1205,21 @@ class ShardedCorpusWriter:
         record = self._delta_record(touched, new_tables, stats_delta)
         payload = json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n"
         path = self._log_path()
-        existed = path.exists()
+        if not path.exists():
+            self._dir_dirty = True
         with open(path, "ab") as handle:
             fault_point(self.fault, "torn-log-append", self._commit_index, torn=(handle, payload))
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
-        if not existed:
-            fsync_dir(self.directory)
+        self._sync_dir()
         self._log_records += 1
+
+    def _sync_dir(self) -> None:
+        """fsync the directory if this writer created a file since the last one."""
+        if self._dir_dirty:
+            fsync_dir(self.directory)
+            self._dir_dirty = False
 
     def _compact(self) -> None:
         """Fold all committed state into manifest.json and drop the log.

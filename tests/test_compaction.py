@@ -218,9 +218,11 @@ class TestCompactionRefusals:
             compact_store(directory)
         writer.finalize()
         compact_store(directory)  # sealed: fine
-        extension = ShardedCorpusWriter(directory, shard_size=4, extend=True)
-        extension.begin_extension()
-        # Epoch 2 is open but unsealed.
+        # Epoch 2 is open but unsealed (an extension opened it).
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["epoch"] = 2
+        manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CorpusError, match="not sealed"):
             compact_store(directory)
 

@@ -6,8 +6,8 @@ resuming the deterministic construction stream exactly where the sealed
 store left off — O(new tables) of pipeline work — and the resulting
 directory is byte-identical to a from-scratch build of the larger
 configuration, modulo the manifest's epoch trailer. Crashes at any
-commit point of an extension (serial or parallel, worker or
-coordinator) must leave a resumable directory that converges to those
+commit point of an extension (in-process or in worker processes, worker
+or coordinator) must leave a resumable directory that converges to those
 same bytes. Superseded index artifacts must survive until every engine
 has delta-refreshed from them (the prune-ordering window).
 """
@@ -18,8 +18,8 @@ import importlib.util
 import json
 import shutil
 import sys
+from itertools import islice
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,11 +33,11 @@ from repro.core.annotation import AnnotationMethod
 from repro.dataframe.table import Table
 from repro.errors import CorpusError
 from repro.github.content import GeneratorConfig
-from repro.pipeline.stages import ResumeSkipStage
 from repro.serving.metrics import ServiceMetrics
 from repro.storage._io import directory_file_bytes
 from repro.storage.artifacts import IndexArtifactStore
 from repro.storage.columnar import PROJECTION_ARTIFACT
+from repro.storage import parallel
 from repro.storage.parallel import ParallelCorpusBuilder
 from repro.core.pipeline import CorpusBuilder
 from repro.storage.sharded import (
@@ -51,6 +51,12 @@ GROWN_TABLES = 30
 SHARDS = 8
 BATCH = 4
 SEED = 7
+
+# A writer, reader or worker that leaks a file handle fails its test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -127,10 +133,6 @@ def _manifest_sans_epochs(directory: Path) -> dict:
     return manifest
 
 
-def _extracted(url: str) -> SimpleNamespace:
-    return SimpleNamespace(url=url)
-
-
 def _annotated(table_id: str) -> AnnotatedTable:
     table = Table(["id", "status"], [["1", "OPEN"]], table_id=table_id)
     annotations = TableAnnotations(table_id=table_id)
@@ -202,9 +204,10 @@ class TestEpochGrowthEquality:
             grown_config, generator_config=grow_generator, batch_size=BATCH
         ).build(store_dir=directory, shard_size=SHARDS, extend=True)
         delta = grown_parses - base_parses
-        assert delta <= extension.parsing_report.attempted
+        report = extension.pipeline_report
+        assert delta <= report.stage("parsing").items_in
         assert (
-            extension.parsing_report.attempted
+            report.stage("parsing").items_in
             <= delta + grown_run.extraction_report.duplicate_urls
         )
         # The sealed build's finished topics are skipped outright: the
@@ -212,7 +215,9 @@ class TestEpochGrowthEquality:
         grown_topics = grown_run.extraction_report.topics
         ext_topics = extension.extraction_report.topics
         assert ext_topics == grown_topics[len(grown_topics) - len(ext_topics) :]
-        assert extension.pipeline_report.stage("resume-skip").items_dropped > 0
+        # The pre-marker stream is resolved without being downloaded.
+        enumerated = extension.extraction_report.total_urls - extension.extraction_report.duplicate_urls
+        assert report.stage("extraction").items_in < enumerated
 
     def test_degenerate_extension_reuses_sealed_store(self, tmp_path, base_store):
         directory = tmp_path / "store"
@@ -291,7 +296,7 @@ class TestSerialExtensionCrash:
     def test_interrupted_extension_resumes_byte_identical(
         self, tmp_path, monkeypatch, base_store, grown_config, grow_generator, extended_reference
     ):
-        """Kill a serial extension between commits; resuming with
+        """Kill a one-process extension between commits; resuming with
         ``extend=True`` converges to the uninterrupted extension bytes."""
         directory = tmp_path / "store"
         shutil.copytree(base_store, directory)
@@ -433,12 +438,11 @@ class TestParallelExtensionCrash:
 
 
 class TestParallelFastForward:
-    """The coordinator's mirror of the serial ``ResumeSkipStage``
-    high-water mark: when the canonical portion is exactly a sealed
-    epoch, stream enumeration fast-forwards to the sealed build's last
-    committed URL, resolving the prefix's rejected URLs *without
-    dispatching them to workers* — so extension parse work is one pass
-    over the post-marker tail, not a re-parse of the whole stream."""
+    """The canonical prefix's high-water mark: stream enumeration
+    fast-forwards to the sealed build's last committed URL, resolving
+    the prefix's rejected URLs *without dispatching them to workers* —
+    so extension parse work is one pass over the post-marker tail, not
+    a re-parse of the whole stream."""
 
     def _extend_parallel(self, directory, config, generator, fault=None):
         builder = CorpusBuilder(
@@ -534,32 +538,71 @@ class TestPruneOrderingWindow:
         assert artifacts.prune(new_fingerprint) == []
 
 
+def _enumeration(directory, config, payloads: dict) -> "parallel._CoordinatorRun":
+    """A coordinator over ``directory`` that enumerated ``payloads``.
+
+    ``payloads`` maps each topic of ``config`` to the URLs its search
+    returns; the coordinator folds them into its stream as it does
+    with real search answers.
+    """
+    builder = CorpusBuilder(config, generator_config=GeneratorConfig(seed=SEED))
+    state = parallel._read_store_state(directory)
+    run = parallel._CoordinatorRun(
+        ParallelCorpusBuilder(builder, processes=1),
+        directory,
+        tuple(payloads),
+        {},
+        state,
+    )
+    for topic, urls in payloads.items():
+        run.searched[topic] = [
+            {"url": url, "repository": "octo/data", "path": url, "size_bytes": 1} for url in urls
+        ]
+    run._emit_ready_topics()
+    return run
+
+
+def _prefix_store(directory, table_ids) -> None:
+    """A sealed store holding ``table_ids`` (source URLs ``<id>.csv``)."""
+    writer = ShardedCorpusWriter(directory, shard_size=SHARDS)
+    writer.extend([_annotated(table_id) for table_id in table_ids])
+    writer.finalize()
+
+
+def _url(table_id: str) -> str:
+    return f"https://github.com/octo/data/blob/main/{table_id}.csv"
+
+
 class TestFastForwardSkip:
-    def test_marker_drops_unprocessed_rejects_in_prefix(self):
-        stage = ResumeSkipStage({"a", "b"}, fast_forward_past="b")
-        items = [_extracted(url) for url in ("a", "x", "b", "c", "d")]
-        assert [item.url for item in stage.process(iter(items), None)] == ["c", "d"]
+    """Stream enumeration over a canonical prefix: every URL up to the
+    prefix's last table is resolved without being dispatched, and a
+    prefix table resurfacing later is resolved too."""
 
-    def test_membership_only_without_marker(self):
-        stage = ResumeSkipStage({"a"})
-        items = [_extracted(url) for url in ("a", "x", "b")]
-        assert [item.url for item in stage.process(iter(items), None)] == ["x", "b"]
+    def test_marker_drops_unprocessed_rejects_in_prefix(self, tmp_path):
+        _prefix_store(tmp_path, ["a", "b"])
+        urls = [_url(name) for name in ("a", "x", "b", "c", "d")]
+        run = _enumeration(tmp_path, PipelineConfig(seed=SEED), {"id": urls})
+        assert [unit.url for unit in run._next_wave()] == urls[3:]
+        assert run.resolved == {0, 1, 2}
+        assert run.frontier() == (3, 2)
 
-    def test_membership_still_applies_after_marker(self):
-        stage = ResumeSkipStage({"a", "b", "c"}, fast_forward_past="b")
-        items = [_extracted(url) for url in ("a", "b", "c", "d")]
-        assert [item.url for item in stage.process(iter(items), None)] == ["d"]
+    def test_membership_still_applies_after_marker(self, tmp_path):
+        _prefix_store(tmp_path, ["a", "c", "b"])
+        urls = [_url(name) for name in ("a", "b", "c", "d")]
+        run = _enumeration(tmp_path, PipelineConfig(seed=SEED), {"id": urls})
+        assert [unit.url for unit in run._next_wave()] == [_url("d")]
+        assert list(islice(run.final_sequence(), 3)) == run.prefix
 
-    def test_writer_last_source_url(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "store", shard_size=SHARDS)
-        assert writer.last_source_url() is None
-        writer.extend([_annotated("t000"), _annotated("t001")])
-        writer.commit()
-        reopened = ShardedCorpusWriter(tmp_path / "store", shard_size=SHARDS)
-        assert reopened.last_source_url() == (
-            "https://github.com/octo/data/blob/main/t001.csv"
+    def test_marker_is_the_last_canonical_table(self, tmp_path):
+        _prefix_store(tmp_path, ["t000", "t001"])
+        run = _enumeration(
+            tmp_path, PipelineConfig(seed=SEED), {"organism": [], "id": [], "order": []}
         )
-        assert reopened.last_committed_table().table_id == "t001"
+        assert run.marker == _url("t001")
+        # Enumeration starts at the marker table's topic: the topics
+        # before it were finished by the sealed build.
+        assert run.first_topic == 1
+        assert run.extraction_report().topics == ["id", "order"]
 
 
 class TestSealedPrefixBoundary:
@@ -585,8 +628,8 @@ class TestSealedPrefixBoundary:
         writer.commit()
         writer.finalize()
         base_key = ShardedJsonlStore(directory).content_fingerprint()
-        extension = ShardedCorpusWriter(directory, shard_size=7, extend=True)
-        extension.begin_extension()
+        extension = ShardedCorpusWriter(directory, shard_size=7)
+        extension.epoch = 2  # open the next epoch
         extension.extend([_annotated(f"t{i:03d}") for i in range(10, 13)])
         extension.commit()
         extension.finalize()

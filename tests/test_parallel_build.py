@@ -1,11 +1,12 @@
-"""Crash/concurrency harness for process-parallel corpus builds.
+"""Crash/concurrency harness for store builds under any process count.
 
 The contract under test (see :mod:`repro.storage.parallel`): a
 ``processes=N`` build finalizes a directory **byte-identical** to a
-serial build of the same configuration, and stays resumable to that
-same byte-identical directory after SIGKILLing any worker at any commit
-point, killing the coordinator during finalize/compaction, or switching
-the process count between sessions.
+one-process build of the same configuration (and to the in-memory
+build saved), and stays resumable to that same byte-identical directory
+after SIGKILLing any worker at any commit point, killing the
+coordinator during finalize/compaction, or switching the process count
+between sessions.
 
 The fault injector (``fault_injector`` fixture, built on
 :class:`repro.storage.parallel.FaultSpec`) and the subprocess build
@@ -47,6 +48,12 @@ from repro.storage.parallel import (
 BATCH = 8
 SHARDS = 8
 
+# A writer, reader or worker that leaks a file handle fails its test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
+
 
 @pytest.fixture(scope="module")
 def par_config():
@@ -62,11 +69,19 @@ def par_generator():
 
 @pytest.fixture(scope="module")
 def serial_reference(tmp_path_factory, par_config, par_generator):
-    """A one-shot single-process build: the byte-level ground truth."""
+    """A one-shot one-process build: the byte-level ground truth, checked
+    against the in-memory build saved to a directory."""
     store = tmp_path_factory.mktemp("serial-ref") / "store"
     result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
         store_dir=store, shard_size=SHARDS
     )
+    saved = tmp_path_factory.mktemp("serial-ref") / "saved"
+    CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build().corpus.save(
+        saved, shard_size=SHARDS
+    )
+    built = _dir_bytes(store)
+    built.pop("build.json")
+    assert built == _dir_bytes(saved)
     return store, result
 
 
@@ -191,6 +206,7 @@ class TestWorkerCrashInjection:
         assert log_path.read_bytes().endswith(b"\n")
         # Only complete records survived the replay.
         assert writer.committed_count == len(writer._tables)
+        writer.close()
 
     def test_mid_build_directory_is_readable(
         self, tmp_path, par_config, par_generator, fault_injector, parallel_build_subprocess
@@ -353,27 +369,13 @@ class TestCrossModeResume:
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
 
     def test_serial_partial_resumed_in_parallel(
-        self, tmp_path, monkeypatch, par_config, par_generator, serial_reference
+        self, tmp_path, par_config, par_generator, serial_reference
     ):
-        from repro.storage import ShardedCorpusWriter
-
+        """A single-writer session's partial store (canonical shards, a
+        manifest and its delta log) resumes to the reference bytes."""
         reference_dir, _ = serial_reference
         store = tmp_path / "store"
-        original_commit = ShardedCorpusWriter.commit
-        calls = {"n": 0}
-
-        def killed_commit(self):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise KeyboardInterrupt("simulated kill")
-            return original_commit(self)
-
-        monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
-        with pytest.raises(KeyboardInterrupt):
-            CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
-                store_dir=store, shard_size=SHARDS
-            )
-        monkeypatch.undo()
+        _single_writer_partial(store, reference_dir, par_config, par_generator, tables=24)
         partial = GitTablesCorpus.load(store)
         assert 0 < len(partial) < par_config.target_tables
 
@@ -384,25 +386,17 @@ class TestCrossModeResume:
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
 
     def test_unfinalized_serial_store_is_finalized_not_reused(
-        self, tmp_path, monkeypatch, par_config, par_generator, serial_reference
+        self, tmp_path, par_config, par_generator, serial_reference
     ):
-        """A serial build killed between its last commit and its finalize
-        holds every table but is unsealed and keeps its ``manifest.log``:
-        a parallel call must finalize it, not reuse and sweep it."""
-        from repro.storage import ShardedCorpusWriter
-
+        """A single-writer session killed between its last commit and its
+        finalize holds every table but is unsealed and keeps its
+        ``manifest.log``: a build call must finalize it, not reuse and
+        sweep it."""
         reference_dir, _ = serial_reference
         store = tmp_path / "store"
-
-        def killed_finalize(self):
-            raise KeyboardInterrupt("simulated kill")
-
-        monkeypatch.setattr(ShardedCorpusWriter, "finalize", killed_finalize)
-        with pytest.raises(KeyboardInterrupt):
-            CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
-                store_dir=store, shard_size=SHARDS
-            )
-        monkeypatch.undo()
+        _single_writer_partial(
+            store, reference_dir, par_config, par_generator, tables=par_config.target_tables
+        )
         assert (store / "manifest.log").exists()
         assert len(GitTablesCorpus.load(store)) == par_config.target_tables
 
@@ -444,6 +438,119 @@ class TestCrossModeResume:
             CorpusBuilder(drifted, generator_config=par_generator, batch_size=BATCH).build(
                 store_dir=store, shard_size=SHARDS, processes=2
             )
+
+
+def _single_writer_partial(store, reference_dir, config, generator, tables: int) -> None:
+    """The directory a single-writer build session leaves when killed
+    after committing the first ``tables`` tables in batches of ``BATCH``:
+    build metadata, a checkpoint, canonical shards, a manifest and its
+    uncompacted delta log."""
+    from repro.storage import ShardedCorpusWriter
+    from repro.storage.checkpoint import config_fingerprint, save_build_meta
+
+    writer = ShardedCorpusWriter(store, shard_size=SHARDS)
+    fingerprint = config_fingerprint(config, generator)
+    save_build_meta(store, fingerprint)
+    BuildCheckpoint(fingerprint=fingerprint, sessions=1).save(store)
+    reference = list(GitTablesCorpus.load(reference_dir))[:tables]
+    for start in range(0, tables, BATCH):
+        writer.extend(reference[start : start + BATCH])
+        writer.commit()
+
+
+class TestOneProcessBuilds:
+    """``processes=1`` runs the coordinator's worker in the calling
+    process, with the exactness of a streaming build."""
+
+    def test_build_extend_compact_in_one_process(self, tmp_path, par_config, par_generator):
+        """Grow's shape: build, three extensions and a compaction in one
+        process. Each call annotates exactly the tables it adds, each
+        extension enumerates a suffix of the one-shot run's topics,
+        nothing worker-scoped is left behind, and every step holds the
+        bytes of the same target built by two worker processes."""
+        from repro.storage.compaction import compact_store
+
+        targets = [16, 22, 29, 36]
+        store = tmp_path / "store"
+        session = None
+        for step, target in enumerate(targets):
+            config = par_config.replace(target_tables=target)
+            if session is None:
+                session = GitTables.build(
+                    config,
+                    generator_config=par_generator,
+                    batch_size=BATCH,
+                    store_dir=store,
+                    shard_size=SHARDS,
+                    processes=1,
+                )
+                added = target
+            else:
+                session.extend(target_tables=target, batch_size=BATCH, shard_size=SHARDS)
+                added = target - targets[step - 1]
+            report = session.pipeline_report
+            assert len(session) == target
+            assert report.stage("annotation").items_in == added
+            one_shot = CorpusBuilder(config, generator_config=par_generator, batch_size=BATCH).build()
+            topics = session.result.extraction_report.topics
+            assert topics == one_shot.extraction_report.topics[-len(topics) :]
+            assert not has_parallel_state(store)
+            assert worker_checkpoint_ids(store) == []
+            assert BuildCheckpoint.load(store) is None
+            assert not list(store.glob("shard-*")) and not list(store.glob("manifest*.log"))
+
+            parallel_store = tmp_path / f"parallel-{target}"
+            CorpusBuilder(config, generator_config=par_generator, batch_size=BATCH).build(
+                store_dir=parallel_store, shard_size=SHARDS, processes=2
+            )
+            grown, one_shot_bytes = _dir_bytes(store), _dir_bytes(parallel_store)
+            assert _manifest_sans_epochs(grown.pop("manifest.json")) == _manifest_sans_epochs(
+                one_shot_bytes.pop("manifest.json")
+            )
+            assert grown == one_shot_bytes
+        session.compact(shard_size=5)
+        compact_store(parallel_store, shard_size=5)
+        grown, one_shot_bytes = _dir_bytes(store), _dir_bytes(parallel_store)
+        assert _manifest_sans_epochs(grown.pop("manifest.json")) == _manifest_sans_epochs(
+            one_shot_bytes.pop("manifest.json")
+        )
+        assert grown == one_shot_bytes
+
+    def test_sigkilled_one_process_build_resumes(
+        self, tmp_path, par_config, par_generator, serial_reference, fault_injector,
+        parallel_build_subprocess,
+    ):
+        """A worker-0 fault fires in the building process itself: kill
+        the build at a commit point, resume it here, reach the reference
+        bytes."""
+        reference_dir, _ = serial_reference
+        store = tmp_path / "store"
+        process = parallel_build_subprocess(
+            store,
+            par_config,
+            par_generator,
+            processes=1,
+            fault=fault_injector(commit_n=2, worker=0, point="after-log-append"),
+        )
+        assert process.exitcode == -signal.SIGKILL
+        assert has_parallel_state(store)
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=1
+        )
+        assert result.table_count == par_config.target_tables
+        assert result.pipeline_report.sessions == 2
+        # Committed tables are never annotated twice. The kill pre-empted
+        # the second commit's checkpoint, so its batch goes uncounted.
+        annotated = result.pipeline_report.stage("annotation").items_in
+        assert annotated == par_config.target_tables - BATCH
+        assert _dir_bytes(store) == _dir_bytes(reference_dir)
+
+
+def _manifest_sans_epochs(payload: bytes) -> dict:
+    manifest = json.loads(payload)
+    manifest.pop("epoch")
+    manifest.pop("epochs")
+    return manifest
 
 
 class TestArtifactsAfterParallelBuilds:
@@ -516,6 +623,7 @@ class TestWorkerShardWriter:
             done=[0, 1, 2, 3],
             indices={table.source_url: i for i, table in enumerate(tables)},
         )
+        writer.close()
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
             worker_log_filename(3),
@@ -534,6 +642,7 @@ class TestWorkerShardWriter:
         assert resumed.committed_count == 2
         assert resumed.done_indices == {0, 1, 5, 9}
         assert resumed.get("w000").table_id == "w000"
+        resumed.close()
 
     def test_resume_heals_own_tail_and_orphans_only(self, tmp_path):
         writer = WorkerShardWriter(tmp_path, worker=0, shard_size=4)
@@ -547,7 +656,7 @@ class TestWorkerShardWriter:
         other = tmp_path / worker_shard_filename(1, 0)
         other.write_bytes(b"{}\n")  # another worker's file: untouchable
         writer.close()
-        WorkerShardWriter(tmp_path, worker=0, shard_size=4)
+        WorkerShardWriter(tmp_path, worker=0, shard_size=4).close()
         assert shard.stat().st_size == committed
         assert not (tmp_path / worker_shard_filename(0, 7)).exists()
         assert other.exists()
@@ -556,6 +665,7 @@ class TestWorkerShardWriter:
         writer = WorkerShardWriter(tmp_path, worker=0, shard_size=4)
         with pytest.raises(CorpusError):
             writer.finalize()
+        writer.close()
 
     def test_scope_lock_excludes_concurrent_writers(self, tmp_path, monkeypatch):
         """Two live writers can never share a worker scope (flock)."""
@@ -575,6 +685,7 @@ class TestWorkerShardWriter:
             done=[10, 11, 12],
             indices={tables[0].source_url: 10, tables[1].source_url: 12},
         )
+        writer.close()
         record = json.loads(
             (tmp_path / worker_log_filename(2)).read_text().splitlines()[0]
         )

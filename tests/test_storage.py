@@ -18,13 +18,19 @@ from repro.core.pipeline import CorpusBuilder
 from repro.dataframe.table import Table
 from repro.errors import CorpusError
 from repro.github.content import GeneratorConfig
-from repro.pipeline import Pipeline, PipelineReport, ResumeSkipStage, combine_counters
+from repro.pipeline import PipelineReport, combine_counters
 from repro.storage import (
     BuildCheckpoint,
     ShardedCorpusWriter,
     ShardedJsonlStore,
 )
 from repro.storage._io import directory_file_bytes
+
+# A writer, reader or worker that leaks a file handle fails its test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 def _annotated(table_id: str, topic: str = "id", repo: str = "octo/data") -> AnnotatedTable:
@@ -329,18 +335,6 @@ class TestProvenanceNames:
         assert nested.name == "gittables/topic=organism/filtered"
 
 
-class TestResumeSkipStage:
-    def test_skips_only_known_urls(self):
-        class Extracted:
-            def __init__(self, url):
-                self.url = url
-
-        stage = ResumeSkipStage({"u1", "u3"})
-        outcome = Pipeline([stage]).run([Extracted(f"u{i}") for i in range(5)])
-        assert [item.url for item in outcome.items] == ["u0", "u2", "u4"]
-        assert outcome.report.stage("resume-skip").items_dropped == 2
-
-
 class TestCounterReconciliation:
     def test_combine_counters_sums_stagewise(self):
         base = {
@@ -413,9 +407,9 @@ class TestResumableBuild:
         account for every table exactly once."""
         one_shot = tmp_path / "one-shot"
         interrupted = tmp_path / "interrupted"
-        CorpusBuilder(resume_config, generator_config=resume_generator, batch_size=4).build(
-            store_dir=one_shot, shard_size=8
-        )
+        one_shot_report = CorpusBuilder(
+            resume_config, generator_config=resume_generator, batch_size=4
+        ).build(store_dir=one_shot, shard_size=8).pipeline_report
 
         original_commit = ShardedCorpusWriter.commit
         calls = {"n": 0}
@@ -434,9 +428,10 @@ class TestResumableBuild:
         monkeypatch.undo()
 
         # The interrupted directory is a valid partial corpus with a
-        # checkpoint describing the committed progress.
-        checkpoint = BuildCheckpoint.load(interrupted)
-        assert checkpoint is not None
+        # checkpoint describing the committed progress (the build's one
+        # worker keeps the counters of the work it committed).
+        assert BuildCheckpoint.load(interrupted) is not None
+        checkpoint = BuildCheckpoint.load(interrupted, worker=0)
         partial = GitTablesCorpus.load(interrupted)
         assert 0 < len(partial) < resume_config.target_tables
         assert checkpoint.counters["items_collected"] == len(partial)
@@ -463,7 +458,9 @@ class TestResumableBuild:
         # Every table was annotated exactly once across the two sessions.
         assert report.stage("annotation").items_in == resume_config.target_tables
         assert report.stage("curation").items_out == resume_config.target_tables
-        assert report.stage("resume-skip").items_dropped == len(partial)
+        # ...and every source file was parsed exactly once: the resume
+        # skipped what the first session committed.
+        assert report.stage("parsing").items_in == one_shot_report.stage("parsing").items_in
         assert report.items_collected == resume_config.target_tables
         # Checkpoint is gone and the directory is byte-identical to the
         # one-shot build.
@@ -594,7 +591,7 @@ class TestResumableBuild:
         )
         # Reinstate a checkpoint as if the clear never happened.
         BuildCheckpoint(
-            fingerprint=json.load(open(store / "build.json"))["fingerprint"],
+            fingerprint=json.loads((store / "build.json").read_text())["fingerprint"],
             sessions=1,
             counters=first.pipeline_report.counters(),
         ).save(store)
