@@ -8,8 +8,6 @@ word lists with a seeded RNG so anonymisation is reproducible.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .._rand import derive_rng
 
 __all__ = ["FakeDataProvider"]

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .._rand import derive_rng
 from ..dataframe.table import Table
 from ..github.values import generate_values

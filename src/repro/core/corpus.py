@@ -334,16 +334,16 @@ class GitTablesCorpus:
         if staging.exists():
             shutil.rmtree(staging)
         try:
-            writer = ShardedCorpusWriter(staging, shard_size=shard_size, name=self.name)
-            # Commit shard-sized chunks so saving a lazy disk-backed
-            # corpus never materializes it (commit boundaries do not
-            # change the output bytes; finalize compacts the manifest
-            # delta log away).
-            for annotated in self._store:
-                writer.add(annotated)
-                if writer.pending_count >= shard_size:
-                    writer.commit()
-            writer.finalize()
+            with ShardedCorpusWriter(staging, shard_size=shard_size, name=self.name) as writer:
+                # Commit shard-sized chunks so saving a lazy disk-backed
+                # corpus never materializes it (commit boundaries do not
+                # change the output bytes; finalize links the writer's
+                # shards to their canonical names).
+                for annotated in self._store:
+                    writer.add(annotated)
+                    if writer.pending_count >= shard_size:
+                        writer.commit()
+                writer.finalize()
             # Re-saving a store's own corpus onto its directory keeps the
             # build provenance valid — carry it (and the derived index
             # artifacts, still valid since the content is unchanged)

@@ -11,7 +11,7 @@ statistics used by the featurisers and the corpus statistics module.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from ..errors import TableValidationError

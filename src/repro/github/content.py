@@ -13,7 +13,7 @@ exercising the parser's §3.3 rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

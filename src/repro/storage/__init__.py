@@ -2,14 +2,15 @@
 
 :class:`~repro.storage.base.CorpusStore` is the protocol behind
 :class:`~repro.core.corpus.GitTablesCorpus`; the backends are the
-in-memory dict (:class:`InMemoryStore`), the lazy sharded-JSONL reader
-(:class:`ShardedJsonlStore`), and the append-only resumable writer
-(:class:`ShardedCorpusWriter`). :class:`BuildCheckpoint` carries
+in-memory dict (:class:`InMemoryStore`) and the lazy sharded-JSONL
+reader (:class:`ShardedJsonlStore`). One append-only, resumable writer,
+:class:`ShardedCorpusWriter`, writes every sharded directory: each
+writer owns one worker scope (its shards and delta log), and either a
+:class:`ParallelCorpusBuilder` coordinator merges its workers' logs on
+commit boundaries into the canonical layout (every store build, under
+any process count) or the writer publishes its own tables
+(``GitTablesCorpus.save``). :class:`BuildCheckpoint` carries
 cross-session build state for resumable corpus construction.
-:mod:`repro.storage.parallel` lifts the writer to multi-process builds:
-per-worker shard ranges and delta logs (:class:`WorkerShardWriter`)
-merged on commit boundaries by a :class:`ParallelCorpusBuilder`
-coordinator into the same canonical on-disk layout.
 :mod:`repro.storage.compaction` re-shards a sealed directory online
 (:func:`compact_store`): the same tables are repacked under a bumped
 manifest generation with the content fingerprint pinned, so derived
@@ -56,15 +57,8 @@ from .checkpoint import (
 from ._io import FaultSpec
 from .compaction import CompactionReport, compact_store
 from .memory import InMemoryStore
-from .parallel import (
-    ParallelCorpusBuilder,
-    WorkerShardWriter,
-    has_parallel_state,
-    worker_log_filename,
-    worker_shard_filename,
-)
+from .parallel import ParallelCorpusBuilder, has_parallel_state
 from .sharded import (
-    DEFAULT_COMPACT_EVERY,
     DEFAULT_SHARD_SIZE,
     MANIFEST_FILENAME,
     MANIFEST_LOG_FILENAME,
@@ -75,6 +69,8 @@ from .sharded import (
     is_sharded_dir,
     manifest_generation,
     read_store_version,
+    worker_log_filename,
+    worker_shard_filename,
 )
 
 __all__ = [
@@ -84,7 +80,6 @@ __all__ = [
     "compact_store",
     "manifest_generation",
     "read_store_version",
-    "WorkerShardWriter",
     "build_manifest",
     "checkpoint_filename",
     "has_parallel_state",
@@ -116,7 +111,6 @@ __all__ = [
     "config_fingerprint",
     "is_sharded_dir",
     "ARTIFACTS_DIRNAME",
-    "DEFAULT_COMPACT_EVERY",
     "DEFAULT_SHARD_SIZE",
     "MANIFEST_FILENAME",
     "MANIFEST_LOG_FILENAME",

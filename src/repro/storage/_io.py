@@ -25,24 +25,28 @@ __all__ = [
 class FaultSpec:
     """Deterministic crash injection for the test harness.
 
-    ``worker`` selects which build worker process self-SIGKILLs (``None``
-    targets the process that publishes a layout: the parallel build's
-    coordinator, or :func:`~repro.storage.compaction.compact_store`),
-    ``commit_n`` the 1-based commit ordinal *within the faulted session*,
-    and ``point`` when exactly to die. Every point fires through
-    :func:`fault_point`.
+    ``worker`` selects the writer that self-SIGKILLs: the
+    :class:`~repro.storage.sharded.ShardedCorpusWriter` of build worker
+    ``worker`` (worker 0 runs in the calling process at
+    ``processes=1``). ``None`` targets the process that publishes a
+    layout: the build's coordinator, or
+    :func:`~repro.storage.compaction.compact_store`. ``commit_n`` is the
+    1-based commit ordinal *within the faulted session*, and ``point``
+    when exactly to die. Every point fires through :func:`fault_point`.
 
-    Writer points, once per commit:
+    Writer points, once per commit of the selected writer:
 
     * ``"before-shard-append"`` — commit started, nothing written yet;
     * ``"before-log-append"`` — shard bytes flushed, no commit record;
-    * ``"torn-log-append"`` — half the commit record's bytes written
-      (a torn log tail that resume must truncate away);
-    * ``"after-log-append"`` — commit durable, checkpoint not yet saved.
+    * ``"torn-log-append"`` — half the commit record's bytes written to
+      the writer's ``manifest-<worker>.log`` (a torn log tail that the
+      writer's reopen must truncate away);
+    * ``"after-log-append"`` — commit durable in the log, the build
+      worker's checkpoint not yet saved.
 
     Layout-publish points, fired by
-    :func:`~repro.storage.sharded.publish_layout` for the parallel
-    finalize and for compaction (``commit_n`` ignored):
+    :func:`~repro.storage.sharded.publish_layout` for a build's finalize
+    and for compaction (``commit_n`` ignored):
 
     * ``"before-shard-publish"`` — new shards staged as ``.tmp`` files
       only;

@@ -2,7 +2,7 @@
 
 A store owns the physical representation of a corpus — the mapping from
 table ids to :class:`~repro.core.corpus.AnnotatedTable` records — and the
-corpus container delegates every container operation to it. Three
+corpus container delegates every container operation to it. Two
 backends implement the protocol:
 
 * :class:`~repro.storage.memory.InMemoryStore` — a plain dict; the
@@ -13,10 +13,12 @@ backends implement the protocol:
   table, and corpus-level statistics (topics, row/column totals,
   repository counts) are answered from the manifest without touching any
   shard.
-* :class:`~repro.storage.sharded.ShardedCorpusWriter` — the append-only
-  store used as a pipeline sink. ``add`` buffers, ``commit`` appends the
-  buffered tables to shard files and atomically rewrites the manifest,
-  which is what makes interrupted corpus builds resumable.
+
+Sharded directories are written by one writer,
+:class:`~repro.storage.sharded.ShardedCorpusWriter`, which is not a
+store: it appends tables to its own shards and delta log (what makes
+interrupted builds resumable), and a directory becomes readable once a
+build coordinator or the writer's ``finalize`` publishes its manifest.
 
 The protocol is deliberately small: everything a corpus can compute by
 streaming (``topics``, ``filter``, statistics) lives in

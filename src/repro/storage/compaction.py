@@ -97,8 +97,9 @@ def compact_store(
     is always already packed, so the call degenerates to cleaning up any
     leftovers of a previously crashed compaction (this is also what
     makes re-running after a crash idempotent). Refuses unsealed
-    directories, unfinalized single-writer stores (``manifest.log`` present),
-    and directories with in-flight parallel-build state: compaction
+    directories, old directories an unfinalized single writer left
+    (``manifest.log`` present), and directories with in-flight build
+    state: compaction
     only ever rewrites *fully committed* layouts.
     """
     directory = Path(directory)

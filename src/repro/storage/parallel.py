@@ -30,9 +30,9 @@ no pipe) at ``processes=1``. Both run the same task handler,
   saved to a directory — regardless of process count, commit cadence,
   or how many times the build was killed and resumed.
 * **Crash resume.** Killing any subset of workers (or the coordinator)
-  at any point loses at most the uncommitted tables: each worker log's
-  torn tail is truncated on reopen and its shard tails healed exactly
-  like :class:`~repro.storage.sharded.ShardedCorpusWriter`'s; the
+  at any point loses at most the uncommitted tables: each worker's
+  :class:`~repro.storage.sharded.ShardedCorpusWriter` truncates its
+  log's torn tail and heals its shard tails on reopen; the
   coordinator re-derives completed work from the logs, re-dispatches
   the rest, and the process count may differ between sessions (it is
   excluded from the config fingerprint).
@@ -64,17 +64,17 @@ flight at once may curate a bounded surplus, dropped at finalize (which
 keeps the final bytes identical).
 
 A store that already holds canonical tables — a sealed epoch being
-extended, or a single writer's partial build — is a prefix of the
-stream in stream order, so its last table's URL is a high-water mark:
-enumeration starts at that table's topic and resolves every URL up to
-the mark without dispatching it, making an extension O(new tables).
+extended, or an old directory's partial single-writer build — is a
+prefix of the stream in stream order, so its last table's URL is a
+high-water mark: enumeration starts at that table's topic and resolves
+every URL up to the mark without dispatching it, making an extension
+O(new tables).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -82,7 +82,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .._procs import PIPE_ERRORS, Child, build_mp_context, shutdown, wait
 from ..errors import CorpusError
-from ._io import FaultSpec, fault_point
+from ._io import FaultSpec
 from .artifacts import IndexArtifactStore
 from .checkpoint import (
     BuildCheckpoint,
@@ -94,12 +94,14 @@ from .sharded import (
     WORKER_LOG_GLOB,
     ShardedCorpusWriter,
     _accumulate_stats,
+    _acquire_log_lock,
     _apply_delta,
     _empty_stats,
     _iter_log_records,
+    _link_shard,
     _read_manifest,
     _replay_manifest_log,
-    _shard_filename,
+    _replay_worker_log,
     _shard_lines,
     _write_manifest,
     build_manifest,
@@ -110,6 +112,7 @@ from .sharded import (
     publish_layout,
     seal_epochs,
     sweep_layout,
+    worker_log_filename,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -117,66 +120,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "FaultSpec",
-    "WorkerShardWriter",
     "ParallelCorpusBuilder",
     "has_parallel_state",
     "merge_worker_manifests",
-    "worker_log_filename",
-    "worker_shard_filename",
 ]
-
-
-def worker_shard_filename(worker: int, seq: int) -> str:
-    """Worker ``worker``'s ``seq``-th shard file (``shard-<worker>-<seq>.jsonl``)."""
-    return f"shard-{worker:02d}-{seq:05d}.jsonl"
-
-
-def worker_log_filename(worker: int) -> str:
-    """Worker ``worker``'s manifest delta log (``manifest-<worker>.log``)."""
-    return f"manifest-{worker:02d}.log"
 
 
 def _worker_log_ids(directory: Path) -> list[int]:
     return numbered_sidecar_ids(directory, WORKER_LOG_GLOB)
-
-
-def _acquire_log_lock(directory: Path, worker: int, timeout: float):
-    """Exclusively ``flock`` one worker's log; returns the holding handle.
-
-    Blocks (polling) until the current holder — typically an orphaned
-    worker of a killed coordinator draining its last batch — exits and
-    the kernel releases the lock, or ``timeout`` elapses (another build
-    session is genuinely alive: refuse to run concurrently). Returns
-    ``None`` on platforms without ``fcntl`` (locking is best-effort
-    there).
-    """
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return None
-    import errno
-
-    handle = open(directory / worker_log_filename(worker), "ab")
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            return handle
-        except OSError as error:
-            if error.errno not in (errno.EAGAIN, errno.EWOULDBLOCK, errno.EACCES):
-                # flock unsupported here (e.g. some network filesystems):
-                # degrade to the same best-effort mode as no-fcntl
-                # platforms instead of misreporting a live session.
-                handle.close()  # pragma: no cover - filesystem-dependent
-                return None  # pragma: no cover - filesystem-dependent
-            if time.monotonic() >= deadline:
-                handle.close()
-                raise CorpusError(
-                    f"worker {worker}'s manifest log in {directory} is locked "
-                    "by another live process; a previous build session is "
-                    "still running against this directory"
-                )
-            time.sleep(0.05)
 
 
 def has_parallel_state(directory: str | os.PathLike[str]) -> bool:
@@ -196,167 +147,6 @@ def has_parallel_state(directory: str | os.PathLike[str]) -> bool:
         except CorpusError:
             return False
     return False
-
-
-class WorkerShardWriter(ShardedCorpusWriter):
-    """One build worker's append-only writer over its private shard range.
-
-    Durability state is the worker's ``manifest-<k>.log`` alone — the
-    worker never touches ``manifest.json`` (the coordinator owns it).
-    Opening replays the log's valid prefix, truncates a torn tail, and
-    heals this worker's shard files exactly like the single-writer path
-    (tails truncated to committed byte counts, orphan rollover shards of
-    *this worker only* deleted). ``commit(done=...)`` additionally
-    records the global stream indices the commit resolves — including
-    URLs whose tables were dropped by parsing or filtering — which is
-    what makes a multi-process resume able to reconstruct precisely
-    which slice of the source stream is finished.
-    """
-
-    #: How long to wait for a previous holder of a worker scope (an
-    #: orphaned worker of a killed coordinator, finishing its last
-    #: batch) to release the log lock before giving up.
-    LOCK_TIMEOUT_SECONDS = 10.0
-
-    def __init__(
-        self,
-        directory: str | os.PathLike[str],
-        worker: int,
-        shard_size: int,
-        name: str = "gittables",
-        fault: FaultSpec | None = None,
-    ) -> None:
-        if worker < 0:
-            raise ValueError("worker must be >= 0")
-        self.worker = worker
-        #: Global stream indices resolved by committed records.
-        self.done_indices: set[int] = set()
-        self._pending_done: list[int] = []
-        self._pending_url_indices: dict[str, int] = {}
-        self._lock_handle = None
-        self._acquire_scope_lock(Path(directory))
-        super().__init__(
-            directory,
-            shard_size=shard_size,
-            name=name,
-            fault=fault if fault is not None and fault.worker == worker else None,
-        )
-        # The lock may have created the log: its directory entry is made
-        # durable with the first commit's, before any record is relied on.
-        self._dir_dirty = True
-
-    def _acquire_scope_lock(self, directory: Path) -> None:
-        """Exclusively lock this worker's log for the writer's lifetime.
-
-        Guards the one multi-writer race the architecture permits: a
-        coordinator SIGKILLed mid-build leaves workers that only notice
-        the dead parent at their next idle tick or batch boundary, so a
-        promptly resumed session could otherwise open the same worker
-        scope while the orphan finishes its current batch. ``flock`` is
-        advisory, per-inode, and released by the kernel the instant the
-        holder dies — exactly the crash semantics the rest of the design
-        assumes. Best-effort on platforms without ``fcntl``.
-        """
-        directory.mkdir(parents=True, exist_ok=True)
-        self._lock_handle = _acquire_log_lock(
-            directory, self.worker, self.LOCK_TIMEOUT_SECONDS
-        )
-
-    def close(self) -> None:
-        """Release the worker-scope lock (process exit does this too)."""
-        if self._lock_handle is not None:
-            self._lock_handle.close()
-            self._lock_handle = None
-
-    # -- durability scope ---------------------------------------------------
-
-    def shard_filename(self, index: int) -> str:
-        return worker_shard_filename(self.worker, index)
-
-    def _log_path(self) -> Path:
-        return self.directory / worker_log_filename(self.worker)
-
-    def _owned_shard_paths(self):
-        return self.directory.glob(f"shard-{self.worker:02d}-*.jsonl")
-
-    def _has_existing_state(self) -> bool:
-        return self._log_path().exists()
-
-    def _load_existing_state(self) -> None:
-        """Rebuild committed state by replaying this worker's log."""
-        state = {"shards": [], "tables": {}, "stats": _empty_stats()}
-        valid_bytes = 0
-        for record, raw_length in _iter_log_records(self._log_path()):
-            _apply_delta(state, record)
-            self.done_indices.update(record.get("done", ()))
-            valid_bytes += raw_length
-        self._truncate_log(valid_bytes)
-        self._shards = state["shards"]
-        self._tables = state["tables"]
-        self._stats = state["stats"]
-
-    # -- commit path --------------------------------------------------------
-
-    def commit(self, done=None, indices: dict[str, int] | None = None) -> int:  # type: ignore[override]
-        """Flush pending tables and durably record the resolved indices.
-
-        ``done`` lists every global stream index this commit resolves;
-        ``indices`` maps source URLs to their stream index so each
-        stored table's log entry can pin the table to its position in
-        the source-URL stream (what the coordinator orders the canonical
-        layout by).
-        """
-        self._pending_done = sorted(done) if done else []
-        self._pending_url_indices = dict(indices) if indices else {}
-        try:
-            committed = super().commit()
-        finally:
-            pending = self._pending_done
-            self._pending_done = []
-            self._pending_url_indices = {}
-        self.done_indices.update(pending)
-        return committed
-
-    def _record_empty_commit(self) -> None:
-        # A batch whose tables were all dropped still advances the
-        # resume frontier: record the resolved indices, nothing else.
-        if self._pending_done:
-            fault_point(self.fault, "before-log-append", self._commit_index)
-            self._append_delta({}, {}, _empty_stats())
-            fault_point(self.fault, "after-log-append", self._commit_index)
-
-    def _record_commit(self, touched: dict, new_tables: dict, stats_delta: dict) -> None:
-        # Workers only ever append; manifest.json belongs to the
-        # coordinator, so there is no compaction on this side.
-        self._append_delta(touched, new_tables, stats_delta)
-
-    def _table_entry(self, annotated, shard: int, line: int) -> dict:
-        # Pin each stored table to its stream index, and carry the
-        # fields its manifest statistics fold in, so the coordinator
-        # lays the table out without decoding it.
-        table = annotated.table
-        entry = {
-            **super()._table_entry(annotated, shard, line),
-            "rows": table.num_rows,
-            "columns": table.num_columns,
-            "topic": annotated.topic,
-            "repository": annotated.repository,
-        }
-        index = self._pending_url_indices.get(annotated.source_url)
-        if index is not None:
-            entry["index"] = index
-        return entry
-
-    def _delta_record(self, touched: dict, new_tables: dict, stats_delta: dict) -> dict:
-        record = super()._delta_record(touched, new_tables, stats_delta)
-        record["done"] = self._pending_done
-        return record
-
-    def finalize(self) -> int:
-        raise CorpusError(
-            "worker writers never finalize; the build coordinator merges "
-            "worker logs into the canonical manifest"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +253,8 @@ class _WorkerTasks:
         #: Units consumed since the last commit, in consumption order.
         self.unrecorded: list[_WorkUnit] = []
         # Last: the writer holds the worker scope's lock until close().
-        self.writer = WorkerShardWriter(
-            spec.directory, spec.worker, shard_size=spec.shard_size, fault=spec.fault
+        self.writer = ShardedCorpusWriter(
+            spec.directory, shard_size=spec.shard_size, worker=spec.worker, fault=spec.fault
         )
 
     @classmethod
@@ -686,8 +476,9 @@ def _read_store_state(directory: Path) -> _StoreState:
     Worker logs are authoritative for worker-scoped state (the merged
     mid-build manifest is a convenience view); the canonical portion of
     a manifest — entries referencing canonical ``shard_*.jsonl`` files —
-    is authoritative for the tables a finalize (a sealed epoch) or a
-    single-writer session committed.
+    is authoritative for the tables a finalize (a sealed epoch) or an
+    old directory's single-writer session (its ``manifest.log`` replayed)
+    committed.
 
     Each worker log is snapshotted under its scope lock: if a previous
     coordinator was SIGKILLed, its orphaned workers may still be
@@ -726,25 +517,12 @@ def _read_store_state(directory: Path) -> _StoreState:
                 moved["shard"] = remap[entry["shard"]]
                 state.canonical_tables[table_id] = moved
     for worker in _worker_log_ids(directory):
-        lock = _acquire_log_lock(
-            directory, worker, WorkerShardWriter.LOCK_TIMEOUT_SECONDS
-        )
-        try:
-            worker_state = {"shards": [], "tables": {}, "stats": _empty_stats()}
-            done: set[int] = set()
-            offset = 0
-            for record, raw_length in _iter_log_records(
-                directory / worker_log_filename(worker)
-            ):
-                _apply_delta(worker_state, record)
-                done.update(record.get("done", ()))
-                offset += raw_length
-        finally:
-            if lock is not None:
-                lock.close()
-        state.worker_states[worker] = worker_state
-        state.worker_done[worker] = done
-        state.worker_log_offsets[worker] = offset
+        with _acquire_log_lock(directory, worker, ShardedCorpusWriter.LOCK_TIMEOUT_SECONDS):
+            (
+                state.worker_states[worker],
+                state.worker_done[worker],
+                state.worker_log_offsets[worker],
+            ) = _replay_worker_log(directory / worker_log_filename(worker))
     return state
 
 
@@ -879,8 +657,9 @@ class ParallelCorpusBuilder:
         base_counters = dict(checkpoint.counters)
         checkpoint.sessions += 1
         checkpoint.save(directory)
-        # Truncate torn canonical shard tails a crashed single-writer
-        # session left (worker shards are healed by their own writers).
+        # Truncate torn canonical shard tails an old directory's crashed
+        # single-writer session left (worker shards are healed by their
+        # own writers).
         heal_shard_files(directory, state.canonical_shards, directory.glob("shard_*.jsonl"))
         # Publish the coordinator's (eagerly built) ontology label
         # indexes before any worker spawns: every worker then resolves
@@ -927,7 +706,7 @@ class ParallelCorpusBuilder:
         Stage counters sum the work of every worker across every
         session (each worker's checkpoint already reconciles its own
         sessions); ``sessions`` counts coordinator build invocations —
-        including any single-writer sessions the directory saw first,
+        including any sessions of an old directory's single writer,
         whose counters arrive through ``base_counters``.
         """
         from ..pipeline.report import PipelineReport, combine_counters
@@ -971,8 +750,8 @@ class _CoordinatorRun:
 
         # --- the canonical prefix ------------------------------------------
         #: Locations of the canonical tables in (shard, line) order. A
-        #: single writer, a finalize and a compaction all write tables
-        #: in stream order, so these are the first tables of the final
+        #: finalize, a compaction and an old single-writer build all
+        #: write tables in stream order, so these are the first tables of the final
         #: sequence, and the last one's source URL is the stream's
         #: high-water mark: every URL up to it was already processed —
         #: stored, or rejected by parsing or filtering.
@@ -1202,9 +981,7 @@ class _CoordinatorRun:
     #: Completed-wave harvests folded in between merged-manifest
     #: publications. The merged view is a reader convenience (worker
     #: logs stay authoritative for resume), so publishing it — an
-    #: O(total tables) rewrite — is throttled the same way the
-    #: single-writer throttles full-manifest compaction behind its
-    #: delta log.
+    #: O(total tables) rewrite — is throttled.
     MERGE_EVERY = 8
 
     def merge_manifest(self, force: bool = False) -> None:
@@ -1437,8 +1214,8 @@ class _CoordinatorRun:
     def _adopted_canonical_prefix(self) -> tuple[int, int]:
         """``(full shards, tables)`` of the canonical prefix adopted as-is.
 
-        The final sequence begins with every canonical (single-writer
-        or prior-epoch) table in its on-disk order, so the full
+        The final sequence begins with every canonical (prior-epoch,
+        or an old single-writer build's) table in its on-disk order, so the full
         canonical shards already hold exactly the bytes finalize would
         rewrite into them. Adopting them untouched makes finalize O(new
         tables + one partial shard) instead of O(corpus): only the
@@ -1462,8 +1239,8 @@ class _CoordinatorRun:
         are staged as ``.tmp`` siblings (the worker shards — the data
         source — are never touched), renamed into place, the canonical
         manifest is published atomically (the commit point), and
-        worker-scoped files, stale canonical shards and any single-writer
-        ``manifest.log`` are swept. A crash before the publish leaves the
+        worker-scoped files, stale canonical shards and an old
+        directory's ``manifest.log`` are swept. A crash before the publish leaves the
         worker logs authoritative; a crash after it leaves only the
         sweep, which a resumed build reuses. Every byte written is a
         deterministic function of the final table sequence, so
@@ -1531,10 +1308,7 @@ class _CoordinatorRun:
                 (source, shard_index, line) for line in range(entry["count"])
             ] or path.stat().st_size != entry["bytes"]:
                 break
-            name = _shard_filename(len(kept), header["generation"])
-            (self.directory / name).unlink(missing_ok=True)
-            os.link(path, self.directory / name)
-            kept.append({"file": name, "count": entry["count"], "bytes": entry["bytes"]})
+            kept.append(_link_shard(self.directory, entry, len(kept), header["generation"]))
             linked += entry["count"]
         lines = (
             shard_lines(source, shard_index)[line_index]

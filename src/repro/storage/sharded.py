@@ -16,37 +16,44 @@ back to the committed byte count and the interrupted tables are simply
 re-produced. The manifest itself is always replaced atomically
 (temp file + ``os.replace``), so it is never observed half-written.
 
-**Manifest delta log.** Rewriting the full manifest on every commit is
-O(tables committed so far) — O(N^2) total for commit-per-batch builds.
-Instead, each commit appends one canonical JSON line to ``manifest.log``
-describing exactly what the commit changed (touched shard states, new
-table locations, statistics increments), making a commit O(batch). The
-log is **compacted** into ``manifest.json`` every
-``compact_every`` commits and on :meth:`ShardedCorpusWriter.finalize`
-(which deletes the log), so a completed directory contains only the
-compacted manifest — byte-identical regardless of commit cadence or
-interruptions. Readers and resuming writers replay any uncompacted log
-tail on open; a torn final line (crash mid-append) is ignored by
-readers and truncated away by writers. Replay is idempotent: a record
-whose tables are already in the manifest (a compaction that crashed
-before deleting the log) is skipped wholesale.
+**The writer's log.** A store is written by
+:class:`ShardedCorpusWriter`, one per worker scope: writer ``k`` appends
+only to its own ``shard-<k>-<seq>.jsonl`` files and records each commit
+as one canonical JSON line in its own ``manifest-<k>.log`` describing
+exactly what the commit changed (touched shard states, new table
+locations, statistics increments, resolved stream indices), so a commit
+is O(batch), not O(corpus). A writer reopening its scope replays the
+log's valid prefix, truncates a torn final line (crash mid-append) and
+heals its shard tails. The log is never folded into ``manifest.json``
+by the writer: a build coordinator (:mod:`repro.storage.parallel`)
+merges worker logs, and :meth:`ShardedCorpusWriter.finalize` publishes a
+lone writer's tables (``save()``'s path). Either way the finished
+directory holds only canonical shards and ``manifest.json``,
+byte-identical regardless of commit cadence or interruptions.
 
-Two stores share the layout:
+Directories written before the writer became per-worker may still hold
+a single-writer ``manifest.log`` of uncompacted delta records beside
+``manifest.json``. Readers and resuming builds replay it on open (a torn
+final line ends the valid prefix; a record whose tables are already in
+the manifest is skipped wholesale, so replay is idempotent), compaction
+refuses such a directory, and the next published layout sweeps the log.
+Nothing writes one any more.
+
+Two classes share the layout:
 
 * :class:`ShardedJsonlStore` — the lazy reader. ``get`` reads only the
   shard holding the requested table and decodes only that table;
   iteration streams shard by shard through a small LRU of read shards,
   each table decoded once, on first access; corpus statistics are
   answered straight from the manifest.
-* :class:`ShardedCorpusWriter` — the append-only writer behind
-  ``GitTablesCorpus.save`` and, through its per-worker subclass, every
-  store build. ``add`` buffers tables, ``commit`` appends them to shard
-  files and durably records the commit, which is what makes
-  interrupted writes resumable.
+* :class:`ShardedCorpusWriter` — the append-only writer behind every
+  store build and ``GitTablesCorpus.save``. ``add`` buffers tables,
+  ``commit`` appends them to shard files and durably records the
+  commit, which is what makes interrupted writes resumable.
 
-Both own the directory's index artifacts: ``store.artifacts`` (``None``
-for a reader opened with ``use_artifacts=False``) is what every
-corpus-keyed consumer resolves through.
+The reader owns the directory's index artifacts: ``store.artifacts``
+(``None`` for a reader opened with ``use_artifacts=False``) is what
+every corpus-keyed consumer resolves through.
 
 Shard files are written with a canonical JSON encoding (compact
 separators, ``ensure_ascii=False``), so two builds that produce the same
@@ -89,7 +96,8 @@ import json
 import os
 import re
 import shutil
-from collections import OrderedDict, deque
+import time
+from collections import OrderedDict
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -107,7 +115,6 @@ __all__ = [
     "MANIFEST_LOG_FILENAME",
     "SHARDED_FORMAT",
     "DEFAULT_SHARD_SIZE",
-    "DEFAULT_COMPACT_EVERY",
     "build_manifest",
     "carry_derived_files",
     "heal_shard_files",
@@ -120,6 +127,8 @@ __all__ = [
     "read_store_version",
     "seal_epochs",
     "sweep_layout",
+    "worker_log_filename",
+    "worker_shard_filename",
     "ShardedJsonlStore",
     "ShardedCorpusWriter",
 ]
@@ -129,10 +138,7 @@ MANIFEST_LOG_FILENAME = "manifest.log"
 SHARDED_FORMAT = "gittables-sharded-jsonl"
 #: Tables per shard file unless overridden.
 DEFAULT_SHARD_SIZE = 256
-#: Uncompacted delta records tolerated before the writer folds the log
-#: back into manifest.json (bounds both log size and reader replay cost).
-DEFAULT_COMPACT_EVERY = 16
-#: Any parallel build worker's shard files and manifest delta logs.
+#: Any writer's shard files and delta logs.
 WORKER_SHARD_GLOB = "shard-??-*.jsonl"
 WORKER_LOG_GLOB = "manifest-??.log"
 
@@ -176,8 +182,8 @@ def _read_shard_lines(path: Path, byte_count: int) -> list:
 
     Reading exactly ``byte_count`` bytes is the single place the
     committed-bytes truncation rule is applied on the read side; the
-    lazy reader, the writer's read-back paths and every layout rewrite
-    (through :func:`_shard_lines`) all go through here.
+    lazy reader and every layout rewrite (through :func:`_shard_lines`)
+    go through here.
     """
     with open(path, "rb") as handle:
         data = handle.read(byte_count)
@@ -220,11 +226,6 @@ def _decode_slot(slots: list, index: int) -> "AnnotatedTable":
     if isinstance(slot, bytes):
         slot = slots[index] = _decode_line(slot)
     return slot
-
-
-def _read_shard_tables(path: Path, byte_count: int) -> list:
-    """Decode every committed table of one shard file."""
-    return [_decode_line(line) for line in _read_shard_lines(path, byte_count)]
 
 
 def _write_manifest(directory: Path, manifest: dict) -> None:
@@ -408,10 +409,10 @@ def _iter_log_records(path: Path, offset: int = 0):
     A torn final line — no trailing newline, undecodable bytes, or
     invalid JSON from a crash mid-append — ends the valid prefix.
     ``offset`` skips bytes already consumed (it must sit on a record
-    boundary), which is how the parallel coordinator tails worker logs
-    incrementally without re-reading them. Shared by the canonical
-    ``manifest.log`` replay and the per-worker ``manifest-<worker>.log``
-    replay of parallel builds, so the torn-tail rules live in one place.
+    boundary), which is how a build coordinator tails worker logs
+    incrementally without re-reading them. Shared by the writer logs'
+    replay and an old directory's ``manifest.log`` replay, so the
+    torn-tail rules live in one place.
     """
     if not path.exists():
         return
@@ -456,30 +457,39 @@ def _apply_delta(manifest: dict, record: dict) -> None:
     manifest["table_count"] = len(manifest["tables"])
 
 
-def _replay_manifest_log(directory: Path, manifest: dict) -> tuple[int, int]:
-    """Apply the valid prefix of ``manifest.log`` to ``manifest`` in place.
+def _replay_manifest_log(directory: Path, manifest: dict) -> None:
+    """Apply the valid prefix of an old directory's ``manifest.log`` in place.
 
-    Returns ``(valid_records, valid_byte_length)``. A torn final line
-    (crash mid-append) ends the valid prefix. Records whose tables are
-    already present in the manifest are counted but not re-applied: they
-    were folded in by a compaction that crashed before deleting the log,
-    and commits are all-or-nothing, so one already-known table id means
-    the whole record is stale (re-applying it would double-count the
-    statistics).
+    Only directories written before the writer became per-worker hold
+    one. A torn final line (crash mid-append) ends the valid prefix.
+    Records whose tables are already present in the manifest are not
+    re-applied: they were folded in by a compaction that crashed before
+    deleting the log, and commits are all-or-nothing, so one
+    already-known table id means the whole record is stale (re-applying
+    it would double-count the statistics).
     """
-    path = directory / MANIFEST_LOG_FILENAME
-    records = 0
+    for record, _ in _iter_log_records(directory / MANIFEST_LOG_FILENAME):
+        if not any(table_id in manifest.get("tables", {}) for table_id in record.get("tables", {})):
+            _apply_delta(manifest, record)
+
+
+def _replay_worker_log(path: Path) -> tuple[dict, set[int], int]:
+    """``(state, done, valid_bytes)`` replayed from one writer's log.
+
+    ``state`` holds the ``shards``, ``tables`` and ``stats`` the valid
+    prefix's records fold to, ``done`` the stream indices they resolve,
+    and ``valid_bytes`` the prefix's length (a torn tail lies past it).
+    The writer reopening its scope and a coordinator reading a build
+    directory both replay through here.
+    """
+    state = {"shards": [], "tables": {}, "stats": _empty_stats()}
+    done: set[int] = set()
     valid_bytes = 0
     for record, raw_length in _iter_log_records(path):
-        tables = record.get("tables", {})
-        already_compacted = any(
-            table_id in manifest.get("tables", {}) for table_id in tables
-        )
-        if not already_compacted:
-            _apply_delta(manifest, record)
-        records += 1
+        _apply_delta(state, record)
+        done.update(record.get("done", ()))
         valid_bytes += raw_length
-    return records, valid_bytes
+    return state, done, valid_bytes
 
 
 class ShardedJsonlStore:
@@ -509,8 +519,8 @@ class ShardedJsonlStore:
         self.directory = Path(directory)
         self.artifacts = IndexArtifactStore.for_corpus_dir(directory) if use_artifacts else None
         self._manifest = _read_manifest(self.directory)
-        # A mid-build store keeps recent commits in the delta log rather
-        # than the compacted manifest; fold them in (read-only replay).
+        # A directory written before the writer became per-worker may
+        # keep its last commits in manifest.log; fold them in (read-only).
         _replay_manifest_log(self.directory, self._manifest)
         self.name: str = self._manifest.get("name", "gittables")
         self.cache_shards = cache_shards
@@ -775,9 +785,9 @@ class ShardedJsonlStore:
 def heal_shard_files(directory: Path, entries: list[dict], owned_paths) -> None:
     """Restore shard files to exactly the committed state ``entries`` record.
 
-    The one shard-healing routine every resume path shares — the
-    single-writer :class:`ShardedCorpusWriter`, the per-worker writers
-    of a build, and the coordinator adopting a canonical portion.
+    The one shard-healing routine every resume path shares — a
+    :class:`ShardedCorpusWriter` reopening its scope, and a build
+    coordinator adopting a canonical portion.
     ``entries`` are manifest/log shard records
     (``{"file", "bytes", ...}``); ``owned_paths`` is the iterable of
     on-disk shard paths within the caller's naming scope, which bounds
@@ -818,8 +828,8 @@ def publish_layout(
 ) -> tuple[dict, int]:
     """Rewrite a store's shard layout: the one stage → rename → publish → sweep.
 
-    The parallel build's finalize and
-    :func:`~repro.storage.compaction.compact_store` both lay a store out
+    A build's finalize, :meth:`ShardedCorpusWriter.finalize` and
+    :func:`~repro.storage.compaction.compact_store` all lay a store out
     anew through here, in four steps:
 
     1. **Stage** — ``lines`` (committed table lines without their
@@ -872,15 +882,30 @@ def publish_layout(
     return manifest, sweep_layout(directory, manifest)
 
 
+def _link_shard(directory: Path, entry: dict, index: int, generation: int = 1) -> dict:
+    """Hard-link a committed shard to canonical shard ``index``; its entry.
+
+    For a writer's shard that holds exactly the lines of the next
+    canonical shard: its bytes were fsynced when they were committed,
+    and :func:`publish_layout` makes the new name durable before the
+    manifest lists it. A crash before the publish leaves the link
+    unlisted, for the next heal or sweep to delete.
+    """
+    name = _shard_filename(index, generation)
+    (directory / name).unlink(missing_ok=True)
+    os.link(directory / entry["file"], directory / name)
+    return {"file": name, "count": entry["count"], "bytes": entry["bytes"]}
+
+
 def sweep_layout(directory: Path, manifest: dict) -> int:
     """Delete every layout file ``manifest`` does not list; the count.
 
     The files are shard files of other layouts, staged ``*.jsonl.tmp``
-    shards, parallel-build worker shards and logs, and ``manifest.log``.
-    ``manifest`` must be a finished canonical one. The sweep is
-    idempotent: it ends :func:`publish_layout`, and a rewrite killed
-    before or during it is completed by running it again (the entry of
-    compaction and the reuse of a finished parallel build do).
+    shards, writer shards and logs, and an old directory's
+    ``manifest.log``. ``manifest`` must be a finished canonical one. The
+    sweep is idempotent: it ends :func:`publish_layout`, and a rewrite
+    killed before or during it is completed by running it again (the
+    entry of compaction and the reuse of a finished build do).
     """
     listed = {entry["file"] for entry in manifest.get("shards", [])}
     swept = 0
@@ -900,136 +925,138 @@ def sweep_layout(directory: Path, manifest: dict) -> int:
     return swept
 
 
+def worker_shard_filename(worker: int, seq: int) -> str:
+    """Writer ``worker``'s ``seq``-th shard file (``shard-<worker>-<seq>.jsonl``)."""
+    return f"shard-{worker:02d}-{seq:05d}.jsonl"
+
+
+def worker_log_filename(worker: int) -> str:
+    """Writer ``worker``'s delta log (``manifest-<worker>.log``)."""
+    return f"manifest-{worker:02d}.log"
+
+
+def _acquire_log_lock(directory: Path, worker: int, timeout: float):
+    """Open one writer's log (creating it) and ``flock`` it; the holding handle.
+
+    Blocks (polling) until the current holder — typically an orphaned
+    build worker of a killed coordinator draining its last batch — exits
+    and the kernel releases the lock, or ``timeout`` elapses (another
+    session is genuinely alive: refuse to run concurrently). On
+    platforms without ``fcntl``, or filesystems without ``flock``, the
+    handle is returned unlocked (locking is best-effort there).
+    """
+    import errno
+
+    handle = open(directory / worker_log_filename(worker), "ab")
+    try:
+        import fcntl
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return handle
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            return handle
+        except OSError as error:
+            if error.errno not in (errno.EAGAIN, errno.EWOULDBLOCK, errno.EACCES):
+                return handle  # pragma: no cover - filesystem-dependent
+            if time.monotonic() >= deadline:
+                handle.close()
+                raise CorpusError(
+                    f"writer {worker}'s manifest log in {directory} is locked "
+                    "by another live process; a previous build session is "
+                    "still running against this directory"
+                )
+            time.sleep(0.05)
+
+
 class ShardedCorpusWriter:
-    """Append-only sharded store: ``save()``'s writer, and each build worker's.
+    """Append-only writer over one worker scope: every store build's, and ``save()``'s.
 
-    ``add`` buffers tables in memory; :meth:`commit` appends the buffer
-    to shard files (rolling over every ``shard_size`` tables) and then
-    durably records the commit — one O(batch) delta line appended to
-    ``manifest.log``, compacted into a full ``manifest.json`` rewrite
-    every ``compact_every`` commits and on :meth:`finalize`. The
-    manifest+log only ever describe fully committed data, so a crash at
-    any point loses at most the uncommitted buffer plus any
-    half-appended lines — both are healed on the next open (the shard
-    file is truncated back to the committed byte count, the log back to
-    its last complete record).
+    Writer ``worker`` appends only to its own ``shard-<worker>-<seq>.jsonl``
+    files, rolling over every ``shard_size`` tables, and durably records
+    each :meth:`commit` as one delta record in its own
+    ``manifest-<worker>.log``. Writers never share a file, so a build's
+    workers need no cross-process locking; the one lock is an exclusive
+    ``flock`` on the log, held from construction to :meth:`close`: a
+    coordinator SIGKILLed mid-build leaves workers that notice the dead
+    parent only at their next idle tick or batch boundary, and a
+    promptly resumed session must not open the same scope while such an
+    orphan finishes its batch. ``flock`` is released by the kernel the
+    instant its holder dies — the crash semantics the rest of the design
+    assumes.
 
-    Opening a directory that already holds a manifest *resumes* it:
-    committed tables (including any uncompacted log tail), shard layout,
-    and cached statistics are picked up, and new tables append after
-    them. :meth:`finalize` must end every build: it folds the log away
-    (and seals the current epoch) so the finished directory is
-    byte-identical regardless of commit cadence or interruptions.
+    Opening a scope resumes it: the log's valid prefix is replayed, a
+    torn tail truncated, and this writer's shard files healed (tails
+    truncated to their committed bytes, orphan rollover shards of this
+    scope only deleted), so a crash at any point loses at most the
+    uncommitted buffer. The writer never writes ``manifest.json`` until
+    :meth:`finalize`; a build coordinator merges worker logs instead.
 
     ``fault`` arms deterministic crash injection for the test harness
-    (see :class:`~repro.storage.FaultSpec`); production builds never
-    pass one.
+    (see :class:`~repro.storage.FaultSpec`); it is ignored unless its
+    ``worker`` is this writer's. Production code never passes one.
     """
+
+    #: How long to wait for a previous holder of the scope (an orphaned
+    #: build worker of a killed coordinator, finishing its last batch)
+    #: to release the log lock before giving up.
+    LOCK_TIMEOUT_SECONDS = 10.0
 
     def __init__(
         self,
         directory: str | os.PathLike[str],
         shard_size: int = DEFAULT_SHARD_SIZE,
         name: str = "gittables",
-        compact_every: int = DEFAULT_COMPACT_EVERY,
+        worker: int = 0,
         fault=None,
     ) -> None:
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        if compact_every < 1:
-            raise ValueError("compact_every must be >= 1")
+        if worker < 0:
+            raise ValueError("worker must be >= 0")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.artifacts = IndexArtifactStore.for_corpus_dir(directory)
-        self.compact_every = compact_every
-        self.fault = fault
-        self._commit_index = 0
-        self._shards: list[dict] = []
-        self._tables: dict[str, dict] = {}
-        self._stats = _empty_stats()
-        self._log_records = 0
-        #: Files created since the directory was last fsynced.
-        self._dir_dirty = False
-        self.name = name
         self.shard_size = shard_size
-        self.epoch = 1
-        self.epochs: list[int] = []
-        self.generation = 1
-        self.compacted_from: dict | None = None
-        if self._has_existing_state():
-            self._load_existing_state()
-            self._heal_shards()
-        self._pending: deque = deque()
+        self.name = name
+        self.worker = worker
+        self.fault = fault if fault is not None and fault.worker == worker else None
+        self._commit_index = 0
+        self._pending: list = []
         self._pending_ids: set[str] = set()
+        self._lock_handle = _acquire_log_lock(self.directory, worker, self.LOCK_TIMEOUT_SECONDS)
+        self._log_path = self.directory / worker_log_filename(worker)
+        try:
+            state, done, valid_bytes = _replay_worker_log(self._log_path)
+            if self._log_path.stat().st_size > valid_bytes:
+                with open(self._log_path, "r+b") as handle:
+                    handle.truncate(valid_bytes)
+            heal_shard_files(
+                self.directory, state["shards"], self.directory.glob(f"shard-{worker:02d}-*.jsonl")
+            )
+        except BaseException:
+            self.close()  # a corrupt scope must not keep its lock
+            raise
+        #: Global stream indices resolved by committed records.
+        self.done_indices: set[int] = done
+        self._shards: list[dict] = state["shards"]
+        self._tables: dict[str, dict] = state["tables"]
+        self._stats: dict = state["stats"]
+        # The lock may have created the log: its directory entry is made
+        # durable with the first commit's, before any record is relied on.
+        self._dir_dirty = True
 
-    # -- durability-scope hooks (overridden by per-worker writers) ---------
+    def close(self) -> None:
+        """Release the scope lock (process exit does this too)."""
+        if self._lock_handle is not None:
+            self._lock_handle.close()
+            self._lock_handle = None
 
-    def shard_filename(self, index: int) -> str:
-        """Name of this writer's ``index``-th shard file.
+    def __enter__(self) -> "ShardedCorpusWriter":
+        return self
 
-        Scoped to the store's current layout generation, so shards
-        appended after an online compaction join the compacted layout's
-        namespace instead of reviving swept generation-1 names.
-        """
-        return _shard_filename(index, self.generation)
-
-    def _log_path(self) -> Path:
-        """This writer's manifest delta log."""
-        return self.directory / MANIFEST_LOG_FILENAME
-
-    def _owned_shard_paths(self):
-        """Every on-disk shard file within this writer's naming scope.
-
-        The scope is what :meth:`_heal_shards` may delete orphans from;
-        a per-worker writer narrows it to its own ``shard-<worker>-*``
-        files so healing one worker never touches another's shards.
-        """
-        return self.directory.glob("shard_*.jsonl")
-
-    def _has_existing_state(self) -> bool:
-        return is_sharded_dir(self.directory)
-
-    def _load_existing_state(self) -> None:
-        """Resume committed state (manifest plus uncompacted log tail)."""
-        manifest = _read_manifest(self.directory)
-        self._log_records, valid_bytes = _replay_manifest_log(self.directory, manifest)
-        self._truncate_log(valid_bytes)
-        # The writer's header attributes (name, shard_size, epoch, epochs,
-        # generation, compacted_from) are the manifest header's fields.
-        vars(self).update(manifest_header(manifest))
-        self._shards = [dict(entry) for entry in manifest.get("shards", [])]
-        self._tables = {
-            table_id: dict(entry) for table_id, entry in manifest.get("tables", {}).items()
-        }
-        self._stats = manifest.get("stats", _empty_stats())
-
-    # -- epochs -------------------------------------------------------------
-
-    def _seal_epoch(self) -> bool:
-        """Record the current epoch's final table count; True if changed."""
-        sealed = seal_epochs(self.epochs, self.epoch, len(self._tables))
-        if sealed == self.epochs:
-            return False
-        self.epochs = sealed
-        return True
-
-    def _truncate_log(self, valid_bytes: int) -> None:
-        """Drop a torn tail record left in the log by a crashed append."""
-        path = self._log_path()
-        if path.exists() and path.stat().st_size > valid_bytes:
-            with open(path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-
-    def _heal_shards(self) -> None:
-        """Restore the on-disk state the manifest describes.
-
-        Shard files listed in the manifest are truncated back to their
-        committed byte counts, and shard files *not* in the manifest —
-        left behind when a crash hit after a shard rollover but before
-        the manifest rewrite — are deleted, so a resumed build's
-        directory stays byte-identical to a one-shot build's.
-        """
-        heal_shard_files(self.directory, self._shards, self._owned_shard_paths())
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- container protocol ------------------------------------------------
 
@@ -1038,11 +1065,6 @@ class ShardedCorpusWriter:
 
     def __contains__(self, table_id: str) -> bool:
         return table_id in self._tables or table_id in self._pending_ids
-
-    def table_ids(self) -> Iterator[str]:
-        yield from self._tables
-        for annotated in self._pending:
-            yield annotated.table_id
 
     def add(self, annotated: "AnnotatedTable") -> None:
         table_id = annotated.table_id
@@ -1055,27 +1077,6 @@ class ShardedCorpusWriter:
         for annotated in tables:
             self.add(annotated)
 
-    def get(self, table_id: str) -> "AnnotatedTable | None":
-        for annotated in self._pending:
-            if annotated.table_id == table_id:
-                return annotated
-        entry = self._tables.get(table_id)
-        if entry is None:
-            return None
-        return self._read_committed(entry["shard"], entry["line"])
-
-    def _read_committed(self, shard_index: int, line_index: int) -> "AnnotatedTable":
-        entry = self._shards[shard_index]
-        lines = _read_shard_lines(self.directory / entry["file"], entry["bytes"])
-        return _decode_line(lines[line_index])
-
-    def __iter__(self) -> Iterator["AnnotatedTable"]:
-        for entry in self._shards:
-            yield from _read_shard_tables(self.directory / entry["file"], entry["bytes"])
-        yield from iter(self._pending)
-
-    # -- write path --------------------------------------------------------
-
     @property
     def pending_count(self) -> int:
         """Tables added but not yet committed to disk."""
@@ -1083,35 +1084,32 @@ class ShardedCorpusWriter:
 
     @property
     def committed_count(self) -> int:
-        """Tables durably recorded in the manifest."""
+        """Tables durably recorded in the log."""
         return len(self._tables)
 
-    def stats_hint(self) -> dict | None:
-        """Committed statistics (pending tables are not yet included)."""
-        if self._pending:
-            return None
-        return self._stats
+    # -- write path --------------------------------------------------------
 
-    def commit(self) -> int:
-        """Flush the pending buffer to shard files, then record the commit.
+    def commit(self, done=None, indices: dict[str, int] | None = None) -> int:
+        """Append the pending tables to shard files, then record the commit.
 
-        Returns the number of tables committed. The durable commit point
-        is one **delta record** appended (and fsynced) to
-        ``manifest.log`` after the shard bytes are flushed and fsynced —
-        O(batch), not O(tables committed so far), so commit-per-batch
-        builds stay O(N) total. Every ``compact_every`` commits (and
-        whenever ``manifest.json`` does not exist yet) the full manifest
-        is rewritten atomically instead and the log is cleared. Pending
-        tables are grouped per destination shard, so a commit costs one
-        append + fsync per shard file touched, not per table.
+        Returns the number of tables committed. Pending tables are
+        grouped per destination shard, so a commit costs one append +
+        fsync per shard file touched. The durable commit point is one
+        delta record appended (and fsynced) to the log after the shard
+        bytes — O(batch), not O(tables committed so far).
 
-        A commit with nothing pending writes nothing (it only creates
-        the base manifest if the directory has none yet).
+        ``done`` lists every global stream index the commit resolves,
+        URLs dropped by parsing or filtering included, which is what lets
+        a resumed build reconstruct exactly which slice of the source
+        stream is finished; ``indices`` maps source URLs to their stream
+        index, pinning each stored table to its position in the stream
+        (what a build coordinator orders the canonical layout by). A
+        commit with nothing pending and nothing done writes nothing.
         """
         self._commit_index += 1
         fault_point(self.fault, "before-shard-append", self._commit_index)
-        if not self._pending:
-            self._record_empty_commit()
+        done = sorted(done) if done else []
+        if not self._pending and not done:
             return 0
         committed = len(self._pending)
         touched: dict[int, dict] = {}
@@ -1119,7 +1117,7 @@ class ShardedCorpusWriter:
         stats_delta = _empty_stats()
         while self._pending:
             if not self._shards or self._shards[-1]["count"] >= self.shard_size:
-                filename = self.shard_filename(len(self._shards))
+                filename = worker_shard_filename(self.worker, len(self._shards))
                 # A fresh shard truncates any stale file left by a crash
                 # that rolled over without reaching the commit record.
                 with open(self.directory / filename, "wb"):
@@ -1128,45 +1126,45 @@ class ShardedCorpusWriter:
                 self._shards.append({"file": filename, "count": 0, "bytes": 0})
             entry = self._shards[-1]
             room = self.shard_size - entry["count"]
-            group = [self._pending.popleft() for _ in range(min(room, len(self._pending)))]
-            self._append_group(entry, group, new_tables, stats_delta)
+            group, self._pending = self._pending[:room], self._pending[room:]
+            self._append_group(entry, group, indices or {}, new_tables, stats_delta)
             touched[len(self._shards) - 1] = entry
         self._pending_ids.clear()
-        # Persist new files' directory entries before the manifest/log
-        # can reference them (a record naming a file whose dirent was
-        # lost to a power cut is unrecoverable): one fsync per commit.
-        self._sync_dir()
+        # Persist new files' directory entries before the log can
+        # reference them (a record naming a file whose dirent was lost
+        # to a power cut is unrecoverable): one fsync per commit.
+        if self._dir_dirty:
+            fsync_dir(self.directory)
+            self._dir_dirty = False
         fault_point(self.fault, "before-log-append", self._commit_index)
-        self._record_commit(touched, new_tables, stats_delta)
+        record = {
+            "shards": [
+                {"index": index, **{key: entry[key] for key in ("file", "count", "bytes")}}
+                for index, entry in sorted(touched.items())
+            ],
+            "tables": new_tables,
+            "stats": stats_delta,
+            "done": done,
+        }
+        payload = json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n"
+        with open(self._log_path, "ab") as handle:
+            fault_point(self.fault, "torn-log-append", self._commit_index, torn=(handle, payload))
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
         fault_point(self.fault, "after-log-append", self._commit_index)
+        self.done_indices.update(done)
         return committed
 
-    def _record_empty_commit(self) -> None:
-        """A commit with nothing pending only seeds the base manifest."""
-        if not (self.directory / MANIFEST_FILENAME).exists():
-            self._compact()
-
-    def _record_commit(self, touched: dict, new_tables: dict, stats_delta: dict) -> None:
-        """Durably record one flushed commit (the writer's commit point).
-
-        The base policy appends one delta record, compacting into a full
-        manifest rewrite every ``compact_every`` commits (and when no
-        manifest exists yet). Per-worker writers override this: they
-        *only* append to their own log — the coordinator owns
-        ``manifest.json``.
-        """
-        if (
-            not (self.directory / MANIFEST_FILENAME).exists()
-            or self._log_records + 1 >= self.compact_every
-        ):
-            self._compact()
-        else:
-            self._append_delta(touched, new_tables, stats_delta)
-
     def _append_group(
-        self, entry: dict, group: list, new_tables: dict, stats_delta: dict
+        self, entry: dict, group: list, indices: dict, new_tables: dict, stats_delta: dict
     ) -> None:
-        """Append a group of tables to one shard with a single fsync."""
+        """Append a group of tables to one shard with a single fsync.
+
+        Each table's log entry carries the fields its manifest
+        statistics fold in, so a coordinator lays the table out without
+        decoding it, and its stream index when ``indices`` knows its URL.
+        """
         shard_index = len(self._shards) - 1
         encoded = [_encode_table(annotated) for annotated in group]
         with open(self.directory / entry["file"], "ab") as handle:
@@ -1175,7 +1173,18 @@ class ShardedCorpusWriter:
             os.fsync(handle.fileno())
         for annotated, payload in zip(group, encoded):
             table = annotated.table
-            location = self._table_entry(annotated, shard_index, entry["count"])
+            location = {
+                "shard": shard_index,
+                "line": entry["count"],
+                "source_url": annotated.source_url,
+                "rows": table.num_rows,
+                "columns": table.num_columns,
+                "topic": annotated.topic,
+                "repository": annotated.repository,
+            }
+            index = indices.get(annotated.source_url)
+            if index is not None:
+                location["index"] = index
             self._tables[annotated.table_id] = location
             new_tables[annotated.table_id] = location
             entry["count"] += 1
@@ -1185,81 +1194,39 @@ class ShardedCorpusWriter:
                     stats, table.num_rows, table.num_columns, annotated.topic, annotated.repository
                 )
 
-    def _table_entry(self, annotated: "AnnotatedTable", shard: int, line: int) -> dict:
-        """The manifest entry locating one appended table."""
-        return {"shard": shard, "line": line, "source_url": annotated.source_url}
-
-    def _delta_record(self, touched: dict, new_tables: dict, stats_delta: dict) -> dict:
-        """The canonical delta record describing one commit."""
-        return {
-            "shards": [
-                {"index": index, **{key: entry[key] for key in ("file", "count", "bytes")}}
-                for index, entry in sorted(touched.items())
-            ],
-            "tables": new_tables,
-            "stats": stats_delta,
-        }
-
-    def _append_delta(self, touched: dict, new_tables: dict, stats_delta: dict) -> None:
-        """Durably append one commit's delta record to the manifest log."""
-        record = self._delta_record(touched, new_tables, stats_delta)
-        payload = json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n"
-        path = self._log_path()
-        if not path.exists():
-            self._dir_dirty = True
-        with open(path, "ab") as handle:
-            fault_point(self.fault, "torn-log-append", self._commit_index, torn=(handle, payload))
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._sync_dir()
-        self._log_records += 1
-
-    def _sync_dir(self) -> None:
-        """fsync the directory if this writer created a file since the last one."""
-        if self._dir_dirty:
-            fsync_dir(self.directory)
-            self._dir_dirty = False
-
-    def _compact(self) -> None:
-        """Fold all committed state into manifest.json and drop the log.
-
-        The full rewrite happens first (atomic replace), then the log is
-        deleted; a crash in between leaves stale log records behind,
-        which replay recognises and skips (their tables are already in
-        the manifest).
-        """
-        self._write_manifest()
-        log_path = self._log_path()
-        if log_path.exists():
-            log_path.unlink()
-            fsync_dir(self.directory)
-        self._log_records = 0
-
     def finalize(self) -> int:
-        """Commit anything pending, seal the epoch, compact the log away.
+        """Commit what is pending and publish this writer's tables as a store.
 
-        Every build path ends with this call: the finished directory
-        holds only shard files and the compacted ``manifest.json`` —
-        with the current epoch sealed at its final table count — so its
-        bytes do not depend on how many commits (or interruptions)
-        produced it. Returns the number of tables the final commit
-        flushed.
+        ``save()``'s last step. The writer's shards already hold
+        ``shard_size`` tables each in commit order, so each is
+        hard-linked to its canonical ``shard_NNNNN.jsonl`` name; the
+        manifest is then published with epoch 1 sealed at the table
+        count, and the writer's own files are swept
+        (:func:`publish_layout`'s publish and sweep). The finished
+        directory's bytes depend only on the tables and their order, not
+        on how many commits produced them. A writer publishes only into a
+        fresh directory: one holding a manifest or another writer's log
+        is refused. Releases the scope lock; returns the number of tables
+        the final commit flushed.
         """
+        others = [path for path in self.directory.glob(WORKER_LOG_GLOB) if path != self._log_path]
+        if is_sharded_dir(self.directory) or others:
+            raise CorpusError(
+                f"{self.directory} already holds a store or another writer's log; "
+                "a writer publishes only into a fresh directory"
+            )
         committed = self.commit()
-        sealed = self._seal_epoch()
-        if sealed or self._log_records or not (self.directory / MANIFEST_FILENAME).exists():
-            self._compact()
+        shards = [_link_shard(self.directory, entry, index) for index, entry in enumerate(self._shards)]
+        tables = {
+            table_id: {key: entry[key] for key in ("shard", "line", "source_url")}
+            for table_id, entry in self._tables.items()
+        }
+        header = {
+            **manifest_header({}),
+            "name": self.name,
+            "shard_size": self.shard_size,
+            "epochs": [len(tables)],
+        }
+        publish_layout(self.directory, (), header, tables, self._stats, shards=shards)
+        self.close()
         return committed
-
-    def _write_manifest(self) -> None:
-        header = {key: getattr(self, key) for key in manifest_header({})}
-        _write_manifest(
-            self.directory,
-            build_manifest(shards=self._shards, tables=self._tables, stats=self._stats, **header),
-        )
-
-    def as_reader(self, cache_shards: int = 2) -> ShardedJsonlStore:
-        """Finalize (commit + compact) and reopen as a lazy reader."""
-        self.finalize()
-        return ShardedJsonlStore(self.directory, cache_shards=cache_shards)

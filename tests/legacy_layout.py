@@ -1,0 +1,105 @@
+"""Hand-built store directories that the writer no longer produces.
+
+Directories written before the writer became per-worker may hold a
+single-writer ``manifest.log`` of uncompacted delta records beside
+``manifest.json``, and a published store may have tables appended
+behind its back. Readers, resuming builds and compaction must still
+handle both, so the tests build them here with
+:func:`~repro.storage.sharded.build_manifest` and the single writer's
+delta-record format (``shards`` / ``tables`` / ``stats``).
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from repro.storage.sharded import (
+    MANIFEST_FILENAME,
+    MANIFEST_LOG_FILENAME,
+    _accumulate_stats,
+    _empty_stats,
+    _encode_table,
+    _shard_filename,
+    build_manifest,
+    manifest_header,
+    seal_epochs,
+)
+
+
+def _append(directory: Path, shards: list, tables: dict, stats: dict, batch, shard_size: int,
+            generation: int = 1) -> dict:
+    """Append ``batch`` after ``shards``; the single writer's delta record."""
+    touched: dict[int, dict] = {}
+    new_tables: dict = {}
+    delta = _empty_stats()
+    for annotated in batch:
+        if not shards or shards[-1]["count"] >= shard_size:
+            shards.append({"file": _shard_filename(len(shards), generation), "count": 0, "bytes": 0})
+        entry = shards[-1]
+        line = _encode_table(annotated)
+        with open(directory / entry["file"], "ab") as handle:
+            handle.write(line)
+        location = {"shard": len(shards) - 1, "line": entry["count"], "source_url": annotated.source_url}
+        tables[annotated.table_id] = new_tables[annotated.table_id] = location
+        entry["count"] += 1
+        entry["bytes"] += len(line)
+        touched[len(shards) - 1] = entry
+        table = annotated.table
+        for into in (stats, delta):
+            _accumulate_stats(into, table.num_rows, table.num_columns, annotated.topic, annotated.repository)
+    return {
+        "shards": [
+            {"index": index, **{key: entry[key] for key in ("file", "count", "bytes")}}
+            for index, entry in sorted(touched.items())
+        ],
+        "tables": new_tables,
+        "stats": delta,
+    }
+
+
+def single_writer_store(directory, commits, shard_size: int, name: str = "gittables",
+                        epochs: list[int] | None = None) -> None:
+    """The directory an old single writer left after ``commits`` (lists of tables).
+
+    The first commit is in ``manifest.json`` (epoch 1, sealed at
+    ``epochs`` when given), every later one a delta record in
+    ``manifest.log``: the state before the log's compaction, which
+    came every 16 commits and at finalize.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    shards: list = []
+    tables: dict = {}
+    stats = _empty_stats()
+    first, *rest = commits
+    _append(directory, shards, tables, stats, first, shard_size)
+    manifest = build_manifest(name, shard_size, shards, tables, stats, epochs=epochs)
+    (directory / MANIFEST_FILENAME).write_text(
+        json.dumps(manifest, ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
+    )
+    for batch in rest:
+        record = _append(directory, shards, tables, stats, batch, shard_size)
+        with open(directory / MANIFEST_LOG_FILENAME, "ab") as log:
+            log.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n")
+
+
+def append_out_of_band(directory, batch, epoch: int | None = None) -> None:
+    """Append ``batch`` to a published store behind its back and reseal it.
+
+    What reopening a canonical store with the old single writer did: the
+    tables pack into the last shard before rolling new ones, and the
+    manifest is rewritten with epoch ``epoch`` (default: the current
+    one) sealed at the new table count.
+    """
+    directory = Path(directory)
+    manifest = json.loads((directory / MANIFEST_FILENAME).read_text(encoding="utf-8"))
+    header = manifest_header(manifest)
+    shards, tables, stats = manifest["shards"], manifest["tables"], manifest["stats"]
+    _append(directory, shards, tables, stats, batch, header["shard_size"], header["generation"])
+    header["epoch"] = epoch or header["epoch"]
+    header["epochs"] = seal_epochs(header["epochs"], header["epoch"], len(tables))
+    manifest = build_manifest(shards=shards, tables=tables, stats=stats, **header)
+    (directory / MANIFEST_FILENAME).write_text(
+        json.dumps(manifest, ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
+    )

@@ -29,11 +29,7 @@ from repro.embeddings.persist import embedder_fingerprint, load_index, publish_i
 from repro.embeddings.sentence import SentenceEncoder
 from repro.embeddings.similarity import NearestNeighbourIndex
 from repro.github.content import GeneratorConfig
-from repro.storage import (
-    IndexArtifactStore,
-    ShardedCorpusWriter,
-    corpus_content_fingerprint,
-)
+from repro.storage import IndexArtifactStore, corpus_content_fingerprint
 from repro.storage.artifacts import corpus_artifacts, resolve
 from tests.mmap_check import assert_mmap_backed
 
@@ -353,11 +349,10 @@ class TestArtifactInvalidation:
         ).build(store_dir=corpus_dir, shard_size=4)
         GitTables.load(corpus_dir).warm()
         # Mutate the stored corpus out-of-band: append one more table.
+        from tests.legacy_layout import append_out_of_band
         from tests.test_storage import _annotated
 
-        writer = ShardedCorpusWriter(corpus_dir)
-        writer.add(_annotated("intruder"))
-        writer.finalize()
+        append_out_of_band(corpus_dir, [_annotated("intruder")])
         calls = _spy_embed_many(monkeypatch)
         session = GitTables.load(corpus_dir)
         results = session.search(QUERY, k=3)

@@ -337,16 +337,14 @@ class TestPersistenceAndStaleness:
         assert CorpusStatistics.from_corpus(corpus).table_count == 6
 
     def test_out_of_band_mutation_misses_then_rebuilds(self, tmp_path):
-        from repro.storage.sharded import ShardedCorpusWriter
+        from tests.legacy_layout import append_out_of_band
         from tests.test_storage import _annotated
 
         corpus, store_dir = _disk_corpus(tmp_path)
         old_fingerprint = corpus_content_fingerprint(corpus)
         ensure_projection(corpus)
 
-        writer = ShardedCorpusWriter(store_dir, shard_size=4)
-        writer.add(_annotated("out-of-band"))
-        writer.finalize()
+        append_out_of_band(store_dir, [_annotated("out-of-band")])
 
         mutated = GitTablesCorpus.load(store_dir)
         new_fingerprint = corpus_content_fingerprint(mutated)

@@ -42,6 +42,7 @@ from repro.storage.sharded import (
     ShardedJsonlStore,
     read_store_version,
 )
+from tests.legacy_layout import single_writer_store
 
 TABLES = 24
 GROWN_TABLES = 30
@@ -205,18 +206,21 @@ class TestCompactionRewrite:
 class TestCompactionRefusals:
     def test_refuses_unsealed_and_unfinalized_stores(self, tmp_path):
         directory = tmp_path / "store"
-        writer = ShardedCorpusWriter(directory, shard_size=4)
-        writer.extend([_annotated(f"t{i:03d}") for i in range(6)])
-        writer.commit()
-        # Mid-build, first commit: the epoch is open and unsealed.
+        first = [_annotated(f"t{i:03d}") for i in range(6)]
+        later = [_annotated(f"t{i:03d}") for i in range(6, 10)]
+        # An old single writer's first commit: the epoch is open and unsealed.
+        single_writer_store(directory, [first], shard_size=4)
         with pytest.raises(CorpusError, match="not sealed"):
             compact_store(directory)
-        writer.extend([_annotated(f"t{i:03d}") for i in range(6, 10)])
-        writer.commit()
-        # Later commits live in the manifest delta log until finalize.
+        # Its later commits lived in the manifest delta log until finalize.
+        shutil.rmtree(directory)
+        single_writer_store(directory, [first, later], shard_size=4)
         with pytest.raises(CorpusError, match="manifest log"):
             compact_store(directory)
-        writer.finalize()
+        shutil.rmtree(directory)
+        with ShardedCorpusWriter(directory, shard_size=4) as writer:
+            writer.extend(first + later)
+            writer.finalize()
         compact_store(directory)  # sealed: fine
         # Epoch 2 is open but unsealed (an extension opened it).
         manifest_path = directory / "manifest.json"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ExtractionConfig
-from repro.core.extraction import CSVExtractor, ExtractionReport, build_topic_query, segment_query
+from repro.core.extraction import CSVExtractor, build_topic_query, segment_query
 from repro.github.client import GitHubClient
 from repro.github.search import SearchQuery
 

@@ -45,6 +45,7 @@ from repro.storage.sharded import (
     ShardedJsonlStore,
     read_store_version,
 )
+from tests.legacy_layout import append_out_of_band
 
 BASE_TABLES = 24
 GROWN_TABLES = 30
@@ -304,11 +305,11 @@ class TestSerialExtensionCrash:
         original_commit = ShardedCorpusWriter.commit
         calls = {"n": 0}
 
-        def killed_commit(writer):
+        def killed_commit(writer, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise KeyboardInterrupt("simulated kill")
-            return original_commit(writer)
+            return original_commit(writer, *args, **kwargs)
 
         monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
         with pytest.raises(KeyboardInterrupt):
@@ -564,9 +565,9 @@ def _enumeration(directory, config, payloads: dict) -> "parallel._CoordinatorRun
 
 def _prefix_store(directory, table_ids) -> None:
     """A sealed store holding ``table_ids`` (source URLs ``<id>.csv``)."""
-    writer = ShardedCorpusWriter(directory, shard_size=SHARDS)
-    writer.extend([_annotated(table_id) for table_id in table_ids])
-    writer.finalize()
+    with ShardedCorpusWriter(directory, shard_size=SHARDS) as writer:
+        writer.extend([_annotated(table_id) for table_id in table_ids])
+        writer.finalize()
 
 
 def _url(table_id: str) -> str:
@@ -623,16 +624,13 @@ class TestSealedPrefixBoundary:
         shard; the reconstruction must truncate that shard's entry to
         the lines the earlier epoch had committed."""
         directory = tmp_path / "store"
-        writer = ShardedCorpusWriter(directory, shard_size=7)
-        writer.extend([_annotated(f"t{i:03d}") for i in range(10)])
-        writer.commit()
-        writer.finalize()
+        with ShardedCorpusWriter(directory, shard_size=7) as writer:
+            writer.extend([_annotated(f"t{i:03d}") for i in range(10)])
+            writer.commit()
+            writer.finalize()
         base_key = ShardedJsonlStore(directory).content_fingerprint()
-        extension = ShardedCorpusWriter(directory, shard_size=7)
-        extension.epoch = 2  # open the next epoch
-        extension.extend([_annotated(f"t{i:03d}") for i in range(10, 13)])
-        extension.commit()
-        extension.finalize()
+        # Epoch 2 appends three tables, the first two into the partial shard.
+        append_out_of_band(directory, [_annotated(f"t{i:03d}") for i in range(10, 13)], epoch=2)
         store = ShardedJsonlStore(directory)
         assert [e["count"] for e in store._manifest["shards"]] == [7, 6]
         assert store.sealed_prefix_boundary(base_key) == 10

@@ -3,16 +3,17 @@
 Skips when ruff is not installed in the environment — the offline test
 image ships without it — but keeps CI environments that do have ruff
 honest about the correctness-focused rule set. Without ruff, a small
-stdlib check still enforces the strict tier's F841 (unused local
-variable), F541 (f-string without placeholders) and W291/W292/W293
-(trailing whitespace, missing final newline) over every file ruff
-checks. E7 has no fallback.
+stdlib check still enforces F401 (unused module-level import), the
+strict tier's F841 (unused local variable), F541 (f-string without
+placeholders) and W291/W292/W293 (trailing whitespace, missing final
+newline) over every file ruff checks. E7 has no fallback.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,71 @@ def _empty_fstrings(tree: ast.AST) -> list[int]:
         and id(node) not in specs
         and not any(isinstance(value, ast.FormattedValue) for value in node.values)
     ]
+
+
+def _module_level(tree: ast.Module):
+    """Module-level statements, including those in ``if``/``try`` blocks."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop(0)
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            pending.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+
+
+def _unused_imports(tree: ast.Module, text: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of module-level imports the module never references.
+
+    A name is referenced when it is read anywhere in the module, listed
+    in a module-level ``__all__``, or appears in a string annotation.
+    ``from __future__`` and star imports, and lines carrying ``# noqa``,
+    are not flagged.
+    """
+    lines = text.split("\n")
+    imported = []
+    exported: set[str] = set()
+    for node in _module_level(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [
+                (alias.lineno, alias.asname or alias.name.partition(".")[0])
+                for alias in node.names
+                if alias.name != "*" and "# noqa" not in lines[alias.lineno - 1]
+            ]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(
+                element.value for element in ast.walk(node.value) if isinstance(element, ast.Constant)
+            )
+    used, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return [(line, name) for line, name in imported if name not in used and name not in exported]
+
+
+@pytest.mark.skipif(_HAS_RUFF, reason="ruff enforces F401 itself")
+def test_no_unused_imports():
+    hits = []
+    for path in _linted_files():
+        if path.name == "__init__.py":
+            continue  # package roots re-export their public API
+        text = path.read_text(encoding="utf-8")
+        hits += [
+            f"{path.relative_to(REPO_ROOT)}:{line}: F401 {name!r} imported but unused"
+            for line, name in _unused_imports(ast.parse(text, filename=str(path)), text)
+        ]
+    assert not hits, "unused imports:\n" + "\n".join(hits)
 
 
 @pytest.mark.skipif(_HAS_RUFF, reason="ruff enforces F841 itself")

@@ -32,18 +32,14 @@ from repro.core.pipeline import CorpusBuilder
 from repro.dataframe.table import Table
 from repro.errors import CorpusError
 from repro.github.content import GeneratorConfig
-from repro.storage import BuildCheckpoint, ShardedJsonlStore
+from repro.storage import BuildCheckpoint, ShardedCorpusWriter, ShardedJsonlStore
 from repro.storage._io import directory_file_bytes as _dir_bytes
 from repro.storage.checkpoint import worker_checkpoint_ids
 from repro.storage import parallel
 from repro.storage._io import FaultSpec
-from repro.storage.parallel import (
-    ParallelCorpusBuilder,
-    WorkerShardWriter,
-    has_parallel_state,
-    worker_log_filename,
-    worker_shard_filename,
-)
+from repro.storage.parallel import ParallelCorpusBuilder, has_parallel_state
+from repro.storage.sharded import worker_log_filename, worker_shard_filename
+from tests.legacy_layout import single_writer_store
 
 BATCH = 8
 SHARDS = 8
@@ -201,7 +197,7 @@ class TestWorkerCrashInjection:
         torn_size = log_path.stat().st_size
         data = log_path.read_bytes()
         assert not data.endswith(b"\n")  # the tear is really on disk
-        writer = WorkerShardWriter(store, worker=0, shard_size=SHARDS)
+        writer = ShardedCorpusWriter(store, shard_size=SHARDS, worker=0)
         assert log_path.stat().st_size < torn_size
         assert log_path.read_bytes().endswith(b"\n")
         # Only complete records survived the replay.
@@ -385,6 +381,21 @@ class TestCrossModeResume:
         assert result.table_count == par_config.target_tables
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
 
+    def test_serial_partial_resumed_in_one_process(
+        self, tmp_path, par_config, par_generator, serial_reference
+    ):
+        """The same old partial store resumes to the reference bytes when
+        the coordinator runs its one worker in the calling process."""
+        reference_dir, _ = serial_reference
+        store = tmp_path / "store"
+        _single_writer_partial(store, reference_dir, par_config, par_generator, tables=24)
+        result = CorpusBuilder(par_config, generator_config=par_generator, batch_size=BATCH).build(
+            store_dir=store, shard_size=SHARDS, processes=1
+        )
+        assert result.table_count == par_config.target_tables
+        assert not (store / "manifest.log").exists()
+        assert _dir_bytes(store) == _dir_bytes(reference_dir)
+
     def test_unfinalized_serial_store_is_finalized_not_reused(
         self, tmp_path, par_config, par_generator, serial_reference
     ):
@@ -441,21 +452,21 @@ class TestCrossModeResume:
 
 
 def _single_writer_partial(store, reference_dir, config, generator, tables: int) -> None:
-    """The directory a single-writer build session leaves when killed
+    """The directory an old single-writer build session left when killed
     after committing the first ``tables`` tables in batches of ``BATCH``:
     build metadata, a checkpoint, canonical shards, a manifest and its
     uncompacted delta log."""
-    from repro.storage import ShardedCorpusWriter
     from repro.storage.checkpoint import config_fingerprint, save_build_meta
 
-    writer = ShardedCorpusWriter(store, shard_size=SHARDS)
+    reference = list(GitTablesCorpus.load(reference_dir))[:tables]
+    single_writer_store(
+        store,
+        [reference[start : start + BATCH] for start in range(0, tables, BATCH)],
+        shard_size=SHARDS,
+    )
     fingerprint = config_fingerprint(config, generator)
     save_build_meta(store, fingerprint)
     BuildCheckpoint(fingerprint=fingerprint, sessions=1).save(store)
-    reference = list(GitTablesCorpus.load(reference_dir))[:tables]
-    for start in range(0, tables, BATCH):
-        writer.extend(reference[start : start + BATCH])
-        writer.commit()
 
 
 class TestOneProcessBuilds:
@@ -612,11 +623,11 @@ def _mini_table(index: int) -> AnnotatedTable:
     )
 
 
-class TestWorkerShardWriter:
-    """Unit-level durability checks for the per-worker writer."""
+class TestWorkerScopeWriter:
+    """Unit-level durability checks for a build worker's writer."""
 
     def test_commit_touches_only_worker_scoped_files(self, tmp_path):
-        writer = WorkerShardWriter(tmp_path, worker=3, shard_size=2)
+        writer = ShardedCorpusWriter(tmp_path, shard_size=2, worker=3)
         tables = [_mini_table(i) for i in range(3)]
         writer.extend(tables)
         writer.commit(
@@ -633,19 +644,19 @@ class TestWorkerShardWriter:
         assert not (tmp_path / "manifest.json").exists()
 
     def test_resume_replays_log_and_done_indices(self, tmp_path):
-        writer = WorkerShardWriter(tmp_path, worker=0, shard_size=2)
+        writer = ShardedCorpusWriter(tmp_path, shard_size=2, worker=0)
         writer.extend([_mini_table(0), _mini_table(1)])
         writer.commit(done=[0, 1], indices={_mini_table(0).source_url: 0})
         writer.commit(done=[5, 9])  # dropped-only batch: log record, no tables
         writer.close()
-        resumed = WorkerShardWriter(tmp_path, worker=0, shard_size=2)
+        resumed = ShardedCorpusWriter(tmp_path, shard_size=2, worker=0)
         assert resumed.committed_count == 2
         assert resumed.done_indices == {0, 1, 5, 9}
-        assert resumed.get("w000").table_id == "w000"
+        assert "w000" in resumed
         resumed.close()
 
     def test_resume_heals_own_tail_and_orphans_only(self, tmp_path):
-        writer = WorkerShardWriter(tmp_path, worker=0, shard_size=4)
+        writer = ShardedCorpusWriter(tmp_path, shard_size=4, worker=0)
         writer.extend([_mini_table(0)])
         writer.commit(done=[0])
         shard = tmp_path / worker_shard_filename(0, 0)
@@ -656,29 +667,32 @@ class TestWorkerShardWriter:
         other = tmp_path / worker_shard_filename(1, 0)
         other.write_bytes(b"{}\n")  # another worker's file: untouchable
         writer.close()
-        WorkerShardWriter(tmp_path, worker=0, shard_size=4).close()
+        ShardedCorpusWriter(tmp_path, shard_size=4, worker=0).close()
         assert shard.stat().st_size == committed
         assert not (tmp_path / worker_shard_filename(0, 7)).exists()
         assert other.exists()
 
     def test_worker_writer_never_finalizes(self, tmp_path):
-        writer = WorkerShardWriter(tmp_path, worker=0, shard_size=4)
-        with pytest.raises(CorpusError):
+        """A build worker's directory holds the coordinator's manifest
+        (or other workers' logs): its writer refuses to publish there."""
+        (tmp_path / "manifest.json").write_text("{}")
+        writer = ShardedCorpusWriter(tmp_path, shard_size=4, worker=0)
+        with pytest.raises(CorpusError, match="fresh directory"):
             writer.finalize()
         writer.close()
 
     def test_scope_lock_excludes_concurrent_writers(self, tmp_path, monkeypatch):
         """Two live writers can never share a worker scope (flock)."""
-        monkeypatch.setattr(WorkerShardWriter, "LOCK_TIMEOUT_SECONDS", 0.2)
-        writer = WorkerShardWriter(tmp_path, worker=0, shard_size=4)
+        monkeypatch.setattr(ShardedCorpusWriter, "LOCK_TIMEOUT_SECONDS", 0.2)
+        writer = ShardedCorpusWriter(tmp_path, shard_size=4, worker=0)
         with pytest.raises(CorpusError, match="locked"):
-            WorkerShardWriter(tmp_path, worker=0, shard_size=4)
-        WorkerShardWriter(tmp_path, worker=1, shard_size=4).close()  # other scopes free
+            ShardedCorpusWriter(tmp_path, shard_size=4, worker=0)
+        ShardedCorpusWriter(tmp_path, shard_size=4, worker=1).close()  # other scopes free
         writer.close()
-        WorkerShardWriter(tmp_path, worker=0, shard_size=4).close()  # released
+        ShardedCorpusWriter(tmp_path, shard_size=4, worker=0).close()  # released
 
     def test_table_entries_carry_stream_indices(self, tmp_path):
-        writer = WorkerShardWriter(tmp_path, worker=2, shard_size=4)
+        writer = ShardedCorpusWriter(tmp_path, shard_size=4, worker=2)
         tables = [_mini_table(0), _mini_table(1)]
         writer.extend(tables)
         writer.commit(

@@ -369,14 +369,14 @@ class TestManifestLogMergeProperties:
         return order
 
     def _execute(self, directory, order):
-        from repro.storage.parallel import WorkerShardWriter
+        from repro.storage import ShardedCorpusWriter
 
-        writers: dict[int, WorkerShardWriter] = {}
+        writers: dict[int, ShardedCorpusWriter] = {}
         for worker, chunk in order:
             writer = writers.get(worker)
             if writer is None:
-                writer = writers[worker] = WorkerShardWriter(
-                    directory, worker=worker, shard_size=self.SHARD_SIZE
+                writer = writers[worker] = ShardedCorpusWriter(
+                    directory, shard_size=self.SHARD_SIZE, worker=worker
                 )
             tables = [self._table(index) for index in chunk]
             writer.extend(tables)

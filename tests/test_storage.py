@@ -6,6 +6,7 @@ builds (kill mid-build → resume → byte-identical to a one-shot run), and
 cross-session PipelineReport reconciliation.
 """
 
+import hashlib
 import json
 import os
 
@@ -23,8 +24,11 @@ from repro.storage import (
     BuildCheckpoint,
     ShardedCorpusWriter,
     ShardedJsonlStore,
+    worker_log_filename,
+    worker_shard_filename,
 )
 from repro.storage._io import directory_file_bytes
+from tests.legacy_layout import append_out_of_band, single_writer_store
 
 # A writer, reader or worker that leaks a file handle fails its test.
 pytestmark = [
@@ -198,14 +202,6 @@ class TestPerTableDecode:
         assert tail == [f"t{index:03d}" for index in range(11, 20)]
         assert len(decoded) == len(store) - 11
 
-    def test_writer_get_of_committed_table_decodes_one(self, tmp_path, monkeypatch):
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=8)
-        writer.extend(_corpus(12))
-        writer.commit()
-        decoded = _count_decodes(monkeypatch)
-        assert writer.get("t002").table_id == "t002"
-        assert decoded == ["t002"]
-
     def test_undecodable_line_raises_only_for_its_table(self, store_dir):
         store = ShardedJsonlStore(store_dir)
         path = store_dir / store.manifest["shards"][0]["file"]
@@ -229,64 +225,135 @@ class TestPerTableDecode:
 
 class TestWriter:
     def test_commit_then_reopen_resumes(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2, name="w")
-        writer.extend([_annotated("a"), _annotated("b"), _annotated("c")])
-        assert writer.pending_count == 3
-        writer.commit()
-        assert writer.committed_count == 3
+        with ShardedCorpusWriter(tmp_path / "corpus", shard_size=2, name="w") as writer:
+            writer.extend([_annotated("a"), _annotated("b"), _annotated("c")])
+            assert writer.pending_count == 3
+            writer.commit()
+            assert writer.committed_count == 3
 
-        resumed = ShardedCorpusWriter(tmp_path / "corpus")
-        assert resumed.name == "w"
-        assert resumed.shard_size == 2
+        resumed = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2, name="w")
         assert len(resumed) == 3
         resumed.add(_annotated("d"))
         resumed.commit()
-        reader = resumed.as_reader()
+        resumed.finalize()
+        reader = ShardedJsonlStore(tmp_path / "corpus")
+        assert reader.name == "w"
+        assert reader.manifest["shard_size"] == 2
         assert [a.table_id for a in reader] == ["a", "b", "c", "d"]
 
     def test_duplicate_ids_rejected_across_commits(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "corpus")
-        writer.add(_annotated("a"))
-        writer.commit()
-        with pytest.raises(CorpusError):
+        with ShardedCorpusWriter(tmp_path / "corpus") as writer:
             writer.add(_annotated("a"))
-        writer.add(_annotated("b"))
-        with pytest.raises(CorpusError):
+            writer.commit()
+            with pytest.raises(CorpusError):
+                writer.add(_annotated("a"))
             writer.add(_annotated("b"))
+            with pytest.raises(CorpusError):
+                writer.add(_annotated("b"))
 
     def test_uncommitted_tail_is_healed_on_reopen(self, tmp_path):
-        """Bytes appended after the last manifest commit are truncated."""
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=10)
-        writer.extend([_annotated("a"), _annotated("b")])
-        writer.commit()
-        shard = tmp_path / "corpus" / "shard_00000.jsonl"
+        """Bytes appended after the last commit record are truncated."""
+        with ShardedCorpusWriter(tmp_path / "corpus", shard_size=10) as writer:
+            writer.extend([_annotated("a"), _annotated("b")])
+            writer.commit()
+        shard = tmp_path / "corpus" / worker_shard_filename(0, 0)
+        committed = shard.stat().st_size
         with open(shard, "ab") as handle:
             handle.write(b'{"half-written garbage')
-        healed = ShardedCorpusWriter(tmp_path / "corpus")
+        healed = ShardedCorpusWriter(tmp_path / "corpus", shard_size=10)
         assert len(healed) == 2
-        assert [a.table_id for a in healed.as_reader()] == ["a", "b"]
+        assert shard.stat().st_size == committed
+        healed.finalize()
+        assert [a.table_id for a in ShardedJsonlStore(tmp_path / "corpus")] == ["a", "b"]
 
     def test_orphan_shard_from_crashed_rollover_is_removed(self, tmp_path):
         """A shard file created after a rollover but never reaching the
-        manifest must be deleted on reopen (byte-identity of resumes)."""
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
-        writer.extend([_annotated("a"), _annotated("b")])
-        writer.commit()
-        orphan = tmp_path / "corpus" / "shard_00001.jsonl"
+        log must be deleted on reopen (byte-identity of resumes)."""
+        with ShardedCorpusWriter(tmp_path / "corpus", shard_size=2) as writer:
+            writer.extend([_annotated("a"), _annotated("b")])
+            writer.commit()
+        orphan = tmp_path / "corpus" / worker_shard_filename(0, 1)
         orphan.write_bytes(b'{"uncommitted rollover garbage"}\n')
-        healed = ShardedCorpusWriter(tmp_path / "corpus")
+        healed = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
         assert not orphan.exists()
-        assert [a.table_id for a in healed] == ["a", "b"]
+        healed.finalize()
+        assert [a.table_id for a in ShardedJsonlStore(tmp_path / "corpus")] == ["a", "b"]
 
-    def test_get_and_contains_cover_pending_and_committed(self, tmp_path):
+    def test_corrupt_scope_raises_and_releases_its_lock(self, tmp_path):
+        with ShardedCorpusWriter(tmp_path / "corpus") as writer:
+            writer.add(_annotated("a"))
+            writer.commit()
+        (tmp_path / "corpus" / worker_shard_filename(0, 0)).unlink()
+        with pytest.raises(CorpusError, match="missing shard"):
+            ShardedCorpusWriter(tmp_path / "corpus")
+        # The failed open released the scope: the next one is not refused.
+        with pytest.raises(CorpusError, match="missing shard"):
+            ShardedCorpusWriter(tmp_path / "corpus")
+
+    def test_contains_covers_pending_and_committed(self, tmp_path):
+        with ShardedCorpusWriter(tmp_path / "corpus") as writer:
+            writer.add(_annotated("a"))
+            writer.commit()
+            writer.add(_annotated("b"))
+            assert "a" in writer and "b" in writer
+            assert "zzz" not in writer
+            assert len(writer) == 2
+
+    def test_finalize_refuses_a_directory_holding_a_store(self, tmp_path):
+        """Publishing is for a fresh directory: a writer never appends to
+        a published store, nor sweeps another writer's scope."""
+        _corpus(3).save(tmp_path / "corpus")
+        before = _dir_bytes(tmp_path / "corpus")
         writer = ShardedCorpusWriter(tmp_path / "corpus")
-        writer.add(_annotated("a"))
-        writer.commit()
-        writer.add(_annotated("b"))
-        assert "a" in writer and "b" in writer
-        assert writer.get("a").table_id == "a"
-        assert writer.get("b").table_id == "b"
-        assert writer.get("zzz") is None
+        writer.add(_annotated("late"))
+        with pytest.raises(CorpusError, match="fresh directory"):
+            writer.finalize()
+        writer.close()
+        with ShardedCorpusWriter(tmp_path / "other", worker=1):
+            writer = ShardedCorpusWriter(tmp_path / "other")
+            with pytest.raises(CorpusError, match="fresh directory"):
+                writer.finalize()
+            writer.close()
+        assert not (tmp_path / "other" / "manifest.json").exists()
+        # The refused writer's own scope is left for a later session.
+        after = _dir_bytes(tmp_path / "corpus")
+        assert {name: after[name] for name in before} == before
+
+
+#: sha256 over ``directory_file_bytes`` of the saved directories, recorded
+#: before ``save()`` moved onto the per-worker writer. Both sides of
+#: every other byte comparison go through the same writer now; these pin
+#: the bytes themselves.
+SAVE_GOLDEN = {
+    "save-21": "bc588413909b1a81c8d6ad943e660fe71227db41cca614fd3d818cde483af9f9",
+    "one-at-a-time-21": "bc588413909b1a81c8d6ad943e660fe71227db41cca614fd3d818cde483af9f9",
+    "empty": "d369e1b479271daf1cd1daaf6aaf6fa78182f1265a699f8122a0f58a4026bcbe",
+}
+
+
+def _digest(directory) -> str:
+    digest = hashlib.sha256()
+    for name, data in directory_file_bytes(directory).items():
+        digest.update(name.encode() + b"\0" + len(data).to_bytes(8, "big") + data)
+    return digest.hexdigest()
+
+
+class TestSaveGolden:
+    def test_save_bytes(self, tmp_path):
+        _corpus(21).save(tmp_path / "corpus", shard_size=8)
+        assert _digest(tmp_path / "corpus") == SAVE_GOLDEN["save-21"]
+
+    def test_one_table_per_commit_bytes(self, tmp_path):
+        with ShardedCorpusWriter(tmp_path / "corpus", shard_size=8, name="mini") as writer:
+            for annotated in _corpus(21):
+                writer.add(annotated)
+                writer.commit()
+            writer.finalize()
+        assert _digest(tmp_path / "corpus") == SAVE_GOLDEN["one-at-a-time-21"]
+
+    def test_empty_corpus_bytes(self, tmp_path):
+        _corpus(0).save(tmp_path / "corpus", shard_size=8)
+        assert _digest(tmp_path / "corpus") == SAVE_GOLDEN["empty"]
 
 
 class TestAtomicSave:
@@ -294,7 +361,7 @@ class TestAtomicSave:
         target = tmp_path / "corpus"
         _corpus(4, name="original").save(target)
 
-        def explode(self):
+        def explode(self, *args, **kwargs):
             raise RuntimeError("disk full")
 
         monkeypatch.setattr(ShardedCorpusWriter, "commit", explode)
@@ -305,8 +372,10 @@ class TestAtomicSave:
         survivor = GitTablesCorpus.load(target)
         assert survivor.name == "original"
         assert len(survivor) == 4
-        # No staging litter left behind.
+        # No staging litter left behind (and no writer lock: a leaked
+        # handle fails the module's ResourceWarning filter).
         assert [n for n in os.listdir(tmp_path) if n.startswith(".corpus")] == []
+        assert list(tmp_path.glob(".corpus.saving-*")) == []
 
     def test_save_overwrites_existing_corpus(self, tmp_path):
         target = tmp_path / "corpus"
@@ -414,11 +483,11 @@ class TestResumableBuild:
         original_commit = ShardedCorpusWriter.commit
         calls = {"n": 0}
 
-        def killed_commit(self):
+        def killed_commit(self, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] > 4:
                 raise KeyboardInterrupt("simulated kill")
-            return original_commit(self)
+            return original_commit(self, *args, **kwargs)
 
         monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
         with pytest.raises(KeyboardInterrupt):
@@ -512,11 +581,11 @@ class TestResumableBuild:
         original_commit = ShardedCorpusWriter.commit
         calls = {"n": 0}
 
-        def killed_commit(self):
+        def killed_commit(self, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise KeyboardInterrupt("simulated kill")
-            return original_commit(self)
+            return original_commit(self, *args, **kwargs)
 
         monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
         with pytest.raises(KeyboardInterrupt):
@@ -621,32 +690,28 @@ class TestResumableBuild:
 
 
 class TestManifestDeltaLog:
-    """Commit-per-batch builds are O(batch): commits append one delta
-    record to manifest.log; compaction folds the log into manifest.json
-    every K commits and on finalize."""
+    """Commits are O(batch): each appends one delta record to the
+    writer's log. An old directory's single-writer ``manifest.log`` is
+    still replayed by readers."""
 
     def test_commits_append_deltas_not_manifest_rewrites(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
-        writer.extend([_annotated("t1"), _annotated("t2")])
-        writer.commit()  # first commit establishes the base manifest
-        manifest_path = tmp_path / "corpus" / "manifest.json"
-        base_bytes = manifest_path.read_bytes()
-        for index in range(3, 6):
-            writer.add(_annotated(f"t{index}"))
+        with ShardedCorpusWriter(tmp_path / "corpus", shard_size=2) as writer:
+            writer.extend([_annotated("t1"), _annotated("t2")])
             writer.commit()
-        # The base manifest was not rewritten; the log carries the tail.
-        assert manifest_path.read_bytes() == base_bytes
-        log_lines = (tmp_path / "corpus" / "manifest.log").read_bytes().splitlines()
-        assert len(log_lines) == 3
-        # Each record is O(batch): exactly one table here.
-        assert all(len(json.loads(line)["tables"]) == 1 for line in log_lines)
+            for index in range(3, 6):
+                writer.add(_annotated(f"t{index}"))
+                writer.commit()
+        # No manifest until finalize; the log carries every commit.
+        assert not (tmp_path / "corpus" / "manifest.json").exists()
+        log_lines = (tmp_path / "corpus" / worker_log_filename(0)).read_bytes().splitlines()
+        assert [len(json.loads(line)["tables"]) for line in log_lines] == [2, 1, 1, 1]
 
     def test_reader_replays_uncompacted_tail(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
-        writer.extend([_annotated("t1"), _annotated("t2")])
-        writer.commit()
-        writer.extend([_annotated("t3"), _annotated("t4"), _annotated("t5")])
-        writer.commit()
+        single_writer_store(
+            tmp_path / "corpus",
+            [[_annotated("t1"), _annotated("t2")], [_annotated(f"t{i}") for i in (3, 4, 5)]],
+            shard_size=2,
+        )
         store = ShardedJsonlStore(tmp_path / "corpus")
         assert [a.table_id for a in store] == ["t1", "t2", "t3", "t4", "t5"]
         assert store.get("t4").table_id == "t4"
@@ -654,89 +719,66 @@ class TestManifestDeltaLog:
         assert store.stats_hint()["topics"] == {"id": 5}
 
     def test_writer_resumes_from_log_tail(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
-        writer.extend([_annotated("t1"), _annotated("t2")])
-        writer.commit()
-        writer.add(_annotated("t3"))
-        writer.commit()
-        resumed = ShardedCorpusWriter(tmp_path / "corpus")
+        with ShardedCorpusWriter(tmp_path / "corpus", shard_size=2) as writer:
+            writer.extend([_annotated("t1"), _annotated("t2")])
+            writer.commit()
+            writer.add(_annotated("t3"))
+            writer.commit()
+        resumed = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
         assert len(resumed) == 3
         resumed.add(_annotated("t4"))
         resumed.commit()
-        assert [a.table_id for a in resumed.as_reader()] == ["t1", "t2", "t3", "t4"]
+        resumed.finalize()
+        store = ShardedJsonlStore(tmp_path / "corpus")
+        assert [a.table_id for a in store] == ["t1", "t2", "t3", "t4"]
 
     def test_torn_log_tail_ignored_and_truncated(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
-        writer.extend([_annotated("t1"), _annotated("t2")])
-        writer.commit()
-        writer.add(_annotated("t3"))
-        writer.commit()
+        single_writer_store(
+            tmp_path / "corpus", [[_annotated("t1"), _annotated("t2")], [_annotated("t3")]], shard_size=2
+        )
         log_path = tmp_path / "corpus" / "manifest.log"
-        intact = log_path.read_bytes()
         with open(log_path, "ab") as handle:
             handle.write(b'{"torn half record')
         # Readers ignore the torn tail.
         assert len(ShardedJsonlStore(tmp_path / "corpus")) == 3
-        # Writers truncate it away and keep appending cleanly.
-        healed = ShardedCorpusWriter(tmp_path / "corpus")
-        assert log_path.read_bytes() == intact
-        assert len(healed) == 3
-
-    def test_compaction_every_k_commits(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=4, compact_every=3)
-        log_path = tmp_path / "corpus" / "manifest.log"
-        for index in range(6):
-            writer.add(_annotated(f"t{index}"))
-            writer.commit()
-        # Commits: #1 base manifest, #2-#3 deltas, #4 compaction (2+1
-        # reaches compact_every), #5-#6 deltas.
-        assert log_path.exists()
-        assert len(log_path.read_bytes().splitlines()) == 2
-        manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
-        assert manifest["table_count"] == 4
 
     def test_finalize_compacts_and_result_is_cadence_independent(self, tmp_path):
         """The finished directory is byte-identical no matter how many
         commits produced it."""
-        one = ShardedCorpusWriter(tmp_path / "one", shard_size=2)
-        for index in range(5):
-            one.add(_annotated(f"t{index}"))
-            one.commit()
-        one.finalize()
-        two = ShardedCorpusWriter(tmp_path / "two", shard_size=2)
-        two.extend([_annotated(f"t{index}") for index in range(5)])
-        two.finalize()
-        assert not (tmp_path / "one" / "manifest.log").exists()
+        with ShardedCorpusWriter(tmp_path / "one", shard_size=2) as one:
+            for index in range(5):
+                one.add(_annotated(f"t{index}"))
+                one.commit()
+            one.finalize()
+        with ShardedCorpusWriter(tmp_path / "two", shard_size=2) as two:
+            two.extend([_annotated(f"t{index}") for index in range(5)])
+            two.finalize()
+        assert sorted(_dir_bytes(tmp_path / "one")) == [
+            "manifest.json", "shard_00000.jsonl", "shard_00001.jsonl", "shard_00002.jsonl"
+        ]
         assert _dir_bytes(tmp_path / "one") == _dir_bytes(tmp_path / "two")
 
     def test_stale_log_after_crashed_compaction_not_double_applied(self, tmp_path):
         """A compaction that wrote manifest.json but crashed before
         deleting the log must not double-count on the next open."""
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
-        writer.extend([_annotated("t1"), _annotated("t2")])
-        writer.commit()
-        writer.add(_annotated("t3"))
-        writer.commit()
-        stale_log = (tmp_path / "corpus" / "manifest.log").read_bytes()
-        writer.finalize()
+        tables = [_annotated("t1"), _annotated("t2"), _annotated("t3")]
+        single_writer_store(tmp_path / "stale", [tables[:2], tables[2:]], shard_size=2)
+        single_writer_store(tmp_path / "corpus", [tables], shard_size=2, epochs=[3])
         # Resurrect the log as if the unlink never happened.
-        (tmp_path / "corpus" / "manifest.log").write_bytes(stale_log)
+        (tmp_path / "corpus" / "manifest.log").write_bytes(
+            (tmp_path / "stale" / "manifest.log").read_bytes()
+        )
         store = ShardedJsonlStore(tmp_path / "corpus")
         assert len(store) == 3
         assert store.stats_hint()["total_rows"] == 6
-        reopened = ShardedCorpusWriter(tmp_path / "corpus")
-        assert len(reopened) == 3
-        assert reopened.stats_hint()["total_rows"] == 6
 
     def test_content_fingerprint_tracks_commits(self, tmp_path):
-        writer = ShardedCorpusWriter(tmp_path / "corpus", shard_size=2)
-        writer.extend([_annotated("t1"), _annotated("t2")])
-        writer.finalize()
+        with ShardedCorpusWriter(tmp_path / "corpus", shard_size=2) as writer:
+            writer.extend([_annotated("t1"), _annotated("t2")])
+            writer.finalize()
         first = ShardedJsonlStore(tmp_path / "corpus").content_fingerprint()
         assert first == ShardedJsonlStore(tmp_path / "corpus").content_fingerprint()
-        again = ShardedCorpusWriter(tmp_path / "corpus")
-        again.add(_annotated("t3"))
-        again.finalize()
+        append_out_of_band(tmp_path / "corpus", [_annotated("t3")])
         assert ShardedJsonlStore(tmp_path / "corpus").content_fingerprint() != first
 
 

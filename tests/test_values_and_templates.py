@@ -1,6 +1,5 @@
 """Unit tests for the synthetic value pools and table templates."""
 
-import numpy as np
 import pytest
 
 from repro._rand import derive_rng
