@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .content import ContentGenerator, GeneratorConfig
-from .models import RepoFile, Repository
+from .models import RepoFile, Repository, SearchResultItem
 
 __all__ = ["GitHubInstance", "build_instance"]
+
+
+class SearchRow(NamedTuple):
+    """One file as the Search API filters it, derived once per instance."""
+
+    item: SearchResultItem
+    extension: str
+    is_fork: bool
+    topics: frozenset[str]
+    path_lower: str
+    #: Up to the first ``\n``; a ``\r`` before it is kept.
+    first_line_lower: str
 
 
 class GitHubInstance:
@@ -13,8 +27,8 @@ class GitHubInstance:
 
     Provides raw-content retrieval by URL (the analogue of
     ``raw.githubusercontent.com``) plus repository metadata lookup; the
-    Search API lives in :mod:`repro.github.search` and queries this
-    instance.
+    Search API (:mod:`repro.github.search`) filters its ``search_rows``,
+    one per file in :meth:`iter_files` order, built once here.
     """
 
     def __init__(self, repositories: list[Repository]) -> None:
@@ -25,6 +39,13 @@ class GitHubInstance:
             self._by_full_name[repository.full_name] = repository
             for file in repository.files:
                 self._file_index[repository.url_for(file)] = (repository, file)
+        self.search_rows: list[SearchRow] = []
+        for url, (repository, file) in self._file_index.items():
+            newline = file.content.find("\n")
+            first_line = file.content if newline < 0 else file.content[:newline]
+            item = SearchResultItem(repository.full_name, file.path, url, file.size_bytes)
+            fields = (file.extension, repository.is_fork, file.topics, file.path.lower(), first_line.lower())
+            self.search_rows.append(SearchRow(item, *fields))
 
     # -- repository metadata ----------------------------------------------
 

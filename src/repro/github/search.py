@@ -114,42 +114,30 @@ class SearchAPI:
         self.result_window = result_window
         self.page_size = page_size
         self.max_file_size = max_file_size
-
-    def _matches(self, query: SearchQuery, repository, file) -> bool:
-        if query.extension and file.extension != query.extension:
-            return False
-        size = file.size_bytes
-        if size > self.max_file_size:
-            return False
-        if query.size_min is not None and not (query.size_min <= size <= query.size_max):
-            return False
-        if not query.include_forks and repository.is_fork:
-            return False
-        term = query.term.lower()
-        if term in file.topics:
-            return True
-        # Fall back to scanning the file path and header line, mirroring
-        # GitHub code search matching on file contents.
-        if term in file.path.lower():
-            return True
-        first_line = file.content.split("\n", 1)[0].lower()
-        return term in first_line
+        #: The last query and its sorted matches, so a query's count and
+        #: pages share one scan; never shared between API objects (sessions).
+        self._last: tuple[SearchQuery, list[SearchResultItem]] | None = None
 
     def _all_matches(self, query: SearchQuery) -> list[SearchResultItem]:
-        items: list[SearchResultItem] = []
-        for repository, file in self.instance.iter_files():
-            if self._matches(query, repository, file):
-                items.append(
-                    SearchResultItem(
-                        repository=repository.full_name,
-                        path=file.path,
-                        url=repository.url_for(file),
-                        size_bytes=file.size_bytes,
-                    )
-                )
+        if self._last is not None and self._last[0] == query:
+            return self._last[1]
+        low = 0 if query.size_min is None else query.size_min
+        high = self.max_file_size if query.size_max is None else min(query.size_max, self.max_file_size)
+        term = query.term.lower()
+        # A topic hit, else the file path or header line, mirroring GitHub
+        # code search matching on file contents.
+        items = [
+            row.item
+            for row in self.instance.search_rows
+            if (not query.extension or row.extension == query.extension)
+            and low <= row.item.size_bytes <= high
+            and (query.include_forks or not row.is_fork)
+            and (term in row.topics or term in row.path_lower or term in row.first_line_lower)
+        ]
         # Deterministic ordering: by size then URL (GitHub orders by
         # relevance; any stable order works for the pipeline).
         items.sort(key=lambda item: (item.size_bytes, item.url))
+        self._last = (query, items)
         return items
 
     def total_count(self, query: SearchQuery) -> int:
@@ -184,15 +172,3 @@ class SearchAPI:
             has_next_page=has_next,
             incomplete_results=total > self.result_window,
         )
-
-    def search_all_pages(self, query: SearchQuery) -> list[SearchResultItem]:
-        """Traverse all retrievable pages of ``query`` (within the window)."""
-        items: list[SearchResultItem] = []
-        page = 1
-        while True:
-            response = self.search(query, page=page)
-            items.extend(response.items)
-            if not response.has_next_page:
-                break
-            page += 1
-        return items
