@@ -5,11 +5,15 @@ published index artifacts), then grows it by 10% two ways:
 
 * **extend** — :meth:`GitTables.extend` on the existing directory: the
   pipeline resumes past the sealed epoch (only the new tables are
-  parsed, annotated and appended as new shards), the search/completion
+  parsed, annotated and appended as new shards) and the search/completion
   engines delta-refresh their artifacts (only the tail schemas are
-  embedded), and the columnar projection extends its arrays;
+  embedded). The base never read a statistic, so it holds no columnar
+  projection and the extension refreshes none;
 * **rebuild** — a from-scratch build of the grown configuration into a
   fresh directory, plus a full engine warm (corpus-wide embedding).
+
+Neither timed arm resolves a projection: builds leave it to the first
+statistics call, which the untimed equality check makes on each side.
 
 The acceptance gate is a ≥5x speedup for the extend arm with *exactly*
 equal results — same search rankings, same completions, same statistics,

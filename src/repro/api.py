@@ -302,11 +302,11 @@ class GitTables:
         The session's engines then **delta-refresh** rather than
         rebuild: search and completion load their superseded artifacts,
         embed only the appended tables' schemas, and republish under the
-        grown corpus fingerprint (the columnar stats projection extends
-        the same way during finalize). Superseded corpus-keyed artifacts
-        are pruned only *after* every engine has republished, so a crash
-        mid-refresh leaves the next session able to delta-refresh from
-        the same prior-epoch artifacts.
+        grown corpus fingerprint (so does a columnar stats projection the
+        store already has, during finalize). Superseded corpus-keyed
+        artifacts are pruned only *after* every engine has republished,
+        so a crash mid-refresh leaves the next session able to
+        delta-refresh from the same prior-epoch artifacts.
 
         ``processes`` (default ``1``, must be ``>= 1``) is the extension's
         worker process count, as for :meth:`build`; the extended

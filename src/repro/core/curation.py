@@ -61,16 +61,16 @@ class CurationReport:
         """Rebuild curation statistics from a (re)loaded corpus.
 
         Every scrubbed table records its scrubbed columns and their PII
-        types in table metadata, so the full report is derivable without
-        the original build session — this is what store-reusing builds
-        return instead of an empty report. Computed on the columnar
-        projection :func:`~repro.storage.columnar.ensure_projection`
-        resolves for ``corpus`` (a loaded store adopts its persisted one;
-        no table parsing once it is current).
+        types in table metadata, so the report is derivable without the
+        build session. Computed on the projection
+        :func:`~repro.storage.columnar.ensure_projection` resolves for
+        ``corpus`` (a loaded store adopts its persisted one), without
+        pruning: a result kept from before an extension reads an older
+        snapshot and must not sweep the grown store's artifacts.
         """
         from ..storage.columnar import ensure_projection
 
-        return cls.from_projection(ensure_projection(corpus))
+        return cls.from_projection(ensure_projection(corpus, prune=False))
 
     @classmethod
     def from_projection(cls, projection) -> "CurationReport":

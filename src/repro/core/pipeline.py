@@ -49,7 +49,7 @@ from ..storage.checkpoint import (
     require_compatible_extension,
     save_build_meta,
 )
-from ..storage.columnar import ensure_projection
+from ..storage.columnar import PROJECTION_ARTIFACT, ensure_projection
 from ..storage.sharded import DEFAULT_SHARD_SIZE, ShardedJsonlStore
 from ..wordnet.topics import select_topics
 from .corpus import GitTablesCorpus
@@ -72,10 +72,10 @@ class PipelineResult:
     ``stage_reports``, the per-stage report objects that the four
     ``*_report`` properties read (a stage that did not run reads as an
     empty report). An in-memory build carries all four. A store build
-    carries the coordinator's session-scoped extraction report and a
-    curation report rebuilt from corpus metadata (Table-3 statistics
-    are derivable from the tables themselves); its parse and filter
-    work lives in the report's counters, merged over every session and
+    carries the coordinator's session-scoped extraction report and, from
+    first read, a curation report rebuilt from corpus metadata (Table 3
+    is derivable from the tables themselves); its parse and filter work
+    lives in the report's counters, merged over every session and
     worker, since the dropped items they describe exist nowhere else.
     """
 
@@ -97,7 +97,10 @@ class PipelineResult:
 
     @property
     def curation_report(self) -> CurationReport:
-        return self.pipeline_report.stage_reports.get("curation", CurationReport())
+        reports = self.pipeline_report.stage_reports
+        if "curation" not in reports:
+            reports["curation"] = CurationReport.from_corpus(self.corpus)
+        return reports["curation"]
 
     @property
     def table_count(self) -> int:
@@ -315,18 +318,15 @@ class CorpusBuilder:
     ) -> PipelineResult:
         """The result of a finished store build: every store build ends here.
 
-        Opens the lazy corpus and resolves (or builds and publishes) its
-        columnar stats projection, so the curation report — and every
-        later statistic on this corpus — reads metadata arrays instead of
-        parsing shards. Artifacts live outside the byte-identity of the
-        corpus files. Extensions defer pruning: the superseded
-        search/completion artifacts must survive until their engines have
-        delta-refreshed from them (the facade prunes once every artifact
-        is republished). The curation report is rebuilt from corpus
-        metadata. ``use_artifacts=False`` opens the corpus without its
-        artifact store.
+        Opens the lazy corpus; its columnar stats projection and the
+        curation report are resolved on first use. An extension
+        delta-refreshes a projection the store already has, with the
+        prune deferred: superseded artifacts must survive until every
+        engine has refreshed from them (the facade prunes once all are
+        republished). ``use_artifacts=False`` opens the corpus without
+        its artifact store.
         """
         corpus = GitTablesCorpus(store=ShardedJsonlStore(store_dir, use_artifacts=use_artifacts))
-        ensure_projection(corpus, prune=not extend)
-        report.stage_reports["curation"] = CurationReport.from_corpus(corpus)
+        if extend and corpus.artifacts and corpus.artifacts.path(PROJECTION_ARTIFACT).is_dir():
+            ensure_projection(corpus, prune=False)
         return PipelineResult(corpus, topics, report)

@@ -123,7 +123,7 @@ class ExperimentContext:
 
         Resolved through :func:`~repro.storage.columnar.ensure_projection`:
         an already-attached projection wins, store-backed contexts mmap
-        the artifact published at build finalize, and only a cache miss
+        the artifact a first statistics call published, and only a miss
         (or an in-memory corpus) triggers a full scan. Every statistic
         is computed on this projection; the per-table scan it is tested
         against lives in ``tests/stats_oracle.py``.

@@ -5,7 +5,9 @@ loaded store must adopt the published version: zero
 ``ColumnarProjection.from_corpus`` builds and zero
 ``SentenceEncoder.embed_many`` calls. A store opened with
 ``use_artifacts=False`` must read no artifact and leave the artifact
-directory exactly as it found it, also across ``compact()``.
+directory exactly as it found it, also across ``compact()``. Builds and
+extensions never *create* the columnar stats projection: nothing during
+construction reads it, so it is resolved on first statistics use.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import shutil
 import pytest
 
 from repro.api import GitTables
+from repro.config import PipelineConfig
 from repro.core.curation import CurationReport
 from repro.core.stats import AnnotationStatistics, CorpusStatistics, dimension_cdf
 from repro.embeddings.sentence import SentenceEncoder
 from repro.experiments.context import ExperimentContext
+from repro.github.content import GeneratorConfig
 from repro.storage.artifacts import IndexArtifactStore
-from repro.storage.columnar import ColumnarProjection, TablePredicate
+from repro.storage.columnar import PROJECTION_ARTIFACT, ColumnarProjection, TablePredicate
 
 QUERY = "status and sales amount per product"
 PREFIX = ["order_id", "order_date", "status"]
@@ -132,3 +136,28 @@ def test_use_artifacts_false_reads_and_writes_no_artifact(context_store, tmp_pat
     assert loads == []
     assert session.artifacts is None
     assert _artifact_bytes(directory) == before
+
+
+def test_build_and_extends_never_create_the_projection(tmp_path, monkeypatch):
+    """A one-process build plus three extends, with no statistics call,
+    publish search and completion but neither build nor extend a
+    projection."""
+    builds = _count_calls(monkeypatch, ColumnarProjection, "from_corpus")
+    extensions = _count_calls(monkeypatch, ColumnarProjection, "extended")
+    directory = tmp_path / "store"
+    session = GitTables.build(
+        PipelineConfig(target_tables=16, seed=7),
+        generator_config=GeneratorConfig(n_repositories=200, mean_rows=25, seed=7),
+        batch_size=4,
+        store_dir=directory,
+        shard_size=8,
+        processes=1,
+    )
+    session.warm()
+    for target in (18, 21, 24):
+        session.extend(target_tables=target, shard_size=8)
+    assert len(session.corpus) == 24
+    artifacts = IndexArtifactStore.for_corpus_dir(directory)
+    assert PROJECTION_ARTIFACT not in artifacts.names()
+    assert artifacts.names(), "the engines publish their artifacts"
+    assert builds == [] and extensions == []

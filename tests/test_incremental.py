@@ -36,8 +36,8 @@ from repro.github.content import GeneratorConfig
 from repro.serving.metrics import ServiceMetrics
 from repro.storage._io import directory_file_bytes
 from repro.storage.artifacts import IndexArtifactStore
+from repro.storage import columnar, parallel
 from repro.storage.columnar import PROJECTION_ARTIFACT
-from repro.storage import parallel
 from repro.storage.parallel import ParallelCorpusBuilder
 from repro.core.pipeline import CorpusBuilder
 from repro.storage.sharded import (
@@ -45,6 +45,7 @@ from repro.storage.sharded import (
     ShardedJsonlStore,
     read_store_version,
 )
+from tests import stats_oracle as oracle
 from tests.legacy_layout import append_out_of_band
 
 BASE_TABLES = 24
@@ -93,7 +94,8 @@ def base_store(tmp_path_factory, base_config, grow_generator):
 
 @pytest.fixture(scope="module")
 def grown_reference(tmp_path_factory, grown_config, grow_generator):
-    """A one-shot build of the grown configuration, engines warmed."""
+    """A one-shot build of the grown configuration, engines warmed and
+    stats projection resolved."""
     directory = tmp_path_factory.mktemp("incremental") / "one-shot"
     session = GitTables.build(
         grown_config,
@@ -104,14 +106,17 @@ def grown_reference(tmp_path_factory, grown_config, grow_generator):
     )
     _ = session.search_engine
     _ = session.completer
+    session.columnar()
     return directory
 
 
 @pytest.fixture(scope="module")
 def extended_reference(tmp_path_factory, base_store, grow_generator):
-    """The base directory grown in place through the public facade."""
+    """The base directory, its stats projection resolved, grown in place
+    through the public facade."""
     directory = tmp_path_factory.mktemp("incremental") / "extended"
     shutil.copytree(base_store, directory)
+    GitTables.load(directory).columnar()
     GitTables.load(directory).extend(target_tables=GROWN_TABLES, shard_size=SHARDS)
     return directory
 
@@ -503,12 +508,14 @@ class TestPruneOrderingWindow:
     def test_prior_epoch_artifacts_survive_until_engines_republish(
         self, tmp_path, base_store, grown_config, grow_generator
     ):
-        """An extension's finalize publishes the new projection but must
-        NOT prune the superseded search/completion artifacts: the
-        engines delta-refresh *from* them. Only after every engine has
-        republished is the prior epoch's state garbage."""
+        """An extension's finalize publishes the grown projection of a
+        store that has one but must NOT prune the superseded
+        search/completion artifacts: the engines delta-refresh *from*
+        them. Only after every engine has republished is the prior
+        epoch's state garbage."""
         directory = tmp_path / "store"
         shutil.copytree(base_store, directory)
+        GitTables.load(directory).columnar()
         old_fingerprint = ShardedJsonlStore(directory).content_fingerprint()
 
         CorpusBuilder(grown_config, generator_config=grow_generator, batch_size=BATCH).build(
@@ -537,6 +544,87 @@ class TestPruneOrderingWindow:
             assert refreshed.fingerprint["corpus"] == new_fingerprint, name
         # Everything now keys to the grown corpus: nothing left to prune.
         assert artifacts.prune(new_fingerprint) == []
+
+
+class TestLazyProjection:
+    """A build never resolves the stats projection; an extension refreshes
+    one the store already has, over the tail tables only."""
+
+    def test_extension_extends_an_existing_projection(
+        self, tmp_path, base_store, monkeypatch
+    ):
+        directory = tmp_path / "store"
+        shutil.copytree(base_store, directory)
+        GitTables.load(directory).columnar()
+        # Every projection scan, (first table ordinal, table ids): a
+        # from-scratch build scans from 0, an extension from its boundary.
+        scans: list[tuple[int, list[str]]] = []
+        real_scan = columnar._scan_tables
+
+        def recording_scan(tables, start, vocabs):
+            tables = list(tables)
+            scans.append((start, [annotated.table_id for annotated in tables]))
+            return real_scan(tables, start, vocabs)
+
+        monkeypatch.setattr(columnar, "_scan_tables", recording_scan)
+        session = GitTables.load(directory).extend(target_tables=GROWN_TABLES, shard_size=SHARDS)
+        tail = list(session.corpus.store.table_ids())[BASE_TABLES:]
+        assert scans == [(BASE_TABLES, tail)]
+        # Republished under the grown fingerprint, and kept by the
+        # facade's post-extend prune.
+        published = IndexArtifactStore.for_corpus_dir(directory).load(PROJECTION_ARTIFACT)
+        assert published.fingerprint["corpus"] == session.corpus.store.content_fingerprint()
+        assert session.stats() == oracle.corpus_statistics(session.corpus)
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("prior_projection", [False, True])
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_statistics_equal_the_oracle_after_build_and_extend(
+        self, tmp_path, base_config, grow_generator, processes, prior_projection
+    ):
+        def assert_equal_oracle(session: GitTables) -> None:
+            corpus = session.result.corpus
+            assert session.result.curation_report == oracle.curation_report(corpus)
+            assert session.stats() == oracle.corpus_statistics(corpus)
+            assert session.annotation_stats() == oracle.annotation_statistics(corpus)
+
+        directory = tmp_path / "store"
+        session = GitTables.build(
+            base_config,
+            generator_config=grow_generator,
+            batch_size=BATCH,
+            store_dir=directory,
+            shard_size=SHARDS,
+            processes=processes,
+        )
+        pristine = tmp_path / "pristine"
+        shutil.copytree(directory, pristine)
+        assert_equal_oracle(session)
+        grown = session if prior_projection else GitTables.load(pristine)
+        grown.extend(target_tables=GROWN_TABLES, shard_size=SHARDS, processes=processes)
+        names = IndexArtifactStore.for_corpus_dir(grown.corpus.store.directory).names()
+        assert (PROJECTION_ARTIFACT in names) is prior_projection
+        assert_equal_oracle(grown)
+
+    def test_result_kept_from_before_an_extension(self, tmp_path, base_config, grow_generator):
+        """A result first read after its store grew reports its own build,
+        and its late resolve prunes none of the grown store's artifacts."""
+        directory = tmp_path / "store"
+        session = GitTables.build(
+            base_config,
+            generator_config=grow_generator,
+            batch_size=BATCH,
+            store_dir=directory,
+            shard_size=SHARDS,
+        )
+        kept = session.result
+        session.extend(target_tables=GROWN_TABLES, shard_size=SHARDS)
+        assert kept.curation_report == oracle.curation_report(kept.corpus)
+        assert kept.curation_report.tables_processed == BASE_TABLES
+        grown_fingerprint = ShardedJsonlStore(directory).content_fingerprint()
+        artifacts = IndexArtifactStore.for_corpus_dir(directory)
+        for name in (SEARCH_ARTIFACT, COMPLETION_ARTIFACT):
+            assert artifacts.load(name).fingerprint["corpus"] == grown_fingerprint, name
 
 
 def _enumeration(directory, config, payloads: dict) -> "parallel._CoordinatorRun":
