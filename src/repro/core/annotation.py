@@ -312,7 +312,7 @@ class SemanticAnnotator(_ColumnNameAnnotator):
             "encoder": embedder_fingerprint(self.model),
             "ontology": {
                 "name": self.ontology.name,
-                "labels_digest": fingerprint_digest(labels),
+                "labels_digest": self.ontology.labels_digest,
             },
         }
         # Ontologies are usually far below the tier's scale gate, so this

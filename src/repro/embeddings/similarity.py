@@ -43,6 +43,8 @@ __all__ = [
 ROW_TILE = 64
 #: Query columns per BLAS call of :func:`score`.
 QUERY_TILE = 4
+#: Query rows per dense similarity block of a flat top-k (bounds its memory).
+QUERY_BLOCK = 8 * QUERY_TILE
 #: Indexes with at least this many rows score with the tiled BLAS
 #: kernel, smaller ones with einsum (the crossover for one query).
 TILED_MIN_ROWS = 1024
@@ -213,10 +215,10 @@ class NearestNeighbourIndex:
     def top_k_batch(self, matrix: np.ndarray, top_k: int = 1) -> list[list[tuple[int, float]]]:
         """Per query row: the ``top_k`` (index, similarity) pairs.
 
-        One kernel call against the whole index answers every query;
-        the top-k selection uses ``argpartition`` (O(n) per row) instead
-        of a full sort, with ties broken by ascending index so results
-        are deterministic. Zero-vector query rows score 0 everywhere.
+        One kernel call against the whole index answers each block of
+        :data:`QUERY_BLOCK` queries; the top-k selection uses ``argpartition``
+        (O(n) per row) instead of a full sort, with ties broken by ascending
+        index so results are deterministic. Zero-vector query rows score 0.
         """
         matrix = np.asarray(matrix, dtype=float)
         n_queries = matrix.shape[0]
@@ -224,8 +226,9 @@ class NearestNeighbourIndex:
             return [[] for _ in range(n_queries)]
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         units = matrix / np.where(norms > 0.0, norms, 1.0)
-        similarities = self._score(units, self._unit_vectors)
-        return top_k_ids_scores(similarities, min(top_k, len(self.labels)))
+        starts = range(0, n_queries, QUERY_BLOCK)
+        blocks = (self._score(units[start : start + QUERY_BLOCK], self._unit_vectors) for start in starts)
+        return [hit for block in blocks for hit in top_k_ids_scores(block, min(top_k, len(self.labels)))]
 
     def query_batch(self, matrix: np.ndarray, top_k: int = 1) -> list[list[tuple[str, float]]]:
         """Per query row: the ``top_k`` (label, similarity) pairs."""

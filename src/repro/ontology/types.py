@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from ..errors import OntologyError
@@ -110,6 +110,7 @@ class Ontology:
                 f"duplicate semantic type {semantic_type.label!r} in ontology {self.name!r}"
             )
         self._types[semantic_type.label] = semantic_type
+        self.__dict__.pop("labels_digest", None)
         # Normalised lookup keeps the first registration (curated types are
         # registered before generated compounds, so they win ties).
         self._by_normalized.setdefault(semantic_type.normalized, semantic_type)
@@ -133,6 +134,13 @@ class Ontology:
 
     def labels(self) -> list[str]:
         return list(self._types)
+
+    @cached_property
+    def labels_digest(self) -> str:
+        """``fingerprint_digest`` of :meth:`labels`, kept until the next :meth:`add`."""
+        from ..storage.artifacts import fingerprint_digest
+
+        return fingerprint_digest(self.labels())
 
     def types_in_domain(self, domain: str) -> list[SemanticType]:
         """All types whose domains include ``domain``."""

@@ -1,12 +1,12 @@
 """Composable, streaming pipeline runner.
 
 A :class:`Pipeline` chains stages into a single pull-driven generator
-graph. Items flow through one at a time; the runner consumes results in
-configurable batches and stops pulling — across the *whole* graph — as
-soon as an optional ``limit`` is met. No stage ever materializes the
-full intermediate stream, which both bounds memory and avoids wasted
-work (e.g. annotating tables that would be discarded once the corpus
-target is reached).
+graph. The runner consumes results in configurable batches and stops
+pulling — across the *whole* graph — as soon as an optional ``limit`` is
+met; the count it still takes (``StageContext.remaining``) bounds how far
+ahead a batching stage works. No stage ever materializes the full stream
+or does work past the limit (e.g. annotating tables that would be
+discarded once the corpus target is reached).
 
 Each run assembles a :class:`~repro.pipeline.report.PipelineReport` with
 per-stage item counters and wall-clock timings, collected by wrapping
@@ -162,6 +162,9 @@ class Pipeline:
 
         started = perf_counter()
         stream, closers = self._build(source, ctx)
+        if limit is not None:
+            ctx.remaining = limit if ctx.remaining is None else min(ctx.remaining, limit)
+            stream = self._count_down(stream, ctx, limit)
         items: list = []
         collected = 0
         try:
@@ -188,6 +191,7 @@ class Pipeline:
                 else:
                     items.extend(batch)
         finally:
+            ctx.remaining = None
             # Close outermost-first so stage finally-blocks (which flush
             # report fields) run now, not whenever GC finalizes the chain.
             for generator in reversed(closers):
@@ -198,6 +202,13 @@ class Pipeline:
         report.total_seconds = perf_counter() - started
         self._finalize_exclusive_times(report)
         return PipelineOutcome(items=items, report=report, context=ctx)
+
+    @staticmethod
+    def _count_down(stream: Iterator, ctx: StageContext, limit: int) -> Iterator:
+        """Reset ``ctx.remaining`` to ``limit`` minus the items received, at each item."""
+        for received, item in enumerate(stream, 1):
+            ctx.remaining = limit - received
+            yield item
 
     @staticmethod
     def _finalize_exclusive_times(report: PipelineReport) -> None:

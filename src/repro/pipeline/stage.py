@@ -58,6 +58,8 @@ class StageContext:
     report: PipelineReport = field(default_factory=PipelineReport)
     #: Free-form cross-stage scratch space (artefact registry).
     state: dict[str, object] = field(default_factory=dict)
+    #: Items the run still takes (``None``: unknown); batching stages never work further ahead.
+    remaining: int | None = None
 
     def publish(self, key: str, value: object) -> None:
         """Publish an artefact for downstream stages / the caller."""
@@ -123,7 +125,7 @@ class MapStage:
     Trade-off versus a plain per-item stage: chunking pulls up to
     ``chunk_size`` items from upstream even when the run's limit needs
     fewer, so opt in where batching matters more than strict zero
-    over-pull (the default construction graph stays per-item).
+    over-pull (graph annotation chunks within ``StageContext.remaining``).
     """
 
     def __init__(self, stage: BatchStage, chunk_size: int = 32) -> None:

@@ -16,16 +16,16 @@ Stage graph item types::
     ParsedFile → FilterStage → ParsedFile → AnnotateStage →
     AnnotatedCandidate → CurateStage → AnnotatedTable
 
-``ParseStage`` and ``AnnotateStage`` additionally implement the
-:class:`~repro.pipeline.stage.BatchStage` protocol (``process_batch``),
-so they can be wrapped in a :class:`~repro.pipeline.stage.MapStage` to
-receive whole chunks — annotation then resolves all column names of a
-chunk with one batched index query per ontology.
+``AnnotateStage`` annotates chunks of as many tables as the run still
+takes (``StageContext.remaining``), each with one batched index query per
+ontology. ``ParseStage`` and ``AnnotateStage`` implement the
+:class:`~repro.pipeline.stage.BatchStage` protocol (``process_batch``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from ..config import PipelineConfig
@@ -192,12 +192,10 @@ class FilterStage:
 class AnnotateStage:
     """:class:`ParsedFile` → :class:`AnnotatedCandidate` (paper §3.4).
 
-    ``process`` annotates one table at a time (all of a table's columns
-    still resolve through one batched index query per ontology), keeping
-    the strict pull-one semantics of the streaming graph. ``process_batch``
-    annotates a whole chunk with a single resolution pass across every
-    column name in the chunk; batched and per-item results are
-    bit-identical.
+    ``process`` annotates chunks of as many tables as the run still takes
+    (``ctx.remaining``; one when unknown) with ``process_batch``, one
+    resolution pass per chunk, so it annotates no table a pull-one graph
+    would not. Batched and per-item results are bit-identical.
     """
 
     name = "annotation"
@@ -206,10 +204,9 @@ class AnnotateStage:
         self.annotator = annotator
 
     def process(self, items: Iterator, ctx: StageContext) -> Iterator:
-        for parsed in items:
-            yield AnnotatedCandidate(
-                parsed=parsed, annotations=self.annotator.annotate(parsed.table)
-            )
+        items = iter(items)
+        while chunk := list(islice(items, ctx.remaining or 1)):
+            yield from self.process_batch(chunk, ctx)
 
     def process_batch(self, batch: list, ctx: StageContext) -> list:
         """Annotate a chunk of parsed files with one resolution pass."""

@@ -130,16 +130,33 @@ def _worker_log_ids(directory: Path) -> list[int]:
     return numbered_sidecar_ids(directory, WORKER_LOG_GLOB)
 
 
+def _is_idle_log(directory: Path, worker: int) -> bool:
+    try:
+        if (directory / worker_log_filename(worker)).stat().st_size:
+            return False
+    except FileNotFoundError:
+        return True  # swept since it was listed
+    if any(directory.glob(f"shard-{worker:02d}-*.jsonl")):
+        return False
+    try:
+        _acquire_log_lock(directory, worker, timeout=0).close()
+    except CorpusError:
+        return False  # a live writer holds it
+    return True
+
+
 def has_parallel_state(directory: str | os.PathLike[str]) -> bool:
     """Whether ``directory`` holds an in-flight build's worker state.
 
-    True when any worker log/checkpoint exists or the manifest carries
-    the mid-build ``"parallel"`` marker: a build is under way (or was
+    True when a worker checkpoint, a non-idle worker log or the manifest's
+    mid-build ``"parallel"`` marker exists: a build is under way (or was
     killed) and must be resumed — under any process count — before the
-    store can be compacted.
+    store can be compacted. An idle log (empty, no shard in its scope, no
+    live writer) is what a writer opened and closed uncommitted leaves.
     """
     directory = Path(directory)
-    if _worker_log_ids(directory) or worker_checkpoint_ids(directory):
+    logs = _worker_log_ids(directory)
+    if worker_checkpoint_ids(directory) or not all(_is_idle_log(directory, k) for k in logs):
         return True
     if is_sharded_dir(directory):
         try:
@@ -224,7 +241,7 @@ class _WorkerTasks:
     the worker holds uncommitted).
 
     A wave streams its units through download → parse → filter →
-    annotate → curate one at a time, exactly like the in-memory graph:
+    annotate (in chunks within the missing count and commit room) → curate:
     it stops pulling units once the tables it holds reach ``missing``
     (the build's missing count when the wave was dispatched), so no
     table is annotated past the target. Stored tables are committed
@@ -320,7 +337,8 @@ class _WorkerTasks:
 
         writer = self.writer
         consumed = 0
-        ctx = StageContext(config=self.spec.config)
+        # Annotation chunks fit the room before the next commit (re-capped in hold).
+        ctx = StageContext(config=self.spec.config, remaining=self.spec.batch_size - writer.pending_count)
 
         def source():
             nonlocal consumed
@@ -332,11 +350,12 @@ class _WorkerTasks:
                 yield unit
 
         def hold(tables: list) -> None:
-            # The graph is pulled one unit at a time, so every unit
-            # consumed so far was dropped or yielded a held table.
+            # A commit falls on a chunk boundary, so every unit consumed
+            # so far was dropped or yielded a held table.
             writer.extend(tables)
             if writer.pending_count >= self.spec.batch_size:
                 self._commit(ctx.report)
+            ctx.remaining = min(ctx.remaining, self.spec.batch_size - writer.pending_count)
 
         outcome = Pipeline(
             [_DownloadStage(self.client), *processing_stages(self.components)],

@@ -18,6 +18,7 @@ from repro.core.annotation import (
     annotate_table,
     preprocess_column_name,
 )
+from repro.embeddings import similarity as similarity_module
 from repro.embeddings.ann import PartitionedIndex
 from repro.embeddings.fasttext import FastTextModel
 from repro.errors import AnnotationError
@@ -395,3 +396,83 @@ class TestLabelIndexMemo:
         assert len(built) == 8
         assert len(label_embeds) == 1
         assert all(annotator._index is built[0]._index for annotator in built)
+
+
+_MANY_NAMES = [
+    f"{first} {second}"
+    for first in ("order", "customer", "home", "birth", "unit", "postal", "team", "album", "film", "river", "city")
+    for second in ("id", "name", "date", "code", "price", "town", "total", "status", "place")
+]
+
+
+class TestBlockedResolve:
+    """A flat index scores at most ``QUERY_BLOCK`` column names per dense block."""
+
+    @pytest.fixture(scope="class", params=["flat", "partitioned-rerank", "partitioned-all"])
+    def annotator(self, request, dbpedia):
+        if request.param == "flat":
+            return SemanticAnnotator(dbpedia, similarity_threshold=0.0)
+        nprobe = 1 if request.param == "partitioned-rerank" else _PARTITIONED.n_partitions
+        annotator = SemanticAnnotator(
+            _tiny_ontology(), similarity_threshold=0.0, index_config=_partitioned(nprobe=nprobe)
+        )
+        assert isinstance(annotator._index, PartitionedIndex)
+        return annotator
+
+    @pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 3)], ids=str)
+    def test_blocked_equals_unblocked_bit_for_bit(self, annotator, monkeypatch, offset):
+        block = similarity_module.QUERY_BLOCK
+        multiple, extra = offset
+        names = _MANY_NAMES[: multiple * block + extra]
+        assert len(names) == multiple * block + extra
+        full_scans: list[int] = []
+        original = similarity_module.NearestNeighbourIndex._score
+
+        def spying(index, units, rows):
+            if rows.shape[0] == len(index.labels):
+                full_scans.append(units.shape[0])
+            return original(index, units, rows)
+
+        monkeypatch.setattr(similarity_module.NearestNeighbourIndex, "_score", spying)
+        blocked = annotator.resolve_normalized(names)
+        assert max(full_scans, default=0) <= block
+        monkeypatch.setattr(similarity_module, "QUERY_BLOCK", len(names) + 1)
+        unblocked = annotator.resolve_normalized(names)
+        assert all(hit is not None for hit in blocked.values())
+        assert list(blocked) == list(unblocked) == names
+        for name, (label, confidence) in blocked.items():
+            assert label == unblocked[name][0]
+            assert np.float64(confidence).tobytes() == np.float64(unblocked[name][1]).tobytes()
+
+
+class TestLabelsDigest:
+    """``Ontology.labels_digest`` is computed once and dropped by ``add``."""
+
+    def test_add_changes_the_digest_and_the_index_fingerprint(self):
+        from repro.storage.artifacts import fingerprint_digest
+
+        ontology = _tiny_ontology()
+        annotator = SemanticAnnotator(ontology)
+        digest = ontology.labels_digest
+        fingerprint = annotator._index_fingerprint(ontology.labels())
+        assert digest == fingerprint_digest(ontology.labels())
+        ontology.add(SemanticType(label="extra label", ontology="tiny"))
+        assert ontology.labels_digest != digest
+        assert ontology.labels_digest == fingerprint_digest(ontology.labels())
+        assert annotator._index_fingerprint(ontology.labels()) != fingerprint
+
+    def test_second_annotator_hits_the_memo(self, monkeypatch):
+        from repro.storage import artifacts as artifacts_module
+
+        digested: list = []
+        original = artifacts_module.fingerprint_digest
+
+        def counting(value):
+            digested.append(value)
+            return original(value)
+
+        monkeypatch.setattr(artifacts_module, "fingerprint_digest", counting)
+        ontology = _tiny_ontology()
+        SemanticAnnotator(ontology)
+        SemanticAnnotator(ontology)
+        assert digested.count(ontology.labels()) == 1

@@ -556,6 +556,67 @@ class TestOneProcessBuilds:
         assert annotated == par_config.target_tables - BATCH
         assert _dir_bytes(store) == _dir_bytes(reference_dir)
 
+    def test_store_build_annotates_in_commit_aligned_chunks(
+        self, tmp_path, monkeypatch, par_config, par_generator, serial_reference
+    ):
+        """A build and an extension annotate through ``annotate_batch`` in
+        chunks that never run past the target or a commit: every table
+        annotated is stored, and every commit ends on a chunk boundary."""
+        from repro.core.annotation import AnnotationPipeline
+
+        chunks: list[int] = []
+        commits: list[int] = []
+        waves: list[int] = []
+        annotate_batch = AnnotationPipeline.annotate_batch
+        commit = ShardedCorpusWriter.commit
+        process = parallel._WorkerTasks._process
+
+        def spy_annotate(annotator, tables):
+            chunks.append(len(tables))
+            return annotate_batch(annotator, tables)
+
+        def spy_commit(writer, *args, **kwargs):
+            commits.append(writer.pending_count)
+            return commit(writer, *args, **kwargs)
+
+        def spy_process(tasks, *args, **kwargs):
+            waves.append(1)
+            return process(tasks, *args, **kwargs)
+
+        monkeypatch.setattr(AnnotationPipeline, "annotate_batch", spy_annotate)
+        monkeypatch.setattr(ShardedCorpusWriter, "commit", spy_commit)
+        monkeypatch.setattr(parallel._WorkerTasks, "_process", spy_process)
+
+        def check_chunks(report, added: int) -> None:
+            assert report.stage("annotation").items_in == added
+            assert sum(chunks) == sum(commits) == added
+            assert max(chunks) > 1
+            boundaries = {sum(chunks[:end]) for end in range(len(chunks) + 1)}
+            assert {sum(commits[:end]) for end in range(1, len(commits) + 1)} <= boundaries
+            assert len(chunks) <= len(waves) + len(commits)
+            for spied in (chunks, commits, waves):
+                spied.clear()
+
+        reference_dir, _ = serial_reference
+        store = tmp_path / "store"
+        first = 25
+        session = GitTables.build(
+            par_config.replace(target_tables=first),
+            generator_config=par_generator,
+            batch_size=BATCH,
+            store_dir=store,
+            shard_size=SHARDS,
+            processes=1,
+        )
+        check_chunks(session.pipeline_report, first)
+        session.extend(target_tables=par_config.target_tables, batch_size=BATCH, shard_size=SHARDS)
+        check_chunks(session.pipeline_report, par_config.target_tables - first)
+        grown, reference = _dir_bytes(store), _dir_bytes(reference_dir)
+        assert _manifest_sans_epochs(grown.pop("manifest.json")) == _manifest_sans_epochs(
+            reference.pop("manifest.json")
+        )
+        assert grown == reference
+
 
 def _manifest_sans_epochs(payload: bytes) -> dict:
     manifest = json.loads(payload)
@@ -690,6 +751,35 @@ class TestWorkerScopeWriter:
         ShardedCorpusWriter(tmp_path, shard_size=4, worker=1).close()  # other scopes free
         writer.close()
         ShardedCorpusWriter(tmp_path, shard_size=4, worker=0).close()  # released
+
+    def test_opened_writer_leaves_no_build_state(self, tmp_path, serial_reference):
+        """A writer opened and closed on a published store without
+        committing creates an empty log; that is no in-flight build, so
+        the store still compacts. A live writer still counts."""
+        import shutil
+
+        from repro.storage.compaction import compact_store
+
+        store = tmp_path / "store"
+        shutil.copytree(serial_reference[0], store)
+        fingerprint = ShardedJsonlStore(store).content_fingerprint()
+        writer = ShardedCorpusWriter(store, shard_size=SHARDS, worker=0)
+        assert (store / worker_log_filename(0)).stat().st_size == 0
+        assert has_parallel_state(store)  # held by a live writer
+        writer.close()
+        assert not has_parallel_state(store)
+        report = compact_store(store, shard_size=5)
+        assert report.fingerprint == fingerprint
+        assert ShardedJsonlStore(store).content_fingerprint() == fingerprint
+        assert not list(store.glob("manifest-*.log"))
+
+    def test_uncommitted_worker_shard_is_build_state(self, tmp_path):
+        """An empty log beside a shard of its scope is a build killed
+        between its first shard append and its first log record."""
+        ShardedCorpusWriter(tmp_path, shard_size=4, worker=1).close()
+        assert not has_parallel_state(tmp_path)
+        (tmp_path / worker_shard_filename(1, 0)).write_bytes(b"{}\n")
+        assert has_parallel_state(tmp_path)
 
     def test_table_entries_carry_stream_indices(self, tmp_path):
         writer = ShardedCorpusWriter(tmp_path, shard_size=4, worker=2)

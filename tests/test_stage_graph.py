@@ -1,5 +1,7 @@
 """Tests for the streaming stage-graph pipeline API (repro.pipeline)."""
 
+from itertools import islice
+
 import pytest
 
 from repro.config import PipelineConfig
@@ -277,6 +279,76 @@ class TestMapStage:
         per_item = list(stage.process(iter(parsed), ctx))
         assert [candidate.annotations for candidate in batched] == [
             candidate.annotations for candidate in per_item
+        ]
+
+
+class _ChunkSpy:
+    """Records the table count of every ``AnnotationPipeline.annotate_batch`` call."""
+
+    def __init__(self, monkeypatch):
+        self.chunks: list[int] = []
+        original = AnnotationPipeline.annotate_batch
+
+        def spying(annotator, tables):
+            self.chunks.append(len(tables))
+            return original(annotator, tables)
+
+        monkeypatch.setattr(AnnotationPipeline, "annotate_batch", spying)
+
+
+class TestAnnotationChunks:
+    """``AnnotateStage`` annotates in chunks of at most ``ctx.remaining`` tables."""
+
+    @pytest.fixture()
+    def extracted(self, small_config):
+        from repro.wordnet.topics import select_topics
+
+        builder = CorpusBuilder(small_config, generator_config=GeneratorConfig.small(seed=11))
+        files, _ = builder.extractor.extract(list(select_topics(4, seed=11).topics))
+        return files
+
+    def _graph(self, config) -> Pipeline:
+        return Pipeline(
+            [
+                ParseStage(),
+                FilterStage(TableFilter(config.curation)),
+                AnnotateStage(AnnotationPipeline(config.annotation)),
+                CurateStage(ContentCurator(config.curation, seed=config.seed)),
+            ],
+            batch_size=4,
+        )
+
+    def test_limit_bounds_the_chunks(self, small_config, extracted, monkeypatch):
+        spy = _ChunkSpy(monkeypatch)
+        outcome = self._graph(small_config).run(extracted, config=small_config, limit=7)
+        assert outcome.report.stage("parsing").items_in < len(extracted)  # upstream had more
+        assert len(outcome.items) == 7
+        assert sum(spy.chunks) == 7 == outcome.report.stage("annotation").items_in
+        assert spy.chunks[0] == 7  # the run's whole remainder, in one pass
+        assert outcome.context.remaining is None
+
+    def test_caller_cap_splits_the_chunks(self, small_config, extracted, monkeypatch):
+        spy = _ChunkSpy(monkeypatch)
+        ctx = StageContext(config=small_config, remaining=3)
+        outcome = self._graph(small_config).run(extracted, ctx=ctx, limit=7)
+        assert len(outcome.items) == 7
+        assert spy.chunks == [3, 4]  # the cap, then the limit's remainder
+
+    def test_unbounded_stream_annotates_one_table_per_pull(self, small_config, extracted, monkeypatch):
+        spy = _ChunkSpy(monkeypatch)
+        ctx = StageContext(config=small_config)
+        stream = self._graph(small_config).stream(extracted, ctx)
+        pulled = [next(stream) for _ in range(3)]
+        stream.close()
+        assert len(pulled) == 3
+        assert spy.chunks == [1, 1, 1]
+        assert ctx.report.stage("annotation").items_in == 3
+
+    def test_chunked_corpus_equals_table_at_a_time(self, small_config, extracted):
+        chunked = self._graph(small_config).run(extracted, config=small_config, limit=9)
+        one_at_a_time = list(islice(self._graph(small_config).stream(extracted, StageContext()), 9))
+        assert [table.to_dict() for table in chunked.items] == [
+            table.to_dict() for table in one_at_a_time
         ]
 
 
