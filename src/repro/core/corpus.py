@@ -38,6 +38,7 @@ from ..storage._io import is_dead_pid_suffix
 from ..storage.base import CorpusStore
 from ..storage.columnar import ColumnarProjection, TablePredicate, ensure_projection
 from ..storage.memory import InMemoryStore
+from ..storage.parallel import has_parallel_state
 from ..storage.sharded import (
     DEFAULT_SHARD_SIZE,
     ShardedCorpusWriter,
@@ -407,9 +408,16 @@ class GitTablesCorpus:
         access). Its store owns the directory's index artifacts
         (:attr:`artifacts`) unless ``use_artifacts=False``. A directory
         that is not a sharded store raises
-        :class:`~repro.errors.CorpusError`.
+        :class:`~repro.errors.CorpusError`; so does a fresh build's
+        in-flight directory, which holds no corpus until its build is
+        resumed and published.
         """
         if not is_sharded_dir(directory):
+            if has_parallel_state(directory):
+                raise CorpusError(
+                    f"{directory} holds an unfinished build and no published corpus; "
+                    "re-run the build to resume it"
+                )
             raise CorpusError(f"no sharded corpus store found at {directory}")
         store = ShardedJsonlStore(directory, cache_shards=cache_shards, use_artifacts=use_artifacts)
         return cls(store=store)

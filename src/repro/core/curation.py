@@ -65,8 +65,8 @@ class CurationReport:
         build session. Computed on the projection
         :func:`~repro.storage.columnar.ensure_projection` resolves for
         ``corpus`` (a loaded store adopts its persisted one), without
-        pruning: a result kept from before an extension reads an older
-        snapshot and must not sweep the grown store's artifacts.
+        pruning: an extension's result may be read before the engines
+        have delta-refreshed from their superseded artifacts.
         """
         from ..storage.columnar import ensure_projection
 

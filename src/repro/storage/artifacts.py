@@ -238,13 +238,19 @@ class IndexArtifactStore:
         arrays: dict | None = None,
         payload: dict | None = None,
         prune: bool = True,
-    ) -> Path:
+    ) -> Path | None:
         """Atomically (re)publish an artifact; returns its directory.
 
         The artifact is staged in a sibling directory and renamed into
         place, replacing any previous version wholesale — a reader never
         observes a half-written artifact, and a crash mid-publish leaves
         the previous version (or nothing) behind.
+
+        A corpus-keyed publish is fenced on the store's current content
+        fingerprint, re-read from its manifest: a session whose corpus
+        another session has since grown publishes nothing and returns
+        ``None``, so it can neither overwrite the grown store's artifacts
+        nor leave one keyed to a corpus no reader will open again.
 
         ``prune=False`` skips the corpus-keyed garbage collection below.
         The delta-refresh flow needs this ordering guarantee: artifacts
@@ -255,6 +261,9 @@ class IndexArtifactStore:
         remaining engines still need to extend incrementally.
         """
         target = self.path(name)
+        corpus_key = _corpus_key(fingerprint)
+        if corpus_key is not None and corpus_key != self._current_corpus_key(corpus_key):
+            return None
         self.directory.mkdir(parents=True, exist_ok=True)
         staging = self.directory / f".{name}.tmp-{os.getpid()}"
         if staging.exists():
@@ -291,15 +300,11 @@ class IndexArtifactStore:
         finally:
             if staging.exists():
                 shutil.rmtree(staging)
-        # Garbage-collect siblings pinned to older corpus states: every
-        # publish keyed on a corpus fingerprint asserts "this is the
-        # current corpus", so artifacts keyed on any *other* corpus
-        # state are unreachable (their load() can only miss) and would
+        # Garbage-collect siblings pinned to older corpus states: they
+        # are unreachable (their load() can only miss) and would
         # otherwise accumulate forever across rebuilds.
-        if prune:
-            corpus_key = fingerprint.get("corpus") if isinstance(fingerprint, dict) else None
-            if isinstance(corpus_key, str):
-                self.prune(corpus_key)
+        if prune and corpus_key is not None:
+            self.prune(corpus_key)
         return target
 
     def prune(self, keep_fingerprint: str) -> list[str]:
@@ -312,8 +317,15 @@ class IndexArtifactStore:
         only) are left alone, as are artifacts with unreadable metadata
         (possibly mid-publish by a concurrent process). Stale staging
         and retired directories of *dead* processes are swept as well.
+
+        ``keep_fingerprint`` is fenced like a publish: unless it is the
+        store's current content fingerprint, re-read from the manifest
+        now, the caller is a stale session and nothing is pruned, so a
+        prune only ever deletes what the current manifest cannot reach.
         Returns the names of the removed artifacts.
         """
+        if keep_fingerprint != self._current_corpus_key(keep_fingerprint):
+            return []
         removed: list[str] = []
         for name in self.names():
             try:
@@ -321,9 +333,8 @@ class IndexArtifactStore:
                     meta = json.load(handle)
             except (OSError, ValueError):
                 continue
-            fingerprint = meta.get("fingerprint")
-            corpus_key = fingerprint.get("corpus") if isinstance(fingerprint, dict) else None
-            if not isinstance(corpus_key, str) or corpus_key == keep_fingerprint:
+            corpus_key = _corpus_key(meta.get("fingerprint"))
+            if corpus_key is None or corpus_key == keep_fingerprint:
                 continue
             shutil.rmtree(self.directory / name, ignore_errors=True)
             removed.append(name)
@@ -334,6 +345,20 @@ class IndexArtifactStore:
             if leftover.is_dir() and is_dead_pid_suffix(leftover.name):
                 shutil.rmtree(leftover, ignore_errors=True)
         return removed
+
+    def _current_corpus_key(self, default: str) -> str:
+        """The owning store's content fingerprint, read from its manifest now.
+
+        ``default`` when the parent directory holds no published corpus
+        (a standalone artifact directory, or a fresh build in flight):
+        there is nothing to fence on.
+        """
+        from .sharded import ShardedJsonlStore, is_sharded_dir
+
+        corpus_dir = self.directory.parent
+        if not is_sharded_dir(corpus_dir):
+            return default
+        return ShardedJsonlStore(corpus_dir, use_artifacts=False).content_fingerprint()
 
     def _swap_in(self, staging: Path, target: Path) -> None:
         """Replace ``target`` with ``staging`` with a minimal gap.
@@ -371,6 +396,12 @@ class IndexArtifactStore:
             return
         for existing in self.names():
             shutil.rmtree(self.directory / existing)
+
+
+def _corpus_key(fingerprint: object) -> str | None:
+    """The corpus state an artifact fingerprint is pinned to, if any."""
+    key = fingerprint.get("corpus") if isinstance(fingerprint, dict) else None
+    return key if isinstance(key, str) else None
 
 
 def try_publish(publish, *args, **kwargs) -> bool:

@@ -1,4 +1,4 @@
-"""Corpus builds into a store: shard-per-worker, merge-on-commit.
+"""Corpus builds into a store: shard-per-worker, publish at finalize.
 
 Every store-targeted build runs through one coordinator,
 :class:`ParallelCorpusBuilder`. The GitTables construction flow —
@@ -14,12 +14,14 @@ no pipe) at ``processes=1``. Both run the same task handler,
   ``manifest-<k>.log`` (one O(batch) delta record per commit, fsynced —
   the worker's durable commit point). Workers never share a file, so no
   cross-process locking exists anywhere on the write path.
-* **Merge on commit boundaries.** The coordinator folds completed
-  worker commit records — in deterministic (worker id, commit seq)
-  order — into a merged ``manifest.json`` view, so a mid-build directory
-  that has published one is readable by
-  :class:`~repro.storage.sharded.ShardedJsonlStore`. The view carries a
-  ``"parallel"`` marker; the worker logs stay authoritative for resume.
+* **Harvest on commit boundaries.** The coordinator folds completed
+  worker commit records, in each worker's commit-seq order, into its
+  in-memory view of the build. It writes no manifest until finalize:
+  the worker logs are the build's only record, so a fresh build's
+  in-flight directory has no ``manifest.json`` (opening it as a store
+  raises a :class:`~repro.errors.CorpusError` that names the resume),
+  and an extension's readers keep the sealed prior epoch until the
+  next one is published.
 * **Byte-identical finalize.** When the in-order curated prefix of the
   source-URL stream covers ``target_tables``, the coordinator lays the
   tables out in canonical stream order as ``shard_00000.jsonl``… files,
@@ -103,8 +105,6 @@ from .sharded import (
     _replay_manifest_log,
     _replay_worker_log,
     _shard_lines,
-    _write_manifest,
-    build_manifest,
     heal_shard_files,
     is_sharded_dir,
     manifest_header,
@@ -122,7 +122,6 @@ __all__ = [
     "FaultSpec",
     "ParallelCorpusBuilder",
     "has_parallel_state",
-    "merge_worker_manifests",
 ]
 
 
@@ -148,22 +147,17 @@ def _is_idle_log(directory: Path, worker: int) -> bool:
 def has_parallel_state(directory: str | os.PathLike[str]) -> bool:
     """Whether ``directory`` holds an in-flight build's worker state.
 
-    True when a worker checkpoint, a non-idle worker log or the manifest's
-    mid-build ``"parallel"`` marker exists: a build is under way (or was
-    killed) and must be resumed — under any process count — before the
-    store can be compacted. An idle log (empty, no shard in its scope, no
-    live writer) is what a writer opened and closed uncommitted leaves.
+    True when a worker checkpoint or a non-idle worker log exists: a
+    build is under way (or was killed) and must be resumed — under any
+    process count — before the store can be compacted or, for a fresh
+    build, opened. An idle log (empty, no shard in its scope, no live
+    writer) is what a writer opened and closed uncommitted leaves.
     """
     directory = Path(directory)
     logs = _worker_log_ids(directory)
-    if worker_checkpoint_ids(directory) or not all(_is_idle_log(directory, k) for k in logs):
-        return True
-    if is_sharded_dir(directory):
-        try:
-            return "parallel" in _read_manifest(directory)
-        except CorpusError:
-            return False
-    return False
+    return bool(worker_checkpoint_ids(directory)) or not all(
+        _is_idle_log(directory, k) for k in logs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +452,13 @@ def _worker_main(conn, spec: _WorkerSpec) -> None:
 
 @dataclass
 class _StoreState:
-    """Committed state re-derived from a build directory on open."""
+    """Committed state re-derived from a build directory on open.
+
+    Only a publish writes ``manifest.json``, so the canonical portion
+    cannot change while a build is in flight: every session of one build
+    re-derives the same canonical prefix, and with it the same topic to
+    start enumerating at.
+    """
 
     #: Canonical portion: table id -> {shard, line, source_url}.
     canonical_tables: dict = field(default_factory=dict)
@@ -472,15 +472,9 @@ class _StoreState:
     worker_done: dict = field(default_factory=dict)
     #: worker id -> byte offset of the log's valid committed prefix.
     worker_log_offsets: dict = field(default_factory=dict)
-    #: Whether manifest.json exists without the mid-build marker.
-    manifest_is_canonical: bool = False
     #: The manifest's :func:`~repro.storage.sharded.manifest_header`
     #: (``shard_size`` is ``None`` when there is no manifest yet).
     header: dict = field(default_factory=lambda: manifest_header({}))
-    #: The topic a mid-build view's session started enumerating at (its
-    #: worker logs' stream indices count from there); ``None`` for a
-    #: canonical manifest or none.
-    first_topic: int | None = None
 
     @property
     def committed_count(self) -> int:
@@ -492,12 +486,14 @@ class _StoreState:
 def _read_store_state(directory: Path) -> _StoreState:
     """Re-derive all committed state: canonical manifest + worker logs.
 
-    Worker logs are authoritative for worker-scoped state (the merged
-    mid-build manifest is a convenience view); the canonical portion of
-    a manifest — entries referencing canonical ``shard_*.jsonl`` files —
-    is authoritative for the tables a finalize (a sealed epoch) or an
-    old directory's single-writer session (its ``manifest.log`` replayed)
-    committed.
+    Worker logs are the only record of worker-scoped state; the
+    canonical portion of a manifest — entries referencing canonical
+    ``shard_*.jsonl`` files — is authoritative for the tables a finalize
+    (a sealed epoch) or an old directory's single-writer session (its
+    ``manifest.log`` replayed) committed. A directory an older version
+    left mid-build may hold a merged view of both, marked
+    ``"parallel"``: only its canonical slice is read, with the canonical
+    statistics the marker carries.
 
     Each worker log is snapshotted under its scope lock: if a previous
     coordinator was SIGKILLed, its orphaned workers may still be
@@ -510,18 +506,15 @@ def _read_store_state(directory: Path) -> _StoreState:
     if is_sharded_dir(directory):
         manifest = _read_manifest(directory)
         _replay_manifest_log(directory, manifest)
-        state.manifest_is_canonical = "parallel" not in manifest
         state.header = manifest_header(manifest)
-        if state.manifest_is_canonical:
-            # A canonical manifest's stats describe exactly the
-            # canonical tables being adopted.
-            state.canonical_stats = manifest.get("stats", _empty_stats())
-        else:
-            # A mid-build merged manifest's stats span worker tables
-            # too; the canonical slice rides in the parallel marker.
-            marker = manifest["parallel"]
-            state.canonical_stats = marker.get("canonical_stats", _empty_stats())
-            state.first_topic = int(marker.get("first_topic", 0))
+        # An old merged view's stats span worker tables too; its
+        # canonical slice rides in the marker.
+        marker = manifest.get("parallel")
+        state.canonical_stats = (
+            manifest.get("stats", _empty_stats())
+            if marker is None
+            else marker.get("canonical_stats", _empty_stats())
+        )
         shards = manifest.get("shards", [])
         canonical_indices = {
             index
@@ -553,46 +546,6 @@ def _fold_stats(into: dict, source: dict) -> None:
         counts = into[family]
         for key, value in source.get(family, {}).items():
             counts[key] = counts.get(key, 0) + value
-
-
-def merge_worker_manifests(
-    state: _StoreState, shard_size: int = 0, processes: int | None = None, first_topic: int = 0
-) -> dict:
-    """The merged mid-build manifest of a store's committed state.
-
-    A pure function of the replayed state: canonical shards
-    come first, then each worker's shards in deterministic (worker id,
-    shard seq) order, with table locations remapped into the merged
-    shard list and statistics summed in the same order — so *any*
-    interleaving of worker commits that leaves the same records in the
-    logs merges to the identical manifest. The ``"parallel"`` marker
-    tells readers this is a mid-build view and resuming coordinators
-    that the worker logs — not this manifest — are authoritative, and
-    ``first_topic`` the topic their stream indices count from.
-    """
-    shards: list = list(state.canonical_shards)
-    tables: dict = {}
-    stats = _empty_stats()
-    for table_id, entry in state.canonical_tables.items():
-        tables[table_id] = entry
-    _fold_stats(stats, state.canonical_stats)
-    for worker in sorted(state.worker_states):
-        worker_state = state.worker_states[worker]
-        base = len(shards)
-        shards.extend(worker_state["shards"])
-        for table_id, entry in worker_state["tables"].items():
-            moved = dict(entry)
-            moved["shard"] = base + entry["shard"]
-            tables[table_id] = moved
-        _fold_stats(stats, worker_state["stats"])
-    header = {**state.header, "shard_size": shard_size}
-    manifest = build_manifest(shards=shards, tables=tables, stats=stats, **header)
-    manifest["parallel"] = {
-        "processes": processes,
-        "canonical_stats": state.canonical_stats,
-        "first_topic": first_topic,
-    }
-    return manifest
 
 
 class ParallelCorpusBuilder:
@@ -650,7 +603,7 @@ class ParallelCorpusBuilder:
         if checkpoint is not None:
             checkpoint.require_compatible(fingerprint, store_dir)
 
-        finished = state.manifest_is_canonical and manifest_is_sealed(state.header)
+        finished = manifest_is_sealed(state.header)
         if finished and len(state.canonical_tables) >= config.target_tables:
             # A completed build (possibly killed between publishing the
             # canonical manifest and its sweep): reuse it. The same sweep
@@ -663,9 +616,10 @@ class ParallelCorpusBuilder:
 
         header = state.header
         if finished:
-            # Growing a finalized store opens the next epoch. A crashed
-            # extension whose merged view never landed finds the store
-            # sealed again and opens the same epoch.
+            # Growing a finalized store opens the next epoch. The manifest
+            # stays the sealed one until finalize publishes, so a crashed
+            # extension finds the store sealed again and opens the same
+            # epoch (its worker logs carry the new tables).
             header["epoch"] = len(header["epochs"]) + 1
         if checkpoint is None:
             checkpoint = BuildCheckpoint(fingerprint=fingerprint)
@@ -748,7 +702,7 @@ class ParallelCorpusBuilder:
 
 
 class _CoordinatorRun:
-    """One coordinator session: dispatch, merge-on-commit, finalize."""
+    """One coordinator session: dispatch, harvest commits, finalize."""
 
     def __init__(
         self,
@@ -785,11 +739,10 @@ class _CoordinatorRun:
         #: dispatching it, so growing or resuming a prefix is O(tail).
         self._fast_forwarding = self.marker is not None
         #: The first topic enumerated: the marker's own topic, since the
-        #: topics before it were finished (never searched again). A
-        #: mid-build view pins the start its worker logs count from.
-        self.first_topic = (
-            state.first_topic if state.first_topic is not None else self._marker_topic(canonical)
-        )
+        #: topics before it were finished (never searched again). The
+        #: canonical prefix is fixed until finalize, so every session of
+        #: a build starts here and its worker logs' indices agree.
+        self.first_topic = self._marker_topic(canonical)
 
         # --- source-URL stream enumeration --------------------------------
         #: Emitted stream units, index-aligned (stream[i].index == i).
@@ -835,7 +788,6 @@ class _CoordinatorRun:
         self.outstanding: dict[int, tuple] = {}
         self.next_wave_id = 0
         self._log_offsets: dict[int, int] = dict(state.worker_log_offsets)
-        self._harvests_since_merge = 0
         self.api_requests = 0
         self.wait_seconds = 0.0
 
@@ -967,7 +919,7 @@ class _CoordinatorRun:
             and self.frontier()[0] >= len(self.stream)
         )
 
-    # -- merge-on-commit ----------------------------------------------------
+    # -- harvesting commits -------------------------------------------------
 
     def harvest_worker_log(self, worker: int) -> None:
         """Fold a worker's new commit records into coordinator state.
@@ -997,43 +949,13 @@ class _CoordinatorRun:
             offset += raw_length
         self._log_offsets[worker] = offset
 
-    #: Completed-wave harvests folded in between merged-manifest
-    #: publications. The merged view is a reader convenience (worker
-    #: logs stay authoritative for resume), so publishing it — an
-    #: O(total tables) rewrite — is throttled.
-    MERGE_EVERY = 8
-
-    def merge_manifest(self, force: bool = False) -> None:
-        """Publish the mid-build merged view as the canonical manifest."""
-        if not force and self._harvests_since_merge < self.MERGE_EVERY:
-            return
-        self._harvests_since_merge = 0
-        manifest = merge_worker_manifests(
-            self.state,
-            shard_size=self.shard_size,
-            processes=self.parent.processes,
-            first_topic=self.first_topic,
-        )
-        _write_manifest(self.directory, manifest)
-
     # -- dispatch loop ------------------------------------------------------
 
     def execute(self) -> None:
         if self.target_met():
             return  # resumed after the last wave; nothing to dispatch
         self.start_workers()
-        try:
-            self._loop()
-        except BaseException:
-            # An interrupted session leaves what its workers committed
-            # readable (worker logs stay authoritative for resume).
-            for worker in range(self.parent.processes):
-                self.harvest_worker_log(worker)
-            self.merge_manifest(force=True)
-            raise
-        # Leave a current merged view behind for readers (and for the
-        # finalize fault-injection window).
-        self.merge_manifest(force=True)
+        self._loop()
 
     def _loop(self) -> None:
         while True:
@@ -1163,7 +1085,7 @@ class _CoordinatorRun:
         )
 
     def _collect(self) -> None:
-        """Wait for worker messages, or a worker's death; merge as commits land.
+        """Wait for worker messages, or a worker's death; harvest as commits land.
 
         One :func:`~repro._procs.wait` over every pipe and process
         sentinel: a worker that dies fails the build the moment its
@@ -1200,15 +1122,12 @@ class _CoordinatorRun:
             self.outstanding.pop(worker, None)
             self.idle.append(worker)
             # Fold this worker's commit records (in log order — i.e.
-            # commit-seq order) into coordinator state; the merged
-            # manifest is published every MERGE_EVERY harvests.
+            # commit-seq order) into coordinator state.
             self.harvest_worker_log(worker)
             # Units the wave left unconsumed go back to the pool.
             released = self.waves.pop(wave_id)[consumed:]
             self.dispatched.difference_update(released)
             self.assigned[worker].difference_update(released)
-            self._harvests_since_merge += 1
-            self.merge_manifest()
 
     # -- finalize -----------------------------------------------------------
 

@@ -26,10 +26,12 @@ is O(batch), not O(corpus). A writer reopening its scope replays the
 log's valid prefix, truncates a torn final line (crash mid-append) and
 heals its shard tails. The log is never folded into ``manifest.json``
 by the writer: a build coordinator (:mod:`repro.storage.parallel`)
-merges worker logs, and :meth:`ShardedCorpusWriter.finalize` publishes a
-lone writer's tables (``save()``'s path). Either way the finished
-directory holds only canonical shards and ``manifest.json``,
-byte-identical regardless of commit cadence or interruptions.
+publishes its workers' tables at finalize, and
+:meth:`ShardedCorpusWriter.finalize` publishes a lone writer's tables
+(``save()``'s path); only :func:`publish_layout` writes the manifest.
+Either way the finished directory holds only canonical shards and
+``manifest.json``, byte-identical regardless of commit cadence or
+interruptions.
 
 Directories written before the writer became per-worker may still hold
 a single-writer ``manifest.log`` of uncompacted delta records beside
@@ -226,11 +228,6 @@ def _decode_slot(slots: list, index: int) -> "AnnotatedTable":
     if isinstance(slot, bytes):
         slot = slots[index] = _decode_line(slot)
     return slot
-
-
-def _write_manifest(directory: Path, manifest: dict) -> None:
-    """Atomically replace the manifest (temp file + rename)."""
-    atomic_write_json(directory / MANIFEST_FILENAME, manifest)
 
 
 def build_manifest(
@@ -877,7 +874,7 @@ def publish_layout(
     fsync_dir(directory)
     fault_point(fault, "before-manifest-publish")
     manifest = build_manifest(shards=shards, tables=tables, stats=stats, **header)
-    _write_manifest(directory, manifest)
+    atomic_write_json(directory / MANIFEST_FILENAME, manifest)
     fault_point(fault, "before-sweep")
     return manifest, sweep_layout(directory, manifest)
 

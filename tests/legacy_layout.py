@@ -7,6 +7,10 @@ behind its back. Readers, resuming builds and compaction must still
 handle both, so the tests build them here with
 :func:`~repro.storage.sharded.build_manifest` and the single writer's
 delta-record format (``shards`` / ``tables`` / ``stats``).
+
+Build coordinators also used to publish a merged mid-build
+``manifest.json`` beside their worker logs, marked ``"parallel"``;
+:func:`write_mid_build_view` adds one to an in-flight build directory.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.storage._io import atomic_write_json
+from repro.storage.parallel import _fold_stats, _read_store_state
 from repro.storage.sharded import (
     MANIFEST_FILENAME,
     MANIFEST_LOG_FILENAME,
@@ -23,6 +29,7 @@ from repro.storage.sharded import (
     _shard_filename,
     build_manifest,
     manifest_header,
+    manifest_is_sealed,
     seal_epochs,
 )
 
@@ -103,3 +110,59 @@ def append_out_of_band(directory, batch, epoch: int | None = None) -> None:
     (directory / MANIFEST_FILENAME).write_text(
         json.dumps(manifest, ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
     )
+
+
+def merge_worker_manifests(
+    state, shard_size: int = 0, processes: int | None = None, first_topic: int = 0
+) -> dict:
+    """The merged mid-build manifest of a store's committed state.
+
+    A pure function of the replayed state: canonical shards
+    come first, then each worker's shards in deterministic (worker id,
+    shard seq) order, with table locations remapped into the merged
+    shard list and statistics summed in the same order — so *any*
+    interleaving of worker commits that leaves the same records in the
+    logs merges to the identical manifest. The ``"parallel"`` marker
+    tells readers this is a mid-build view and resuming coordinators
+    that the worker logs — not this manifest — are authoritative, and
+    ``first_topic`` the topic their stream indices count from.
+    """
+    shards: list = list(state.canonical_shards)
+    tables: dict = {}
+    stats = _empty_stats()
+    for table_id, entry in state.canonical_tables.items():
+        tables[table_id] = entry
+    _fold_stats(stats, state.canonical_stats)
+    for worker in sorted(state.worker_states):
+        worker_state = state.worker_states[worker]
+        base = len(shards)
+        shards.extend(worker_state["shards"])
+        for table_id, entry in worker_state["tables"].items():
+            moved = dict(entry)
+            moved["shard"] = base + entry["shard"]
+            tables[table_id] = moved
+        _fold_stats(stats, worker_state["stats"])
+    header = {**state.header, "shard_size": shard_size}
+    manifest = build_manifest(shards=shards, tables=tables, stats=stats, **header)
+    manifest["parallel"] = {
+        "processes": processes,
+        "canonical_stats": state.canonical_stats,
+        "first_topic": first_topic,
+    }
+    return manifest
+
+
+def write_mid_build_view(directory, shard_size: int, processes: int, first_topic: int = 0) -> dict:
+    """Publish the merged view a coordinator kept while a build was in flight.
+
+    ``directory`` holds an interrupted build's worker logs. Over a sealed
+    store (an extension in flight) the view opened the next epoch, as
+    the coordinator did before its first merge; ``first_topic`` is the
+    topic its stream enumeration started at. Returns the view.
+    """
+    state = _read_store_state(Path(directory))
+    if manifest_is_sealed(state.header):
+        state.header["epoch"] = len(state.header["epochs"]) + 1
+    manifest = merge_worker_manifests(state, shard_size, processes, first_topic)
+    atomic_write_json(Path(directory) / MANIFEST_FILENAME, manifest)
+    return manifest

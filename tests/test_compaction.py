@@ -233,10 +233,10 @@ class TestCompactionRefusals:
     def test_refuses_in_flight_parallel_builds(self, tmp_path, sealed_store):
         directory = tmp_path / "store"
         shutil.copytree(sealed_store, directory)
-        manifest_path = directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["parallel"] = {"workers": 2}
-        manifest_path.write_text(json.dumps(manifest))
+        # An extension's worker committed a table and was killed.
+        with ShardedCorpusWriter(directory, shard_size=4, worker=1) as writer:
+            writer.extend([_annotated("in-flight")])
+            writer.commit(done=[0])
         with pytest.raises(CorpusError, match="parallel"):
             compact_store(directory, shard_size=NEW_SIZE)
 

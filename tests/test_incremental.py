@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import shutil
 import sys
 from itertools import islice
@@ -38,15 +39,17 @@ from repro.storage._io import directory_file_bytes
 from repro.storage.artifacts import IndexArtifactStore
 from repro.storage import columnar, parallel
 from repro.storage.columnar import PROJECTION_ARTIFACT
-from repro.storage.parallel import ParallelCorpusBuilder
+from repro.storage.parallel import ParallelCorpusBuilder, has_parallel_state
 from repro.core.pipeline import CorpusBuilder
 from repro.storage.sharded import (
     ShardedCorpusWriter,
     ShardedJsonlStore,
     read_store_version,
+    worker_log_filename,
 )
+from repro.wordnet.topics import select_topics
 from tests import stats_oracle as oracle
-from tests.legacy_layout import append_out_of_band
+from tests.legacy_layout import append_out_of_band, write_mid_build_view
 
 BASE_TABLES = 24
 GROWN_TABLES = 30
@@ -298,6 +301,25 @@ class TestExtensionWithoutArtifacts:
         assert _tree_bytes(directory / "artifacts") == before
 
 
+def _interrupt_build(monkeypatch, directory, config, generator, extend: bool, after: int = 1):
+    """Run a one-process build into ``directory`` and kill it after ``after`` commits."""
+    original_commit = ShardedCorpusWriter.commit
+    calls = {"n": 0}
+
+    def killed_commit(writer, *args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] > after:
+            raise KeyboardInterrupt("simulated kill")
+        return original_commit(writer, *args, **kwargs)
+
+    monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
+    with pytest.raises(KeyboardInterrupt):
+        CorpusBuilder(config, generator_config=generator, batch_size=BATCH).build(
+            store_dir=directory, shard_size=SHARDS, extend=extend
+        )
+    monkeypatch.undo()
+
+
 class TestSerialExtensionCrash:
     def test_interrupted_extension_resumes_byte_identical(
         self, tmp_path, monkeypatch, base_store, grown_config, grow_generator, extended_reference
@@ -306,34 +328,136 @@ class TestSerialExtensionCrash:
         ``extend=True`` converges to the uninterrupted extension bytes."""
         directory = tmp_path / "store"
         shutil.copytree(base_store, directory)
+        _interrupt_build(monkeypatch, directory, grown_config, grow_generator, extend=True)
 
-        original_commit = ShardedCorpusWriter.commit
-        calls = {"n": 0}
-
-        def killed_commit(writer, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise KeyboardInterrupt("simulated kill")
-            return original_commit(writer, *args, **kwargs)
-
-        monkeypatch.setattr(ShardedCorpusWriter, "commit", killed_commit)
-        with pytest.raises(KeyboardInterrupt):
-            CorpusBuilder(grown_config, generator_config=grow_generator, batch_size=BATCH).build(
-                store_dir=directory, shard_size=SHARDS, extend=True
-            )
-        monkeypatch.undo()
-
-        # The wreckage: epoch 2 is open but unsealed, with a partial
-        # batch of new tables committed.
-        assert read_store_version(directory)[:2] == (2, False)
-        partial = len(ShardedJsonlStore(directory))
-        assert BASE_TABLES <= partial < GROWN_TABLES
+        # The wreckage: readers still see the sealed base epoch; the
+        # committed batch of new tables lives in the worker's log.
+        assert read_store_version(directory)[:2] == (1, True)
+        assert len(ShardedJsonlStore(directory)) == BASE_TABLES
+        assert (directory / worker_log_filename(0)).stat().st_size > 0
+        assert has_parallel_state(directory)
 
         CorpusBuilder(grown_config, generator_config=grow_generator, batch_size=BATCH).build(
             store_dir=directory, shard_size=SHARDS, extend=True
         )
         assert read_store_version(directory)[:2] == (2, True)
         assert directory_file_bytes(directory) == directory_file_bytes(extended_reference)
+
+
+class TestManifestPublishes:
+    """Only a publish writes ``manifest.json``: once per build and once
+    per extension, whatever the process count."""
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_manifest_is_replaced_once_per_build_and_extend(
+        self, tmp_path, monkeypatch, base_config, grown_config, grow_generator, processes
+    ):
+        replaced: list[str] = []
+        real_replace = os.replace
+
+        def recording_replace(source, target, *args, **kwargs):
+            if Path(target).name == "manifest.json":
+                replaced.append(str(target))
+            return real_replace(source, target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        directory = tmp_path / "store"
+        for config, extend in ((base_config, False), (grown_config, True)):
+            CorpusBuilder(config, generator_config=grow_generator, batch_size=BATCH).build(
+                store_dir=directory, shard_size=SHARDS, processes=processes, extend=extend
+            )
+        assert len(replaced) == 2
+        assert read_store_version(directory)[:2] == (2, True)
+
+
+class TestLegacyMidBuildView:
+    """A directory an older coordinator left mid-build — worker logs plus
+    a merged ``manifest.json`` marked ``"parallel"`` — still resumes to
+    the reference bytes."""
+
+    def test_fresh_build_resumes(self, tmp_path, monkeypatch, base_config, grow_generator):
+        reference = tmp_path / "reference"
+        CorpusBuilder(base_config, generator_config=grow_generator, batch_size=BATCH).build(
+            store_dir=reference, shard_size=SHARDS
+        )
+        directory = tmp_path / "store"
+        _interrupt_build(monkeypatch, directory, base_config, grow_generator, extend=False, after=2)
+        view = write_mid_build_view(directory, SHARDS, processes=1)
+        assert view["parallel"]["first_topic"] == 0
+        assert 0 < len(view["tables"]) < BASE_TABLES
+        assert has_parallel_state(directory)
+        result = CorpusBuilder(base_config, generator_config=grow_generator, batch_size=BATCH).build(
+            store_dir=directory, shard_size=SHARDS, processes=2
+        )
+        assert result.table_count == BASE_TABLES
+        assert directory_file_bytes(directory) == directory_file_bytes(reference)
+
+    def test_extension_resumes(
+        self,
+        tmp_path,
+        monkeypatch,
+        base_store,
+        base_config,
+        grown_config,
+        grow_generator,
+        extended_reference,
+    ):
+        directory = tmp_path / "store"
+        shutil.copytree(base_store, directory)
+        _interrupt_build(monkeypatch, directory, grown_config, grow_generator, extend=True)
+        # The view pins the topic the extension's enumeration started at:
+        # the last sealed table's.
+        store = ShardedJsonlStore(directory)
+        last_topic = store.get(list(store.table_ids())[-1]).topic
+        topics = select_topics(base_config.extraction.topic_count, seed=base_config.seed).topics
+        view = write_mid_build_view(
+            directory, SHARDS, processes=2, first_topic=topics.index(last_topic)
+        )
+        assert view["epoch"] == 2 and view["epochs"] == [BASE_TABLES]
+        assert len(view["tables"]) > BASE_TABLES
+        CorpusBuilder(grown_config, generator_config=grow_generator, batch_size=BATCH).build(
+            store_dir=directory, shard_size=SHARDS, extend=True
+        )
+        assert read_store_version(directory)[:2] == (2, True)
+        assert directory_file_bytes(directory) == directory_file_bytes(extended_reference)
+
+
+class TestStaleSession:
+    """A session opened before another one grew the store cannot damage
+    the grown store's artifacts."""
+
+    def test_stale_session_leaves_the_grown_store_artifacts_alone(
+        self, tmp_path, monkeypatch, base_store
+    ):
+        directory = tmp_path / "store"
+        shutil.copytree(base_store, directory)
+        stale = GitTables.load(directory)
+        grower = GitTables.load(directory).warm()
+        grower.extend(target_tables=GROWN_TABLES, shard_size=SHARDS)
+        artifacts = IndexArtifactStore.for_corpus_dir(directory)
+        grown = _tree_bytes(artifacts.directory)
+        assert {SEARCH_ARTIFACT, COMPLETION_ARTIFACT} <= set(artifacts.names())
+
+        for touch in (
+            stale.stats,
+            stale.columnar,
+            lambda: stale.search("status and total price per order"),
+        ):
+            touch()
+            assert _tree_bytes(artifacts.directory) == grown
+
+        # A fresh session adopts both engines: it publishes nothing.
+        published: list[str] = []
+        real_publish = IndexArtifactStore.publish
+
+        def recording_publish(store, name, *args, **kwargs):
+            published.append(name)
+            return real_publish(store, name, *args, **kwargs)
+
+        monkeypatch.setattr(IndexArtifactStore, "publish", recording_publish)
+        fresh = GitTables.load(directory).warm()
+        assert published == []
+        assert len(fresh.corpus) == GROWN_TABLES
 
 
 def _crash_parallel_extension(

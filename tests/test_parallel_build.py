@@ -204,10 +204,18 @@ class TestWorkerCrashInjection:
         assert writer.committed_count == len(writer._tables)
         writer.close()
 
-    def test_mid_build_directory_is_readable(
-        self, tmp_path, par_config, par_generator, fault_injector, parallel_build_subprocess
+    def test_mid_build_directory_refuses_to_load(
+        self,
+        tmp_path,
+        par_config,
+        par_generator,
+        serial_reference,
+        fault_injector,
+        parallel_build_subprocess,
     ):
-        """The merged mid-build manifest serves lazy readers."""
+        """A fresh build killed before its publish has no corpus to read:
+        loading names the resume, and the resume reaches the reference."""
+        reference_dir, _ = serial_reference
         store = tmp_path / "store"
         process = parallel_build_subprocess(
             store,
@@ -217,13 +225,13 @@ class TestWorkerCrashInjection:
             fault=fault_injector(commit_n=1, worker=None, point="before-manifest-publish"),
         )
         assert process.exitcode == -signal.SIGKILL
-        manifest = json.loads((store / "manifest.json").read_text())
-        assert "parallel" in manifest
-        corpus = GitTablesCorpus.load(store)
-        assert isinstance(corpus.store, ShardedJsonlStore)
-        assert len(corpus) > 0
-        listed = {annotated.table_id for annotated in corpus}
-        assert set(manifest["tables"]) == listed
+        assert not (store / "manifest.json").exists()
+        assert has_parallel_state(store)
+        with pytest.raises(CorpusError, match="re-run the build to resume"):
+            GitTablesCorpus.load(store)
+        result = _parallel_build(store, par_config, par_generator, processes=2)
+        assert result.table_count == par_config.target_tables
+        assert _dir_bytes(store) == _dir_bytes(reference_dir)
 
 
 class TestCoordinatorCrashInjection:
@@ -647,7 +655,7 @@ class TestArtifactsAfterParallelBuilds:
         prefix = ["order_id", "order_date"]
 
         # First artifact-backed session builds and publishes the indexes
-        # under the merged manifest's content fingerprint.
+        # under the finalized manifest's content fingerprint.
         warm = GitTables.load(store, use_artifacts=True)
         warm_search = warm.search(query, k=5)
         warm_completion = warm.complete_schema(prefix, k=5)

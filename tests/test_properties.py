@@ -310,12 +310,13 @@ class TestManifestLogMergeProperties:
     """Per-worker delta-log merging (process-parallel builds).
 
     Workers append commit records to disjoint ``manifest-<k>.log`` files;
-    the coordinator merges them in deterministic (worker id, commit seq)
-    order. The properties: *any* interleaving of worker commits merges
-    to the identical manifest; the merged statistics equal a serial
-    accumulation over the same tables; every table location in the
-    merged manifest resolves to the right bytes; and a torn final record
-    in one worker's log is invisible to every other worker.
+    a resumed coordinator replays them and finalize merges them in
+    stream order into the published layout. The properties: *any*
+    interleaving of worker commits finalizes to identical bytes; the
+    published statistics equal a serial accumulation over the same
+    tables; every table location in the published manifest resolves to
+    the right bytes; and a torn final record in one worker's log is
+    invisible to every other worker.
     """
 
     SHARD_SIZE = 3
@@ -386,28 +387,37 @@ class TestManifestLogMergeProperties:
         for writer in writers.values():
             writer.close()
 
-    def _merged(self, directory):
-        from repro.storage.parallel import _read_store_state, merge_worker_manifests
+    def _finalized(self, directory, n_tables: int) -> dict:
+        """Replay the logs and finalize them as a resumed coordinator would."""
+        from types import SimpleNamespace
+
+        from repro.storage.parallel import _CoordinatorRun, _read_store_state
 
         state = _read_store_state(Path(directory))
-        return merge_worker_manifests(state, shard_size=self.SHARD_SIZE)
+        state.header["shard_size"] = self.SHARD_SIZE
+        parent = SimpleNamespace(
+            builder=SimpleNamespace(config=SimpleNamespace(target_tables=n_tables)), fault=None
+        )
+        _CoordinatorRun(parent, Path(directory), (), {}, state).finalize()
+        return json.loads((Path(directory) / "manifest.json").read_text(encoding="utf-8"))
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_merge_is_invariant_under_commit_interleaving(self, data, tmp_path_factory):
+        from repro.storage._io import directory_file_bytes
+
         n_workers = data.draw(st.integers(min_value=1, max_value=3))
         n_tables = data.draw(st.integers(min_value=0, max_value=14))
         commits = self._plan(data, n_workers, n_tables)
-        manifests = []
+        manifests, files = [], []
         for _attempt in range(2):
             directory = tmp_path_factory.mktemp("merge")
             order = self._draw_interleaving(data, commits)
             self._execute(directory, order)
-            manifests.append(self._merged(directory))
-        # Identical bytes-in-the-making, ordering included.
-        assert json.dumps(manifests[0], sort_keys=False) == json.dumps(
-            manifests[1], sort_keys=False
-        )
+            manifests.append(self._finalized(directory, n_tables))
+            files.append(directory_file_bytes(directory))
+        # Identical finalized bytes, manifest and shards alike.
+        assert files[0] == files[1]
         merged = manifests[0]
         assert set(merged["tables"]) == {f"t{i:03d}" for i in range(n_tables)}
         # Statistics equal a serial accumulation over the same tables.
@@ -431,15 +441,13 @@ class TestManifestLogMergeProperties:
     @settings(max_examples=15, deadline=None)
     def test_merged_locations_resolve_to_the_right_tables(self, data, tmp_path_factory):
         from repro.storage import ShardedJsonlStore
-        from repro.storage.sharded import _write_manifest
 
         n_workers = data.draw(st.integers(min_value=1, max_value=3))
         n_tables = data.draw(st.integers(min_value=1, max_value=12))
         commits = self._plan(data, n_workers, n_tables)
         directory = tmp_path_factory.mktemp("resolve")
         self._execute(directory, self._draw_interleaving(data, commits))
-        merged = self._merged(directory)
-        _write_manifest(directory, merged)
+        self._finalized(directory, n_tables)
         store = ShardedJsonlStore(directory)
         for index in range(n_tables):
             annotated = store.get(f"t{index:03d}")

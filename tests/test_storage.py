@@ -28,6 +28,7 @@ from repro.storage import (
     worker_shard_filename,
 )
 from repro.storage._io import directory_file_bytes
+from repro.storage.sharded import _replay_worker_log
 from tests.legacy_layout import append_out_of_band, single_writer_store
 
 # A writer, reader or worker that leaks a file handle fails its test.
@@ -496,12 +497,13 @@ class TestResumableBuild:
             )
         monkeypatch.undo()
 
-        # The interrupted directory is a valid partial corpus with a
-        # checkpoint describing the committed progress (the build's one
-        # worker keeps the counters of the work it committed).
+        # The interrupted directory holds a partial build in its one
+        # worker's log, with a checkpoint describing the committed
+        # progress (the worker keeps the counters of the work it committed).
         assert BuildCheckpoint.load(interrupted) is not None
         checkpoint = BuildCheckpoint.load(interrupted, worker=0)
-        partial = GitTablesCorpus.load(interrupted)
+        committed, _, _ = _replay_worker_log(interrupted / worker_log_filename(0))
+        partial = committed["tables"]
         assert 0 < len(partial) < resume_config.target_tables
         assert checkpoint.counters["items_collected"] == len(partial)
 
